@@ -6,11 +6,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: ci test test-reference test-smoke test-slow bench scale farm figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
-# the same suite on the pure-heap reference engine, and a bench smoke
-# run (single-run ops/sec + the six-model digest matrix, no sweep).
+# the same suite on the pure-heap reference engine, and the scaling
+# check family (exits nonzero if any of its checks fails).
 ci: test test-reference
-	$(PYTHON) -m repro bench --transactions 10 --no-sweep \
-		--output /tmp/bench-ci.json
+	$(PYTHON) -m repro bench --only scaling --output /tmp/bench-ci.json
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
 test:
@@ -29,23 +28,23 @@ test-smoke:
 test-slow:
 	$(PYTHON) -m pytest -q -m slow
 
-# Time the sweep executor (serial vs parallel vs warm cache) and
-# refresh BENCH_sweep.json.
+# Run every bench check family (scaling, crash, farm) and refresh
+# BENCH_sweep.json; exits nonzero if any check fails.  Host time is
+# measured by perfbench/ (see perfbench/README.md).
 bench:
 	$(PYTHON) -m repro bench --jobs 4
 
-# The core-count scaling sweep: messages-per-flush and ops/s at
-# 4..64 cores (arbiter vs all-to-all), refreshing only the `scaling`
+# The core-count scaling sweep: messages-per-flush at 4..64 cores
+# (arbiter vs the derived all-to-all), refreshing only the `scaling`
 # family of BENCH_sweep.json.
 scale:
-	$(PYTHON) -m repro bench --no-sweep --only scaling \
-		--cores 4,8,16,32,64 --check-digests
+	$(PYTHON) -m repro bench --only scaling --cores 4,8,16,32,64
 
-# The delta-planner farm bench: cold plan+run, warm no-op replan,
-# two-shard merge, and a scoped version bump, refreshing only the
-# `farm` family of BENCH_sweep.json.
+# The delta-planner invariants: warm no-op replan, two-shard merge, and
+# a scoped version bump, refreshing only the `farm` family of
+# BENCH_sweep.json.
 farm:
-	$(PYTHON) -m repro bench --no-sweep --only farm --check-digests
+	$(PYTHON) -m repro bench --only farm
 
 figures:
 	$(PYTHON) -m repro figures all --scale small

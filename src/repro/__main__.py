@@ -7,8 +7,10 @@ Subcommands:
 * ``figures`` -- regenerate the paper's figures (delegates to
   :mod:`repro.harness.experiments`; sweeps fan out over ``--jobs``
   worker processes and reuse cached results from ``.repro-cache/``).
-* ``bench``   -- time the sweep executor serial vs parallel vs warm
-  cache and write ``BENCH_sweep.json``.
+* ``bench``   -- run the check registry (handshake scaling, crash
+  sweeps, planner invariants), write ``BENCH_sweep.json``, and exit
+  nonzero if any check fails.  Host time is measured by
+  ``perfbench/``, not here.
 * ``cache``   -- inspect (``--stats``) or garbage-collect (``--prune``)
   the content-addressed result cache.
 * ``crash``   -- crash a workload at a given cycle, check consistency,
@@ -29,7 +31,7 @@ Examples::
     python -m repro run --workload queue --design LB++ --scale small
     python -m repro run --workload ssca2 --model BSP --design LB
     python -m repro figures fig11 fig12 --scale tiny --jobs 4
-    python -m repro bench --jobs 4
+    python -m repro bench --only scaling --cores 4,8,16,32,64
     python -m repro crash --workload queue --cycle 20000
     python -m repro crashsweep --workload pingpong --transactions 10
     python -m repro crashsweep --reorder-window 6 --expect-violation
@@ -178,14 +180,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import digests_ok, run_bench
-    record = run_bench(jobs=args.jobs, seed=args.seed, output=args.output,
-                       transactions=args.transactions, profile=args.profile,
-                       sweep=not args.no_sweep, workload=args.workload,
-                       only=args.only, profile_top=args.profile_top,
-                       million=not args.no_million, cores=args.cores)
-    if args.check_digests and not digests_ok(record):
-        print("[bench] ERROR: fast/reference digest mismatch")
+    from repro.harness.bench import run_bench
+    ran = run_bench(only=args.only, seed=args.seed, jobs=args.jobs,
+                    cores=args.cores, output=args.output)
+    failed = [name for name, record in ran.items() if not record["ok"]]
+    if failed:
+        print(f"[bench] ERROR: check failed: {', '.join(failed)}")
         return 1
     return 0
 
@@ -496,48 +496,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report what --prune would delete")
     cache_p.set_defaults(func=cmd_cache)
 
+    from repro.harness.bench import DEFAULT_OUTPUT, FAMILIES, parse_cores
     bench_p = sub.add_parser(
-        "bench", help="time the sweep executor (writes BENCH_sweep.json)"
+        "bench",
+        help="run the check registry (writes BENCH_sweep.json; exit "
+             "nonzero if any check fails)",
     )
-    bench_p.add_argument("--jobs", type=int, default=4)
+    bench_p.add_argument("--jobs", type=int, default=4,
+                         help="worker processes for the farm family")
     bench_p.add_argument("--seed", type=int, default=1)
-    bench_p.add_argument("--transactions", type=int, default=None,
-                         help="single-run length in transactions")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="cProfile one single run into "
-                              "BENCH_profile.txt")
-    bench_p.add_argument("--profile-top", type=int, default=30,
-                         help="rows of the profile table --profile writes "
-                              "(default 30)")
-    bench_p.add_argument("--no-sweep", action="store_true",
-                         help="skip the sweep-executor timing (smoke mode)")
-    bench_p.add_argument("--no-million", action="store_true",
-                         help="skip the million-transaction scale run")
-    bench_p.add_argument("--workload", default=None,
-                         help="micro for the flush-bound run and --profile "
-                              "(default flushbound)")
-    bench_p.add_argument("--only",
-                         choices=("single", "flush", "multicore", "serving",
-                                  "scaling", "crash", "campaign", "farm"),
-                         default=None,
-                         help="run just one bench family (skips the "
-                              "matrix, crash-recovery, million, and sweep "
-                              "sections; 'scaling' runs the core-count "
-                              "sweep, 'crash' the exhaustive crash-point "
-                              "sweeps and fault-injection checks, "
-                              "'campaign' the exhaustive fault campaign "
-                              "fast vs reference, 'farm' the planner "
-                              "cold/warm/sharded timings)")
-    from repro.harness.bench import parse_cores
+    bench_p.add_argument("--only", choices=tuple(FAMILIES), default=None,
+                         help="run one family; the output file keeps the "
+                              "other families' existing records")
     bench_p.add_argument("--cores", type=parse_cores, default=None,
                          metavar="N,N,...",
-                         help="core counts for the scaling sweep: powers "
+                         help="core counts for the scaling family: powers "
                               "of two between 2 and 64 "
                               "(default 4,8,16,32,64)")
-    bench_p.add_argument("--check-digests", action="store_true",
-                         help="exit nonzero unless every fast-vs-reference "
-                              "digest and crash-recovery verdict matches")
-    bench_p.add_argument("--output", default="BENCH_sweep.json")
+    bench_p.add_argument("--output", default=DEFAULT_OUTPUT)
     bench_p.set_defaults(func=cmd_bench)
 
     crash_p = sub.add_parser("crash", help="crash + recovery demo")

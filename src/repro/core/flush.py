@@ -69,7 +69,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.epoch import Epoch
-from repro.sim.config import FanoutTopology, FlushMode, HandshakeProtocol
+from repro.sim.config import FanoutTopology, FlushMode
 from repro.sim.faults import ProtocolError, backoff_cycles
 from repro.sim.stats import HandshakeStats
 
@@ -113,7 +113,6 @@ class FlushOperation:
         "_bank_outstanding", "_bank_state", "_bank_sched", "_bank_pos",
         "_bank_cbs", "_acks_received", "_line_shift", "_n_mcs",
         "_faults", "_arbiter", "_tree_mode", "_tree_parents",
-        "_ack_cost", "_cmp_msgs",
         "_acked_template", "_used", "_delivery", "_bcast_delay",
         "_ack_deadline", "_rt_desc", "_rt_core", "_handshake_all",
         "_hs", "_flush_msgs",
@@ -147,18 +146,6 @@ class FlushOperation:
         self._tree_parents: Optional[Tuple[int, ...]] = None
         n = self._config.llc_banks
         self._num_banks = n
-        # Message cost of one logical BankAck.  The arbiter protocol
-        # delivers it to the initiating core only; the all-to-all
-        # strawman announces it to every bank plus the initiator so
-        # each can locally determine completion (n messages per ack,
-        # no PersistCMP).  Timing is identical either way -- the
-        # protocol knob changes accounting, not the event timeline.
-        if self._config.handshake_protocol is HandshakeProtocol.ALL_TO_ALL:
-            self._ack_cost = n
-            self._cmp_msgs = 0
-        else:
-            self._ack_cost = 1
-            self._cmp_msgs = n
         # Inlined address-map arithmetic for the begin() hot loop.
         self._line_shift = self._config.offset_bits
         self._n_mcs = self._config.num_memory_controllers
@@ -461,12 +448,12 @@ class FlushOperation:
         # modes and both topologies): FlushEpoch reaches every bank --
         # n messages whether delivered point-to-point or down the tree
         # (the tree has exactly n edges) -- and every idle bank answers
-        # with one BankAck (costed at _ack_cost for the protocol knob).
+        # with one BankAck.
         n_empty = num_banks - len(used)
         hs = self._hs
         hs.flush_epoch_msgs += num_banks
-        hs.bank_ack_msgs += n_empty * self._ack_cost
-        self._flush_msgs = num_banks + n_empty * self._ack_cost
+        hs.bank_ack_msgs += n_empty
+        self._flush_msgs = num_banks + n_empty
         if fe_msgs:
             # Fault extras: FlushEpoch retransmissions and duplicates.
             hs.flush_epoch_msgs += fe_msgs
@@ -540,8 +527,8 @@ class FlushOperation:
 
         hs = self._hs
         hs.flush_epoch_msgs += num_banks
-        hs.bank_ack_msgs += (num_banks - 1) * self._ack_cost
-        self._flush_msgs = num_banks + (num_banks - 1) * self._ack_cost
+        hs.bank_ack_msgs += num_banks - 1
+        self._flush_msgs = 2 * num_banks - 1
         if fe_msgs:
             hs.flush_epoch_msgs += fe_msgs
             self._flush_msgs += fe_msgs
@@ -703,8 +690,8 @@ class FlushOperation:
             self._send_bank_ack(bank, delay, 0)
             return
         self._bank_state[bank] = _ACKED
-        self._hs.bank_ack_msgs += self._ack_cost
-        self._flush_msgs += self._ack_cost
+        self._hs.bank_ack_msgs += 1
+        self._flush_msgs += 1
         arrival = self._engine.now + delay
         if arrival > self._ack_deadline:
             self._ack_deadline = arrival
@@ -736,8 +723,8 @@ class FlushOperation:
                 f"BankAck retry chain for bank {bank} exceeded bound "
                 f"{faults.config.max_ack_retries} (attempt {attempt})"
             )
-        self._hs.bank_ack_msgs += self._ack_cost
-        self._flush_msgs += self._ack_cost
+        self._hs.bank_ack_msgs += 1
+        self._flush_msgs += 1
         epoch = self._epoch
         core = epoch.core_id
         seq = epoch.seq
@@ -781,21 +768,15 @@ class FlushOperation:
             self._acks_complete()
 
     def _acks_complete(self) -> None:
-        # Step 4: PersistCMP broadcast (zero messages under all-to-all,
-        # where every bank saw every ack and completion is determined
-        # locally; the completion event itself fires identically).  The
-        # last ack may be virtual -- its arrival recorded only in the
+        # Step 4: PersistCMP broadcast, one message per bank.  The last
+        # ack may be virtual -- its arrival recorded only in the
         # deadline -- so the broadcast leaves when the deadline passes,
         # not necessarily at the cycle this ran.
-        self._hs.persist_cmp_msgs += self._cmp_msgs
-        self._flush_msgs += self._cmp_msgs
+        self._hs.persist_cmp_msgs += self._num_banks
+        self._flush_msgs += self._num_banks
         faults = self._faults
         extra = 0
-        if (
-            faults is not None
-            and faults.persist_cmp_active
-            and self._cmp_msgs
-        ):
+        if faults is not None and faults.persist_cmp_active:
             extra = self._persist_cmp_fault_extra()
         engine = self._engine
         lag = self._ack_deadline - engine.now

@@ -11,9 +11,12 @@
   (BEP throughput), fig12 (conflicting epochs), fig13 (BSP epoch-size
   sweep), fig14 (BSP designs), plus the in-text ablations (clwb vs
   clflush, naive write-through BSP, inter-thread conflict share).
-* :mod:`repro.harness.bench`       -- times the executor serial vs
-  parallel vs warm cache; writes ``BENCH_sweep.json``.
-* :mod:`repro.harness.report`      -- table/series formatting.
+* :mod:`repro.harness.bench`       -- the check registry behind
+  ``python -m repro bench`` (handshake scaling, crash sweeps, planner
+  invariants); writes ``BENCH_sweep.json``.  Host time is measured by
+  ``perfbench/``.
+* :mod:`repro.harness.report`      -- table/series formatting and the
+  derived all-to-all handshake counts.
 
 Command line::
 

@@ -1,192 +1,79 @@
-"""Benchmark harness: single-run hot path + sweep executor.
+"""Bench check registry: the checks ``python -m repro bench`` runs.
 
-Two benchmark families, both written to ``BENCH_sweep.json`` so the
-performance trajectory is tracked across PRs:
+Host time is measured in one place, ``perfbench/`` (median and spread
+over fresh processes, gated on a reference digest; see
+``perfbench/README.md``).  This module measures no host time.  It is a
+registry of the checks nothing else in the repo runs, each a *family*:
+one function that returns an exact, reproducible record whose ``ok``
+entry is the family's verdict.
 
-* **single run** -- ops/sec of one in-process tiny-scale run, measured
-  with the engine fast paths on and again under ``REPRO_SLOW_ENGINE=1``
-  (the pure-heap reference mode).  The two runs must produce the same
-  determinism digest (:func:`repro.sim.digest.state_digest`); the digest
-  comparison is repeated across all six persistency models, and crash-
-  recovery verdicts (epoch-order / undo-log checkers on a crashed run)
-  are compared fast-vs-reference too.  This is the per-run simulation
-  loop the sweeps are made of.  Three headline workloads bracket the
-  engine: ``hotset`` (cache-resident, measures the hit fast path),
-  ``flushbound`` (miss-heavy small epochs, measures the pooled flush
-  handshake, the batch MC write path, and the fused miss path), and
-  ``pingpong`` (contended 4-core producer/consumer pairs, measures the
-  conflict path: directory lookups, epoch-tag probes, IDT edges, and
-  epoch splits, with the conflict counters compared fast vs reference
-  alongside the digest), and ``serving`` (the zipfian key-value
-  front-end, measures the fast-forward engine against a realistic
-  mixed hit/miss request stream).  A separate million-transaction
-  section times one lazily generated run end to end against the
-  ROADMAP's under-a-minute scale target.
-* **sweep** -- the PR-1 executor benchmark: a fixed tiny-scale
-  multi-figure sweep timed serial, parallel, and against a warm result
-  cache.
+* ``scaling`` -- handshake messages per flush for contended pingpong
+  and sharded serving at 4..64 cores, the all-to-all strawman derived
+  from the arbiter counters
+  (:func:`repro.harness.report.all_to_all_counters`), a log-log slope
+  fit (arbiter ~linear, all-to-all ~quadratic), and fast-vs-reference
+  digest + handshake-counter parity at the largest core count.
+* ``crash`` -- exhaustive crash-point sweeps over six captured runs on
+  both engines, each cross-checked against the truncate-and-recheck
+  oracle, the reorder-fault checker self-test, and a faulted pingpong
+  run that must complete through the BankAck retry path.
+* ``farm`` -- the delta planner's invariants over a fixed tiny sweep: a
+  warm replan is a no-op, two shards cover the plan, and a scoped
+  version bump invalidates a strict subset.
 
-Each regeneration carries the previous file's headline numbers forward
-in a ``trajectory`` list, so ``BENCH_sweep.json`` records the
-before/after performance history across PRs.
-
-``--profile`` wraps one fast single run in :mod:`cProfile` and writes
-the top functions by cumulative time to ``BENCH_profile.txt`` next to
-the JSON output.  Runnable as ``python -m repro bench`` or
-``python scripts/bench_sweep.py``.
+``python -m repro bench`` runs every family (``--only`` picks one),
+writes ``BENCH_sweep.json``, and exits nonzero when any family it ran
+is not ok.  A restricted run carries the other families' records
+forward from the existing file.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import hashlib
-import io
 import json
 import math
 import os
-import platform
-import pstats
 import tempfile
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.cache import SUBSYSTEM_VERSIONS, ResultCache
-from repro.harness.executor import RunSpec, run_specs
+from repro.harness.executor import RunSpec
 from repro.harness.experiments import (
     bep_sweep_plan,
     fig13_plan,
     fig14_plan,
 )
 from repro.harness.plan import build_plan, run_plan, shard_plan
+from repro.harness.report import all_to_all_counters, scaling_table
 from repro.harness.runner import Scale
-from repro.sim.config import (
-    BarrierDesign,
-    HandshakeProtocol,
-    MachineConfig,
-    PersistencyModel,
-)
-from repro.sim.digest import run_digest, state_digest
-from repro.sim.stats import Stats
+from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.digest import state_digest
 from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
 
 DEFAULT_OUTPUT = "BENCH_sweep.json"
-PROFILE_OUTPUT = "BENCH_profile.txt"
 
-# Short run lengths: the benchmark measures the executor, not the
-# simulator, so each run only needs to be long enough to dominate
-# process-pool overhead.
+# The farm family's sweep: short run lengths, since the planner
+# invariants depend on the spec universe, not on how long each run is.
 _BENCH_TRANSACTIONS = 20
 _BENCH_MEM_OPS = 1500
 _BENCH_APPS = ("radix", "cholesky", "ssca2")
 
-# Single-run microbenchmark defaults.  The headline workload is
-# ``hotset`` on one core: a cache-resident read-mostly loop whose ops are
-# almost all conflict-free L1 hits -- the per-access path the engine fast
-# paths target -- so the fast/reference ratio measures the engine rather
-# than the (mode-independent) miss and epoch-flush machinery.  300
-# transactions ~= 20k ops: long enough that per-run setup vanishes,
-# short enough to rerun per mode with repeats.
-_SINGLE_RUN_TRANSACTIONS = 300
-_SINGLE_RUN_BENCHMARK = "hotset"
-_SINGLE_RUN_CORES = 1
-_SINGLE_RUN_REPEATS = 3
+# Contended pingpong: producer/consumer pairs hammering a shared mailbox
+# under BEP + LB++, every transaction leading with a contended ack --
+# the shape that exercises inter-thread conflicts, IDT edges, and epoch
+# splits.
+_PINGPONG_CORES = 4
+_PINGPONG_CONFLICT_RATE = 1.0
 
-# Flush-bound headline run: the complement of ``hotset``.  ``flushbound``
-# streams a footprint 4x the L1 with a persist barrier every 8 lines
-# under BEP + LB++ proactive flushing, so in steady state nearly every
-# access is an L1 miss/LLC hit (the fused miss path) and every epoch
-# walks the pooled flush handshake and the batch MC write path.  600
-# transactions amortise the cold first lap, which fills from memory in
-# both modes alike.
-_FLUSH_RUN_TRANSACTIONS = 600
-_FLUSH_RUN_BENCHMARK = "flushbound"
-_FLUSH_RUN_PAIRS = 7
-
-# Multicore conflict-path headline run: ``pingpong`` pairs hammering a
-# shared mailbox on 4 cores under BEP + LB++.  Every transaction leads
-# with a contended mailbox ack and then copies an entry-sized payload,
-# so mailbox stores routinely land mid-epoch on the partner side --
-# the ratio measures the directory fast path, the per-line epoch-tag
-# probe, IDT edge interning, and the split path, the inter-thread
-# machinery the single-core runs never touch.  250 transactions keeps
-# the contended run (4 programs, frequent conflicts) in the same
-# wall-time band as the other headlines.
-_MULTI_RUN_TRANSACTIONS = 250
-_MULTI_RUN_BENCHMARK = "pingpong"
-_MULTI_RUN_CORES = 4
-_MULTI_RUN_PAIRS = 7
-_MULTI_CONFLICT_RATE = 1.0
-
-# Serving headline run: the zipfian key-value front-end on one core
-# under BEP + LB++.  Bursty arrivals leave the persist pipeline idle at
-# the head of each burst, which is the window the fast-forward engine
-# drains analytically; the 2 MB keyspace dwarfs the tiny LLC, so the
-# stream also exercises the fused full-miss path on every tail key.
-# The measured ratio is structurally modest (~1.1-1.4x): the dominant
-# cost -- cache dictionary churn and the MC state machine on ~6 fills
-# per transaction -- is semantic work both engine modes must do.
-_SERVING_TRANSACTIONS = 5000
-_SERVING_BENCHMARK = "serving"
-_SERVING_PAIRS = 3
-
-# Million-transaction scale run: the ROADMAP's "heavy serving traffic"
-# target, timed on the fast engine only.  Uncontended single-core
-# pingpong under BSP + LB++ is the configuration where the write-buffer
-# drain windows are conflict-free and flush-idle essentially always, so
-# the fast-forward engine absorbs ~99.9% of stores.
-_MILLION_TRANSACTIONS = 1_000_000
-_MILLION_BENCHMARK = "pingpong"
-
-# Crash-recovery verdicts: run a queue workload to a fixed crash cycle
-# in both engine modes and compare what the consistency checkers see.
-# BEP exercises the epoch-order checker; BSP additionally exercises the
-# undo-log coverage checker.
-_CRASH_MODELS = (PersistencyModel.BEP, PersistencyModel.BSP)
-_CRASH_BENCHMARK = "queue"
-_CRASH_TRANSACTIONS = 40
-_CRASH_CYCLE = 20_000
-
-# Digest matrix: every persistency model the simulator implements, each
-# checked fast-vs-reference on a short run.  Uses the richer ``queue``
-# structure on the stock multicore tiny config so the comparison
-# exercises coherence, conflicts, and epoch machinery, not just the hit
-# path.
-_DIGEST_BENCHMARK = "queue"
-_DIGEST_TRANSACTIONS = 12
-_DIGEST_MODELS = (
-    PersistencyModel.NP,
-    PersistencyModel.SP,
-    PersistencyModel.EP,
-    PersistencyModel.BEP,
-    PersistencyModel.BSP,
-    PersistencyModel.BSP_WT,
-)
-
-# Multicore digest matrix: the contended ``pingpong`` run at 4 and 8
-# cores, under the baseline lazy barrier and the full LB++ design.  The
-# per-model matrix above runs the stock 2-core tiny config, so it never
-# exercises real inter-thread conflicts, IDT edges, or deadlock-avoiding
-# epoch splits; these configurations do, on both sides of the
-# with/without-IDT divide.
-_MULTICORE_DIGEST_CONFIGS = (
-    (4, BarrierDesign.LB),
-    (4, BarrierDesign.LB_PP),
-    (8, BarrierDesign.LB),
-    (8, BarrierDesign.LB_PP),
-)
-
-# Core-count scaling sweep (``--only scaling``): pingpong and the
-# sharded-serving migration workload at {4..64} cores x {LB, LB++},
-# recording handshake messages-per-flush and wall-clock ops/s, plus an
-# all-to-all accounting contrast.  Transaction counts shrink with core
-# count so every point stays in the tens-of-milliseconds band (the
-# messages-per-flush statistic converges after a handful of flushes per
-# core; the wall-clock curve is indicative, the careful A/B lives in
-# the headline runs).
+# Core-count scaling sweep: pingpong and the sharded-serving migration
+# workload at {4..64} cores x {LB, LB++}, recording handshake
+# messages-per-flush.  Transaction counts shrink with core count so
+# every point stays small (the statistic converges after a handful of
+# flushes per core).
 _SCALING_CORES = (4, 8, 16, 32, 64)
 _SCALING_DESIGNS = (BarrierDesign.LB, BarrierDesign.LB_PP)
 _SCALING_TXN_BUDGET = 768       # ~transactions x cores per point
@@ -197,6 +84,17 @@ _SCALING_MIGRATE_FRACTION = 0.2
 # must grow ~linearly in cores, the all-to-all strawman ~quadratically.
 _SCALING_LINEAR_MAX_SLOPE = 1.35
 _SCALING_QUADRATIC_MIN_SLOPE = 1.65
+
+# Crash sweeps: transactions per scenario, sized so the captured
+# histories stay in the hundreds-to-low-thousands of persists -- every
+# truncation point is still validated (both incrementally and by the
+# truncate-and-recheck oracle) in seconds.
+_SWEEP_QUEUE_TRANSACTIONS = 15
+_SWEEP_MULTI_TRANSACTIONS = 12
+_SWEEP_FAULT_TRANSACTIONS = 8
+# Serving is ~70% reads; 60 transactions yield a persist history in the
+# low hundreds (one 9-line epoch per PUT), same band as the others.
+_SWEEP_SERVING_TRANSACTIONS = 60
 
 
 @contextmanager
@@ -220,193 +118,15 @@ def reference_mode(slow: bool = True):
 
 
 # ----------------------------------------------------------------------
-# Single-run microbenchmark
+# Workload setups
 # ----------------------------------------------------------------------
-def _single_run_setup(
-    seed: int, transactions: int,
-    model: PersistencyModel = PersistencyModel.BEP,
-    benchmark: str = _SINGLE_RUN_BENCHMARK,
-    num_cores: Optional[int] = _SINGLE_RUN_CORES,
-    barrier_design: BarrierDesign = BarrierDesign.LB_IDT,
-) -> Tuple[MachineConfig, List[list]]:
-    overrides = {}
-    if model is PersistencyModel.BSP:
-        # Small epochs so hardware barriers / checkpoints actually fire.
-        overrides["bsp_epoch_stores"] = 30
-    if num_cores is not None:
-        overrides["num_cores"] = num_cores
-    config = MachineConfig.tiny(
-        persistency=model, barrier_design=barrier_design, **overrides
-    )
-    programs = [
-        list(
-            make_benchmark(
-                benchmark, thread_id=tid, seed=seed,
-                line_size=config.line_size,
-            ).ops(transactions)
-        )
-        for tid in range(config.num_cores)
-    ]
-    return config, programs
-
-
-def _measure_single(config: MachineConfig, programs: List[list],
-                    repeats: int) -> Tuple[float, str]:
-    """Best-of-``repeats`` wall time and the (repeat-invariant) digest."""
-    best = float("inf")
-    digest = ""
-    for _ in range(repeats):
-        machine = Multicore(config)
-        start = time.perf_counter()
-        result = machine.run(programs)
-        best = min(best, time.perf_counter() - start)
-        digest = state_digest(machine, result)
-    return best, digest
-
-
-def run_single_bench(seed: int = 1,
-                     transactions: int = _SINGLE_RUN_TRANSACTIONS,
-                     repeats: int = _SINGLE_RUN_REPEATS) -> dict:
-    """Time one tiny-scale run fast vs reference and compare digests."""
-    config, programs = _single_run_setup(seed, transactions)
-    n_ops = sum(len(p) for p in programs)
-
-    fast_s, fast_digest = _measure_single(config, programs, repeats)
-    with reference_mode():
-        slow_s, slow_digest = _measure_single(config, programs, repeats)
-
-    fast_ops = n_ops / fast_s if fast_s else 0.0
-    slow_ops = n_ops / slow_s if slow_s else 0.0
-    print(f"[bench] single run ({_SINGLE_RUN_BENCHMARK}, "
-          f"{config.num_cores} core(s), {transactions} txns, {n_ops} ops):")
-    print(f"[bench]   fast paths:    {fast_ops:10.0f} ops/s "
-          f"({fast_s * 1e3:.1f} ms)")
-    print(f"[bench]   reference:     {slow_ops:10.0f} ops/s "
-          f"({slow_s * 1e3:.1f} ms)")
-    print(f"[bench]   speedup:       {fast_ops / slow_ops:10.2f}x, digest "
-          f"{'MATCH' if fast_digest == slow_digest else 'MISMATCH'}")
-
-    return {
-        "benchmark": _SINGLE_RUN_BENCHMARK,
-        "num_cores": config.num_cores,
-        "transactions": transactions,
-        "ops": n_ops,
-        "repeats": repeats,
-        "ops_per_sec": {
-            "fast": round(fast_ops, 1),
-            "reference": round(slow_ops, 1),
-        },
-        "wall_seconds": {
-            "fast": round(fast_s, 4),
-            "reference": round(slow_s, 4),
-        },
-        "speedup": round(fast_ops / slow_ops, 3) if slow_ops else None,
-        "digest_match": fast_digest == slow_digest,
-    }
-
-
-def _measure_interleaved(
-    config: MachineConfig, programs: List[list], pairs: int,
-) -> Tuple[float, float, str, str]:
-    """Time fast and reference modes in alternating pairs; return the
-    median pair's times.
-
-    Container schedulers drift on the tens-of-milliseconds scale, so
-    timing all fast repeats and then all reference repeats lets a slow
-    window bias the ratio one way -- and taking independent per-mode
-    minima is worse still (each min picks its own lucky window, so the
-    ratio inherits the tails of both).  Back-to-back fast/reference
-    pairs share whatever window they land in, their per-pair ratio
-    cancels the common-mode drift, and the median pair is robust to a
-    stray descheduling in either mode.
-    """
-
-    def one(slow: bool) -> Tuple[float, str]:
-        with reference_mode(slow):
-            machine = Multicore(config)
-            start = time.perf_counter()
-            result = machine.run(programs)
-            elapsed = time.perf_counter() - start
-        return elapsed, state_digest(machine, result)
-
-    one(False)  # warm-up: import, allocator, and branch-predictor noise
-    samples: List[Tuple[float, float]] = []
-    fast_digest = slow_digest = ""
-    for _ in range(pairs):
-        fast_s, fast_digest = one(False)
-        slow_s, slow_digest = one(True)
-        samples.append((fast_s, slow_s))
-    samples.sort(key=lambda p: p[1] / p[0])
-    fast_s, slow_s = samples[len(samples) // 2]
-    return fast_s, slow_s, fast_digest, slow_digest
-
-
-def run_flush_bench(seed: int = 1,
-                    transactions: int = _FLUSH_RUN_TRANSACTIONS,
-                    pairs: int = _FLUSH_RUN_PAIRS,
-                    benchmark: str = _FLUSH_RUN_BENCHMARK) -> dict:
-    """Time the flush-bound headline run fast vs reference.
-
-    Unlike :func:`run_single_bench` (cache-resident ``hotset``: the hit
-    fast path), this run is miss- and flush-dominated, so the ratio
-    measures the pooled flush handshake, the batch MC write path, and
-    the fused L1-miss/LLC-hit path.
-    """
-    config, programs = _single_run_setup(
-        seed, transactions, model=PersistencyModel.BEP,
-        benchmark=benchmark, num_cores=1,
-        barrier_design=BarrierDesign.LB_PP,
-    )
-    n_ops = sum(len(p) for p in programs)
-
-    fast_s, slow_s, fast_digest, slow_digest = _measure_interleaved(
-        config, programs, pairs
-    )
-
-    fast_ops = n_ops / fast_s if fast_s else 0.0
-    slow_ops = n_ops / slow_s if slow_s else 0.0
-    print(f"[bench] flush-bound run ({benchmark}, BEP/LB++, "
-          f"{config.num_cores} core(s), {transactions} txns, {n_ops} ops):")
-    print(f"[bench]   fast paths:    {fast_ops:10.0f} ops/s "
-          f"({fast_s * 1e3:.1f} ms)")
-    print(f"[bench]   reference:     {slow_ops:10.0f} ops/s "
-          f"({slow_s * 1e3:.1f} ms)")
-    print(f"[bench]   speedup:       {fast_ops / slow_ops:10.2f}x, digest "
-          f"{'MATCH' if fast_digest == slow_digest else 'MISMATCH'}")
-
-    return {
-        "benchmark": benchmark,
-        "persistency": "bep",
-        "barrier_design": "lb_pp",
-        "num_cores": config.num_cores,
-        "transactions": transactions,
-        "ops": n_ops,
-        "pairs": pairs,
-        "ops_per_sec": {
-            "fast": round(fast_ops, 1),
-            "reference": round(slow_ops, 1),
-        },
-        "wall_seconds": {
-            "fast": round(fast_s, 4),
-            "reference": round(slow_s, 4),
-        },
-        "speedup": round(fast_ops / slow_ops, 3) if slow_ops else None,
-        "digest_match": fast_digest == slow_digest,
-    }
-
-
 def _multicore_setup(
     seed: int, transactions: int,
-    num_cores: int = _MULTI_RUN_CORES,
+    num_cores: int = _PINGPONG_CORES,
     barrier_design: BarrierDesign = BarrierDesign.LB_PP,
-    conflict_rate: float = _MULTI_CONFLICT_RATE,
+    conflict_rate: float = _PINGPONG_CONFLICT_RATE,
 ) -> Tuple[MachineConfig, List[list]]:
-    """Contended-pingpong configuration.
-
-    Separate from :func:`_single_run_setup` because pingpong takes a
-    workload knob (``conflict_rate``) the generic builder does not
-    forward.
-    """
+    """Contended-pingpong configuration."""
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=barrier_design,
@@ -421,7 +141,7 @@ def _multicore_setup(
     programs = [
         list(
             make_benchmark(
-                _MULTI_RUN_BENCHMARK, thread_id=tid, seed=seed,
+                "pingpong", thread_id=tid, seed=seed,
                 line_size=config.line_size,
                 conflict_rate=conflict_rate,
             ).ops(transactions)
@@ -431,377 +151,36 @@ def _multicore_setup(
     return config, programs
 
 
-def conflict_counters(stats: Stats) -> Dict[str, int]:
-    """The conflict-path counters a fast path could silently skew.
-
-    Inter-/intra-thread conflict detections and IDT trackings live in
-    the machine-wide ``conflicts`` domain; edge recordings and register
-    overflows in ``idt``; splits and persisted-epoch counts are summed
-    across the per-core domains.  The multicore bench asserts these are
-    identical fast vs reference -- a stronger, more legible check than
-    the digest alone, since each counter names one mechanism.
-    """
-    conflicts = stats.domain("conflicts")
-    idt = stats.domain("idt")
-    return {
-        "inter_thread": int(conflicts.get("inter_thread")),
-        "intra_thread": int(conflicts.get("intra_thread")),
-        "idt_tracked": int(conflicts.get("idt_tracked")),
-        "idt_edges": int(idt.get("idt_edges")),
-        "idt_register_overflow": int(idt.get("idt_register_overflow")),
-        "epoch_splits": int(stats.total("epoch_splits")),
-        "epochs_persisted": int(stats.total("epochs_persisted")),
-    }
-
-
-def run_multicore_bench(seed: int = 1,
-                        transactions: int = _MULTI_RUN_TRANSACTIONS,
-                        pairs: int = _MULTI_RUN_PAIRS) -> dict:
-    """Time the contended multicore headline run fast vs reference.
-
-    Completes the headline trio: ``hotset`` measures the hit path,
-    ``flushbound`` the flush/miss path, and this run the conflict path
-    -- directory lookups, epoch-tag probes, IDT edges, and epoch splits
-    under real inter-thread contention.  Besides the digest, the
-    conflict-path counters themselves are compared across modes.
-    """
-    config, programs = _multicore_setup(seed, transactions)
-    n_ops = sum(len(p) for p in programs)
-
-    fast_s, slow_s, fast_digest, slow_digest = _measure_interleaved(
-        config, programs, pairs
-    )
-
-    def counters(slow: bool) -> Dict[str, int]:
-        with reference_mode(slow):
-            machine = Multicore(config)
-            result = machine.run(programs)
-        return conflict_counters(result.stats)
-
-    fast_counters = counters(False)
-    slow_counters = counters(True)
-    counters_match = fast_counters == slow_counters
-
-    fast_ops = n_ops / fast_s if fast_s else 0.0
-    slow_ops = n_ops / slow_s if slow_s else 0.0
-    print(f"[bench] multicore run ({_MULTI_RUN_BENCHMARK}, BEP/LB++, "
-          f"{config.num_cores} core(s), {transactions} txns, {n_ops} ops):")
-    print(f"[bench]   fast paths:    {fast_ops:10.0f} ops/s "
-          f"({fast_s * 1e3:.1f} ms)")
-    print(f"[bench]   reference:     {slow_ops:10.0f} ops/s "
-          f"({slow_s * 1e3:.1f} ms)")
-    print(f"[bench]   speedup:       {fast_ops / slow_ops:10.2f}x, digest "
-          f"{'MATCH' if fast_digest == slow_digest else 'MISMATCH'}")
-    print(f"[bench]   conflicts:     {fast_counters['inter_thread']} "
-          f"inter-thread, {fast_counters['idt_edges']} IDT edges, "
-          f"{fast_counters['epoch_splits']} splits, counters "
-          f"{'MATCH' if counters_match else 'MISMATCH'}")
-
-    return {
-        "benchmark": _MULTI_RUN_BENCHMARK,
-        "persistency": "bep",
-        "barrier_design": "lb_pp",
-        "num_cores": config.num_cores,
-        "conflict_rate": _MULTI_CONFLICT_RATE,
-        "transactions": transactions,
-        "ops": n_ops,
-        "pairs": pairs,
-        "ops_per_sec": {
-            "fast": round(fast_ops, 1),
-            "reference": round(slow_ops, 1),
-        },
-        "wall_seconds": {
-            "fast": round(fast_s, 4),
-            "reference": round(slow_s, 4),
-        },
-        "speedup": round(fast_ops / slow_ops, 3) if slow_ops else None,
-        "digest_match": fast_digest == slow_digest,
-        "counters": fast_counters,
-        "counters_match": counters_match,
-    }
-
-
-def ff_counters(machine: Multicore) -> Dict[str, int]:
-    """Fast-forward session counters summed across cores.
-
-    Diagnostics only: they live as plain attributes on the ``Core``
-    objects, never in the stat domains, so the reference engine (which
-    has no fast-forward sessions and leaves them at zero) still digests
-    identically.
-    """
-    return {
-        "batches": sum(c.ff_batches for c in machine.cores),
-        "stores": sum(c.ff_stores for c in machine.cores),
-        "fallbacks": sum(c.ff_fallbacks for c in machine.cores),
-    }
-
-
-def run_serving_bench(seed: int = 1,
-                      transactions: int = _SERVING_TRANSACTIONS,
-                      pairs: int = _SERVING_PAIRS) -> dict:
-    """Time the serving front-end fast vs reference.
-
-    The run itself is the digest-verified prefix: every timed repeat is
-    digested on both sides, so the headline number and the equivalence
-    check cover the identical op stream.  The fast-forward absorption
-    counters are reported alongside so the trajectory shows how much of
-    the store stream the analytic drain handled.
-    """
-    config, programs = _single_run_setup(
-        seed, transactions, model=PersistencyModel.BEP,
-        benchmark=_SERVING_BENCHMARK, num_cores=1,
-        barrier_design=BarrierDesign.LB_PP,
-    )
-    n_ops = sum(len(p) for p in programs)
-
-    fast_s, slow_s, fast_digest, slow_digest = _measure_interleaved(
-        config, programs, pairs
-    )
-
-    # One extra fast run to read the fast-forward counters (the timed
-    # machines are scoped inside the measurement helper).
-    machine = Multicore(config)
-    machine.run(programs)
-    ff = ff_counters(machine)
-
-    fast_ops = n_ops / fast_s if fast_s else 0.0
-    slow_ops = n_ops / slow_s if slow_s else 0.0
-    print(f"[bench] serving run ({_SERVING_BENCHMARK}, BEP/LB++, "
-          f"{config.num_cores} core(s), {transactions} txns, {n_ops} ops):")
-    print(f"[bench]   fast paths:    {fast_ops:10.0f} ops/s "
-          f"({fast_s * 1e3:.1f} ms)")
-    print(f"[bench]   reference:     {slow_ops:10.0f} ops/s "
-          f"({slow_s * 1e3:.1f} ms)")
-    print(f"[bench]   speedup:       {fast_ops / slow_ops:10.2f}x, digest "
-          f"{'MATCH' if fast_digest == slow_digest else 'MISMATCH'}")
-    print(f"[bench]   fast-forward:  {ff['stores']} stores in "
-          f"{ff['batches']} batches, {ff['fallbacks']} fallbacks")
-
-    return {
-        "benchmark": _SERVING_BENCHMARK,
-        "persistency": "bep",
-        "barrier_design": "lb_pp",
-        "num_cores": config.num_cores,
-        "transactions": transactions,
-        "ops": n_ops,
-        "pairs": pairs,
-        "ops_per_sec": {
-            "fast": round(fast_ops, 1),
-            "reference": round(slow_ops, 1),
-        },
-        "wall_seconds": {
-            "fast": round(fast_s, 4),
-            "reference": round(slow_s, 4),
-        },
-        "speedup": round(fast_ops / slow_ops, 3) if slow_ops else None,
-        "digest_match": fast_digest == slow_digest,
-        "fast_forward": ff,
-    }
-
-
-def run_million_bench(seed: int = 1,
-                      transactions: int = _MILLION_TRANSACTIONS) -> dict:
-    """Time one million-transaction run end to end on the fast engine.
-
-    The scale demonstration behind the serving work: the program is
-    generated lazily (a generator all the way down, constant memory)
-    and the fast-forward engine drains the conflict-free, flush-idle
-    write-buffer bursts analytically, sustaining ~20k transactions/s.
-    Timing-only -- the reference engine is run at this length by nobody;
-    equivalence of the same configuration is covered by the digest
-    matrices and the headline runs above.
-    """
-    from itertools import islice
-
+def _sharded_setup(
+    seed: int, transactions: int, num_cores: int,
+) -> Tuple[MachineConfig, List[list]]:
+    """Sharded-serving configuration: one shard per core, cross-shard
+    ownership migration driving inter-thread handshake traffic."""
     config = MachineConfig.tiny(
-        persistency=PersistencyModel.BSP,
+        persistency=PersistencyModel.BEP,
         barrier_design=BarrierDesign.LB_PP,
-        num_cores=1,
+        num_cores=num_cores,
+        llc_banks=num_cores,
+        mesh_rows=2,
     )
-    bench = make_benchmark(_MILLION_BENCHMARK, thread_id=0, seed=seed,
-                           line_size=config.line_size)
-
-    def buffered(it, block=1 << 14):
-        # Chunked pull: the core's per-op ``next`` resumes one shallow
-        # frame instead of the workload's nested generator chain, while
-        # memory stays bounded at one block of materialized ops.
-        while True:
-            chunk = list(islice(it, block))
-            if not chunk:
-                return
-            yield from chunk
-
-    machine = Multicore(config)
-    start = time.perf_counter()
-    result = machine.run([buffered(bench.ops(transactions))])
-    wall = time.perf_counter() - start
-    ff = ff_counters(machine)
-    stats = result.stats
-    n_ops = int(stats.total("loads") + stats.total("stores")
-                + stats.total("barriers") + stats.total("txns"))
-    txns_per_sec = transactions / wall if wall else 0.0
-
-    print(f"[bench] million-transaction run ({_MILLION_BENCHMARK}, "
-          f"BSP/LB++, 1 core, {transactions} txns, {n_ops} ops):")
-    print(f"[bench]   wall time:     {wall:10.1f} s "
-          f"({'under' if wall < 60.0 else 'OVER'} the one-minute target)")
-    print(f"[bench]   throughput:    {txns_per_sec:10.0f} txns/s, "
-          f"{n_ops / wall if wall else 0.0:.0f} ops/s")
-    print(f"[bench]   fast-forward:  {ff['stores']} stores in "
-          f"{ff['batches']} batches, {ff['fallbacks']} fallbacks")
-
-    return {
-        "benchmark": _MILLION_BENCHMARK,
-        "persistency": "bsp",
-        "barrier_design": "lb_pp",
-        "num_cores": config.num_cores,
-        "transactions": transactions,
-        "ops": n_ops,
-        "wall_seconds": round(wall, 2),
-        "txns_per_sec": round(txns_per_sec, 1),
-        "ops_per_sec": round(n_ops / wall, 1) if wall else None,
-        "under_minute": wall < 60.0,
-        "finished": result.finished,
-        "digest": state_digest(machine, result),
-        "fast_forward": ff,
-    }
-
-
-def multicore_digest_matrix(
-    seed: int = 1, transactions: int = _DIGEST_TRANSACTIONS,
-) -> Dict[str, dict]:
-    """Fast-vs-reference digests for contended multicore configs."""
-    rows: Dict[str, dict] = {}
-    for cores, design in _MULTICORE_DIGEST_CONFIGS:
-        config, programs = _multicore_setup(
-            seed, transactions, num_cores=cores, barrier_design=design,
-        )
-        fast = run_digest(config, programs)
-        with reference_mode():
-            ref = run_digest(config, programs)
-        rows[f"{cores}c/{design.value}"] = {
-            "fast": fast,
-            "reference": ref,
-            "match": fast == ref,
-        }
-    matched = sum(r["match"] for r in rows.values())
-    print(f"[bench] multicore digests: {matched}/{len(rows)} configs "
-          "match fast vs reference")
-    return rows
-
-
-def digest_matrix(seed: int = 1,
-                  transactions: int = _DIGEST_TRANSACTIONS) -> Dict[str, dict]:
-    """Fast-vs-reference digest comparison per persistency model."""
-    rows: Dict[str, dict] = {}
-    for model in _DIGEST_MODELS:
-        config, programs = _single_run_setup(
-            seed, transactions, model=model,
-            benchmark=_DIGEST_BENCHMARK, num_cores=None,
-        )
-
-        def one_digest() -> str:
-            machine = Multicore(config, track_values=True,
-                                track_persist_order=True)
-            result = machine.run(programs)
-            return state_digest(machine, result)
-
-        fast = one_digest()
-        with reference_mode():
-            ref = one_digest()
-        rows[model.value] = {
-            "fast": fast,
-            "reference": ref,
-            "match": fast == ref,
-        }
-    matched = sum(r["match"] for r in rows.values())
-    print(f"[bench] determinism digests: {matched}/{len(rows)} models "
-          "match fast vs reference")
-    return rows
-
-
-def _crash_verdict(seed: int, model: PersistencyModel) -> dict:
-    """Crash one run and summarise what the recovery checkers see."""
-    from repro.recovery import (
-        check_bsp_recoverable,
-        check_epoch_order,
-        run_with_crash,
-    )
-
-    overrides = {}
-    if model is PersistencyModel.BSP:
-        overrides["bsp_epoch_stores"] = 30
-    config = MachineConfig.tiny(
-        persistency=model, barrier_design=BarrierDesign.LB_PP, **overrides
-    )
-    machine = Multicore(config, track_values=True,
-                        track_persist_order=True, keep_epoch_log=True)
     programs = [
         list(
             make_benchmark(
-                _CRASH_BENCHMARK, thread_id=tid, seed=seed,
+                "sharded_serving", thread_id=tid, seed=seed,
                 line_size=config.line_size,
-            ).ops(_CRASH_TRANSACTIONS)
+                num_keys=_SCALING_SHARDED_KEYS,
+                num_shards=num_cores,
+                migrate_fraction=_SCALING_MIGRATE_FRACTION,
+            ).ops(transactions)
         )
         for tid in range(config.num_cores)
     ]
-    outcome = run_with_crash(machine, programs, crash_cycle=_CRASH_CYCLE)
-
-    verdict = {
-        "crash_cycle": outcome.crash_cycle,
-        "persists_checked": check_epoch_order(outcome),
-        "durable_epochs": sum(
-            1 for r in outcome.epochs.values() if r.persisted
-        ),
-    }
-    if model is PersistencyModel.BSP:
-        verdict["log_covered"] = check_bsp_recoverable(outcome)
-    digest = hashlib.sha256()
-    for line, value in sorted(outcome.image.values.items()):
-        digest.update(f"{line:x}={value!r};".encode())
-    verdict["image"] = digest.hexdigest()[:16]
-    return verdict
-
-
-def crash_recovery_matrix(seed: int = 1) -> Dict[str, dict]:
-    """Fast-vs-reference comparison of crash-recovery verdicts.
-
-    A crashed run never reaches the end-of-run drain, so the digest
-    matrix alone would not catch a fast path that reorders persists
-    within the window the crash truncates.  This compares the durable
-    image and the consistency-checker verdicts at the crash point.
-    """
-    rows: Dict[str, dict] = {}
-    for model in _CRASH_MODELS:
-        fast = _crash_verdict(seed, model)
-        with reference_mode():
-            ref = _crash_verdict(seed, model)
-        rows[model.value] = {
-            "fast": fast,
-            "reference": ref,
-            "match": fast == ref,
-        }
-    matched = sum(r["match"] for r in rows.values())
-    print(f"[bench] crash-recovery verdicts: {matched}/{len(rows)} models "
-          "match fast vs reference")
-    return rows
+    return config, programs
 
 
 # ----------------------------------------------------------------------
-# Exhaustive crash-point sweep benchmark (``--only crash``)
+# ``crash``: exhaustive crash-point sweeps + fault injection
 # ----------------------------------------------------------------------
-# Transactions per scenario: sized so the captured histories stay in the
-# hundreds-to-low-thousands of persists -- every truncation point is
-# still validated (both incrementally and by the truncate-and-recheck
-# oracle) in seconds.
-_SWEEP_QUEUE_TRANSACTIONS = 15
-_SWEEP_MULTI_TRANSACTIONS = 12
-_SWEEP_FAULT_TRANSACTIONS = 8
-# Serving is ~70% reads; 60 transactions yield a persist history in the
-# low hundreds (one 9-line epoch per PUT), same band as the others.
-_SWEEP_SERVING_TRANSACTIONS = 60
-
-
 def _sweep_scenarios(seed: int) -> List[tuple]:
     """(name, build) pairs for the sweep matrix.
 
@@ -811,55 +190,47 @@ def _sweep_scenarios(seed: int) -> List[tuple]:
     the entry, relying on rollback -- so the BSP scenario checks undo
     coverage instead.
     """
-    def queue_bep():
+    def one_program(benchmark, transactions, model=PersistencyModel.BEP,
+                    **overrides):
+        """Thread 0's program under LB++, plus its workload object."""
         config = MachineConfig.tiny(
-            persistency=PersistencyModel.BEP,
-            barrier_design=BarrierDesign.LB_PP,
+            persistency=model, barrier_design=BarrierDesign.LB_PP,
+            **overrides,
         )
-        queue = make_benchmark("queue", thread_id=0, seed=seed,
+        bench = make_benchmark(benchmark, thread_id=0, seed=seed,
                                line_size=config.line_size)
-        return (config, [list(queue.ops(_SWEEP_QUEUE_TRANSACTIONS))],
-                [queue], False)
+        return config, [list(bench.ops(transactions))], bench
+
+    def queue_bep():
+        config, programs, bench = one_program(
+            "queue", _SWEEP_QUEUE_TRANSACTIONS)
+        return config, programs, [bench], False
 
     def queue_bsp():
-        config = MachineConfig.tiny(
-            persistency=PersistencyModel.BSP,
-            barrier_design=BarrierDesign.LB_PP,
-            bsp_epoch_stores=30,
-        )
-        queue = make_benchmark("queue", thread_id=0, seed=seed,
-                               line_size=config.line_size)
-        return (config, [list(queue.ops(_SWEEP_QUEUE_TRANSACTIONS))],
-                [], True)
+        config, programs, _ = one_program(
+            "queue", _SWEEP_QUEUE_TRANSACTIONS, PersistencyModel.BSP,
+            bsp_epoch_stores=30)
+        return config, programs, [], True
 
-    def flushbound():
-        config, programs = _single_run_setup(
-            seed, _SWEEP_QUEUE_TRANSACTIONS,
-            benchmark=_FLUSH_RUN_BENCHMARK, num_cores=1,
-            barrier_design=BarrierDesign.LB_PP,
-        )
-        return (config, programs, [], False)
+    def single_core(benchmark, transactions):
+        config, programs, _ = one_program(benchmark, transactions,
+                                          num_cores=1)
+        return config, programs, [], False
 
     def pingpong(design):
         config, programs = _multicore_setup(
             seed, _SWEEP_MULTI_TRANSACTIONS, barrier_design=design)
-        return (config, programs, [], False)
-
-    def serving():
-        config, programs = _single_run_setup(
-            seed, _SWEEP_SERVING_TRANSACTIONS,
-            benchmark=_SERVING_BENCHMARK, num_cores=1,
-            barrier_design=BarrierDesign.LB_PP,
-        )
-        return (config, programs, [], False)
+        return config, programs, [], False
 
     return [
         ("queue_bep", queue_bep),
         ("queue_bsp", queue_bsp),
-        ("flushbound_bep", flushbound),
+        ("flushbound_bep",
+         lambda: single_core("flushbound", _SWEEP_QUEUE_TRANSACTIONS)),
         ("pingpong4_lb", lambda: pingpong(BarrierDesign.LB)),
         ("pingpong4_lbpp", lambda: pingpong(BarrierDesign.LB_PP)),
-        ("serving_bep", serving),
+        ("serving_bep",
+         lambda: single_core("serving", _SWEEP_SERVING_TRANSACTIONS)),
     ]
 
 
@@ -876,35 +247,24 @@ def _sweep_once(build) -> dict:
     machine = Multicore(config, track_values=True,
                         track_persist_order=True, keep_epoch_log=True)
     outcome = capture_run(machine, programs)
-    start = time.perf_counter()
     fast = sweep_crash_points(outcome, queues=queues, bsp=bsp,
                               raise_on_violation=False)
-    sweep_s = time.perf_counter() - start
-    start = time.perf_counter()
     oracle = sweep_reference(outcome, queues=queues, bsp=bsp, stride=1,
                              raise_on_violation=False)
-    oracle_s = time.perf_counter() - start
     digest = hashlib.sha256()
     for line, value in sorted(outcome.image.values.items()):
         digest.update(f"{line:x}={value!r};".encode())
     return {
-        "verdict": {
-            "points": fast.points,
-            "history_len": fast.history_len,
-            "data_persists": fast.data_persists,
-            "queue_checks": fast.queue_checks,
-            "bsp_checked": fast.bsp_checked,
-            "ok": fast.ok,
-            "first_violation": fast.first_violation,
-            "oracle_match": (fast.merge_key() == oracle.merge_key()
-                             and fast.data_persists
-                             == oracle.data_persists),
-            "image": digest.hexdigest()[:16],
-        },
-        "wall_seconds": {
-            "incremental": round(sweep_s, 4),
-            "oracle": round(oracle_s, 4),
-        },
+        "points": fast.points,
+        "history_len": fast.history_len,
+        "data_persists": fast.data_persists,
+        "queue_checks": fast.queue_checks,
+        "bsp_checked": fast.bsp_checked,
+        "ok": fast.ok,
+        "first_violation": fast.first_violation,
+        "oracle_match": (fast.merge_key() == oracle.merge_key()
+                         and fast.data_persists == oracle.data_persists),
+        "image": digest.hexdigest()[:16],
     }
 
 
@@ -951,10 +311,19 @@ def _reorder_selftest(seed: int) -> dict:
     }
 
 
+def _both_engines(check: Callable[[], dict]) -> Tuple[dict, dict]:
+    """``check()`` on the fast engine, then on the reference engine."""
+    with reference_mode(False):
+        fast = check()
+    with reference_mode():
+        ref = check()
+    return fast, ref
+
+
 def run_crash_sweep_bench(seed: int = 1) -> dict:
-    """The ``--only crash`` section: exhaustive sweeps fast vs
-    reference engine, the reorder-fault self-test, and faulted runs
-    exercising the BankAck retry/timeout path.
+    """The ``crash`` family: exhaustive sweeps fast vs reference engine,
+    the reorder-fault self-test, and faulted runs exercising the
+    BankAck retry/timeout path.
 
     Every scenario is captured and swept under both engine modes; the
     verdicts (and the incremental-vs-oracle cross-check inside each)
@@ -966,133 +335,57 @@ def run_crash_sweep_bench(seed: int = 1) -> dict:
 
     sweeps: Dict[str, dict] = {}
     for name, build in _sweep_scenarios(seed):
-        fast = _sweep_once(build)
-        with reference_mode():
-            ref = _sweep_once(build)
+        fast, ref = _both_engines(lambda: _sweep_once(build))
         sweeps[name] = {
-            "fast": fast["verdict"],
-            "reference": ref["verdict"],
-            "wall_seconds": fast["wall_seconds"],
-            "match": (fast["verdict"] == ref["verdict"]
-                      and fast["verdict"]["ok"]
-                      and fast["verdict"]["oracle_match"]),
+            "fast": fast,
+            "reference": ref,
+            "match": fast == ref and fast["ok"] and fast["oracle_match"],
         }
     matched = sum(r["match"] for r in sweeps.values())
-    total_points = sum(
-        r["fast"]["points"] for r in sweeps.values()
-    )
+    total_points = sum(r["fast"]["points"] for r in sweeps.values())
     print(f"[bench] crash sweeps: {matched}/{len(sweeps)} scenarios "
           f"accept all {total_points} truncation points in both modes")
 
-    selftest_fast = _reorder_selftest(seed)
-    with reference_mode():
-        selftest_ref = _reorder_selftest(seed)
-    selftest = {
-        "fast": selftest_fast,
-        "reference": selftest_ref,
-        "match": selftest_fast == selftest_ref and selftest_fast["raised"],
-    }
+    fast, ref = _both_engines(lambda: _reorder_selftest(seed))
+    selftest = {"fast": fast, "reference": ref,
+                "match": fast == ref and fast["raised"]}
     print(f"[bench] reorder-fault self-test: "
           f"{'caught' if selftest['match'] else 'MISSED'} at point "
-          f"{selftest_fast['first_violation']}")
+          f"{fast['first_violation']}")
 
     fault_config = FaultConfig(
         seed=seed, drop_ack_rate=0.3, delay_ack_rate=0.2,
         mc_stall_rate=0.1,
     )
-    fault_fast = _fault_run(seed, fault_config)
-    with reference_mode():
-        fault_ref = _fault_run(seed, fault_config)
+    fast, ref = _both_engines(lambda: _fault_run(seed, fault_config))
     faults = {
         "config": {
             "drop_ack_rate": fault_config.drop_ack_rate,
             "delay_ack_rate": fault_config.delay_ack_rate,
             "mc_stall_rate": fault_config.mc_stall_rate,
         },
-        "fast": fault_fast,
-        "reference": fault_ref,
-        "match": (fault_fast == fault_ref and fault_fast["finished"]
-                  and fault_fast["ack_retries"] > 0),
+        "fast": fast,
+        "reference": ref,
+        "match": fast == ref and fast["finished"] and fast["ack_retries"] > 0,
     }
-    print(f"[bench] faulted pingpong: finished={fault_fast['finished']}, "
-          f"{fault_fast['ack_drops']} drops / "
-          f"{fault_fast['ack_retries']} retries / "
-          f"{fault_fast['ack_delays']} delays / "
-          f"{fault_fast['mc_stalls']} MC stalls, digest "
-          f"{'match' if fault_fast['digest'] == fault_ref['digest'] else 'MISMATCH'}")
+    print(f"[bench] faulted pingpong: finished={fast['finished']}, "
+          f"{fast['ack_drops']} drops / {fast['ack_retries']} retries / "
+          f"{fast['ack_delays']} delays / {fast['mc_stalls']} MC stalls, "
+          f"digest {'match' if fast['digest'] == ref['digest'] else 'MISMATCH'}")
 
+    ok = (matched == len(sweeps) and selftest["match"] and faults["match"])
     return {"sweeps": sweeps, "reorder_selftest": selftest,
-            "faults": faults}
+            "faults": faults, "ok": ok}
 
 
 # ----------------------------------------------------------------------
-# Fault campaign (``--only campaign``)
-# ----------------------------------------------------------------------
-def run_campaign_bench(seed: int = 1) -> dict:
-    """The ``--only campaign`` section: a small exhaustive single-fault
-    campaign over the contended pingpong run, fast vs reference engine.
-
-    Both engines must produce *identical* verdict maps (the injector
-    draws from stable simulated coordinates, so a mismatch means the
-    engines diverged) and zero violations; the reorder self-test run
-    through the same triage must be flagged as a violation in both.
-    """
-    from repro.recovery import (
-        VIOLATION,
-        CampaignSpec,
-        campaign_selftest,
-        run_campaign,
-    )
-
-    spec = CampaignSpec(workload="pingpong", num_cores=2, transactions=3,
-                        seed=seed, mc_stride=2)
-    start = time.perf_counter()
-    fast = run_campaign(spec, random_rounds=2)
-    fast_wall = time.perf_counter() - start
-    with reference_mode():
-        ref = run_campaign(spec, random_rounds=2)
-    parity = fast.verdict_map() == ref.verdict_map()
-    campaign = {
-        "spec": spec.describe(),
-        "runs": len(fast.entries),
-        "exhaustive_points": fast.exhaustive_points,
-        "random_rounds": fast.random_rounds,
-        "survived": fast.survived,
-        "aborted_clean": fast.aborted,
-        "violations": len(fast.violations),
-        "wall_seconds": round(fast_wall, 3),
-        "parity": parity,
-        "match": parity and fast.ok and ref.ok,
-    }
-    print(f"[bench] {fast.summary()}; fast/reference verdicts "
-          f"{'match' if parity else 'MISMATCH'} ({fast_wall:.1f}s)")
-
-    selftest_fast = campaign_selftest(spec)
-    with reference_mode():
-        selftest_ref = campaign_selftest(spec)
-    flagged = (selftest_fast.verdict == VIOLATION
-               and selftest_ref.verdict == VIOLATION)
-    selftest = {
-        "fast": selftest_fast.verdict,
-        "reference": selftest_ref.verdict,
-        "repro": selftest_fast.repro,
-        "match": flagged,
-    }
-    print(f"[bench] campaign self-test: "
-          f"{'caught' if flagged else 'MISSED'} the reorder fault in "
-          f"both modes")
-    return {"campaign": campaign, "selftest": selftest}
-
-
-# ----------------------------------------------------------------------
-# Core-count scaling sweep (``--only scaling``)
+# ``scaling``: handshake messages per flush at 4..64 cores
 # ----------------------------------------------------------------------
 def parse_cores(text: str) -> Tuple[int, ...]:
     """Validate a ``--cores`` list: powers of two between 2 and 64.
 
     Raises :class:`argparse.ArgumentTypeError` with a usable message on
-    anything else, so both ``python -m repro bench`` front-ends report
-    the same helpful error.
+    anything else.
     """
     try:
         values = tuple(int(t) for t in text.split(","))
@@ -1117,39 +410,9 @@ def _scaling_txns(cores: int) -> int:
     return max(_SCALING_TXN_MIN, _SCALING_TXN_BUDGET // cores)
 
 
-def _sharded_setup(
-    seed: int, transactions: int, num_cores: int,
-    barrier_design: BarrierDesign = BarrierDesign.LB_PP,
-    **config_overrides,
-) -> Tuple[MachineConfig, List[list]]:
-    """Sharded-serving configuration: one shard per core, cross-shard
-    ownership migration driving inter-thread handshake traffic."""
-    config = MachineConfig.tiny(
-        persistency=PersistencyModel.BEP,
-        barrier_design=barrier_design,
-        num_cores=num_cores,
-        llc_banks=num_cores,
-        mesh_rows=2,
-        **config_overrides,
-    )
-    programs = [
-        list(
-            make_benchmark(
-                "sharded_serving", thread_id=tid, seed=seed,
-                line_size=config.line_size,
-                num_keys=_SCALING_SHARDED_KEYS,
-                num_shards=num_cores,
-                migrate_fraction=_SCALING_MIGRATE_FRACTION,
-            ).ops(transactions)
-        )
-        for tid in range(config.num_cores)
-    ]
-    return config, programs
-
-
-def handshake_summary(machine: Multicore) -> Dict[str, float]:
-    """The machine-wide handshake totals one sweep point records."""
-    hs = machine.handshake_counters()
+def handshake_summary(hs: dict) -> Dict[str, float]:
+    """The machine-wide handshake totals one sweep point records, from
+    :meth:`~repro.system.Multicore.handshake_counters`."""
     return {
         "flushes": hs["flushes"],
         "flush_epoch_msgs": hs["flush_epoch_msgs"],
@@ -1163,19 +426,15 @@ def handshake_summary(machine: Multicore) -> Dict[str, float]:
     }
 
 
-def _scaling_point(config: MachineConfig, programs: List[list]) -> dict:
-    """Run one sweep point on the fast engine; time it and read the
-    handshake counters off the same run."""
-    n_ops = sum(len(p) for p in programs)
+def _scaling_point(config: MachineConfig, programs: List[list],
+                   transactions: int) -> dict:
+    """Run one sweep point and read its handshake counters."""
     machine = Multicore(config)
-    start = time.perf_counter()
     machine.run(programs)
-    wall = time.perf_counter() - start
     return {
-        "ops": n_ops,
-        "wall_seconds": round(wall, 4),
-        "ops_per_sec": round(n_ops / wall, 1) if wall else None,
-        "handshake": handshake_summary(machine),
+        "transactions": transactions,
+        "ops": sum(len(p) for p in programs),
+        "handshake": handshake_summary(machine.handshake_counters()),
     }
 
 
@@ -1186,32 +445,20 @@ def handshake_parity(config: MachineConfig,
     The handshake counters are digest-invisible by design (they are
     bumped from batched fast paths), so the digest alone cannot catch a
     fast path that miscounts messages -- this is the explicit parity
-    check, the same shape as :func:`conflict_counters` for PR 4's
-    conflict path.
+    check.
     """
 
-    def one(slow: bool) -> Tuple[str, dict]:
-        with reference_mode(slow):
-            machine = Multicore(config)
-            result = machine.run(programs)
-        return state_digest(machine, result), machine.handshake_counters()
+    def one() -> dict:
+        machine = Multicore(config)
+        result = machine.run(programs)
+        return {"digest": state_digest(machine, result),
+                "counters": machine.handshake_counters()}
 
-    fast_digest, fast_hs = one(False)
-    ref_digest, ref_hs = one(True)
+    fast, ref = _both_engines(one)
     return {
-        "digest_match": fast_digest == ref_digest,
-        "counters_match": fast_hs == ref_hs,
-        "counters": handshake_summary_from(fast_hs),
-    }
-
-
-def handshake_summary_from(hs: dict) -> Dict[str, float]:
-    """Like :func:`handshake_summary` but over an already-read dict."""
-    return {
-        "flushes": hs["flushes"],
-        "total_msgs": hs["total_msgs"],
-        "mean_flush_msgs": round(hs["mean_flush_msgs"], 2),
-        "max_flush_msgs": hs["max_flush_msgs"],
+        "digest_match": fast["digest"] == ref["digest"],
+        "counters_match": fast["counters"] == ref["counters"],
+        "counters": handshake_summary(fast["counters"]),
     }
 
 
@@ -1232,24 +479,22 @@ def _loglog_slope(xs: List[float], ys: List[float]) -> Optional[float]:
 
 def run_scaling_bench(seed: int = 1,
                       cores: Tuple[int, ...] = _SCALING_CORES) -> dict:
-    """The core-count scaling sweep.
+    """The ``scaling`` family.
 
-    Measures the paper's O(n) headline directly: per-flush handshake
-    message counts and wall-clock ops/s at each core count for pingpong
-    (contended mailbox handoff) and sharded serving (cross-shard
-    ownership migration), under both barrier designs.  An all-to-all
-    accounting contrast (same timeline, every ack announced to every
-    bank) provides the quadratic strawman; a log-log slope fit asserts
-    the measured complexity, and the largest point is re-run on the
-    reference engine with digest + handshake-counter parity checked.
+    Measures the paper's O(n) claim directly: per-flush handshake
+    message counts at each core count for pingpong (contended mailbox
+    handoff) and sharded serving (cross-shard ownership migration),
+    under both barrier designs.  The all-to-all strawman's counts are
+    derived from the LB++ pingpong counters; a log-log slope fit
+    asserts the complexity of both, and the largest point is re-run on
+    the reference engine with digest + handshake-counter parity
+    checked.  Every number is simulated state, so two runs write
+    identical records.
     """
     cores = tuple(sorted(cores))
-    record: dict = {
-        "cores": list(cores),
-        "pingpong": {},
-        "sharded_serving": {},
-        "all_to_all": {},
-    }
+    lbpp = BarrierDesign.LB_PP.value
+    record: dict = {"cores": list(cores), "pingpong": {},
+                    "sharded_serving": {}, "all_to_all": {}}
 
     for design in _SCALING_DESIGNS:
         rows: Dict[str, dict] = {}
@@ -1257,41 +502,33 @@ def run_scaling_bench(seed: int = 1,
             txns = _scaling_txns(n)
             config, programs = _multicore_setup(
                 seed, txns, num_cores=n, barrier_design=design)
-            point = _scaling_point(config, programs)
-            point["transactions"] = txns
-            rows[str(n)] = point
+            rows[str(n)] = _scaling_point(config, programs, txns)
         record["pingpong"][design.value] = rows
 
-    sharded_rows: Dict[str, dict] = {}
+    sharded: Dict[str, dict] = {}
     for n in cores:
         txns = max(_SCALING_TXN_MIN, _scaling_txns(n) // 2)
         config, programs = _sharded_setup(seed, txns, n)
-        point = _scaling_point(config, programs)
-        point["transactions"] = txns
-        sharded_rows[str(n)] = point
-    record["sharded_serving"][BarrierDesign.LB_PP.value] = sharded_rows
+        sharded[str(n)] = _scaling_point(config, programs, txns)
+    record["sharded_serving"][lbpp] = sharded
 
-    # The quadratic strawman: identical timeline, O(n^2) accounting.
-    a2a_rows: Dict[str, dict] = {}
-    for n in cores:
-        txns = _scaling_txns(n)
-        config, programs = _multicore_setup(
-            seed, txns, num_cores=n, barrier_design=BarrierDesign.LB_PP)
-        config = config.with_(
-            handshake_protocol=HandshakeProtocol.ALL_TO_ALL)
-        point = _scaling_point(config, programs)
-        point["transactions"] = txns
-        a2a_rows[str(n)] = point
-    record["all_to_all"][BarrierDesign.LB_PP.value] = a2a_rows
+    # The quadratic strawman: the arbiter run's counters re-accounted
+    # (one bank per core, so ``banks == n``).
+    arb = record["pingpong"][lbpp]
+    record["all_to_all"][lbpp] = {
+        str(n): {"handshake": all_to_all_counters(arb[str(n)]["handshake"],
+                                                  banks=n)}
+        for n in cores
+    }
 
-    arb = record["pingpong"][BarrierDesign.LB_PP.value]
     xs = [float(n) for n in cores]
-    arb_ys = [arb[str(n)]["handshake"]["mean_flush_msgs"] for n in cores]
-    a2a_ys = [a2a_rows[str(n)]["handshake"]["mean_flush_msgs"]
-              for n in cores]
-    arb_slope = _loglog_slope(xs, arb_ys)
-    a2a_slope = _loglog_slope(xs, a2a_ys)
-    record["slopes"] = {
+    arb_slope = _loglog_slope(
+        xs, [arb[str(n)]["handshake"]["mean_flush_msgs"] for n in cores])
+    a2a_slope = _loglog_slope(
+        xs, [record["all_to_all"][lbpp][str(n)]["handshake"]
+             ["mean_flush_msgs"] for n in cores])
+    # None means too few points for a fit; only an explicit False fails.
+    slopes = {
         "arbiter": round(arb_slope, 3) if arb_slope is not None else None,
         "all_to_all": round(a2a_slope, 3) if a2a_slope is not None else None,
         "linear_ok": (arb_slope < _SCALING_LINEAR_MAX_SLOPE
@@ -1299,9 +536,8 @@ def run_scaling_bench(seed: int = 1,
         "quadratic_ok": (a2a_slope > _SCALING_QUADRATIC_MIN_SLOPE
                          if a2a_slope is not None else None),
     }
+    record["slopes"] = slopes
 
-    # Parity at the largest point: 64-core digest + message counters
-    # must match fast vs reference.
     top = cores[-1]
     config, programs = _multicore_setup(
         seed, _scaling_txns(top), num_cores=top,
@@ -1309,18 +545,18 @@ def run_scaling_bench(seed: int = 1,
     parity = handshake_parity(config, programs)
     parity["cores"] = top
     record["parity"] = parity
-
-    from repro.harness.report import scaling_table
+    record["ok"] = bool(parity["digest_match"] and parity["counters_match"]
+                        and slopes["linear_ok"] is not False
+                        and slopes["quadratic_ok"] is not False)
 
     print(f"[bench] scaling sweep (pingpong + sharded_serving, "
           f"cores {','.join(str(n) for n in cores)}):")
-    for line in scaling_table(record).render(precision=1).splitlines():
+    for line in scaling_table(record).render(precision=2).splitlines():
         print(f"[bench]   {line}")
-    slopes = record["slopes"]
-    if slopes["arbiter"] is not None:
-        print(f"[bench]   log-log slope: arbiter {slopes['arbiter']:.2f} "
+    if arb_slope is not None:
+        print(f"[bench]   log-log slope: arbiter {slopes['arbiter']:.3f} "
               f"(~linear: {'OK' if slopes['linear_ok'] else 'FAIL'}), "
-              f"all-to-all {slopes['all_to_all']:.2f} "
+              f"all-to-all {slopes['all_to_all']:.3f} "
               f"(~quadratic: {'OK' if slopes['quadratic_ok'] else 'FAIL'})")
     print(f"[bench]   parity @ {top} cores: digest "
           f"{'MATCH' if parity['digest_match'] else 'MISMATCH'}, "
@@ -1329,60 +565,11 @@ def run_scaling_bench(seed: int = 1,
     return record
 
 
-def run_profile(seed: int = 1,
-                transactions: int = _SINGLE_RUN_TRANSACTIONS,
-                output: str = DEFAULT_OUTPUT, top: int = 30,
-                benchmark: str = _FLUSH_RUN_BENCHMARK) -> Path:
-    """Profile one fast single run; write top-N cumulative to a file.
-
-    Defaults to the flush-bound micro (that is where the remaining
-    simulator time goes); ``--workload hotset`` profiles the
-    cache-resident hit path instead.
-    """
-    # Flush-bound, serving, and multicore profiling want their benches'
-    # exact configurations (BEP + LB++; pingpong additionally 4 cores
-    # and the headline conflict rate); everything else profiles under
-    # the plain single-run config.
-    if benchmark == _MULTI_RUN_BENCHMARK:
-        config, programs = _multicore_setup(seed, transactions)
-    elif benchmark in (_FLUSH_RUN_BENCHMARK, _SERVING_BENCHMARK):
-        config, programs = _single_run_setup(
-            seed, transactions, benchmark=benchmark, num_cores=1,
-            barrier_design=BarrierDesign.LB_PP,
-        )
-    else:
-        config, programs = _single_run_setup(
-            seed, transactions, benchmark=benchmark
-        )
-    machine = Multicore(config)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    machine.run(programs)
-    profiler.disable()
-
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(top)
-    n_ops = sum(len(p) for p in programs)
-    path = Path(output).resolve().parent / PROFILE_OUTPUT
-    path.write_text(
-        f"# cProfile of one tiny-scale single run "
-        f"({benchmark}, {transactions} txns, {n_ops} ops), "
-        f"sorted by cumulative time, top {top}.\n"
-        f"# Generated by `python -m repro bench --profile "
-        f"--workload {benchmark}`.\n"
-        + buf.getvalue(),
-        encoding="utf-8",
-    )
-    print(f"[bench] wrote {path}")
-    return path
-
-
 # ----------------------------------------------------------------------
-# Sweep-executor benchmark (PR 1)
+# ``farm``: delta-planner invariants
 # ----------------------------------------------------------------------
 def bench_specs(seed: int = 1) -> List[RunSpec]:
-    """The fixed tiny-scale multi-figure sweep that gets timed."""
+    """The fixed tiny-scale multi-figure sweep the farm family plans."""
     seen = {}
     for plan in (
         bep_sweep_plan(Scale.TINY, seed, transactions=_BENCH_TRANSACTIONS),
@@ -1396,453 +583,97 @@ def bench_specs(seed: int = 1) -> List[RunSpec]:
     return list(seen)
 
 
-def _timed(specs: List[RunSpec], jobs: int,
-           cache: Optional[ResultCache]) -> float:
-    start = time.perf_counter()
-    run_specs(specs, jobs=jobs, cache=cache)
-    return time.perf_counter() - start
+def run_farm_bench(jobs: int = 4, seed: int = 1) -> dict:
+    """The ``farm`` family: the planner's serving-mode invariants.
 
-
-def run_sweep_bench(jobs: int, seed: int) -> dict:
-    specs = bench_specs(seed)
-    cpu_count = os.cpu_count() or 1
-    print(f"[bench] {len(specs)} runs, tiny scale, jobs={jobs}, "
-          f"{cpu_count} cpu(s)")
-
-    serial_s = _timed(specs, jobs=1, cache=None)
-    print(f"[bench] serial (jobs=1, no cache):   {serial_s:7.2f}s")
-
-    parallel_s = _timed(specs, jobs=jobs, cache=None)
-    print(f"[bench] parallel (jobs={jobs}, no cache): {parallel_s:7.2f}s")
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cache = ResultCache(tmp)
-        run_specs(specs, jobs=jobs, cache=cache)  # populate
-        cache.hits = cache.misses = 0
-        warm_s = _timed(specs, jobs=jobs, cache=cache)
-        warm_hits, warm_misses = cache.hits, cache.misses
-    print(f"[bench] warm cache (jobs={jobs}):        {warm_s:7.2f}s "
-          f"({warm_hits}/{len(specs)} hits)")
-
-    return {
-        "scale": "tiny",
-        "runs": len(specs),
-        "seed": seed,
-        "transactions": _BENCH_TRANSACTIONS,
-        "mem_ops": _BENCH_MEM_OPS,
-        "apps": list(_BENCH_APPS),
-        "jobs": jobs,
-        "wall_seconds": {
-            "serial": round(serial_s, 3),
-            "parallel": round(parallel_s, 3),
-            "warm_cache": round(warm_s, 3),
-        },
-        "speedup": {
-            "parallel_vs_serial": round(serial_s / parallel_s, 3)
-            if parallel_s else None,
-            "warm_cache_vs_serial": round(serial_s / warm_s, 3)
-            if warm_s else None,
-        },
-        "cache": {
-            "hits": warm_hits,
-            "misses": warm_misses,
-            "hit_rate": round(warm_hits / len(specs), 3) if specs else None,
-        },
-    }
-
-
-def run_farm_bench(jobs: int, seed: int) -> dict:
-    """The ``--only farm`` section: delta-planner timings + invariants.
-
-    Times the farm's four serving modes over the fixed bench sweep:
-    a cold plan-and-run, a warm no-op replan (the plan must find zero
-    pending specs), a two-shard split merging through one shared cache
-    (the merged cache must cover the plan), and a single-subsystem
-    version bump (which must invalidate a strict subset).  The
-    invariant booleans feed ``--check-digests`` so CI fails if the
-    planner ever recomputes warm work or drops sharded work.
+    Over the fixed bench sweep: a cold plan-and-run, then a warm replan
+    that must find zero pending specs; a two-shard split merging
+    through one shared cache, which must cover the plan; and a
+    single-subsystem version bump, which must invalidate a strict
+    subset.
     """
     specs = bench_specs(seed)
     universe = {"bench": specs}
-    cpu_count = os.cpu_count() or 1
-    print(f"[bench] farm: {len(specs)} specs, tiny scale, jobs={jobs}, "
-          f"{cpu_count} cpu(s)")
+    print(f"[bench] farm: {len(specs)} specs, tiny scale, jobs={jobs}")
 
     with tempfile.TemporaryDirectory(prefix="repro-farm-cache-") as tmp:
-        start = time.perf_counter()
         plan = build_plan(universe, ResultCache(tmp))
-        cold_plan_s = time.perf_counter() - start
         cold_pending = len(plan.pending)
-
-        start = time.perf_counter()
-        cache = ResultCache(tmp)
-        run_plan(plan, cache, jobs=jobs)
-        cold_run_s = time.perf_counter() - start
-        print(f"[bench] farm cold:  plan {cold_plan_s:6.3f}s, run "
-              f"{cold_run_s:7.2f}s ({cold_pending} pending)")
-
-        start = time.perf_counter()
-        warm = build_plan(universe, ResultCache(tmp))
-        warm_plan_s = time.perf_counter() - start
-        warm_pending = len(warm.pending)
-        print(f"[bench] farm warm:  plan {warm_plan_s:6.3f}s "
-              f"({warm_pending} pending)")
-
+        run_plan(plan, ResultCache(tmp), jobs=jobs)
+        warm_pending = len(build_plan(universe, ResultCache(tmp)).pending)
         bumped = ResultCache(
             tmp, versions={"flush": SUBSYSTEM_VERSIONS["flush"] + 1}
         )
         bump_pending = len(build_plan(universe, bumped).pending)
-        print(f"[bench] farm bump:  flush+1 invalidates {bump_pending}"
-              f"/{len(specs)} specs")
 
     with tempfile.TemporaryDirectory(prefix="repro-farm-shard-") as tmp:
         cache = ResultCache(tmp)
         plan = build_plan(universe, cache)
-        start = time.perf_counter()
         for index in (1, 2):
             run_plan(shard_plan(plan, index, 2), cache, jobs=jobs)
-        sharded_s = time.perf_counter() - start
         leftover = len(build_plan(universe, ResultCache(tmp)).pending)
-        print(f"[bench] farm shard: 2 shards sequential {sharded_s:7.2f}s "
-              f"({leftover} left unpinned)")
 
-    return {
+    record = {
         "scale": "tiny",
         "specs": len(specs),
         "seed": seed,
-        "jobs": jobs,
-        "wall_seconds": {
-            "cold_plan": round(cold_plan_s, 4),
-            "cold_run": round(cold_run_s, 3),
-            "warm_plan": round(warm_plan_s, 4),
-            "sharded_2x": round(sharded_s, 3),
-        },
         "pending": {
             "cold": cold_pending,
             "warm": warm_pending,
             "flush_bump": bump_pending,
+            "after_shards": leftover,
         },
-        # Invariants asserted by --check-digests.
         "warm_noop": warm_pending == 0,
         "sharded_complete": leftover == 0,
         "scoped_bump_partial": 0 < bump_pending < len(specs),
     }
-
-
-# ----------------------------------------------------------------------
-def _headline(record: dict) -> dict:
-    """The numbers worth carrying forward in the trajectory."""
-    entry: dict = {}
-    for key in ("single_run", "single_run_flush", "multicore_run",
-                "serving_run"):
-        row = record.get(key)
-        if row:
-            entry[key] = {
-                "benchmark": row.get("benchmark"),
-                "transactions": row.get("transactions"),
-                "ops_per_sec_fast": (row.get("ops_per_sec") or {}).get(
-                    "fast"),
-                "speedup": row.get("speedup"),
-            }
-    scaling = record.get("scaling")
-    if scaling:
-        cores = scaling.get("cores") or []
-        top = str(cores[-1]) if cores else None
-        arb = ((scaling.get("pingpong") or {})
-               .get(BarrierDesign.LB_PP.value) or {})
-        top_row = arb.get(top) or {}
-        entry["scaling"] = {
-            "max_cores": cores[-1] if cores else None,
-            "ops_per_sec_fast": top_row.get("ops_per_sec"),
-            "mean_flush_msgs": (top_row.get("handshake") or {}).get(
-                "mean_flush_msgs"),
-            "arbiter_slope": (scaling.get("slopes") or {}).get("arbiter"),
-            "all_to_all_slope": (scaling.get("slopes") or {}).get(
-                "all_to_all"),
-        }
-    million = record.get("million_run")
-    if million:
-        entry["million_run"] = {
-            "benchmark": million.get("benchmark"),
-            "transactions": million.get("transactions"),
-            "txns_per_sec": million.get("txns_per_sec"),
-            "under_minute": million.get("under_minute"),
-        }
-    sweep = record.get("sweep")
-    if sweep:
-        entry["sweep_parallel_vs_serial"] = (sweep.get("speedup") or {}).get(
-            "parallel_vs_serial")
-    farm = record.get("farm")
-    if farm:
-        walls = farm.get("wall_seconds") or {}
-        entry["farm"] = {
-            "specs": farm.get("specs"),
-            "cold_plan_s": walls.get("cold_plan"),
-            "warm_plan_s": walls.get("warm_plan"),
-            "cold_run_s": walls.get("cold_run"),
-            "sharded_2x_s": walls.get("sharded_2x"),
-        }
-    return entry
-
-
-_TRAJECTORY_KEEP = 20
-
-
-def _retain_trajectory(trajectory: List[dict],
-                       keep: int = _TRAJECTORY_KEEP) -> List[dict]:
-    """Cap the trajectory per headline family rather than globally.
-
-    Each regeneration appends one combined entry, so a global
-    ``[-keep:]`` slice would let a newly introduced family (every entry
-    now carries an extra key) push the oldest entries of long-running
-    families out of the history even though fewer than ``keep`` entries
-    mention them.  Keep an entry while it is among the newest ``keep``
-    for at least one family it reports; order is preserved.
-    """
-    seen: Dict[str, int] = {}
-    kept: List[dict] = []
-    for entry in reversed(trajectory):
-        families = list(entry)
-        if any(seen.get(f, 0) < keep for f in families):
-            kept.append(entry)
-            for f in families:
-                seen[f] = seen.get(f, 0) + 1
-    kept.reverse()
-    return kept
-
-
-def _trajectory(path: Path) -> List[dict]:
-    """Prior headline numbers: the old file's trajectory plus the old
-    file's own headline.  Regenerating the benchmark therefore records
-    the before/after history in place."""
-    if not path.exists():
-        return []
-    try:
-        old = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
-        return []
-    trajectory = [e for e in old.get("trajectory", ())
-                  if isinstance(e, dict)]
-    head = _headline(old)
-    if head:
-        trajectory.append(head)
-    return _retain_trajectory(trajectory)
-
-
-def digests_ok(record: dict) -> bool:
-    """True when every fast-vs-reference comparison in ``record``
-    matched: the headline runs (digests, and for the multicore run the
-    conflict-path counters too), the model and multicore digest
-    matrices, and the crash-recovery verdicts."""
-    for key in ("single_run", "single_run_flush", "multicore_run",
-                "serving_run"):
-        row = record.get(key)
-        if row and not row.get("digest_match"):
-            return False
-        if row and not row.get("counters_match", True):
-            return False
-    million = record.get("million_run")
-    if million and not million.get("finished"):
-        return False
-    scaling = record.get("scaling")
-    if scaling:
-        parity = scaling.get("parity") or {}
-        if not parity.get("digest_match") or not parity.get(
-                "counters_match"):
-            return False
-        slopes = scaling.get("slopes") or {}
-        # None means too few points for a fit (CI smoke); only an
-        # explicit False fails.
-        if slopes.get("linear_ok") is False:
-            return False
-        if slopes.get("quadratic_ok") is False:
-            return False
-    for matrix in ("digests", "digests_multicore", "crash_recovery"):
-        for row in (record.get(matrix) or {}).values():
-            if not row.get("match"):
-                return False
-    crash_sweep = record.get("crash_sweep")
-    if crash_sweep:
-        for row in (crash_sweep.get("sweeps") or {}).values():
-            if not row.get("match"):
-                return False
-        for key in ("reorder_selftest", "faults"):
-            row = crash_sweep.get(key)
-            if row and not row.get("match"):
-                return False
-    campaign = record.get("campaign")
-    if campaign:
-        for key in ("campaign", "selftest"):
-            row = campaign.get(key)
-            if row and not row.get("match"):
-                return False
-    farm = record.get("farm")
-    if farm:
-        for invariant in ("warm_noop", "sharded_complete",
-                          "scoped_bump_partial"):
-            if not farm.get(invariant):
-                return False
-    return True
-
-
-def run_bench(jobs: int = 4, seed: int = 1, output: str = DEFAULT_OUTPUT,
-              transactions: Optional[int] = None, profile: bool = False,
-              sweep: bool = True, workload: Optional[str] = None,
-              only: Optional[str] = None, profile_top: int = 30,
-              million: bool = True,
-              cores: Optional[Tuple[int, ...]] = None) -> dict:
-    """Run the benchmark families and write the report.
-
-    ``only`` restricts the run to one bench family (``"single"``,
-    ``"flush"``, ``"multicore"``, ``"serving"``, ``"scaling"`` -- the
-    core-count sweep -- ``"crash"`` -- the exhaustive crash-point
-    sweeps plus fault injection -- ``"campaign"`` -- the exhaustive
-    fault campaign fast vs reference -- or ``"farm"`` -- the
-    delta-planner cold/warm/sharded timings) for CI smoke jobs; the full matrix,
-    crash-recovery, million-transaction, and sweep-executor sections
-    run only in the unrestricted mode.  A restricted run regenerates
-    only its own section: every other family present in the existing
-    output file is carried forward unchanged, so ``--only`` never ages
-    other families out of ``BENCH_sweep.json``.  ``--check-digests``
-    still works in restricted modes -- :func:`digests_ok` checks
-    whatever sections are present (carried-forward sections matched
-    when they were generated).  ``cores`` overrides the scaling sweep's
-    core counts (the ``--cores`` flag, validated by
-    :func:`parse_cores`).
-    """
-    single_txns = (transactions if transactions is not None
-                   else _SINGLE_RUN_TRANSACTIONS)
-    flush_txns = (transactions if transactions is not None
-                  else _FLUSH_RUN_TRANSACTIONS)
-    multi_txns = (transactions if transactions is not None
-                  else _MULTI_RUN_TRANSACTIONS)
-    serving_txns = (transactions if transactions is not None
-                    else _SERVING_TRANSACTIONS)
-    path = Path(output)
-    record: dict = {
-        "machine": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-    }
-    if only in (None, "single"):
-        record["single_run"] = run_single_bench(
-            seed=seed, transactions=single_txns)
-    if only in (None, "flush"):
-        record["single_run_flush"] = run_flush_bench(
-            seed=seed, transactions=flush_txns,
-            benchmark=workload or _FLUSH_RUN_BENCHMARK,
-        )
-    if only in (None, "multicore"):
-        record["multicore_run"] = run_multicore_bench(
-            seed=seed, transactions=multi_txns)
-        record["digests_multicore"] = multicore_digest_matrix(seed=seed)
-    if only in (None, "serving"):
-        record["serving_run"] = run_serving_bench(
-            seed=seed, transactions=serving_txns)
-    if only in (None, "scaling"):
-        record["scaling"] = run_scaling_bench(
-            seed=seed, cores=cores or _SCALING_CORES)
-    if only in (None, "crash"):
-        record["crash_sweep"] = run_crash_sweep_bench(seed=seed)
-    if only in (None, "campaign"):
-        record["campaign"] = run_campaign_bench(seed=seed)
-    if only in (None, "farm"):
-        record["farm"] = run_farm_bench(jobs=jobs, seed=seed)
-    if only is None:
-        record["digests"] = digest_matrix(seed=seed)
-        record["crash_recovery"] = crash_recovery_matrix(seed=seed)
-        if million:
-            record["million_run"] = run_million_bench(seed=seed)
-    if only is not None and path.exists():
-        # Restricted run: carry every section this run did not
-        # regenerate forward from the existing file, so ``--only X``
-        # refreshes one family instead of wiping the others.
-        try:
-            old = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            old = {}
-        if isinstance(old, dict):
-            for key, value in old.items():
-                if key not in record and key != "trajectory":
-                    record[key] = value
-    record["trajectory"] = _trajectory(path)
-    if sweep and only is None:
-        record["sweep"] = run_sweep_bench(jobs=jobs, seed=seed)
-    if profile:
-        bench_name = workload or _FLUSH_RUN_BENCHMARK
-        if bench_name == _MULTI_RUN_BENCHMARK:
-            prof_txns = multi_txns
-        elif bench_name == _SERVING_BENCHMARK:
-            prof_txns = serving_txns
-        else:
-            prof_txns = flush_txns
-        run_profile(seed=seed, transactions=prof_txns, output=output,
-                    top=profile_top, benchmark=bench_name)
-
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"[bench] wrote {path}")
+    record["ok"] = (record["warm_noop"] and record["sharded_complete"]
+                    and record["scoped_bump_partial"])
+    print(f"[bench] farm: cold {cold_pending} pending, warm "
+          f"{warm_pending}, flush+1 invalidates {bump_pending}"
+          f"/{len(specs)}, {leftover} left after 2 shards")
     return record
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Benchmark the simulator: single-run ops/sec (fast vs "
-                    "reference engine) and the sweep executor."
-    )
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="parallel worker count (default 4)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--transactions", type=int, default=None,
-                        help="single-run length in transactions "
-                             f"(default {_SINGLE_RUN_TRANSACTIONS})")
-    parser.add_argument("--profile", action="store_true",
-                        help=f"cProfile one single run into {PROFILE_OUTPUT}")
-    parser.add_argument("--profile-top", type=int, default=30,
-                        help="rows of the profile table --profile writes "
-                             "(default 30)")
-    parser.add_argument("--no-sweep", action="store_true",
-                        help="skip the sweep-executor timing (smoke mode)")
-    parser.add_argument("--no-million", action="store_true",
-                        help="skip the million-transaction scale run in "
-                             "the unrestricted mode")
-    parser.add_argument("--workload", default=None,
-                        help="micro for the flush-bound run and --profile "
-                             f"(default {_FLUSH_RUN_BENCHMARK})")
-    parser.add_argument("--only",
-                        choices=("single", "flush", "multicore", "serving",
-                                 "scaling", "crash", "campaign", "farm"),
-                        default=None,
-                        help="run just one bench family (skips the "
-                             "matrix, crash-recovery, million, and sweep "
-                             "sections; 'scaling' runs the core-count "
-                             "sweep, 'crash' the exhaustive crash-point "
-                             "sweeps and fault-injection checks, "
-                             "'campaign' the exhaustive fault campaign "
-                             "fast vs reference, 'farm' the planner "
-                             "cold/warm/sharded timings)")
-    parser.add_argument("--cores", type=parse_cores, default=None,
-                        metavar="N,N,...",
-                        help="core counts for the scaling sweep: powers "
-                             "of two between 2 and 64 "
-                             "(default 4,8,16,32,64)")
-    parser.add_argument("--check-digests", action="store_true",
-                        help="exit nonzero unless every fast-vs-reference "
-                             "digest and crash-recovery verdict matches")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help=f"result file (default {DEFAULT_OUTPUT})")
-    args = parser.parse_args(argv)
-    record = run_bench(jobs=args.jobs, seed=args.seed, output=args.output,
-                       transactions=args.transactions, profile=args.profile,
-                       sweep=not args.no_sweep, workload=args.workload,
-                       only=args.only, profile_top=args.profile_top,
-                       million=not args.no_million, cores=args.cores)
-    if args.check_digests and not digests_ok(record):
-        print("[bench] ERROR: fast/reference digest mismatch")
-        return 1
-    return 0
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+# name -> family(seed, jobs, cores) -> record with an ``ok`` verdict.
+FAMILIES: Dict[str, Callable[[int, int, Tuple[int, ...]], dict]] = {
+    "scaling": lambda seed, jobs, cores: run_scaling_bench(seed, cores),
+    "crash": lambda seed, jobs, cores: run_crash_sweep_bench(seed),
+    "farm": lambda seed, jobs, cores: run_farm_bench(jobs, seed),
+}
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run_bench(only: Optional[str] = None, seed: int = 1, jobs: int = 4,
+              cores: Optional[Tuple[int, ...]] = None,
+              output: str = DEFAULT_OUTPUT) -> Dict[str, dict]:
+    """Run every family (or just ``only``) and write ``output``.
+
+    Returns the records of the families that ran.  The file holds one
+    record per family in registry order; a family this run skipped
+    keeps the record the existing file has for it.
+    """
+    path = Path(output)
+    old = None
+    if only is not None and path.exists():
+        try:
+            old = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, OSError):
+            pass
+    if not isinstance(old, dict):
+        old = {}
+    ran = {
+        name: family(seed, jobs, cores or _SCALING_CORES)
+        for name, family in FAMILIES.items()
+        if only in (None, name)
+    }
+    record = {
+        name: ran.get(name, old.get(name))
+        for name in FAMILIES
+        if name in ran or isinstance(old.get(name), dict)
+    }
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"[bench] wrote {path}")
+    return ran

@@ -84,22 +84,55 @@ class FigureTable:
         return "\n".join(lines)
 
 
+def all_to_all_counters(hs: Dict[str, float], banks: int) -> Dict[str, float]:
+    """The all-to-all strawman's handshake counters for an arbiter run.
+
+    The paper's arbiter collects one BankAck per bank and broadcasts one
+    PersistCMP per bank: O(n) messages per flush.  The strawman it
+    argues against has every bank announce its ack to all ``banks``
+    participants so each can determine completion locally, and sends no
+    PersistCMP: O(n^2) messages per flush.  Completion is known the
+    cycle the last ack lands either way, so the event timeline is the
+    arbiter's and only the accounting differs: each BankAck costs
+    ``banks`` messages and PersistCMP costs none.
+
+    ``hs`` holds an arbiter run's handshake counters (a
+    :meth:`~repro.system.Multicore.handshake_counters` dict or the
+    bench's summary of one).  The per-flush mean and maximum shift by
+    the per-flush average of the change, which is exact for fault-free
+    runs: every such flush carries ``banks`` BankAcks and ``banks``
+    PersistCMPs.
+    """
+    extra = hs["bank_ack_msgs"] * (banks - 1) - hs["persist_cmp_msgs"]
+    per_flush = extra / hs["flushes"] if hs["flushes"] else 0.0
+    return {
+        "flushes": hs["flushes"],
+        "flush_epoch_msgs": hs["flush_epoch_msgs"],
+        "bank_ack_msgs": hs["bank_ack_msgs"] * banks,
+        "persist_ack_msgs": hs["persist_ack_msgs"],
+        "persist_cmp_msgs": 0,
+        "idt_notify_msgs": hs["idt_notify_msgs"],
+        "total_msgs": hs["total_msgs"] + extra,
+        "mean_flush_msgs": round(hs["mean_flush_msgs"] + per_flush, 2),
+        "max_flush_msgs": hs["max_flush_msgs"] + round(per_flush),
+    }
+
+
 def scaling_table(record: Dict) -> FigureTable:
     """Render a ``scaling`` bench family as a per-core-count table.
 
     One row per core count; columns are the mean handshake messages per
     flush for the arbiter design (pingpong and sharded serving) and the
-    all-to-all strawman, plus pingpong fast-engine throughput.  Means
-    across core counts would be meaningless for a scaling curve, so the
-    table carries no summary row.
+    all-to-all strawman derived from the pingpong run.  Means across
+    core counts would be meaningless for a scaling curve, so the table
+    carries no summary row.
     """
     lbpp = "LB++"
     pingpong = record["pingpong"][lbpp]
     sharded = record["sharded_serving"][lbpp]
     a2a = record["all_to_all"][lbpp]
     table = FigureTable(
-        "msgs/flush (mean)",
-        ["arbiter", "sharded", "all-to-all", "ops/s"],
+        "msgs/flush (mean)", ["arbiter", "sharded", "all-to-all"],
         summary="none",
     )
     for n in record["cores"]:
@@ -108,7 +141,6 @@ def scaling_table(record: Dict) -> FigureTable:
             pingpong[key]["handshake"]["mean_flush_msgs"],
             sharded[key]["handshake"]["mean_flush_msgs"],
             a2a[key]["handshake"]["mean_flush_msgs"],
-            pingpong[key]["ops_per_sec"],
         ])
     return table
 

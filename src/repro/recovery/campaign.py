@@ -33,7 +33,7 @@ Every probed run is triaged into one of three verdicts:
 Verdicts are pure functions of the spec: the injector draws from stable
 simulated coordinates (never wall clock), so the fast and reference
 engines -- and any process, any shard -- produce identical verdict
-maps, which the bench's ``campaign`` family asserts.
+maps, which ``python -m repro campaign --check-digests`` asserts.
 
 The deliberately unsound ``reorder_window`` fault is the campaign's
 self-test (:func:`campaign_selftest`): it must be triaged as a

@@ -102,25 +102,6 @@ class FanoutTopology(enum.Enum):
     TREE = "tree"
 
 
-class HandshakeProtocol(enum.Enum):
-    """Who coordinates the Figure 8 persist handshake.
-
-    ``ARBITER`` is the paper's design: the initiating core's arbiter
-    collects one BankAck per bank and broadcasts one PersistCMP per
-    bank -- O(n) messages per flush.  ``ALL_TO_ALL`` models the strawman
-    the paper argues against: every bank announces its ack to every
-    other bank (and the initiator) so each can locally determine
-    completion -- the same event timeline, but n messages per ack and
-    no PersistCMP broadcast, i.e. O(n^2) messages per flush.  The
-    simulated *timing* is identical by construction (completion is
-    known as soon as the last ack lands); only the message accounting
-    differs, which is exactly the axis the scaling bench measures.
-    """
-
-    ARBITER = "arbiter"
-    ALL_TO_ALL = "all-to-all"
-
-
 class FlushMode(enum.Enum):
     """Whether a persist-flush invalidates the cached copy.
 
@@ -175,12 +156,9 @@ class MachineConfig:
     # the coordination cost of the multi-banked flush protocol.
     ideal_flush_coordination: bool = False
     # Broadcast topology for the handshake's FlushEpoch/BankAck legs
-    # and the protocol variant whose message complexity is accounted
-    # (see the enum docstrings; timing-neutral by construction for
-    # ALL_TO_ALL, latency-shaping for TREE).
+    # (see the enum docstring; latency-shaping for TREE).
     fanout_topology: FanoutTopology = FanoutTopology.FLAT
     fanout_degree: int = 4
-    handshake_protocol: HandshakeProtocol = HandshakeProtocol.ARBITER
     flush_mode: FlushMode = FlushMode.CLWB
     barrier_design: BarrierDesign = BarrierDesign.LB_PP
     persistency: PersistencyModel = PersistencyModel.BEP

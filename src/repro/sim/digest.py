@@ -7,7 +7,7 @@ image, same persist order.  :func:`state_digest` reduces a finished run
 to one SHA-256 hex string over a canonical JSON encoding of exactly that
 observable state, so "the fast path changed nothing" becomes a single
 string comparison -- asserted per persistency model by the determinism
-tests and by ``repro bench``.
+tests and on every ``perfbench`` run.
 
 Everything hashed is deterministic simulated state; nothing about host
 timing, object identity, or dict insertion order can leak in (keys are

@@ -71,7 +71,7 @@ def fast_paths_enabled() -> bool:
     fall back to their straightforward per-event reference
     implementations in slow mode.  That keeps the reference run an
     executable specification -- the determinism-digest tests assert the
-    shortcuts change nothing -- and makes the ``repro bench`` speedup an
+    shortcuts change nothing -- and makes the ``perfbench`` speedup an
     honest fast-vs-reference comparison.  Read once at construction
     time, like :class:`Engine` does.
     """

@@ -130,14 +130,11 @@ class HandshakeStats:
     * ``flush_epoch_msgs``  -- FlushEpoch broadcasts, one per bank per
       flush (step 1).
     * ``bank_ack_msgs``     -- BankAck transmissions (step 3), including
-      dropped/retried transmissions under fault injection.  Under the
-      all-to-all protocol each ack is announced to every bank plus the
-      initiator, so one logical ack costs ``llc_banks`` messages.
+      dropped/retried transmissions under fault injection.
     * ``persist_ack_msgs``  -- per-line PersistAck hops from the memory
       controller back to the owning bank (step 2->3 internal leg).
     * ``persist_cmp_msgs``  -- PersistCMP broadcasts, one per bank per
-      flush (step 4); zero under all-to-all, where banks self-determine
-      completion.
+      flush (step 4).
     * ``idt_notify_msgs``   -- inter-thread dependence-clear notices
       sent to dependent cores when an epoch persists.
 

@@ -5,7 +5,7 @@ rather than a paper benchmark: it concentrates its accesses on a hot set
 of lines that fits comfortably in the L1, so nearly every operation is a
 conflict-free L1 hit.  That is exactly the per-access path the engine
 fast paths target, which makes ``hotset`` the headline workload for the
-single-run ops/sec benchmark (``python -m repro bench``) -- a run is
+host-throughput benchmark (``perfbench/``) -- a run is
 dominated by the request hot path instead of by miss handling and epoch
 flush machinery, so fast-vs-reference timing isolates the engine.
 

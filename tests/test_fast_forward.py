@@ -8,7 +8,8 @@ engine (``REPRO_SLOW_ENGINE=1``).  These tests attack that claim from
 three sides:
 
 * randomized interleavings -- serving and pingpong program prefixes
-  across seeds and core counts, fast vs reference digests;
+  across seeds and core counts, plus the miss- and flush-heavy
+  ``flushbound`` and ``sps`` micros, fast vs reference digests;
 * the guard predicates, one by one -- a conflict in the window, a line
   still tagged by an unpersisted (flushing) epoch, and a configured
   fault injector must each force the session to refuse or fall back,
@@ -20,7 +21,7 @@ three sides:
 
 import pytest
 
-from repro.harness.bench import ff_counters, reference_mode
+from repro.harness.bench import reference_mode
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import run_digest, state_digest
 from repro.sim.faults import FaultConfig
@@ -41,6 +42,21 @@ def _programs(benchmark, config, seed, transactions, **kwargs):
         )
         for tid in range(config.num_cores)
     ]
+
+
+def ff_counters(machine):
+    """Fast-forward session counters summed across cores.
+
+    Diagnostics only: they live as plain attributes on the ``Core``
+    objects, never in the stat domains, so the reference engine (which
+    has no fast-forward sessions and leaves them at zero) still digests
+    identically.
+    """
+    return {
+        "batches": sum(c.ff_batches for c in machine.cores),
+        "stores": sum(c.ff_stores for c in machine.cores),
+        "fallbacks": sum(c.ff_fallbacks for c in machine.cores),
+    }
 
 
 def _fast_and_reference(config, programs):
@@ -66,17 +82,27 @@ def _fast_and_reference(config, programs):
 # ----------------------------------------------------------------------
 # Randomized interleavings: fast == reference, digest for digest
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [2, 11, 29])
-def test_serving_prefix_digest_parity(seed):
+@pytest.mark.parametrize("workload,seed,transactions", [
+    ("serving", 2, 120),
+    ("serving", 11, 120),
+    ("serving", 29, 120),
+    # The flush-bound single-core shapes: a footprint 4x the L1 with a
+    # barrier every 8 lines (nearly every access an L1 miss, every
+    # epoch a multi-line flush), and the Table 2 SPS swap micro.
+    ("flushbound", 1, 200),
+    ("sps", 1, 60),
+], ids=["2", "11", "29", "flushbound", "sps"])
+def test_serving_prefix_digest_parity(workload, seed, transactions):
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=BarrierDesign.LB_PP,
         num_cores=1,
     )
-    programs = _programs("serving", config, seed, 120)
+    programs = _programs(workload, config, seed, transactions)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
-    assert ff_counters(machine)["stores"] > 0
+    if workload == "serving":
+        assert ff_counters(machine)["stores"] > 0
 
 
 @pytest.mark.parametrize("seed", [3, 17])
