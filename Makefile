@@ -3,20 +3,22 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow bench scale farm figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow perfbench bench scale farm figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
-# the same suite on the pure-heap reference engine, and the scaling
-# check family (exits nonzero if any of its checks fails).
-ci: test test-reference
+# the same suite in reference mode, the perfbench job's digest checks,
+# and the scaling check family (exits nonzero if any of its checks
+# fails).
+ci: test test-reference perfbench
 	$(PYTHON) -m repro bench --only scaling --output /tmp/bench-ci.json
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The same suite with the engine fast paths disabled -- everything must
-# behave identically on the reference event loop.
+# The same suite in reference mode (REPRO_SLOW_ENGINE=1): the engine's
+# plain heap loop, and the general request classifier in place of the
+# fused paths.  Every simulated result must be identical.
 test-reference:
 	REPRO_SLOW_ENGINE=1 $(PYTHON) -m pytest -x -q
 
@@ -27,6 +29,15 @@ test-smoke:
 # The long end-to-end figure checks.
 test-slow:
 	$(PYTHON) -m pytest -q -m slow
+
+# CI's perfbench job: the benchmark harness's own tests, then one
+# measured run per workload, digest-checked against the reference
+# engine (run.py exits 1 on a mismatch).  No timing threshold.
+perfbench:
+	$(PYTHON) -m pytest -q perfbench
+	for w in hotset serving pingpong4 bsp_stream; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 0 || exit 1; \
+	done
 
 # Run every bench check family (scaling, crash, farm) and refresh
 # BENCH_sweep.json; exits nonzero if any check fails.  Host time is

@@ -412,7 +412,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if entry.repro:
             print(f"  repro: {entry.repro}")
     if args.check_digests:
-        from repro.harness.bench import reference_mode
+        from repro.sim.engine import reference_mode
         with reference_mode():
             reference = run_once()
         if reference.verdict_map() != report.verdict_map():

@@ -53,63 +53,12 @@ class Arbiter:
         # and iterates a window of up to eight epochs each time).
         self._seen: set = set()
         self._fast = machine.engine.fast
-        # Fault-injection accounting for the BankAck retry path (only
-        # bumped when faults are enabled): drops observed, timeouts that
-        # resent, and acks that took a detour.  Hot-counter idiom: plain
-        # attributes in fast mode, merged by flush_hot_stats().
-        self._n_ack_drops = 0
-        self._n_ack_retries = 0
-        self._n_ack_delays = 0
-        # Generic fault-leg counters (FlushEpoch drops/dups, link
-        # delays, PersistCMP drops, ...): keyed by stat name, merged by
-        # flush_hot_stats() exactly like the dedicated ack counters.
-        self._n_faults: dict = {}
-
-    # ------------------------------------------------------------------
-    # Fault-injection accounting (called by the flush operation)
-    # ------------------------------------------------------------------
-    def note_ack_drop(self) -> None:
-        if self._fast:
-            self._n_ack_drops += 1
-        else:
-            self._stats.bump("flush_ack_drops")
-
-    def note_ack_retry(self) -> None:
-        if self._fast:
-            self._n_ack_retries += 1
-        else:
-            self._stats.bump("flush_ack_retries")
-
-    def note_ack_delay(self) -> None:
-        if self._fast:
-            self._n_ack_delays += 1
-        else:
-            self._stats.bump("flush_ack_delays")
 
     def note_fault(self, key: str, count: int = 1) -> None:
         """Record ``count`` occurrences of fault leg ``key`` (a stat
-        name like ``flush_epoch_drops``)."""
-        if self._fast:
-            self._n_faults[key] = self._n_faults.get(key, 0) + count
-        else:
-            self._stats.bump(key, count)
-
-    def flush_hot_stats(self) -> None:
-        """Merge the attribute-held ack-fault counters into the stat
-        domain (idempotent; the machine calls this at run end)."""
-        if self._n_ack_drops:
-            self._stats.bump("flush_ack_drops", self._n_ack_drops)
-            self._n_ack_drops = 0
-        if self._n_ack_retries:
-            self._stats.bump("flush_ack_retries", self._n_ack_retries)
-            self._n_ack_retries = 0
-        if self._n_ack_delays:
-            self._stats.bump("flush_ack_delays", self._n_ack_delays)
-            self._n_ack_delays = 0
-        if self._n_faults:
-            for key, count in sorted(self._n_faults.items()):
-                self._stats.bump(key, count)
-            self._n_faults.clear()
+        name like ``flush_ack_drops``); called by the flush operation,
+        only under fault injection."""
+        self._stats.bump(key, count)
 
     # ------------------------------------------------------------------
     # Requests
@@ -135,7 +84,6 @@ class Arbiter:
             # persist (or catches still persisting) counts as conflict-
             # flushed; only epochs that completed their persist before any
             # conflict arrived count as clean offline persists.
-            # (unpersisted_upto inlined: no list allocation per request.)
             seq = epoch.seq
             for e in self._manager.window:
                 if e.seq <= seq and e.strand == strand:
@@ -184,10 +132,9 @@ class Arbiter:
                 return
             head = self._flushable(candidate)
         else:
-            # The candidate walk (EpochManager.flush_candidates) is
-            # inlined: each strand's head epoch that is within its flush
-            # horizon, in window order, horizon read straight off the
-            # dict.
+            # The candidate walk: each strand's head epoch that is
+            # within its flush horizon, in window order (an epoch is a
+            # candidate once every earlier same-strand epoch persisted).
             horizon = self._flush_horizon.get
             seen = self._seen
             seen.clear()

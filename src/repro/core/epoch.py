@@ -176,14 +176,6 @@ class Epoch:
         else:
             self.complete_waiters.append(callback)
 
-    def happens_before_predecessors(self) -> Set["Epoch"]:
-        """Direct hb-predecessors: prior same-core epoch + IDT sources."""
-        preds: Set[Epoch] = set(self.idt_sources)
-        prev = self.manager.predecessor_of(self)
-        if prev is not None:
-            preds.add(prev)
-        return preds
-
     def __repr__(self) -> str:
         strand = f"s{self.strand}" if self.strand else ""
         return (
@@ -412,16 +404,6 @@ class EpochManager:
     def oldest_unpersisted(self) -> Optional[Epoch]:
         return self.window[0] if self.window else None
 
-    def unpersisted_upto(self, seq: int,
-                         strand: Optional[int] = None) -> List[Epoch]:
-        """Unpersisted epochs with sequence number <= ``seq``, optionally
-        restricted to one strand (cross-strand epochs carry no mutual
-        ordering, so a conflict never forces them)."""
-        return [
-            e for e in self.window
-            if e.seq <= seq and (strand is None or e.strand == strand)
-        ]
-
     def deps_persisted(self, epoch: Epoch) -> bool:
         """True when every hb-predecessor of ``epoch`` has persisted.
 
@@ -514,31 +496,6 @@ class EpochManager:
                     break
         finally:
             engine.advance_holds -= 1
-
-    def next_flushable(self, horizon_of) -> Optional[Epoch]:
-        """The first epoch the arbiter could flush now (see
-        :meth:`flush_candidates`)."""
-        for epoch in self.flush_candidates(horizon_of):
-            return epoch
-        return None
-
-    def flush_candidates(self, horizon_of):
-        """Yield each strand's head epoch that is within its flush
-        horizon, in window (seq) order.
-
-        ``horizon_of(strand)`` gives the highest requested flush seq for
-        a strand.  An epoch is a candidate when every earlier same-strand
-        epoch has persisted; completion/IDT/log gating is the arbiter's
-        business.  With a single strand this yields at most the window
-        head.
-        """
-        seen: set = set()
-        for epoch in self.window:
-            if epoch.strand in seen:
-                continue
-            seen.add(epoch.strand)
-            if epoch.seq <= horizon_of(epoch.strand):
-                yield epoch
 
     def audit(self) -> None:
         """Invariant checks used by the test suite."""

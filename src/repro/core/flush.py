@@ -52,11 +52,7 @@ the full invariant list):
   deadline.  Idle banks (immediate acks) are pre-counted at ``begin``
   the same way.  Fault-injected runs keep per-ack events (drops and
   detours perturb arrival times), which is also what keeps the retry
-  state machine observable.  (The engine's
-  ``schedule_fanout``/``schedule_fanout_groups`` batch APIs remain
-  for broadcasts that need real per-receiver delivery -- one resident
-  queue entry regardless of receiver count -- but every broadcast leg
-  of this handshake turned out to virtualise away entirely.)
+  state machine observable.
 * Handshake *message* counts (as opposed to simulator events) are
   accounted per flush into the core's digest-invisible
   :class:`~repro.sim.stats.HandshakeStats`; batching never changes a
@@ -730,7 +726,7 @@ class FlushOperation:
         seq = epoch.seq
         if faults.drop_bank_ack(core, bank, seq, attempt):
             if self._arbiter is not None:
-                self._arbiter.note_ack_drop()
+                self._arbiter.note_fault("flush_ack_drops")
             self._engine.schedule_call(
                 delay + faults.config.ack_timeout,
                 self._ack_timeout, bank, attempt,
@@ -739,7 +735,7 @@ class FlushOperation:
         detour = faults.bank_ack_detour(core, bank, seq, attempt)
         if detour:
             if self._arbiter is not None:
-                self._arbiter.note_ack_delay()
+                self._arbiter.note_fault("flush_ack_delays")
             delay += self._mesh.detour_latency(detour)
         self._engine.schedule_call(delay, self._bank_ack, bank)
 
@@ -752,7 +748,7 @@ class FlushOperation:
                 f"epoch {self._epoch})"
             )
         if self._arbiter is not None:
-            self._arbiter.note_ack_retry()
+            self._arbiter.note_fault("flush_ack_retries")
         self._send_bank_ack(bank, self._ack_delay(bank), attempt + 1)
 
     def _bank_ack(self, bank: int) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.engine import fast_paths_enabled
 from repro.sim.stats import StatDomain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,12 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class IDTracker:
     """Machine-wide front end for recording IDT edges."""
 
-    def __init__(self, registers_per_epoch: int, stats: StatDomain) -> None:
+    def __init__(self, registers_per_epoch: int, stats: StatDomain,
+                 fast: bool = True) -> None:
         if registers_per_epoch < 1:
             raise ValueError("need at least one IDT register pair per epoch")
         self._registers = registers_per_epoch
         self._stats = stats
-        self._fast = fast_paths_enabled()
+        # The machine passes its engine's mode: reference mode skips the
+        # edge-interning shortcut below.
+        self._fast = fast
 
     def try_record(self, source: "Epoch", dependent: "Epoch") -> bool:
         """Attempt to record ``source`` happens-before ``dependent``.

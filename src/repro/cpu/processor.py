@@ -94,10 +94,7 @@ class Core:
         # Hot-path accounting: these counters are bumped on every memory
         # op, so they live as plain attributes and are merged into the
         # stat domain once, at run end (flush_hot_stats), instead of
-        # paying a dict lookup per op.  Reference mode (REPRO_SLOW_ENGINE)
-        # takes the per-op ``stats.bump`` path instead, so the shortcut
-        # itself is covered by the determinism-digest tests.
-        self._fast = machine.engine.fast
+        # paying a dict lookup per op.
         self._n_loads = 0
         self._n_stores = 0
         self._n_barriers = 0
@@ -112,6 +109,9 @@ class Core:
         self._issue_cycles = machine.config.issue_width_cycles
         self._wb_capacity = machine.config.write_buffer_entries
         self._track_values = machine.track_values
+        # Reference mode (see repro.sim.engine) neither claims the clock
+        # for compute bursts nor fast-forwards the drain.
+        self._fast = machine.engine.fast
         self._compute_depth = 0
         # Fast-forward drain sessions (_ff_try): fast mode only, and only
         # for the epoch-tagged models whose drain chain dominates the
@@ -218,10 +218,7 @@ class Core:
                     return
             eng.schedule_call(op.cycles, self._next)
         elif kind is OpKind.TXN_MARK:
-            if self._fast:
-                self._n_txns += 1
-            else:
-                self.stats.bump("txns")
+            self._n_txns += 1
             self._engine.call_soon(self._next)
         elif kind is OpKind.BARRIER:
             self._issue_barrier()
@@ -235,16 +232,10 @@ class Core:
     # ------------------------------------------------------------------
     def _issue_load(self, op: Op) -> None:
         line = op.addr & self._line_mask
-        if self._fast:
-            self._n_loads += 1
-        else:
-            self.stats.bump("loads")
+        self._n_loads += 1
         if self._wb_lines.get(line):
             # Store-to-load forwarding out of the write buffer.
-            if self._fast:
-                self._n_wb_forwards += 1
-            else:
-                self.stats.bump("wb_forwards")
+            self._n_wb_forwards += 1
             self._engine.schedule_call(1, self._next)
             return
         self._machine.load(self.core_id, line, on_done=self._next)
@@ -256,10 +247,7 @@ class Core:
         if self._wb_stores + self._wt_outstanding >= self._wb_capacity:
             # A store stalls here nearly every cycle of a streaming burst
             # (drain is slower than issue), so the stall counter is hot.
-            if self._fast:
-                self._n_wb_full += 1
-            else:
-                self.stats.bump("wb_full_stalls")
+            self._n_wb_full += 1
             self._pending_push = op
             return
         line = op.addr & self._line_mask
@@ -275,16 +263,12 @@ class Core:
             self._engine.call_soon(self._drain)
         self._wb_stores += 1
         self._wb_lines[line] = self._wb_lines.get(line, 0) + 1
-        if self._fast:
-            self._n_stores += 1
-        else:
-            self.stats.bump("stores")
+        self._n_stores += 1
         if self._ff_active:
             # Inside a fast-forward session the issue-width advance
             # becomes the session's virtual issue event; the session
             # merges it against the queues by (time, seq), which is the
-            # scheduled path's ordering by construction.  The sequence
-            # allocation is ff_take_seq, inlined.
+            # scheduled path's ordering by construction.
             eng = self._engine
             seq = eng._seq
             eng._seq = seq + 1
@@ -298,10 +282,7 @@ class Core:
         self._engine.schedule_call(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
-        if self._fast:
-            self._n_barriers += 1
-        else:
-            self.stats.bump("barriers")
+        self._n_barriers += 1
         if not self._uses_epochs or self._model is PersistencyModel.BSP:
             # NP/SP/WT ignore explicit barriers; under BSP bulk mode the
             # hardware inserts its own.
@@ -385,10 +366,7 @@ class Core:
         if current is None and not mgr.can_open_epoch():
             # All 2^3 epoch IDs are in flight (section 4.3): no store may
             # begin a new epoch until the oldest persists.
-            if self._fast:
-                self._n_window_stalls += 1
-            else:
-                self.stats.bump("epoch_window_stalls")
+            self._n_window_stalls += 1
             oldest = mgr.oldest_unpersisted()
             oldest.on_persist(self._drain)
             self._machine.arbiters[self.core_id].request_flush_upto(
@@ -479,7 +457,7 @@ class Core:
         queue = eng._queue
         ready = eng._ready
         until = eng._until
-        ff_store_try = machine.ff_store_try
+        try_clean_store = machine.try_clean_store
         wb_popleft = wb.popleft
         wb_lines = self._wb_lines
         ongoing_s = EpochStatus.ONGOING
@@ -513,7 +491,7 @@ class Core:
                     # Same epoch the per-op tag_store would open, at the
                     # same cycle with the same stats.
                     cur = mgr.current_or_new()
-                lat = ff_store_try(core_id, head.line, head.values, cur)
+                lat = try_clean_store(core_id, head.line, head.values, cur)
                 if lat < 0:
                     break
                 cur.pending_stores += 1
@@ -536,7 +514,7 @@ class Core:
                 v_time = t_d
                 v_seq = s_d
                 v_is_issue = False
-            # Inline ff_next_key: decide whether a foreign queued event
+            # Decide from the queue heads whether a foreign queued event
             # precedes the virtual one without building key tuples.  A
             # ready entry carries key (now, 0, seq) and now <= v_time
             # always holds, so when the clocks tie only the seq decides;

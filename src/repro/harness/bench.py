@@ -33,9 +33,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -51,6 +49,7 @@ from repro.harness.report import all_to_all_counters, scaling_table
 from repro.harness.runner import Scale
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
 
@@ -95,26 +94,6 @@ _SWEEP_FAULT_TRANSACTIONS = 8
 # Serving is ~70% reads; 60 transactions yield a persist history in the
 # low hundreds (one 9-line epoch per PUT), same band as the others.
 _SWEEP_SERVING_TRANSACTIONS = 60
-
-
-@contextmanager
-def reference_mode(slow: bool = True):
-    """Build engines on the pure-heap reference path within the block.
-
-    The engine reads ``REPRO_SLOW_ENGINE`` at construction, so toggling
-    the environment variable around machine construction is all it
-    takes; the previous value is restored on exit.
-    """
-    key = "REPRO_SLOW_ENGINE"
-    saved = os.environ.get(key)
-    os.environ[key] = "1" if slow else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = saved
 
 
 # ----------------------------------------------------------------------

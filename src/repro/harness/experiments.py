@@ -455,16 +455,6 @@ def figure_plan_specs(scale: Scale, seed: int = 1,
     return {tag: _FIGURE_PLANS[tag](scale, seed)[0] for tag in tags}
 
 
-def all_specs(scale: Scale, seed: int = 1) -> List[RunSpec]:
-    """The deduplicated union of every figure's specs, in first-seen
-    order (the shared NP baselines appear once)."""
-    seen = {}
-    for specs in figure_plan_specs(scale, seed).values():
-        for spec in specs:
-            seen.setdefault(spec, None)
-    return list(seen)
-
-
 def add_executor_args(parser: argparse.ArgumentParser) -> None:
     """The sweep-executor knobs, shared with ``python -m repro``."""
     parser.add_argument(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
-from repro.sim.engine import fast_paths_enabled
 from repro.sim.stats import StatDomain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,17 +80,8 @@ class SetAssociativeCache:
         self._sets: list[Dict[int, CacheEntry]] = [{} for _ in range(num_sets)]
         self._stats = stats
         self._tick = 0
-        # Last-line memo: the micro workloads stream multiple accesses to
-        # one line back to back (store bursts, load-after-store), so the
-        # common lookup is for the line just looked up.  Only hits are
-        # memoised; ``remove`` is the single path that could stale it.
-        # Reference mode never populates the memo, so every lookup takes
-        # the plain set-dictionary path.
-        self._fast = fast_paths_enabled()
-        self._last_line = -1
-        self._last_entry: Optional[CacheEntry] = None
-        # Fill count held as an attribute in fast mode (merged by
-        # flush_hot_stats at run end); reference mode bumps per fill.
+        # Fill count held as an attribute, merged into the stat domain
+        # by flush_hot_stats at run end.
         self._n_fills = 0
 
     # ------------------------------------------------------------------
@@ -107,26 +97,16 @@ class SetAssociativeCache:
 
     def lookup(self, line: int) -> Optional[CacheEntry]:
         """Return the entry for ``line`` or None, without touching LRU."""
-        if line == self._last_line:
-            return self._last_entry
         mask = self._set_mask
         if mask is not None:
-            entry = self._sets[(line >> self._offset_bits) & mask].get(line)
-        else:
-            entry = self._set_of(line).get(line)
-        if entry is not None and self._fast:
-            self._last_line = line
-            self._last_entry = entry
-        return entry
+            return self._sets[(line >> self._offset_bits) & mask].get(line)
+        return self._set_of(line).get(line)
 
     def dirty_under(self, lines, epoch) -> set:
         """Subset of ``lines`` resident, dirty, and tagged by ``epoch``.
 
         One pass replacing a per-line :meth:`lookup` loop (the flush
-        begin probe walks every line of an epoch).  Deliberately skips
-        the last-line memo: a bulk probe should not perturb the memo
-        the demand path relies on, and the per-line result is identical
-        either way.
+        begin probe walks every line of an epoch).
         """
         sets = self._sets
         offset = self._offset_bits
@@ -201,13 +181,7 @@ class SetAssociativeCache:
                 )
             entry = CacheEntry(line)
             cache_set[line] = entry
-            if self._fast:
-                self._n_fills += 1
-            else:
-                self._stats.bump("fills")
-        if self._fast:
-            self._last_line = line
-            self._last_entry = entry
+            self._n_fills += 1
         self.touch(entry)
         return entry
 
@@ -222,11 +196,7 @@ class SetAssociativeCache:
         else:
             cache_set = self._set_of(line)
         if victim is not None:
-            victim_line = victim.line
-            if victim_line == self._last_line:
-                self._last_line = -1
-                self._last_entry = None
-            cache_set.pop(victim_line, None)
+            cache_set.pop(victim.line, None)
         entry = cache_set.get(line)
         if entry is None:
             if len(cache_set) >= self.assoc:
@@ -236,13 +206,7 @@ class SetAssociativeCache:
                 )
             entry = CacheEntry(line)
             cache_set[line] = entry
-            if self._fast:
-                self._n_fills += 1
-            else:
-                self._stats.bump("fills")
-        if self._fast:
-            self._last_line = line
-            self._last_entry = entry
+            self._n_fills += 1
         self._tick = tick = self._tick + 1
         entry._lru = tick
         return entry
@@ -274,27 +238,16 @@ class SetAssociativeCache:
             if best is None:
                 return None
             victim_line = best.line
-            if victim_line == self._last_line:
-                self._last_line = -1
-                self._last_entry = None
             del cache_set[victim_line]
         entry = CacheEntry(line)
         cache_set[line] = entry
-        if self._fast:
-            self._n_fills += 1
-            self._last_line = line
-            self._last_entry = entry
-        else:
-            self._stats.bump("fills")
+        self._n_fills += 1
         self._tick = tick = self._tick + 1
         entry._lru = tick
         return entry, victim_line
 
     def remove(self, line: int) -> Optional[CacheEntry]:
         """Remove and return the entry for ``line`` if present."""
-        if line == self._last_line:
-            self._last_line = -1
-            self._last_entry = None
         mask = self._set_mask
         if mask is not None:
             return self._sets[(line >> self._offset_bits) & mask].pop(

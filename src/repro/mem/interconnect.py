@@ -184,9 +184,6 @@ class Mesh:
     def core_to_bank(self, core_id: int, bank_id: int) -> int:
         return self.c2b[core_id][bank_id]
 
-    def bank_to_mc(self, bank_id: int, mc_id: int) -> int:
-        return self.b2mc[bank_id][mc_id]
-
     def core_to_mc(self, core_id: int, mc_id: int) -> int:
         return self.c2mc[core_id][mc_id]
 

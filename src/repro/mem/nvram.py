@@ -152,12 +152,6 @@ class NVRAMImage:
             self._commit(*args)
         return len(batch)
 
-    @property
-    def deferred_persists(self) -> int:
-        """Persists still buffered by the reorder fault (lost at a
-        crash)."""
-        return len(self._deferred)
-
     def commit_log(
         self,
         time: int,
@@ -329,23 +323,14 @@ class MemoryController:
         # Fault injection (sim/faults.py): transient service-start
         # stalls, keyed on the controller's transaction ordinal so both
         # engine modes stall the same transactions.  None (the default)
-        # keeps the hot path untouched.
+        # keeps the hot path untouched; the rare fault counters bump the
+        # stat domain directly.
         self._faults = faults
         self._txn_ordinal = 0
-        self._n_fault_stalls = 0
-        self._fault_stall_cycles = 0
-        # Media-fault accounting (torn-line rewrites, transient write
-        # retries) and PersistAck-loss accounting, hot-counter idiom.
-        self._n_torn_writes = 0
-        self._n_write_retries = 0
-        self._media_retry_cycles = 0
-        self._n_persist_ack_drops = 0
         # Hot-path accounting: every controller transaction counts a
-        # read/write and records its queue wait.  The fast path holds
-        # these in plain attributes, merged into the stat domain by
-        # flush_hot_stats() at run end; reference mode bumps/records per
-        # transaction.
-        self._fast = engine.fast
+        # read/write and records its queue wait.  These live in plain
+        # attributes, merged into the stat domain by flush_hot_stats()
+        # at run end.
         self._n_reads = 0
         self._n_writes = 0
         self._writes_by_kind: Dict[str, int] = {}
@@ -370,12 +355,8 @@ class MemoryController:
         self._txn_ordinal = ordinal + 1
         stall = faults.mc_stall(self.mc_id, ordinal)
         if stall:
-            if self._fast:
-                self._n_fault_stalls += 1
-                self._fault_stall_cycles += stall
-            else:
-                self._stats.bump("fault_stalls")
-                self._stats.bump("fault_stall_cycles", stall)
+            self._stats.bump("fault_stalls")
+            self._stats.bump("fault_stall_cycles", stall)
         if write and faults.media_active:
             cfg = faults.config
             extra = 0
@@ -388,21 +369,12 @@ class MemoryController:
                         f"{cfg.max_torn_write_retries} ({tears} rewrites)"
                     )
                 extra += tears * cfg.torn_write_cycles
-                if self._fast:
-                    self._n_torn_writes += tears
-                else:
-                    self._stats.bump("fault_torn_writes", tears)
+                self._stats.bump("fault_torn_writes", tears)
             if faults.write_retry(self.mc_id, ordinal):
                 extra += cfg.write_retry_cycles
-                if self._fast:
-                    self._n_write_retries += 1
-                else:
-                    self._stats.bump("fault_write_retries")
+                self._stats.bump("fault_write_retries")
             if extra:
-                if self._fast:
-                    self._media_retry_cycles += extra
-                else:
-                    self._stats.bump("fault_media_cycles", extra)
+                self._stats.bump("fault_media_cycles", extra)
                 stall += extra
         return stall
 
@@ -442,10 +414,7 @@ class MemoryController:
                 f"{core_id} epoch seq {epoch_seq} exceeded bound "
                 f"{cfg.max_persist_ack_retries} ({resends} resends)"
             )
-        if self._fast:
-            self._n_persist_ack_drops += resends
-        else:
-            self._stats.bump("fault_persist_ack_drops", resends)
+        self._stats.bump("fault_persist_ack_drops", resends)
         extra = backoff_cycles(cfg.persist_ack_timeout, resends)
         self._engine.schedule_call(extra, on_line, time + extra)
 
@@ -456,23 +425,16 @@ class MemoryController:
             start += self._fault_stall(write)
         self._busy_until = start + occupancy
         queue_wait = start - now
-        if self._fast:
-            self._qw_sum += queue_wait
-            self._qw_count += 1
-            if queue_wait > self._qw_max:
-                self._qw_max = queue_wait
-        else:
-            self._stats.record("queue_wait", queue_wait)
+        self._qw_sum += queue_wait
+        self._qw_count += 1
+        if queue_wait > self._qw_max:
+            self._qw_max = queue_wait
         return start
 
     def _account_write(self, kind: str) -> None:
-        if self._fast:
-            self._n_writes += 1
-            by_kind = self._writes_by_kind
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-        else:
-            self._stats.bump("writes")
-            self._stats.bump(f"writes_{kind}")
+        self._n_writes += 1
+        by_kind = self._writes_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
 
     def flush_hot_stats(self) -> None:
         """Merge the attribute-held counters into the stat domain.
@@ -498,24 +460,6 @@ class MemoryController:
             self._qw_sum = 0
             self._qw_count = 0
             self._qw_max = 0
-        if self._n_fault_stalls:
-            stats.bump("fault_stalls", self._n_fault_stalls)
-            stats.bump("fault_stall_cycles", self._fault_stall_cycles)
-            self._n_fault_stalls = 0
-            self._fault_stall_cycles = 0
-        if self._n_torn_writes:
-            stats.bump("fault_torn_writes", self._n_torn_writes)
-            self._n_torn_writes = 0
-        if self._n_write_retries:
-            stats.bump("fault_write_retries", self._n_write_retries)
-            self._n_write_retries = 0
-        if self._media_retry_cycles:
-            stats.bump("fault_media_cycles", self._media_retry_cycles)
-            self._media_retry_cycles = 0
-        if self._n_persist_ack_drops:
-            stats.bump("fault_persist_ack_drops",
-                       self._n_persist_ack_drops)
-            self._n_persist_ack_drops = 0
 
     # ------------------------------------------------------------------
     def read(self, line: int, callback: Callable[..., None],
@@ -524,10 +468,7 @@ class MemoryController:
         fires when the data is available at the controller."""
         start = self._service_start(self._config.mc_read_occupancy)
         done = start + self._config.nvram_read_latency
-        if self._fast:
-            self._n_reads += 1
-        else:
-            self._stats.bump("reads")
+        self._n_reads += 1
         self._engine.schedule_call(
             done - self._engine.now, callback, *cb_args, done
         )
@@ -606,31 +547,21 @@ class MemoryController:
         faults = self._faults
         busy = self._busy_until
         dones: List[int] = []
-        if self._fast:
-            qw_sum = self._qw_sum
-            qw_max = self._qw_max
-            for arrival in arrivals:
-                start = arrival if arrival > busy else busy
-                if faults is not None:
-                    start += self._fault_stall(True)
-                busy = start + occupancy
-                wait = start - arrival
-                qw_sum += wait
-                if wait > qw_max:
-                    qw_max = wait
-                dones.append(start + latency)
-            self._qw_sum = qw_sum
-            self._qw_max = qw_max
-            self._qw_count += len(arrivals)
-        else:
-            stats = self._stats
-            for arrival in arrivals:
-                start = arrival if arrival > busy else busy
-                if faults is not None:
-                    start += self._fault_stall(True)
-                busy = start + occupancy
-                stats.record("queue_wait", start - arrival)
-                dones.append(start + latency)
+        qw_sum = self._qw_sum
+        qw_max = self._qw_max
+        for arrival in arrivals:
+            start = arrival if arrival > busy else busy
+            if faults is not None:
+                start += self._fault_stall(True)
+            busy = start + occupancy
+            wait = start - arrival
+            qw_sum += wait
+            if wait > qw_max:
+                qw_max = wait
+            dones.append(start + latency)
+        self._qw_sum = qw_sum
+        self._qw_max = qw_max
+        self._qw_count += len(arrivals)
         self._busy_until = busy
         run = _WriteRun(self, lines, dones, core_id, epoch_seq, kind,
                         on_line)
@@ -649,8 +580,7 @@ class MemoryController:
         """Reserve one FIFO write slot: :meth:`write_batch` for ``k=1``.
 
         Identical reservation arithmetic and commit event, minus the
-        per-run list scaffolding; both engine modes take this path, so
-        fast/reference schedules stay in lockstep.
+        per-run list scaffolding.
         """
         config = self._config
         busy = self._busy_until
@@ -659,13 +589,10 @@ class MemoryController:
             start += self._fault_stall(True)
         self._busy_until = start + config.mc_write_occupancy
         wait = start - arrival
-        if self._fast:
-            self._qw_sum += wait
-            self._qw_count += 1
-            if wait > self._qw_max:
-                self._qw_max = wait
-        else:
-            self._stats.record("queue_wait", wait)
+        self._qw_sum += wait
+        self._qw_count += 1
+        if wait > self._qw_max:
+            self._qw_max = wait
         done = start + config.nvram_write_latency
         run = _WriteOne(self, line, done, core_id, epoch_seq, kind,
                         on_line)

@@ -38,11 +38,16 @@ Implementation notes -- the two-tier queue:
   the head, where it is dropped.  A live-event counter keeps
   :meth:`Engine.pending` O(1), and when cancelled entries come to
   dominate a large heap the queue is compacted in place.
-* ``REPRO_SLOW_ENGINE=1`` in the environment forces the pure-heap
-  reference path (every event, including ``call_soon``, goes through
-  the heap) and disables :meth:`try_advance`.  The fast and reference
-  paths fire callbacks in bit-identical order; the determinism-digest
-  tests assert this across every persistency model.
+* ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
+  (see :func:`reference_mode`).  It means exactly two things.  The
+  engine runs its plain heap loop: every event, including
+  ``call_soon``, goes through the heap, and :meth:`try_advance` and
+  fast-forward sessions refuse.  And the machine classifies every
+  request with its general classifier instead of the fused paths.
+  Everything else -- counting, latency tables, epoch tags -- runs the
+  same way in both modes.  The determinism-digest tests assert that
+  both modes fire callbacks in bit-identical order across every
+  persistency model.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
 
 # Compact the heap when it holds more than this many entries and fewer
 # than half of them are live.  Small heaps are never compacted; the
@@ -58,24 +64,32 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 _COMPACT_MIN_SIZE = 64
 
 
+_MODE_VAR = "REPRO_SLOW_ENGINE"
+
+
 def _slow_engine_requested() -> bool:
-    return os.environ.get("REPRO_SLOW_ENGINE", "") not in ("", "0", "false")
+    return os.environ.get(_MODE_VAR, "") not in ("", "0", "false")
 
 
-def fast_paths_enabled() -> bool:
-    """True unless ``REPRO_SLOW_ENGINE=1`` selected the reference mode.
+@contextmanager
+def reference_mode(slow: bool = True) -> Iterator[None]:
+    """Build engines in reference mode (or, with ``slow=False``, in
+    fast mode) within the block.
 
-    The flag gates every hot-path shortcut in the simulator, not just
-    the engine's queues: the processor's attribute-held stat counters,
-    the cache last-line memo and the machine's accounting hoists all
-    fall back to their straightforward per-event reference
-    implementations in slow mode.  That keeps the reference run an
-    executable specification -- the determinism-digest tests assert the
-    shortcuts change nothing -- and makes the ``perfbench`` speedup an
-    honest fast-vs-reference comparison.  Read once at construction
-    time, like :class:`Engine` does.
+    An :class:`Engine` reads ``REPRO_SLOW_ENGINE`` once, at
+    construction, and every component reads the mode from its machine's
+    engine, so toggling the variable around machine construction is all
+    it takes; the previous value is restored on exit.
     """
-    return not _slow_engine_requested()
+    saved = os.environ.get(_MODE_VAR)
+    os.environ[_MODE_VAR] = "1" if slow else "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(_MODE_VAR, None)
+        else:
+            os.environ[_MODE_VAR] = saved
 
 
 class Event:
@@ -216,165 +230,6 @@ class Engine:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         self._live += 1
-
-    def schedule_fanout(
-        self,
-        delay: int,
-        callback: Callable[..., None],
-        items: list,
-    ) -> None:
-        """Schedule ``callback(item)`` for every item at ``now + delay``.
-
-        The batching API for same-cycle message fan-outs (invalidation
-        and ack broadcasts): one sequence number is consumed *per item*
-        in both modes, so the firing order relative to interleaved
-        scheduling is identical to per-item :meth:`schedule_call`, but
-        in fast mode the whole batch occupies a single queue entry and
-        the items dispatch back to back from :meth:`_run_fanout`.  The
-        batch's sequence block is allocated synchronously, so no foreign
-        event can land between two items of one fanout in either mode.
-
-        Item callbacks must not schedule negative-priority work for the
-        same cycle and expect it to preempt later items of the batch --
-        the only ordering difference from per-item scheduling.
-        """
-        n = len(items)
-        if n == 0:
-            return
-        if not self.fast:
-            for item in items:
-                self.schedule(delay, callback, item)
-            return
-        if n == 1:
-            self.schedule_call(delay, callback, items[0])
-            return
-        if delay == 0:
-            self._ready.append(
-                (self._seq, self._run_fanout, (callback, items), None)
-            )
-        elif delay > 0:
-            heapq.heappush(
-                self._queue,
-                (self.now + delay, 0, self._seq, None,
-                 self._run_fanout, (callback, items)),
-            )
-        else:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq += n
-        self._live += n
-
-    def _run_fanout(self, callback: Callable[..., None],
-                    items: list) -> None:
-        # The dispatcher decremented the live count once for the batch
-        # entry; the remaining items are accounted here.  The clock hold
-        # keeps an inline completion inside one item from warping ``now``
-        # for the rest -- with per-item scheduling the queued siblings
-        # would have refused the warp themselves.
-        self._live -= len(items) - 1
-        self.advance_holds += 1
-        try:
-            for item in items:
-                callback(item)
-        finally:
-            self.advance_holds -= 1
-
-    def schedule_fanout_groups(
-        self,
-        groups: list,
-        callback: Callable[..., None],
-    ) -> None:
-        """Schedule several same-callback fanouts with one heap entry.
-
-        ``groups`` is a list of ``(delay, items)`` pairs with
-        non-descending, non-negative delays -- the shape of a broadcast
-        whose receivers sit at different mesh distances.  Semantically
-        identical to calling :meth:`schedule_fanout` once per group (one
-        sequence number per item, allocated synchronously here), but in
-        fast mode the *entire* multi-group broadcast occupies a single
-        in-flight heap entry: when group ``g`` fires, the walker pushes
-        group ``g + 1`` under its preallocated time/sequence key and
-        dispatches group ``g``'s items back to back.  A 64-way broadcast
-        spread over a dozen latency rings therefore costs one heap push
-        per ring instead of one per receiver, and only one entry is ever
-        resident.
-
-        Ordering parity with the reference engine holds because the
-        sequence block is contiguous across all groups (no foreign event
-        can ever sort between two items of the broadcast) and each
-        group's heap key ``(time, 0, first_seq)`` is exactly the key of
-        its first item under per-item scheduling.  The
-        :meth:`schedule_fanout` caveat applies: item callbacks must not
-        schedule negative-priority same-cycle work and expect it to
-        preempt later items.
-        """
-        if not self.fast:
-            prev = 0
-            for delay, items in groups:
-                if delay < 0:
-                    raise ValueError(
-                        f"cannot schedule into the past (delay={delay})")
-                if delay < prev:
-                    raise ValueError("fanout group delays must ascend")
-                prev = delay
-                for item in items:
-                    self.schedule(delay, callback, item)
-            return
-        now = self.now
-        seq = self._seq
-        total = 0
-        plan = []
-        prev = 0
-        for delay, items in groups:
-            if delay < 0:
-                raise ValueError(
-                    f"cannot schedule into the past (delay={delay})")
-            if delay < prev:
-                raise ValueError("fanout group delays must ascend")
-            prev = delay
-            if items:
-                plan.append((now + delay, seq + total, items))
-                total += len(items)
-        if not plan:
-            return
-        self._seq = seq + total
-        self._live += total
-        time0, seq0, _items = plan[0]
-        if time0 == now:
-            self._ready.append(
-                (seq0, self._run_fanout_groups, (callback, plan, 0), None)
-            )
-        else:
-            heapq.heappush(
-                self._queue,
-                (time0, 0, seq0, None,
-                 self._run_fanout_groups, (callback, plan, 0)),
-            )
-
-    def _run_fanout_groups(self, callback: Callable[..., None],
-                           plan: list, index: int) -> None:
-        # Same live-count arithmetic as _run_fanout, per group: the
-        # dispatcher decremented once for this walker entry, the rest of
-        # the group's preallocated counts are settled here.  The *next*
-        # group's entry re-enters the queue under its preallocated key
-        # without touching the live count (it was counted at schedule
-        # time), and is pushed before this group's items run so their
-        # callbacks can never observe the broadcast absent from the heap.
-        _time, _seq, items = plan[index]
-        nxt = index + 1
-        if nxt < len(plan):
-            t, s, _ = plan[nxt]
-            heapq.heappush(
-                self._queue,
-                (t, 0, s, None, self._run_fanout_groups,
-                 (callback, plan, nxt)),
-            )
-        self._live -= len(items) - 1
-        self.advance_holds += 1
-        try:
-            for item in items:
-                callback(item)
-        finally:
-            self.advance_holds -= 1
 
     def schedule_at(
         self,
@@ -550,12 +405,14 @@ class Engine:
     # schedules -- the queues stay the single source of truth for
     # foreign work -- and the session's own *virtual* events live
     # outside the queues as (time, seq) keys that the caller merges
-    # against :meth:`ff_next_key`.  Virtual events draw their sequence
-    # numbers from :meth:`ff_take_seq`, the same counter real scheduling
-    # uses, so a virtual event that has to be re-materialized into the
-    # heap (session bail-out) lands exactly where its scheduled twin
-    # would have been.  Virtual events are not counted in ``_live``; the
-    # re-materializing caller adds them back.
+    # against the queue heads.  Virtual events draw their sequence
+    # numbers from ``_seq``, the same counter real scheduling uses, so a
+    # virtual event that has to be re-materialized into the heap
+    # (session bail-out) lands exactly where its scheduled twin would
+    # have been.  Virtual events are not counted in ``_live``; the
+    # re-materializing caller adds them back.  The one session owner,
+    # ``Core._ff_run``, reads the queue heads and takes sequence numbers
+    # inline.
 
     def ff_begin(self) -> bool:
         """Open a fast-forward session.
@@ -579,39 +436,10 @@ class Engine:
         """Close the session opened by the matching :meth:`ff_begin`."""
         self.advance_holds -= 1
 
-    def ff_take_seq(self) -> int:
-        """Allocate one sequence number for a virtual event."""
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def ff_next_key(self) -> Optional[Tuple[int, int, int]]:
-        """Key ``(time, priority, seq)`` of the next live queued event.
-
-        Returns None when both queues are empty.  Mirrors :meth:`run`'s
-        ordering: the ready head carries key ``(now, 0, seq)``, and the
-        heap head wins exactly when its key sorts below that.
-        """
-        self._discard_cancelled_head()
-        queue = self._queue
-        ready = self._ready
-        if ready:
-            rkey = (self.now, 0, ready[0][0])
-            if queue:
-                head = queue[0]
-                hkey = (head[0], head[1], head[2])
-                if hkey < rkey:
-                    return hkey
-            return rkey
-        if queue:
-            head = queue[0]
-            return (head[0], head[1], head[2])
-        return None
-
     def ff_dispatch_one(self) -> None:
         """Fire exactly one queued event, exactly as :meth:`run` would.
 
-        The caller has already decided via :meth:`ff_next_key` that this
+        The caller has already decided from the queue heads that this
         event precedes its next virtual event and has checked the
         stop/until bounds.  The clock advances off the heap just like in
         the main loop; cancelled entries are skipped without firing.

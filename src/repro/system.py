@@ -55,6 +55,12 @@ _MAX_REQUEST_RETRIES = 1000
 # the scheduler so the Python stack stays shallow.
 _MAX_INLINE_DEPTH = 32
 
+# Negative returns of Multicore.try_clean_store: the store must take the
+# general classifier, or (stores from Multicore.store only) the fused
+# full-miss path.
+_REFUSED = -1
+_FULL_MISS = -2
+
 
 class SimulationError(RuntimeError):
     """An internal invariant was violated (a simulator bug, not a model
@@ -151,6 +157,12 @@ class Multicore:
         self.config = config
         self.tracer = tracer
         self.engine = Engine()
+        # Reference mode (REPRO_SLOW_ENGINE=1, see repro.sim.engine)
+        # classifies every request with the general classifier below
+        # instead of the fused paths, and builds the reference forms of
+        # the directory and the IDT tracker.  Counting, latency tables
+        # and epoch tags are the same in both modes.
+        self._fast = self.engine.fast
         self.stats = Stats()
         self.track_values = track_values
         self.amap = AddressMap(config)
@@ -191,7 +203,7 @@ class Multicore:
         # reference mode keeps the seed's per-line-entry form as the
         # executable specification (see mem/coherence.py).
         self.directory = (
-            Directory() if self.engine.fast else ReferenceDirectory()
+            Directory() if self._fast else ReferenceDirectory()
         )
 
         self.managers: List[EpochManager] = []
@@ -199,7 +211,8 @@ class Multicore:
         self.undo_logs: List[UndoLog] = []
         self.checkpoints: List[CheckpointEngine] = []
         self.idt = IDTracker(
-            config.idt_registers_per_epoch, self.stats.domain("idt")
+            config.idt_registers_per_epoch, self.stats.domain("idt"),
+            fast=self._fast,
         )
         # Per-core handshake message accounting -- digest-invisible by
         # construction (plain attributes, never a StatDomain; see
@@ -256,26 +269,24 @@ class Multicore:
             round_trip + lat for lat in self.mesh.c2b[core]
         ))
         self._inline_depth = 0
-        # Per-line epoch tags (fast mode): line -> the epoch holding the
-        # *newest* unpersisted dirty version of the line, maintained on
-        # store (_tag_line) and persist (_untag_line).  Membership alone
-        # answers "does any window epoch hold an unpersisted version of
-        # this line?" in one dict probe -- the conflict guard of the
-        # fused store path.  At most two unpersisted versions of a line
-        # can coexist (the IDT case: the older one written back to the
-        # LLC, the newer in the requester's L1), and the older version
-        # always leaves the dirty domain first, so a single
-        # newest-pointer plus a sparse depth count is exact; audit()
-        # cross-checks the map against the window line sets.
+        # Per-line epoch tags: line -> the epoch holding the *newest*
+        # unpersisted dirty version of the line, maintained on store
+        # (_tag_line, try_clean_store) and persist (_untag_line).
+        # Membership alone answers "does any window epoch hold an
+        # unpersisted version of this line?" in one dict probe -- the
+        # conflict guard of the fused store path.  At most two
+        # unpersisted versions of a line can coexist (the IDT case: the
+        # older one written back to the LLC, the newer in the
+        # requester's L1), and the older version always leaves the
+        # dirty domain first, so a single newest-pointer plus a sparse
+        # depth count is exact; audit() cross-checks the map against
+        # the window line sets.
         self._epoch_tags: Dict[int, Epoch] = {}
         self._tag_depth: Dict[int, int] = {}
-        # Per-request accounting hoists (reference mode takes the
-        # seed-faithful per-op path instead: f-string domain lookups and
-        # a bump/record per request).  L1 hit counts, LLC access counts,
-        # flush counts and memory-latency samples accumulate in plain
-        # attributes and merge into the stat domains once, at run end
-        # (_flush_hot_stats).
-        self._fast = self.engine.fast
+        # Per-request accounting hoists: L1 hit counts, LLC access
+        # counts, flush counts and memory-latency samples accumulate in
+        # plain attributes and merge into the stat domains once, at run
+        # end (_flush_hot_stats).
         self._l1_lat = config.l1_latency
         # Bank resolution inlined in the fused paths: one shift and one
         # modulo instead of an AddressMap method call per access.
@@ -313,10 +324,7 @@ class Multicore:
              on_done: Callable[[int], None]) -> None:
         if self._fast:
             l1 = self.l1s[core_id]
-            if line == l1._last_line:
-                entry = l1._last_entry
-            else:
-                entry = l1.lookup(line)
+            entry = l1.lookup(line)
             if entry is not None:
                 l1._tick = tick = l1._tick + 1
                 entry._lru = tick
@@ -400,21 +408,9 @@ class Multicore:
                         eng.schedule_call(lat, on_done, done)
                         return
                 if llc_entry is None and owner is None:
-                    # Fused full-miss path: an unowned, uncached line
-                    # fills from NVRAM without a request object.  All
-                    # fill-time hazards (races, dirty victims) are
-                    # re-checked at completion by _fused_miss_done,
-                    # which falls back to the request machinery there.
                     self._n_llc_misses += 1
-                    mc_id = self.amap.mc_of(line)
-                    bank_mc = self.mesh.b2mc[bank][mc_id]
-                    travel = self._fill_travel[core_id][bank] + bank_mc
-                    delivery = bank_mc + self.mesh.c2b[core_id][bank]
-                    self.engine.schedule_call(
-                        travel, self._fused_miss_at_mc,
-                        mc_id, core_id, line, bank, delivery, on_done,
-                        self.engine.now, None, None,
-                    )
+                    self._fused_miss(core_id, line, bank, on_done, None,
+                                     None)
                     return
         req = _Request(core_id, line, False, None, None, on_done)
         req.issue_time = self.engine.now
@@ -438,29 +434,8 @@ class Multicore:
             and not wt_async
         ):
             resolved = epoch.resolve()
-            l1 = self.l1s[core_id]
-            if line == l1._last_line:
-                entry = l1._last_entry
-            else:
-                entry = l1.lookup(line)
-            if entry is not None and entry.dirty and entry.epoch is resolved:
-                # Same-epoch store to an owned M-state line: no logging
-                # (the line is already dirty under this epoch), no
-                # conflict checks, ownership already held.
-                self.directory.set_owner(line, core_id)
-                resolved.lines.add(line)
-                resolved.all_lines.add(line)
-                if self.track_values and values:
-                    if entry.values is None:
-                        entry.values = {}
-                    entry.values.update(values)
-                l1._tick = tick = l1._tick + 1
-                entry._lru = tick
-                lat = self._l1_lat
-                self._lat_sums[core_id] += lat
-                self._lat_counts[core_id] += 1
-                if lat > self._lat_maxes[core_id]:
-                    self._lat_maxes[core_id] = lat
+            lat = self.try_clean_store(core_id, line, values, resolved)
+            if lat >= 0:
                 eng = self.engine
                 done = eng.now + lat
                 queue = eng._queue
@@ -482,104 +457,13 @@ class Multicore:
                     return
                 eng.schedule_call(lat, on_done, done)
                 return
-            # Fused store miss/upgrade path: a conflict-free store to a
-            # line this core does not hold in M completes without a
-            # request object.  Two shapes share the tail: an S-state L1
-            # hit upgraded in place, and an L1 miss filled from a
-            # conflict-free LLC copy.  Undo logging, any unpersisted LLC
-            # version, foreign owners/sharers, or a dirty L1 victim fall
-            # through to the general classifier.
-            if not self._logging_on and (entry is None or not entry.dirty):
-                # The epoch-tag probe subsumes the seed's LLC-version
-                # check: a line absent from the tag map has no
-                # unpersisted dirty version anywhere (an unpersisted
-                # dirty copy in a foreign L1 would also fail
-                # exclusive_ok, and one in this core's own L1 was
-                # excluded by the dirty-hit branch above), so the store
-                # cannot conflict.  A tagged line falls through to the
-                # general classifier, which re-derives the source epoch
-                # from the cache entries.
-                if (
-                    line not in self._epoch_tags
-                    and self.directory.exclusive_ok(line, core_id)
-                ):
-                    bank = (line >> self._bank_shift) % self._n_banks
-                    viable = entry is not None
-                    if viable:
-                        self.directory.set_owner(line, core_id)
-                    else:
-                        llc_entry = self.llc_banks[bank].lookup(line)
-                        if llc_entry is None:
-                            # Fused full-miss path (write-allocate): the
-                            # guard proved the line unowned, untagged and
-                            # uncached, so the fill can run without a
-                            # request object; fill-time hazards are
-                            # re-checked at completion.  Stores do not
-                            # bump the LLC miss counter (the general
-                            # classifier does not either).
-                            mc_id = self.amap.mc_of(line)
-                            bank_mc = self.mesh.b2mc[bank][mc_id]
-                            travel = (self._fill_travel[core_id][bank]
-                                      + bank_mc)
-                            delivery = (bank_mc
-                                        + self.mesh.c2b[core_id][bank])
-                            self.engine.schedule_call(
-                                travel, self._fused_miss_at_mc,
-                                mc_id, core_id, line, bank, delivery,
-                                on_done, self.engine.now, values, resolved,
-                            )
-                            return
-                        if llc_entry is not None:
-                            # Same end state as _try_store -> _fill_l1
-                            # for the clean-victim fill.
-                            filled = l1.clean_fill(line)
-                            if filled is not None:
-                                entry, victim_line = filled
-                                if self.track_values:
-                                    if llc_entry.values is not None:
-                                        entry.values = dict(
-                                            llc_entry.values)
-                                    else:
-                                        stored = self.image.values.get(
-                                            line)
-                                        entry.values = (dict(stored)
-                                                        if stored else {})
-                                self.directory.refill_owner(
-                                    line, victim_line, core_id)
-                                viable = True
-                    if viable:
-                        entry.dirty = True
-                        entry.epoch = resolved
-                        # The guard proved no prior unpersisted version,
-                        # so the tag is a plain insert (no depth).
-                        resolved.lines.add(line)
-                        self._epoch_tags[line] = resolved
-                        resolved.all_lines.add(line)
-                        if self.track_values and values:
-                            if entry.values is None:
-                                entry.values = {}
-                            entry.values.update(values)
-                        l1._tick = tick = l1._tick + 1
-                        entry._lru = tick
-                        lat = self._base_lat[core_id][bank]
-                        self._lat_sums[core_id] += lat
-                        self._lat_counts[core_id] += 1
-                        if lat > self._lat_maxes[core_id]:
-                            self._lat_maxes[core_id] = lat
-                        eng = self.engine
-                        done = eng.now + lat
-                        if (
-                            self._inline_depth < _MAX_INLINE_DEPTH
-                            and eng.try_advance(done)
-                        ):
-                            self._inline_depth += 1
-                            try:
-                                on_done(done)
-                            finally:
-                                self._inline_depth -= 1
-                            return
-                        eng.schedule_call(lat, on_done, done)
-                        return
+            if lat == _FULL_MISS:
+                # Write-allocate.  Stores do not bump the LLC miss
+                # counter (the general classifier does not either).
+                self._fused_miss(core_id, line,
+                                 (line >> self._bank_shift) % self._n_banks,
+                                 on_done, values, resolved)
+                return
         req = _Request(core_id, line, True, values, epoch, on_done)
         req.persist_sync = persist_sync
         req.wt_async = wt_async
@@ -587,105 +471,94 @@ class Multicore:
         req.issue_time = self.engine.now
         self._try_access(req)
 
-    def ff_store_try(self, core_id: int, line: int,
-                     values: Optional[Dict[int, object]],
-                     resolved: Epoch) -> int:
-        """Fast-forward drain step: apply one epoch-tagged store if it
-        is conflict-free, returning its latency, or -1 with no
-        observable side effect.
+    def try_clean_store(self, core_id: int, line: int,
+                        values: Optional[Dict[int, object]],
+                        resolved: Epoch) -> int:
+        """Apply one epoch-tagged store if it is conflict-free and
+        return its latency; otherwise return :data:`_REFUSED` or
+        :data:`_FULL_MISS` with no observable side effect.
 
-        Mirrors the two fused shapes of :meth:`store` -- the same-epoch
-        dirty hit and the clean miss/upgrade -- state change for state
-        change and count for count, but never schedules the completion:
-        the caller (the core's fast-forward session) accounts it as a
-        virtual event.  The epoch-tag probe doubles as the session's
-        flush-in-window guard: a line whose previous version belongs to
-        any unpersisted epoch (closed, flushing, or foreign) is still in
-        the tag map, so the store returns -1 and the event-per-op drain
-        re-derives the conflict through the general classifier.
-        ``resolved`` must be the core's ongoing epoch, already resolved.
+        The one conflict-free store path, shared by the fused
+        :meth:`store` and the core's fast-forward drain.  It applies
+        three shapes, state change for state change and count for count
+        as the general classifier would: the same-epoch dirty hit, the
+        re-dirty of a line whose previous version already persisted,
+        and the clean miss/upgrade filled from a conflict-free LLC copy.
+        It records the latency sample but never schedules the
+        completion; the caller does.  ``_FULL_MISS`` marks an untagged
+        line that no other core holds and neither this L1 nor the LLC
+        caches; :meth:`store` fills it on the fused full-miss path.  The
+        epoch-tag probe doubles as the flush-in-window guard: a line
+        whose previous version belongs to any unpersisted epoch (closed,
+        flushing, or foreign) is still in the tag map, so the store is
+        refused and the general classifier re-derives the conflict from
+        the cache entries.  ``resolved`` must be the core's ongoing
+        epoch, already resolved.
         """
         l1 = self.l1s[core_id]
-        if line == l1._last_line:
-            entry = l1._last_entry
-        else:
-            entry = l1.lookup(line)
+        entry = l1.lookup(line)
         if entry is not None and entry.dirty and entry.epoch is resolved:
+            # Same-epoch store to an owned M-state line: no logging (the
+            # line is already dirty under this epoch), no conflict
+            # checks, ownership already held.
             self.directory.set_owner(line, core_id)
             resolved.lines.add(line)
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
             lat = self._l1_lat
-        elif (
-            not self._logging_on
-            and entry is not None
-            and entry.dirty
-            and (entry.epoch is None or entry.epoch.persisted)
-            and line not in self._epoch_tags
-        ):
-            # Re-dirtying a line whose previous version already
-            # persisted: the general classifier's dirty-hit fast path
-            # (``_try_store`` -> ``_finish_store``) with no conflict
-            # possible -- the old version left the dirty domain, the
-            # line is still M-state in this L1, and the tag is a plain
-            # insert.  This is the first store of every transaction in
-            # re-touch workloads (pingpong mailboxes, zipfian hot keys).
-            self.directory.set_owner(line, core_id)
-            entry.dirty = True
-            entry.epoch = resolved
-            resolved.lines.add(line)
-            self._epoch_tags[line] = resolved
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            lat = self._l1_lat
-        elif (
-            not self._logging_on
-            and (entry is None or not entry.dirty)
-            and line not in self._epoch_tags
-            and self.directory.exclusive_ok(line, core_id)
-        ):
-            bank = (line >> self._bank_shift) % self._n_banks
-            if entry is not None:
-                self.directory.set_owner(line, core_id)
-            else:
-                llc_entry = self.llc_banks[bank].lookup(line)
-                if llc_entry is None:
-                    return -1
-                filled = l1.clean_fill(line)
-                if filled is None:
-                    return -1
-                entry, victim_line = filled
-                if self.track_values:
-                    if llc_entry.values is not None:
-                        entry.values = dict(llc_entry.values)
-                    else:
-                        stored = self.image.values.get(line)
-                        entry.values = dict(stored) if stored else {}
-                self.directory.refill_owner(line, victim_line, core_id)
-            entry.dirty = True
-            entry.epoch = resolved
-            resolved.lines.add(line)
-            self._epoch_tags[line] = resolved
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            lat = self._base_lat[core_id][bank]
         else:
-            return -1
+            # Undo logging, or any unpersisted version of the line, is
+            # the general classifier's business.  A line absent from
+            # the tag map has no unpersisted dirty version anywhere (one
+            # in a foreign L1 would also fail exclusive_ok below).
+            if self._logging_on or line in self._epoch_tags:
+                return _REFUSED
+            if entry is not None and entry.dirty:
+                if entry.epoch is not None and not entry.epoch.persisted:
+                    return _REFUSED
+                # Re-dirtying a line whose previous version already
+                # persisted: the old version left the dirty domain and
+                # the line is still M-state in this L1.  The first store
+                # of every transaction in re-touch workloads (pingpong
+                # mailboxes, zipfian hot keys).
+                self.directory.set_owner(line, core_id)
+                lat = self._l1_lat
+            elif not self.directory.exclusive_ok(line, core_id):
+                return _REFUSED
+            else:
+                # An S-state L1 hit upgraded in place, or an L1 miss
+                # filled from the LLC (same end state as _try_store ->
+                # _fill_l1 for a clean-victim fill).
+                bank = (line >> self._bank_shift) % self._n_banks
+                if entry is not None:
+                    self.directory.set_owner(line, core_id)
+                else:
+                    llc_entry = self.llc_banks[bank].lookup(line)
+                    if llc_entry is None:
+                        return _FULL_MISS
+                    filled = l1.clean_fill(line)
+                    if filled is None:
+                        return _REFUSED
+                    entry, victim_line = filled
+                    if self.track_values:
+                        if llc_entry.values is not None:
+                            entry.values = dict(llc_entry.values)
+                        else:
+                            stored = self.image.values.get(line)
+                            entry.values = dict(stored) if stored else {}
+                    self.directory.refill_owner(line, victim_line, core_id)
+                lat = self._base_lat[core_id][bank]
+            entry.dirty = True
+            entry.epoch = resolved
+            # The guard proved no prior unpersisted version, so the tag
+            # is a plain insert (no depth).
+            resolved.lines.add(line)
+            self._epoch_tags[line] = resolved
+        resolved.all_lines.add(line)
+        if self.track_values and values:
+            if entry.values is None:
+                entry.values = {}
+            entry.values.update(values)
+        l1._tick = tick = l1._tick + 1
+        entry._lru = tick
         self._lat_sums[core_id] += lat
         self._lat_counts[core_id] += 1
         if lat > self._lat_maxes[core_id]:
@@ -693,8 +566,27 @@ class Multicore:
         return lat
 
     # ------------------------------------------------------------------
-    # Fused full-miss continuations
+    # Fused full-miss path
     # ------------------------------------------------------------------
+    def _fused_miss(self, core_id: int, line: int, bank: int,
+                    on_done: Callable[[int], None],
+                    values: Optional[Dict[int, object]],
+                    epoch: Optional[Epoch]) -> None:
+        """Fill an unowned, uncached line from NVRAM without a request
+        object (``epoch`` set for stores, None for loads).  All
+        fill-time hazards (races, dirty victims) are re-checked at
+        completion by :meth:`_fused_miss_done`, which falls back to the
+        request machinery there."""
+        mc_id = self.amap.mc_of(line)
+        bank_mc = self.mesh.b2mc[bank][mc_id]
+        eng = self.engine
+        eng.schedule_call(
+            self._fill_travel[core_id][bank] + bank_mc,
+            self._fused_miss_at_mc, mc_id, core_id, line, bank,
+            bank_mc + self.mesh.c2b[core_id][bank], on_done, eng.now,
+            values, epoch,
+        )
+
     def _fused_miss_at_mc(self, mc_id: int, core_id: int, line: int,
                           bank: int, delivery: int,
                           on_done: Callable[[int], None], issue_time: int,
@@ -824,14 +716,6 @@ class Multicore:
 
     def _complete(self, req: _Request, latency: int) -> None:
         done = self.engine.now + latency
-        if not self._fast:
-            # Reference path: the straightforward per-request form --
-            # domain resolved by f-string, one record per completion, a
-            # heap event for the continuation.
-            domain = self.stats.domain(f"core{req.core_id}")
-            domain.record("mem_latency", done - req.issue_time)
-            self.engine.schedule(latency, req.on_done, done)
-            return
         sample = done - req.issue_time
         core_id = req.core_id
         self._lat_sums[core_id] += sample
@@ -842,8 +726,9 @@ class Multicore:
         # next event anyway (nothing else pending at or before ``done``),
         # skip the scheduler round-trip and invoke it inline.  The
         # engine's try_advance enforces exactness -- the firing order is
-        # identical to the scheduled path -- and the depth guard keeps
-        # hit streaks from growing the Python stack unboundedly.
+        # identical to the scheduled path; it always refuses in
+        # reference mode -- and the depth guard keeps hit streaks from
+        # growing the Python stack unboundedly.
         if (
             self._inline_depth < _MAX_INLINE_DEPTH
             and self.engine.try_advance(done)
@@ -863,22 +748,12 @@ class Multicore:
         entry = l1.lookup(line)
         if entry is not None:
             l1.touch(entry)
-            if self._fast:
-                self._l1_hit_counts[core_id] += 1
-            else:
-                self.stats.domain(f"l1.{core_id}").bump("hits")
-            self._complete(req, self.config.l1_latency)
+            self._l1_hit_counts[core_id] += 1
+            self._complete(req, self._l1_lat)
             return
 
         bank = self.amap.bank_of(line)
-        if self._fast:
-            base_lat = self._base_lat[core_id][bank]
-        else:
-            base_lat = (
-                self.config.l1_latency
-                + 2 * self.mesh.core_to_bank(core_id, bank)
-                + self.config.llc_latency
-            )
+        base_lat = self._base_lat[core_id][bank]
         owner = self.directory.owner_of(line)
         if owner is not None and owner != core_id:
             o_entry = self.l1s[owner].lookup(line)
@@ -894,14 +769,9 @@ class Multicore:
                 if not self._fill_l1(core_id, line, req):
                     return
                 self.directory.add_sharer(line, core_id)
-                if self._fast:
-                    lat = base_lat + 2 * self.mesh.c2c[owner][core_id]
-                    self._n_llc_forwards += 1
-                else:
-                    lat = base_lat + 2 * self.mesh.core_to_core(
-                        owner, core_id)
-                    self.stats.domain("llc").bump("forwards")
-                self._complete(req, lat)
+                self._n_llc_forwards += 1
+                self._complete(req,
+                               base_lat + 2 * self.mesh.c2c[owner][core_id])
                 return
             # Stale ownership record (the dirty copy was cleaned/evicted).
             self.directory.clear_owner(line)
@@ -918,17 +788,11 @@ class Multicore:
             if not self._fill_l1(core_id, line, req, source=llc_entry):
                 return
             self.directory.add_sharer(line, core_id)
-            if self._fast:
-                self._n_llc_hits += 1
-            else:
-                self.stats.domain("llc").bump("hits")
+            self._n_llc_hits += 1
             self._complete(req, base_lat)
             return
 
-        if self._fast:
-            self._n_llc_misses += 1
-        else:
-            self.stats.domain("llc").bump("misses")
+        self._n_llc_misses += 1
         self._mem_read_fill(req, bank)
 
     # -- stores ----------------------------------------------------------
@@ -949,18 +813,11 @@ class Multicore:
                     )
                 self._stall_for_flush(req, entry.epoch)
                 return
-            self._finish_store(req, entry, self.config.l1_latency)
+            self._finish_store(req, entry, self._l1_lat)
             return
 
         bank = self.amap.bank_of(line)
-        if self._fast:
-            base_lat = self._base_lat[core_id][bank]
-        else:
-            base_lat = (
-                self.config.l1_latency
-                + 2 * self.mesh.core_to_bank(core_id, bank)
-                + self.config.llc_latency
-            )
+        base_lat = self._base_lat[core_id][bank]
         owner = self.directory.owner_of(line)
         extra_lat = 0
         if owner is not None and owner != core_id:
@@ -976,10 +833,7 @@ class Multicore:
                 if not self._writeback_to_llc(owner, o_entry, req,
                                               invalidate=True):
                     return
-                if self._fast:
-                    extra_lat = 2 * self.mesh.c2c[owner][core_id]
-                else:
-                    extra_lat = 2 * self.mesh.core_to_core(owner, core_id)
+                extra_lat = 2 * self.mesh.c2c[owner][core_id]
             else:
                 if o_entry is not None:
                     self.l1s[owner].remove(line)
@@ -1267,10 +1121,10 @@ class Multicore:
             if victim.unpersisted:
                 if not self._eviction_allowed(victim.epoch, req):
                     return False
-                self._note_dirty_eviction()
+                self._n_llc_dirty_evictions += 1
                 self.persist_line(victim, victim.epoch, kind="eviction")
                 return True
-            self._note_dirty_eviction()
+            self._n_llc_dirty_evictions += 1
             self.persist_line(victim, None, kind="eviction",
                               evictor_core=req.core_id)
             return True
@@ -1305,23 +1159,9 @@ class Multicore:
                        extra_lat: int = 0) -> None:
         line = req.line
         mc_id = self.amap.mc_of(line)
-        if self._fast:
-            bank_mc = self.mesh.b2mc[bank][mc_id]
-            travel = self._fill_travel[req.core_id][bank] + bank_mc
-            delivery = bank_mc + self.mesh.c2b[req.core_id][bank] + extra_lat
-        else:
-            travel = (
-                self.config.l1_latency
-                + self.mesh.core_to_bank(req.core_id, bank)
-                + self.config.llc_latency
-                + self.mesh.bank_to_mc(bank, mc_id)
-            )
-            delivery = (
-                self.mesh.bank_to_mc(bank, mc_id)
-                + self.mesh.core_to_bank(req.core_id, bank)
-                + extra_lat
-            )
-
+        bank_mc = self.mesh.b2mc[bank][mc_id]
+        travel = self._fill_travel[req.core_id][bank] + bank_mc
+        delivery = bank_mc + self.mesh.c2b[req.core_id][bank] + extra_lat
         self.engine.schedule_call(travel, self._mem_at_mc,
                                   mc_id, req, bank, delivery)
 
@@ -1342,10 +1182,7 @@ class Multicore:
             # version) while our read was at the memory controller;
             # reclassify from scratch so ownership and conflict
             # checks see the new state.
-            if self._fast:
-                self._n_llc_fill_races += 1
-            else:
-                self.stats.domain("llc").bump("fill_races")
+            self._n_llc_fill_races += 1
             self._try_access(req)
             return
         if raced_entry is None:
@@ -1373,8 +1210,9 @@ class Multicore:
     def _tag_line(self, epoch: Epoch, line: int) -> None:
         """Add ``line`` to ``epoch``'s unpersisted set, tagging the line.
 
-        Every mutation of an ``Epoch.lines`` set goes through here or
-        :meth:`_untag_line` so the fast mode's tag map stays exact.  A
+        Every mutation of an ``Epoch.lines`` set goes through here,
+        :meth:`_untag_line` or :meth:`try_clean_store`, so the tag map
+        stays exact.  A
         line already tagged by another epoch gains a depth count: the
         IDT case where the older version was written back to the LLC
         while the newer lives in the requester's L1.  The tag always
@@ -1384,11 +1222,10 @@ class Multicore:
         if line in lines:
             return
         lines.add(line)
-        if self._fast:
-            tags = self._epoch_tags
-            if line in tags:
-                self._tag_depth[line] = self._tag_depth.get(line, 1) + 1
-            tags[line] = epoch
+        tags = self._epoch_tags
+        if line in tags:
+            self._tag_depth[line] = self._tag_depth.get(line, 1) + 1
+        tags[line] = epoch
 
     def _untag_line(self, epoch: Epoch, line: int) -> bool:
         """Remove ``line`` from ``epoch``'s unpersisted set.
@@ -1405,23 +1242,18 @@ class Multicore:
         if line not in lines:
             return False
         lines.remove(line)
-        if self._fast:
-            depth = self._tag_depth.get(line)
-            if depth is None:
-                del self._epoch_tags[line]
-            elif depth == 2:
-                del self._tag_depth[line]
-            else:
-                self._tag_depth[line] = depth - 1
+        depth = self._tag_depth.get(line)
+        if depth is None:
+            del self._epoch_tags[line]
+        elif depth == 2:
+            del self._tag_depth[line]
+        else:
+            self._tag_depth[line] = depth - 1
         return True
 
     # ------------------------------------------------------------------
     # Persistence primitives
     # ------------------------------------------------------------------
-    def line_in_l1(self, core_id: int, line: int, epoch: Epoch) -> bool:
-        entry = self.l1s[core_id].lookup(line)
-        return entry is not None and entry.dirty and entry.epoch is epoch
-
     def locate_epoch_line(
         self, epoch: Epoch, line: int
     ) -> Tuple[Optional[CacheEntry], Optional[int]]:
@@ -1645,21 +1477,11 @@ class Multicore:
 
     def _note_epoch_flush(self, num_lines: int) -> None:
         """Account one epoch flush (called by FlushOperation.start)."""
-        if self._fast:
-            self._n_epoch_flushes += 1
-            self._fel_sum += num_lines
-            self._fel_count += 1
-            if num_lines > self._fel_max:
-                self._fel_max = num_lines
-        else:
-            self._flush_domain.bump("epoch_flushes")
-            self._flush_domain.record("flush_epoch_lines", num_lines)
-
-    def _note_dirty_eviction(self) -> None:
-        if self._fast:
-            self._n_llc_dirty_evictions += 1
-        else:
-            self.stats.domain("llc").bump("dirty_evictions")
+        self._n_epoch_flushes += 1
+        self._fel_sum += num_lines
+        self._fel_count += 1
+        if num_lines > self._fel_max:
+            self._fel_max = num_lines
 
     def _flush_hot_stats(self) -> None:
         """Merge all attribute-held hot counters into the stat domains.
@@ -1712,8 +1534,6 @@ class Multicore:
             cache.flush_hot_stats()
         for mc in self.mcs:
             mc.flush_hot_stats()
-        for arbiter in self.arbiters:
-            arbiter.flush_hot_stats()
 
     def handshake_counters(self) -> dict:
         """Machine-wide handshake message totals (digest-invisible).
@@ -1768,38 +1588,35 @@ class Multicore:
                             f"LLC dirty 0x{entry.line:x} missing from "
                             f"{entry.epoch}"
                         )
-        if self._fast:
-            # The epoch-tag map must be exactly the union of the window
-            # epochs' line sets, with the depth dict matching every
-            # line's version multiplicity and each tag naming an epoch
-            # that actually holds the line.
-            counts: Dict[int, int] = {}
-            holders: Dict[int, List[Epoch]] = {}
-            for mgr in self.managers:
-                for epoch in mgr.window:
-                    for line in epoch.lines:
-                        counts[line] = counts.get(line, 0) + 1
-                        holders.setdefault(line, []).append(epoch)
-            if counts.keys() != self._epoch_tags.keys():
-                stale = self._epoch_tags.keys() - counts.keys()
-                missing = counts.keys() - self._epoch_tags.keys()
+        # The epoch-tag map must be exactly the union of the window
+        # epochs' line sets, with the depth dict matching every line's
+        # version multiplicity and each tag naming an epoch that
+        # actually holds the line.
+        counts: Dict[int, int] = {}
+        holders: Dict[int, List[Epoch]] = {}
+        for mgr in self.managers:
+            for epoch in mgr.window:
+                for line in epoch.lines:
+                    counts[line] = counts.get(line, 0) + 1
+                    holders.setdefault(line, []).append(epoch)
+        if counts.keys() != self._epoch_tags.keys():
+            stale = self._epoch_tags.keys() - counts.keys()
+            missing = counts.keys() - self._epoch_tags.keys()
+            raise AssertionError(
+                f"epoch-tag map out of sync: stale="
+                f"{[hex(l) for l in stale]} missing="
+                f"{[hex(l) for l in missing]}"
+            )
+        for line, n in counts.items():
+            if self._epoch_tags[line] not in holders[line]:
                 raise AssertionError(
-                    f"epoch-tag map out of sync: stale="
-                    f"{[hex(l) for l in stale]} missing="
-                    f"{[hex(l) for l in missing]}"
+                    f"tag for 0x{line:x} names an epoch not holding it"
                 )
-            for line, n in counts.items():
-                if self._epoch_tags[line] not in holders[line]:
-                    raise AssertionError(
-                        f"tag for 0x{line:x} names an epoch not holding it"
-                    )
-                depth = self._tag_depth.get(line)
-                if (depth or 1) != n:
-                    raise AssertionError(
-                        f"0x{line:x} has {n} versions but depth {depth}"
-                    )
-            for line in self._tag_depth:
-                if line not in counts:
-                    raise AssertionError(
-                        f"stale depth entry for 0x{line:x}"
-                    )
+            depth = self._tag_depth.get(line)
+            if (depth or 1) != n:
+                raise AssertionError(
+                    f"0x{line:x} has {n} versions but depth {depth}"
+                )
+        for line in self._tag_depth:
+            if line not in counts:
+                raise AssertionError(f"stale depth entry for 0x{line:x}")

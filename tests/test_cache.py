@@ -116,12 +116,12 @@ def test_invalid_geometry_rejected():
         make_cache(num_sets=0)
 
 
-def test_lookup_memo_invalidated_by_remove():
-    """The last-line memo must never serve a removed entry."""
+def test_lookup_after_remove_and_reinsert():
+    """A removed entry is never served again; a re-insert is fresh."""
     cache = make_cache()
     line = addr(1, 0)
     entry = cache.insert(line)
-    assert cache.lookup(line) is entry  # memoised
+    assert cache.lookup(line) is entry
     cache.remove(line)
     assert cache.lookup(line) is None
     fresh = cache.insert(line)
@@ -129,7 +129,7 @@ def test_lookup_memo_invalidated_by_remove():
     assert cache.lookup(line) is fresh
 
 
-def test_lookup_memo_repeated_hits_same_entry():
+def test_repeated_lookups_return_same_entry():
     cache = make_cache()
     a, b = addr(0, 0), addr(0, 1)
     ea, eb = cache.insert(a), cache.insert(b)

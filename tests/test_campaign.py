@@ -6,7 +6,6 @@ import shlex
 
 import pytest
 
-from repro.harness.bench import reference_mode
 from repro.recovery.campaign import (
     ABORTED_CLEAN,
     SURVIVED,
@@ -20,6 +19,7 @@ from repro.recovery.campaign import (
     run_campaign,
     triage,
 )
+from repro.sim.engine import reference_mode
 from repro.sim.faults import FaultInjector
 
 

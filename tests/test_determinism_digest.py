@@ -12,11 +12,12 @@ persistency model both ways and assert:
 
 import pytest
 
-from repro.harness.bench import _multicore_setup, reference_mode
+from repro.harness.bench import _multicore_setup
 from repro.recovery.checker import ConsistencyViolation, check_epoch_order
 from repro.recovery.crash import run_with_crash
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import run_digest, state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
 

@@ -1,7 +1,7 @@
 """Hierarchical fanout, handshake message accounting, and the
 scaling-sweep plumbing.
 
-The 64-core scale-out work has three seams worth pinning:
+The 64-core scale-out work has four seams worth pinning:
 
 * the tree fanout (``FanoutTopology.TREE``) must degenerate to the flat
   star at ``llc_banks <= fanout_degree`` -- identical schedules, hence
@@ -11,10 +11,6 @@ The 64-core scale-out work has three seams worth pinning:
   contrast derived from the arbiter counters, and fast-vs-reference
   parity (the counters are digest-invisible, so the digest alone
   cannot catch a miscount);
-* the engine's batched fanout APIs (``schedule_fanout`` /
-  ``schedule_fanout_groups``) must deliver reference-identical
-  orderings -- every production broadcast leg is virtual now, so these
-  tests are the APIs' exercisers;
 * the bench registry: the scaling family's record is exact, a
   restricted run keeps the other families' records, and a failing
   family makes the command exit nonzero;
@@ -32,7 +28,6 @@ from repro.harness.bench import (
     _multicore_setup,
     handshake_parity,
     parse_cores,
-    reference_mode,
 )
 from repro.harness.report import all_to_all_counters
 from repro.sim.config import (
@@ -42,7 +37,7 @@ from repro.sim.config import (
     PersistencyModel,
 )
 from repro.sim.digest import run_digest
-from repro.sim.engine import Engine
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
 
@@ -250,50 +245,6 @@ def test_scaling_table_renders_per_core_rows():
     assert data["4 cores"]["arbiter"] == 19.6
     text = table.render(precision=1)
     assert "4 cores" in text and "8 cores" in text
-
-
-# ----------------------------------------------------------------------
-# Engine fanout APIs: reference-identical orderings
-# ----------------------------------------------------------------------
-def _fanout_groups_trace(slow: bool):
-    with reference_mode(slow):
-        engine = Engine()
-    trace = []
-
-    def deliver(item):
-        trace.append(("deliver", engine.now, item))
-
-    def tick(label):
-        trace.append(("tick", engine.now, label))
-
-    # A broadcast spread over three latency rings, interleaved with
-    # ordinary events at the same cycles -- the ordering-sensitive
-    # shape: foreign events must never land between two items of one
-    # group, and group keys must sort exactly like their first item.
-    engine.schedule_call(1, tick, "before")
-    engine.schedule_fanout_groups(
-        [(1, ["a", "b"]), (3, ["c"]), (5, ["d", "e", "f"])], deliver
-    )
-    engine.schedule_call(1, tick, "after")
-    engine.schedule_call(3, tick, "mid")
-    engine.schedule_call(5, tick, "late")
-    engine.schedule_fanout(5, deliver, ["g", "h"])
-    engine.run()
-    return trace
-
-
-def test_fanout_groups_order_matches_reference_engine():
-    assert _fanout_groups_trace(False) == _fanout_groups_trace(True)
-
-
-def test_fanout_groups_rejects_descending_delays():
-    for slow in (False, True):
-        with reference_mode(slow):
-            engine = Engine()
-        with pytest.raises(ValueError, match="ascend"):
-            engine.schedule_fanout_groups(
-                [(5, ["a"]), (1, ["b"])], lambda item: None
-            )
 
 
 # ----------------------------------------------------------------------

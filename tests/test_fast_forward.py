@@ -21,11 +21,11 @@ three sides:
 
 import pytest
 
-from repro.harness.bench import reference_mode
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import run_digest, state_digest
+from repro.sim.engine import reference_mode
 from repro.sim.faults import FaultConfig
-from repro.system import Multicore
+from repro.system import _REFUSED, Multicore
 from repro.workloads.micro import make_benchmark
 
 
@@ -182,8 +182,8 @@ def test_faults_configured_refuses_every_session():
 def test_foreign_tag_refuses_the_store():
     # The epoch-tag probe is the conflict *and* flush-in-window guard: a
     # line whose previous version belongs to any unpersisted epoch is
-    # still in the tag map, so ff_store_try must return -1 and leave no
-    # trace.  Stage it directly: core 1 dirties a line under its epoch,
+    # still in the tag map, so try_clean_store must refuse it and leave
+    # no trace.  Stage it directly: core 1 dirties a line under its epoch,
     # then core 0's session asks for the same line.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
@@ -205,7 +205,7 @@ def test_foreign_tag_refuses_the_store():
     assert line in machine._epoch_tags
     epoch0 = machine.managers[0].current_or_new()
     tags_before = dict(machine._epoch_tags)
-    assert machine.ff_store_try(0, line, None, epoch0) == -1
+    assert machine.try_clean_store(0, line, None, epoch0) == _REFUSED
     assert machine._epoch_tags == tags_before
     assert not epoch0.lines
 

@@ -11,7 +11,6 @@ catch it.
 import pytest
 
 from repro.core.flush import ProtocolError, _ACKED
-from repro.harness.bench import reference_mode
 from repro.recovery import (
     ConsistencyViolation,
     capture_run,
@@ -19,6 +18,7 @@ from repro.recovery import (
 )
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.system import Multicore
 from repro.workloads.micro import QueueWorkload

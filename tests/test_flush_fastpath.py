@@ -11,7 +11,6 @@ import types
 import pytest
 
 from repro.core.flush import _ACK_SENT, _ACKED, _ISSUE_DONE
-from repro.harness.bench import reference_mode
 from repro.sim.config import (
     BarrierDesign,
     FlushMode,
@@ -19,6 +18,7 @@ from repro.sim.config import (
     PersistencyModel,
 )
 from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
 

@@ -14,7 +14,7 @@ def make_world(registers=4):
         EpochManager(core, engine, StatDomain(f"core{core}"), 8)
         for core in range(4)
     ]
-    tracker = IDTracker(registers, StatDomain("idt"))
+    tracker = IDTracker(registers, StatDomain("idt"), fast=engine.fast)
     return managers, tracker
 
 
