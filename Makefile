@@ -3,13 +3,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow perfbench bench scale farm figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow perfbench examples bench scale farm figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
-# and the scaling check family (exits nonzero if any of its checks
-# fails).
-ci: test test-reference perfbench
+# the example scripts, and the scaling check family (exits nonzero if
+# any of its checks fails).
+ci: test test-reference perfbench examples
 	$(PYTHON) -m repro bench --only scaling --output /tmp/bench-ci.json
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
@@ -37,6 +37,13 @@ perfbench:
 	$(PYTHON) -m pytest -q perfbench
 	for w in hotset serving pingpong4 bsp_stream; do \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 0 || exit 1; \
+	done
+
+# Run every example script; each must exit 0.
+examples:
+	for f in examples/*.py; do \
+		echo "== $$f"; \
+		$(PYTHON) $$f > /dev/null || exit 1; \
 	done
 
 # Run every bench check family (scaling, crash, farm) and refresh

@@ -19,7 +19,7 @@ Subcommands:
   and validate the recovery invariants at *every* crash point (with an
   optional injected reorder fault as a checker self-test).
 * ``campaign`` -- systematic fault campaign: enumerate every injectable
-  protocol coordinate of a captured run (FlushEpoch edges, BankAcks,
+  protocol coordinate of a captured run (FlushEpoch copies, BankAcks,
   PersistAcks, PersistCMP copies, controller transactions), probe each
   one plus seeded multi-fault rounds, and triage every probe into
   survived / aborted-clean / violation (exit nonzero on any violation,
@@ -126,6 +126,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if args.csv_dir is not None:
         argv += ["--csv-dir", args.csv_dir]
     return experiments_main(argv)
+
+
+def _positive_int(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _parse_size(text: str) -> int:
@@ -354,7 +367,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         fault_seed=args.fault_seed,
         mc_stride=args.mc_stride,
-        tree=args.tree,
     )
 
     def print_entry(entry) -> None:
@@ -532,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a microbenchmark; 'pingpong' uses the "
                               "contended 4-core configuration")
     sweep_p.add_argument("--design", default="LB++", choices=_DESIGNS)
-    sweep_p.add_argument("--transactions", type=int, default=15)
+    sweep_p.add_argument("--transactions", type=_positive_int, default=15)
     sweep_p.add_argument("--seed", type=int, default=1)
     sweep_p.add_argument("--reorder-window", type=int, default=0,
                          help="enable the unsound reorder-persists fault "
@@ -551,18 +563,15 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("pingpong", "queue"))
     camp_p.add_argument("--design", default="lb_pp",
                         help="barrier design (lb, lb_pp, LB, LB++, ...)")
-    camp_p.add_argument("--cores", type=int, default=4,
+    camp_p.add_argument("--cores", type=_positive_int, default=4,
                         help="core count for the pingpong workload")
-    camp_p.add_argument("--transactions", type=int, default=6)
+    camp_p.add_argument("--transactions", type=_positive_int, default=6)
     camp_p.add_argument("--seed", type=int, default=1)
     camp_p.add_argument("--fault-seed", type=int, default=0)
-    camp_p.add_argument("--tree", action="store_true",
-                        help="route FlushEpoch down the fanout tree "
-                             "(per-edge fault coverage)")
-    camp_p.add_argument("--mc-stride", type=int, default=1,
+    camp_p.add_argument("--mc-stride", type=_positive_int, default=1,
                         help="probe every Nth controller transaction "
                              "ordinal (thins the mc legs)")
-    camp_p.add_argument("--max-points", type=int, default=None,
+    camp_p.add_argument("--max-points", type=_positive_int, default=None,
                         help="cap the exhaustive enumeration "
                              "(deterministic prefix; smoke mode)")
     camp_p.add_argument("--random-rounds", type=int, default=0,

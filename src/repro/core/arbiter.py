@@ -36,23 +36,17 @@ class Arbiter:
         self._machine = machine
         self._manager = manager
         self._stats = machine.stats.domain(f"arbiter{core_id}")
-        # Highest epoch seq requested to flush, per strand (strands are
-        # mutually unordered, so a conflict on one never forces another).
-        self._flush_horizon: dict = {}
-        # Highest epoch seq with an *online* waiter, per strand; demand
-        # up to this seq propagates to IDT source arbiters.
-        self._online_horizon: dict = {}
+        # Highest epoch seq requested to flush.
+        self._flush_horizon = -1
+        # Highest epoch seq with an *online* waiter; demand up to this
+        # seq propagates to IDT source arbiters.
+        self._online_horizon = -1
         # The flush-handshake engine is pooled: one reusable operation
         # per arbiter, begun per epoch.  ``active`` points at it while a
         # flush is in flight.
         self._flush_op = FlushOperation(machine, self._flush_done,
                                         arbiter=self)
         self.active: Optional[FlushOperation] = None
-        # Reusable strand-seen scratch set for the pump's candidate walk
-        # (the pump runs after every flush completion and unblock event,
-        # and iterates a window of up to eight epochs each time).
-        self._seen: set = set()
-        self._fast = machine.engine.fast
 
     def note_fault(self, key: str, count: int = 1) -> None:
         """Record ``count`` occurrences of fault leg ``key`` (a stat
@@ -78,30 +72,30 @@ class Arbiter:
             return
         if mark_conflict is None:
             mark_conflict = online
-        strand = epoch.strand
+        seq = epoch.seq
         if mark_conflict:
             # Figure 12 accounting: every epoch that a conflict forces to
             # persist (or catches still persisting) counts as conflict-
             # flushed; only epochs that completed their persist before any
             # conflict arrived count as clean offline persists.
-            seq = epoch.seq
             for e in self._manager.window:
-                if e.seq <= seq and e.strand == strand:
-                    e.conflict_flush = True
+                if e.seq > seq:
+                    break
+                e.conflict_flush = True
         # Pump only when the demand is *new* (either horizon advanced).
         # A request that changes nothing cannot change the pump's
         # outcome -- every blocked candidate has a wake-up callback
         # registered (completion, source persist, log ack) -- and
         # skipping it is what makes the cross-arbiter online demand
-        # propagation in _flushable terminate: two cores whose strand
+        # propagation in _flushable terminate: two cores whose window
         # heads depend on each other would otherwise re-request each
         # other's sources with unchanged horizons forever.
         advanced = False
-        if epoch.seq > self._flush_horizon.get(strand, -1):
-            self._flush_horizon[strand] = epoch.seq
+        if seq > self._flush_horizon:
+            self._flush_horizon = seq
             advanced = True
-        if online and epoch.seq > self._online_horizon.get(strand, -1):
-            self._online_horizon[strand] = epoch.seq
+        if online and seq > self._online_horizon:
+            self._online_horizon = seq
             advanced = True
         if advanced:
             self.pump()
@@ -110,48 +104,21 @@ class Arbiter:
     # The pump
     # ------------------------------------------------------------------
     def pump(self) -> None:
-        """Start the next eligible flush, if any.
+        """Start flushing the window head if it is eligible.
 
-        Idempotent and cheap; safe to call from any event that might have
-        unblocked the head epoch.
+        Epochs flush in program order, so the head is the only
+        candidate.  Idempotent and cheap; safe to call from any event
+        that might have unblocked the head epoch.
         """
         if self.active is not None:
             return
-        manager = self._manager
-        window = manager.window
-        if self._fast and not manager.multi_strand:
-            # Single strand (the common case): the only candidate is the
-            # window head -- the walk below would visit it first and skip
-            # every later epoch as a seen-strand duplicate.
-            if not window:
-                return
-            candidate = window[0]
-            if candidate.seq > self._flush_horizon.get(
-                candidate.strand, -1
-            ):
-                return
-            head = self._flushable(candidate)
-        else:
-            # The candidate walk: each strand's head epoch that is
-            # within its flush horizon, in window order (an epoch is a
-            # candidate once every earlier same-strand epoch persisted).
-            horizon = self._flush_horizon.get
-            seen = self._seen
-            seen.clear()
-            head = None
-            for candidate in window:
-                strand = candidate.strand
-                if strand in seen:
-                    continue
-                seen.add(strand)
-                if candidate.seq > horizon(strand, -1):
-                    continue
-                head = self._flushable(candidate)
-                if head is not None:
-                    break
-        if head is None:
+        window = self._manager.window
+        if not window:
             return
-        online = head.seq <= self._online_horizon.get(head.strand, -1)
+        head = window[0]
+        if head.seq > self._flush_horizon or not self._flushable(head):
+            return
+        online = head.seq <= self._online_horizon
         head.flush_started = True
         self._stats.bump("flushes_online" if online else "flushes_offline")
         if self._machine.tracer:
@@ -162,12 +129,12 @@ class Arbiter:
         self.active = self._flush_op
         self._flush_op.begin(head)
 
-    def _flushable(self, candidate: Epoch) -> Optional[Epoch]:
-        """``candidate`` if it can start flushing right now, else None.
+    def _flushable(self, candidate: Epoch) -> bool:
+        """True when ``candidate`` can start flushing right now.
 
         Registers the re-pump callbacks (barrier completion, IDT source
         persists) and propagates online demand through IDT edges as a
-        side effect, exactly as the historical inline walk did.
+        side effect.
         """
         if candidate.ongoing:
             # The horizon can only cover an ongoing epoch transiently
@@ -175,15 +142,13 @@ class Arbiter:
             # The completion callback is the wake-up -- duplicate
             # requests no longer pump unconditionally.
             candidate.on_complete(self.pump)
-            return None
+            return False
         if not candidate.complete:
             # EpochCMP not yet received: stores still draining from
             # the write buffer.  FIFO drain guarantees completion soon.
             candidate.on_complete(self.pump)
-            return None
-        online = candidate.seq <= self._online_horizon.get(
-            candidate.strand, -1
-        )
+            return False
+        online = candidate.seq <= self._online_horizon
         blocked = False
         for source in (list(candidate.idt_sources)
                        if candidate.idt_sources else ()):
@@ -198,13 +163,13 @@ class Arbiter:
                 )
         if blocked:
             self._stats.bump("flush_blocked_on_source")
-            return None
+            return False
         if candidate.outstanding_log_writes:
             # Undo-log entries must be durable before any data line of
             # the epoch persists; the log-ack callback re-pumps.
             self._stats.bump("flush_blocked_on_log")
-            return None
-        return candidate
+            return False
+        return True
 
     def _flush_done(self, epoch: Epoch) -> None:
         self.active = None
@@ -218,13 +183,11 @@ class Arbiter:
         Used by the machine's end-of-run drain to obtain the durable
         completion time, and by tests.
         """
-        self._manager.close_all_strands()
-        # Request the newest epoch of every strand (strands flush
-        # independently); still-ongoing empty epochs have no work.
-        newest: dict = {}
-        for epoch in self._manager.window:
+        self._manager.close_current()
+        # Request the newest closed epoch; an epoch still ongoing after
+        # the barrier is empty and has no work.
+        for epoch in reversed(self._manager.window):
             if not epoch.ongoing:
-                newest[epoch.strand] = epoch
-        for epoch in newest.values():
-            self.request_flush_upto(epoch, online=online,
-                                    mark_conflict=False)
+                self.request_flush_upto(epoch, online=online,
+                                        mark_conflict=False)
+                return

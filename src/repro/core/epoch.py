@@ -45,7 +45,6 @@ class Epoch:
         "core_id",
         "seq",
         "key",
-        "strand",
         "status",
         "lines",
         "all_lines",
@@ -73,7 +72,7 @@ class Epoch:
     )
 
     def __init__(self, core_id: int, seq: int, created_at: int,
-                 manager: "EpochManager", strand: int = 0) -> None:
+                 manager: "EpochManager") -> None:
         self.core_id = core_id
         self.seq = seq
         # Interned identity tuple: every structure that records the
@@ -81,11 +80,6 @@ class Epoch:
         # shares this one object instead of building a fresh tuple per
         # conflict.
         self.key = (core_id, seq)
-        # Strand persistency (Pelley et al.): epochs of different strands
-        # of the same thread carry no mutual ordering constraint.  The
-        # default single strand (0) gives ordinary (buffered) epoch
-        # persistency.
-        self.strand = strand
         self.status = EpochStatus.ONGOING
         # Mirrors ``status is PERSISTED`` as a plain attribute: the
         # persisted check sits under every unpersisted-line test in the
@@ -177,9 +171,8 @@ class Epoch:
             self.complete_waiters.append(callback)
 
     def __repr__(self) -> str:
-        strand = f"s{self.strand}" if self.strand else ""
         return (
-            f"<E{self.core_id}.{self.seq}{strand} {self.status.value}"
+            f"<E{self.core_id}.{self.seq} {self.status.value}"
             f" lines={len(self.lines)}>"
         )
 
@@ -200,19 +193,12 @@ class EpochManager:
         self._stats = stats
         self._max_inflight = max_inflight
         self._next_seq = 0
-        # Unpersisted epochs in seq order.  With a single strand the
-        # last entry is the ongoing epoch when one exists; with strand
-        # persistency each strand has at most one ongoing epoch.
+        # Unpersisted epochs in program (seq) order; they persist in this
+        # order, so the head is the only one that may persist next.
         self.window: List[Epoch] = []
-        # Strand persistency state: the thread's active strand and the
-        # ongoing epoch of each strand.
-        self.active_strand = 0
-        self._ongoing: "dict[int, Epoch]" = {}
-        # Latched once any non-default strand appears (via set_strand or
-        # an explicit-strand epoch).  While False -- the overwhelmingly
-        # common case -- the window is totally ordered, so the arbiter
-        # and the dependency checks can use head-only fast paths.
-        self.multi_strand = False
+        # The ongoing epoch (always the window tail), or None when the
+        # last barrier closed it and no store has opened a new one.
+        self.current: Optional[Epoch] = None
         self.total_epochs = 0
         # Epochs that have persisted, kept for the recovery checker when
         # epoch logging is enabled.
@@ -233,46 +219,19 @@ class EpochManager:
     # ------------------------------------------------------------------
     # Epoch creation / closing
     # ------------------------------------------------------------------
-    def _new_epoch(self, strand: Optional[int] = None) -> Epoch:
-        strand = self.active_strand if strand is None else strand
-        if strand != 0:
-            self.multi_strand = True
-        epoch = Epoch(self.core_id, self._next_seq, self._engine.now,
-                      self, strand=strand)
+    def _new_epoch(self) -> Epoch:
+        epoch = Epoch(self.core_id, self._next_seq, self._engine.now, self)
         self._next_seq += 1
         self.window.append(epoch)
-        self._ongoing[strand] = epoch
+        self.current = epoch
         self.total_epochs += 1
         self._stats.bump("epochs")
         return epoch
 
-    def set_strand(self, strand: int) -> None:
-        """Switch the thread's active persistence strand (Pelley et
-        al.'s NewStrand primitive).  Subsequent stores and barriers apply
-        to this strand; epochs of different strands persist
-        independently."""
-        if strand < 0:
-            raise ValueError("strand ids must be non-negative")
-        if strand != self.active_strand:
-            self._stats.bump("strand_switches")
-        if strand != 0:
-            self.multi_strand = True
-        self.active_strand = strand
-
-    @property
-    def current(self) -> Optional[Epoch]:
-        """The active strand's ongoing epoch, if any."""
-        epoch = self._ongoing.get(self.active_strand)
-        if epoch is not None and epoch.ongoing:
-            return epoch
-        return None
-
     def current_or_new(self) -> Epoch:
         """The ongoing epoch, creating one if none is open."""
-        # ``current``, inlined: this runs once per drained store (via
-        # tag_store) and the two property hops are measurable there.
-        epoch = self._ongoing.get(self.active_strand)
-        if epoch is None or epoch.status is not EpochStatus.ONGOING:
+        epoch = self.current
+        if epoch is None:
             epoch = self._new_epoch()
         return epoch
 
@@ -311,22 +270,10 @@ class EpochManager:
             return None
         epoch.status = EpochStatus.CLOSED
         epoch.closed_at = self._engine.now
-        self._ongoing.pop(epoch.strand, None)
+        self.current = None
         if epoch.pending_stores == 0:
             self._complete(epoch)
         return epoch
-
-    def close_all_strands(self) -> List[Epoch]:
-        """Close every strand's ongoing epoch (end-of-run drain)."""
-        closed = []
-        saved = self.active_strand
-        for strand in list(self._ongoing):
-            self.active_strand = strand
-            epoch = self.close_current()
-            if epoch is not None:
-                closed.append(epoch)
-        self.active_strand = saved
-        return closed
 
     def _complete(self, epoch: Epoch) -> None:
         epoch.status = EpochStatus.COMPLETE
@@ -350,8 +297,7 @@ class EpochManager:
     # Splitting (deadlock avoidance, section 3.3)
     # ------------------------------------------------------------------
     def split_current(self) -> Optional[Epoch]:
-        """Split the active strand's ongoing epoch; see
-        :meth:`split_epoch`."""
+        """Split the ongoing epoch; see :meth:`split_epoch`."""
         return self.split_epoch(self.current)
 
     def split_epoch(self, epoch: Optional[Epoch]) -> Optional[Epoch]:
@@ -359,16 +305,15 @@ class EpochManager:
 
         The prefix (all operations completed so far) becomes a CLOSED
         epoch that can safely serve as an IDT source or be flushed; a
-        fresh ongoing epoch in the same strand takes over the remainder.
+        fresh ongoing epoch takes over the remainder.
         Returns the prefix epoch, or None when there is nothing to split.
         """
         if epoch is None or not epoch.ongoing:
             return None
         epoch.status = EpochStatus.CLOSED
         epoch.closed_at = self._engine.now
-        self._ongoing.pop(epoch.strand, None)
         self._stats.bump("epoch_splits")
-        successor = self._new_epoch(strand=epoch.strand)
+        successor = self._new_epoch()
         successor.split_from = epoch.seq
         if epoch.pending_stores:
             # In-flight stores have not completed at the time of the
@@ -385,20 +330,12 @@ class EpochManager:
     # Persist-order structure
     # ------------------------------------------------------------------
     def predecessor_of(self, epoch: Epoch) -> Optional[Epoch]:
-        """The previous unpersisted epoch of the same strand, or None."""
-        idx = self._index_of(epoch)
-        if idx is None:
-            return None
-        for i in range(idx - 1, -1, -1):
-            if self.window[i].strand == epoch.strand:
-                return self.window[i]
-        return None
-
-    def _index_of(self, epoch: Epoch) -> Optional[int]:
+        """The previous unpersisted epoch of this core, or None."""
         # The window is short (<= max_inflight, typically 8); linear scan.
-        for i, e in enumerate(self.window):
-            if e is epoch:
-                return i
+        window = self.window
+        for i in range(1, len(window)):
+            if window[i] is epoch:
+                return window[i - 1]
         return None
 
     def oldest_unpersisted(self) -> Optional[Epoch]:
@@ -407,26 +344,14 @@ class EpochManager:
     def deps_persisted(self, epoch: Epoch) -> bool:
         """True when every hb-predecessor of ``epoch`` has persisted.
 
-        Program order binds epochs of the *same strand* only (with the
-        default single strand: all older window epochs); IDT sources are
-        cross-core edges.
+        Program order binds every older epoch of the core, so only the
+        window head can have none unpersisted; IDT sources are the
+        cross-core edges.  An epoch off the window has retired.
         """
-        if self._engine.fast and not self.multi_strand:
-            # Single strand: the window is totally ordered, so the only
-            # epoch with no unpersisted predecessor is the head; any
-            # epoch off the window has retired.  Same answer as the
-            # scan below, without walking the prefix.
-            window = self.window
-            if window and window[0] is epoch:
-                return all(src.persisted for src in epoch.idt_sources)
-            return epoch.persisted
-        idx = self._index_of(epoch)
-        if idx is None:
-            return True  # already retired
-        for i in range(idx):
-            if self.window[i].strand == epoch.strand:
-                return False
-        return all(src.persisted for src in epoch.idt_sources)
+        window = self.window
+        if window and window[0] is epoch:
+            return all(src.persisted for src in epoch.idt_sources)
+        return epoch.persisted
 
     def mark_persisted(self, epoch: Epoch) -> None:
         """Retire a fully durable epoch and wake its waiters."""
@@ -435,25 +360,14 @@ class EpochManager:
         if not epoch.empty:
             raise RuntimeError(f"{epoch} marked persisted with work pending")
         window = self.window
-        if self._engine.fast and window and window[0] is epoch:
-            # Fast path for the overwhelmingly common case (single
-            # strand: epochs persist strictly in window order, so the
-            # retiree is the head).  The reference mode keeps the full
-            # scan below -- the window-membership and same-strand
-            # predecessor checks are internal-bug assertions with no
-            # observable effect on a correct run.
-            window.pop(0)
-        else:
-            idx = self._index_of(epoch)
-            if idx is None:
-                raise RuntimeError(f"{epoch} not in window")
-            for i in range(idx):
-                if window[i].strand == epoch.strand:
-                    raise RuntimeError(
-                        f"{epoch} persisted before same-strand predecessor "
-                        f"{window[i]}"
-                    )
-            window.pop(idx)
+        if not window or window[0] is not epoch:
+            # Epochs persist strictly in program order: the retiree must
+            # be the window head.
+            raise RuntimeError(
+                f"{epoch} persisted out of order (window head: "
+                f"{window[0] if window else None})"
+            )
+        window.pop(0)
         epoch.status = EpochStatus.PERSISTED
         epoch.persisted = True
         epoch.persisted_at = self._engine.now
@@ -488,31 +402,30 @@ class EpochManager:
                 callback()
             for dependent in dependents:
                 dependent.manager.persist_check(dependent)
-            # The strand's next epoch may already be drained and able to
-            # persist (and with one strand, that is the new window head).
-            for e in self.window:
-                if e.strand == epoch.strand:
-                    self.persist_check(e)
-                    break
+            # The next epoch may already be drained and able to persist.
+            if window:
+                self.persist_check(window[0])
         finally:
             engine.advance_holds -= 1
 
     def audit(self) -> None:
         """Invariant checks used by the test suite."""
-        ongoing_seen: set = set()
-        for i, epoch in enumerate(self.window):
-            if i and epoch.seq <= self.window[i - 1].seq:
+        window = self.window
+        for i, epoch in enumerate(window):
+            if i and epoch.seq <= window[i - 1].seq:
                 raise AssertionError("window out of order")
             if epoch.persisted:
                 raise AssertionError("persisted epoch still in window")
-            if epoch.ongoing:
-                if epoch.strand in ongoing_seen:
-                    raise AssertionError("two ongoing epochs in a strand")
-                ongoing_seen.add(epoch.strand)
-                if self._ongoing.get(epoch.strand) is not epoch:
-                    raise AssertionError("ongoing map out of sync")
-                later = self.window[i + 1:]
-                if any(e.strand == epoch.strand for e in later):
-                    raise AssertionError(
-                        "ongoing epoch not last of its strand"
-                    )
+            if epoch.ongoing and (
+                epoch is not window[-1] or epoch is not self.current
+            ):
+                raise AssertionError(
+                    f"ongoing {epoch} is not the current window tail"
+                )
+        current = self.current
+        if current is not None and (
+            not current.ongoing or not window or window[-1] is not current
+        ):
+            raise AssertionError(
+                f"current {current} is not the ongoing window tail"
+            )

@@ -65,7 +65,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.epoch import Epoch
-from repro.sim.config import FanoutTopology, FlushMode
+from repro.sim.config import FlushMode
 from repro.sim.faults import ProtocolError, backoff_cycles
 from repro.sim.stats import HandshakeStats
 
@@ -108,10 +108,9 @@ class FlushOperation:
         "_stats", "_ideal", "_invalidate", "_num_banks", "_epoch",
         "_bank_outstanding", "_bank_state", "_bank_sched", "_bank_pos",
         "_bank_cbs", "_acks_received", "_line_shift", "_n_mcs",
-        "_faults", "_arbiter", "_tree_mode", "_tree_parents",
-        "_acked_template", "_used", "_delivery", "_bcast_delay",
-        "_ack_deadline", "_rt_desc", "_rt_core", "_handshake_all",
-        "_hs", "_flush_msgs",
+        "_faults", "_arbiter", "_acked_template", "_used", "_delivery",
+        "_bcast_delay", "_ack_deadline", "_rt_desc", "_rt_core",
+        "_handshake_all", "_hs", "_flush_msgs",
     )
 
     def __init__(
@@ -134,12 +133,6 @@ class FlushOperation:
         self._arbiter = arbiter
         self._ideal = self._config.ideal_flush_coordination
         self._invalidate = self._config.flush_mode is FlushMode.CLFLUSH
-        self._tree_mode = (
-            self._config.fanout_topology is FanoutTopology.TREE
-        )
-        # Parent bank per fanout-tree edge (TREE mode only): fault
-        # extras on an edge delay the whole subtree hanging off it.
-        self._tree_parents: Optional[Tuple[int, ...]] = None
         n = self._config.llc_banks
         self._num_banks = n
         # Inlined address-map arithmetic for the begin() hot loop.
@@ -189,15 +182,8 @@ class FlushOperation:
         """Per-flush latency/accounting context for the initiating core."""
         if self._handshake_all is not None:
             self._hs = self._handshake_all[core]
-        if self._tree_mode:
-            tree = self._mesh.flush_tree(core)
-            self._delivery = tree.delivery
-            self._bcast_delay = tree.bcast
-            self._tree_parents = tree.parents
-        else:
-            self._delivery = self._mesh.c2b[core]
-            self._bcast_delay = self._mesh.broadcast_from_core(core)
-            self._tree_parents = None
+        self._delivery = self._mesh.c2b[core]
+        self._bcast_delay = self._mesh.broadcast_from_core(core)
         if self._rt_core != core:
             delivery = self._delivery
             self._rt_desc = sorted(
@@ -210,17 +196,15 @@ class FlushOperation:
 
         The banks with nothing to flush (everyone not in ``_used``) ack
         as soon as FlushEpoch reaches them, so each arrives back at
-        ``now + 2 * delivery[bank]`` -- a pure mesh round trip, under
-        the FLAT topology the direct core<->bank distance and under
-        TREE the fanout-tree path-sum (acks physically merge on their
-        way back up the tree).  Those acks are *virtual*: nothing
-        observes one in flight, their message cost is charged at
-        ``begin``, and an idle round trip (at most a cross-chip mesh
-        traversal) is always shorter than any flushing bank's ack,
-        which carries at least one NVRAM write in its path.  Completion
-        is ``max`` over ack arrivals either way, so pre-counting the
-        idle acks and folding this deadline into ``_ack_deadline`` is
-        exact -- and costs zero simulator events per flush.
+        ``now + 2 * delivery[bank]`` -- a pure core<->bank mesh round
+        trip.  Those acks are *virtual*: nothing observes one in
+        flight, their message cost is charged at ``begin``, and an idle
+        round trip (at most a cross-chip mesh traversal) is always
+        shorter than any flushing bank's ack, which carries at least
+        one NVRAM write in its path.  Completion is ``max`` over ack
+        arrivals either way, so pre-counting the idle acks and folding
+        this deadline into ``_ack_deadline`` is exact -- and costs zero
+        simulator events per flush.
         """
         if self._ideal:
             return now
@@ -237,65 +221,49 @@ class FlushOperation:
     ) -> Tuple[Dict[int, int], int]:
         """FlushEpoch-leg fault perturbations for this flush's banks.
 
-        Each fanout edge (keyed by its child bank; under the flat star
-        every bank is a root child) independently draws its FlushEpoch
-        drop/duplication/link-delay faults.  Returns ``(extras, msgs)``:
+        Each bank's FlushEpoch copy independently draws its drop,
+        duplication and link-delay faults.  Returns ``(extras, msgs)``:
         ``extras[bank]`` is the extra delivery latency of the bank's
-        FlushEpoch copy -- under TREE the sum over every edge on the
-        root-to-bank path, so a faulted edge delays its whole subtree --
-        and ``msgs`` the extra FlushEpoch messages (retransmissions plus
-        duplicates) to charge.  A dropped copy is retransmitted by the
-        arbiter after ``flush_epoch_timeout`` with exponential backoff;
-        the watchdog turns a chain past ``max_flush_epoch_retries`` into
-        a :class:`ProtocolError`.
+        copy, and ``msgs`` the extra FlushEpoch messages
+        (retransmissions plus duplicates) to charge.  A dropped copy is
+        retransmitted by the arbiter after ``flush_epoch_timeout`` with
+        exponential backoff; the watchdog turns a chain past
+        ``max_flush_epoch_retries`` into a :class:`ProtocolError`.
         """
         faults = self._faults
         cfg = faults.config
-        mesh = self._mesh
         arb = self._arbiter
-        parents = self._tree_parents
-        edge_extra: Dict[int, int] = {}
         extras: Dict[int, int] = {}
         msgs = 0
         for bank in banks:
-            total = 0
-            b = bank
-            while b >= 0:
-                cached = edge_extra.get(b)
-                if cached is None:
-                    cached = 0
-                    resends = faults.flush_epoch_resends(core, b, seq)
-                    if resends:
-                        if resends > cfg.max_flush_epoch_retries:
-                            raise ProtocolError(
-                                f"FlushEpoch retry chain for edge {b} of "
-                                f"core {core} epoch seq {seq} exceeded "
-                                f"bound {cfg.max_flush_epoch_retries} "
-                                f"({resends} resends)"
-                            )
-                        cached += backoff_cycles(
-                            cfg.flush_epoch_timeout, resends
-                        )
-                        msgs += resends
-                        if arb is not None:
-                            arb.note_fault("flush_epoch_drops", resends)
-                    if faults.flush_epoch_dup(core, b, seq):
-                        # The duplicate copy is ignored by the bank (the
-                        # handshake is idempotent); only the message
-                        # count observes it.
-                        msgs += 1
-                        if arb is not None:
-                            arb.note_fault("flush_epoch_dups")
-                    hops = faults.link_delay(core, b, seq)
-                    if hops:
-                        cached += mesh.detour_latency(hops)
-                        if arb is not None:
-                            arb.note_fault("flush_link_delays")
-                    edge_extra[b] = cached
-                total += cached
-                b = parents[b] if parents is not None else -1
-            if total:
-                extras[bank] = total
+            extra = 0
+            resends = faults.flush_epoch_resends(core, bank, seq)
+            if resends:
+                if resends > cfg.max_flush_epoch_retries:
+                    raise ProtocolError(
+                        f"FlushEpoch retry chain for bank {bank} of "
+                        f"core {core} epoch seq {seq} exceeded "
+                        f"bound {cfg.max_flush_epoch_retries} "
+                        f"({resends} resends)"
+                    )
+                extra += backoff_cycles(cfg.flush_epoch_timeout, resends)
+                msgs += resends
+                if arb is not None:
+                    arb.note_fault("flush_epoch_drops", resends)
+            if faults.flush_epoch_dup(core, bank, seq):
+                # The duplicate copy is ignored by the bank (the
+                # handshake is idempotent); only the message count
+                # observes it.
+                msgs += 1
+                if arb is not None:
+                    arb.note_fault("flush_epoch_dups")
+            hops = faults.link_delay(core, bank, seq)
+            if hops:
+                extra += self._mesh.detour_latency(hops)
+                if arb is not None:
+                    arb.note_fault("flush_link_delays")
+            if extra:
+                extras[bank] = extra
         return extras, msgs
 
     # ------------------------------------------------------------------
@@ -441,10 +409,8 @@ class FlushOperation:
             engine.schedule_call(entries[0][0] - now, self._issue_bank, bank)
 
         # Message accounting (per logical hop, identical in both engine
-        # modes and both topologies): FlushEpoch reaches every bank --
-        # n messages whether delivered point-to-point or down the tree
-        # (the tree has exactly n edges) -- and every idle bank answers
-        # with one BankAck.
+        # modes): FlushEpoch reaches every bank -- n messages -- and
+        # every idle bank answers with one BankAck.
         n_empty = num_banks - len(used)
         hs = self._hs
         hs.flush_epoch_msgs += num_banks

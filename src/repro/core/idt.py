@@ -9,13 +9,11 @@ and the source's arbiter informs the dependent's when it does.
 Hardware provides a fixed number of dependence/inform register pairs per
 in-flight epoch (4 in the paper, section 4.3).  When either side runs out
 of registers, the conflict falls back to the LB behaviour: an online
-flush of the source epoch chain.  Because epochs of one strand of a
-source core persist in order, an edge to epoch *(c, e)* subsumes any
-edge to an earlier epoch of the same core *and strand* -- the tracker
-exploits this to keep at most one register per (dependent epoch, source
-core, source strand) triple, the compression a CoreID-indexed register
-file gives hardware (strands of a core persist independently, so a
-newer epoch of another strand implies nothing about an older source).
+flush of the source epoch chain.  Because the epochs of a source core
+persist in order, an edge to epoch *(c, e)* subsumes any edge to an
+earlier epoch of core *c* -- the tracker exploits this to keep at most
+one register per (dependent epoch, source core) pair, the compression a
+CoreID-indexed register file gives hardware.
 """
 
 from __future__ import annotations
@@ -67,15 +65,11 @@ class IDTracker:
             return True
 
         # Subsumption: an existing edge to a *newer* epoch of the same
-        # source core and strand already implies this one; an edge to an
-        # *older* epoch of that (core, strand) can be upgraded in place.
-        # The strand qualifier matters: epochs of *different* strands of
-        # one core persist independently, so an edge to a newer epoch of
-        # another strand implies nothing about this source.
+        # source core already implies this one; an edge to an *older*
+        # epoch of that core can be upgraded in place.
         superseded: Optional[Epoch] = None
         for existing in dependent.idt_sources:
-            if (existing.core_id != source.core_id
-                    or existing.strand != source.strand):
+            if existing.core_id != source.core_id:
                 continue
             if existing.seq >= source.seq:
                 dependent.idt_last = source

@@ -45,23 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class WriteBufferEntry:
-    """A store awaiting drain, or a persist-barrier/strand marker."""
+    """A store awaiting drain, or a persist-barrier marker."""
 
-    __slots__ = ("line", "values", "is_barrier", "ep_wait", "strand")
+    __slots__ = ("line", "values", "is_barrier", "ep_wait")
 
     def __init__(self, line: int = 0,
                  values: Optional[Dict[int, object]] = None,
-                 is_barrier: bool = False, ep_wait: bool = False,
-                 strand: Optional[int] = None) -> None:
+                 is_barrier: bool = False, ep_wait: bool = False) -> None:
         self.line = line
         self.values = values
         self.is_barrier = is_barrier
         # EP model: the core is parked until this barrier's epoch persists.
         self.ep_wait = ep_wait
-        # Strand-switch marker (None for stores/barriers): like barriers,
-        # the switch takes effect when it reaches the L1, keeping the
-        # store->strand mapping consistent with tag-at-completion.
-        self.strand = strand
 
 
 _EPOCH_MODELS = (
@@ -222,8 +217,6 @@ class Core:
             self._engine.call_soon(self._next)
         elif kind is OpKind.BARRIER:
             self._issue_barrier()
-        elif kind is OpKind.STRAND:
-            self._issue_strand(op)
         else:  # pragma: no cover - exhaustive over OpKind
             raise ValueError(f"unknown op kind {kind}")
 
@@ -256,7 +249,7 @@ class Core:
             values = {op.addr - line: op.value}
         # _push, inlined: this is the hottest call site (twice per store
         # on a streaming burst, once at issue and once resumed after the
-        # stall), and the barrier/strand paths keep using the helper.
+        # stall), and the barrier path keeps using the helper.
         self.wb.append(WriteBufferEntry(line, values))
         if not self._draining:
             self._draining = True
@@ -295,11 +288,6 @@ class Core:
         # For EP the core parks here; the marker's drain handler resumes
         # it once the epoch persists (rule E2 of section 2.1).
 
-    def _issue_strand(self, op: Op) -> None:
-        if self._uses_epochs:
-            self._push(WriteBufferEntry(strand=op.value))
-        self._engine.call_soon(self._next)
-
     def _push(self, entry: WriteBufferEntry) -> None:
         self.wb.append(entry)
         if not self._draining:
@@ -317,11 +305,6 @@ class Core:
         entry = self.wb[0]
         if entry.is_barrier:
             self._drain_barrier(entry)
-            return
-        if entry.strand is not None:
-            self.wb.popleft()
-            self._mgr.set_strand(entry.strand)
-            self._engine.call_soon(self._drain)
             return
         if self._model is PersistencyModel.SP:
             self._machine.store(
@@ -347,12 +330,8 @@ class Core:
         # Epoch-tagged store path (EP / BEP / BSP).
         if self._ff_on and self._ff_try():
             return
-        # ``mgr.current``, inlined: one property plus one descriptor hop
-        # per drained store is measurable on the contended path.
         mgr = self._mgr
-        current = mgr._ongoing.get(mgr.active_strand)
-        if current is not None and current.status is not EpochStatus.ONGOING:
-            current = None
+        current = mgr.current
         if (
             self._model is PersistencyModel.BSP
             and current is not None
@@ -447,7 +426,6 @@ class Core:
         is_bsp = self._model is PersistencyModel.BSP
         bsp_limit = self._config.bsp_epoch_stores if is_bsp else 0
         core_id = self.core_id
-        cur = mgr.current
         d_slot = None   # (time, seq, epoch): store completion in flight
         n_slot = None   # (time, seq): pending issue-width continuation
         stores = 0
@@ -460,7 +438,6 @@ class Core:
         try_clean_store = machine.try_clean_store
         wb_popleft = wb.popleft
         wb_lines = self._wb_lines
-        ongoing_s = EpochStatus.ONGOING
         closed_s = EpochStatus.CLOSED
 
         while True:
@@ -472,13 +449,11 @@ class Core:
                 if not wb:
                     break
                 head = wb[0]
-                if head.is_barrier or head.strand is not None:
+                if head.is_barrier:
                     break
-                # The current-epoch lookup is cached across the burst; a
-                # barrier or split flips `ongoing`, so staleness is one
-                # attribute check away.
-                if cur is None or cur.status is not ongoing_s:
-                    cur = mgr.current
+                # A split (a conflict dispatched mid-session) replaces
+                # the current epoch, so re-read the slot every step.
+                cur = mgr.current
                 if (
                     is_bsp
                     and cur is not None

@@ -49,58 +49,10 @@ class _LazyRows:
             yield self[i]
 
 
-class FlushTree:
-    """A core's hierarchical fanout tree over the LLC banks.
-
-    Banks are sorted by ``(core->bank latency, bank id)`` and arranged
-    as a complete ``degree``-ary tree rooted at the core's tile: the
-    first ``degree`` banks are the root's children (edge latency = the
-    direct core->bank mesh distance), and the bank at sorted position
-    ``i >= degree`` hangs off the bank at position ``i // degree - 1``
-    (edge latency = the tile-to-tile mesh distance between the two
-    banks).  ``delivery[bank]`` is the path-sum arrival offset of a
-    FlushEpoch routed down the tree; the BankAck return path is
-    symmetric, so a round trip costs ``2 * delivery[bank]``.
-
-    With ``n <= degree`` every bank is a root child and the tree
-    degenerates to the flat star: ``delivery`` equals the direct
-    core->bank row, which is what makes tree and flat mode
-    cycle-for-cycle identical on small machines.
-    """
-
-    __slots__ = ("core", "order", "delivery", "bcast", "parents")
-
-    def __init__(self, mesh: "Mesh", core: int, degree: int) -> None:
-        self.core = core
-        row = mesh.c2b[core]
-        order = sorted(range(len(row)), key=lambda b: (row[b], b))
-        self.order = tuple(order)
-        n = len(order)
-        delivery = [0] * n  # indexed by bank id
-        # parents[bank] = the bank relaying this bank's FlushEpoch copy
-        # (-1 for root children, whose edge comes straight from the
-        # core).  The fault injector keys per-edge faults by the child
-        # bank and charges a faulted edge to its whole subtree.
-        parents = [-1] * n  # indexed by bank id
-        for pos, bank in enumerate(order):
-            if pos < degree:
-                delivery[bank] = row[bank]
-            else:
-                parent = order[pos // degree - 1]
-                parents[bank] = parent
-                delivery[bank] = delivery[parent] + mesh.latency(
-                    mesh.tile_of_bank(parent), mesh.tile_of_bank(bank)
-                )
-        self.delivery = tuple(delivery)
-        self.parents = tuple(parents)
-        self.bcast = max(delivery) if delivery else 0
-
-
 class Mesh:
     """Hop-latency model of the on-chip 2D mesh."""
 
     def __init__(self, config: MachineConfig) -> None:
-        self._config = config
         self.rows = config.mesh_rows
         self.cols = max(1, (config.num_cores + self.rows - 1) // self.rows)
         self._hop = config.hop_latency
@@ -123,7 +75,6 @@ class Mesh:
         # the flush handshake's FlushEpoch/PersistCMP legs, asked for
         # once per epoch flush.
         self._bcast = _LazyRows(cores, lambda c: max(self.c2b[c]))
-        self._flush_trees: dict[int, FlushTree] = {}
 
     # ------------------------------------------------------------------
     # Geometry
@@ -207,11 +158,3 @@ class Mesh:
         (steps 1 and 4 of the Figure 8 handshake).
         """
         return self._bcast[core_id]
-
-    def flush_tree(self, core_id: int) -> FlushTree:
-        """The core's hierarchical fanout tree (built once, cached)."""
-        tree = self._flush_trees.get(core_id)
-        if tree is None:
-            tree = FlushTree(self, core_id, self._config.fanout_degree)
-            self._flush_trees[core_id] = tree
-        return tree

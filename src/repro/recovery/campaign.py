@@ -4,7 +4,7 @@ A single faulted run proves one hand-picked hazard is survivable.  A
 *campaign* proves the protocol against the whole fault space of a
 workload: capture one fault-free baseline run, enumerate every
 injectable coordinate its protocol traffic exposes (every FlushEpoch
-edge, BankAck, PersistAck, PersistCMP copy, and controller transaction
+copy, BankAck, PersistAck, PersistCMP copy, and controller transaction
 -- see :data:`repro.sim.faults.FAULT_LEGS`), then re-run the workload
 once per coordinate with exactly that fault targeted
 (:attr:`~repro.sim.faults.FaultConfig.inject`).  Seeded randomized
@@ -47,12 +47,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.recovery.crash import CrashOutcome, snapshot_epochs
 from repro.recovery.crashsweep import sweep_crash_points
-from repro.sim.config import (
-    BarrierDesign,
-    FanoutTopology,
-    MachineConfig,
-    PersistencyModel,
-)
+from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.faults import (
     _GOLDEN,
     FaultConfig,
@@ -96,16 +91,12 @@ class CampaignSpec:
     seed: int = 1
     fault_seed: int = 0
     mc_stride: int = 1
-    # Route FlushEpoch down the degree-4 fanout tree instead of the
-    # flat star; the edge legs then cover every tree edge on the path.
-    tree: bool = False
 
     def describe(self) -> str:
         return (
             f"{self.workload}/{self.design.name.lower()} "
             f"{self.num_cores}c x{self.transactions} seed={self.seed} "
             f"fault_seed={self.fault_seed}"
-            + (" tree" if self.tree else "")
         )
 
 
@@ -187,16 +178,12 @@ def _setup(spec: CampaignSpec):
     whose recovered head/slot values the sweep validates semantically.
     """
     if spec.workload == "pingpong":
-        overrides = {}
-        if spec.tree:
-            overrides["fanout_topology"] = FanoutTopology.TREE
         config = MachineConfig.tiny(
             persistency=PersistencyModel.BEP,
             barrier_design=spec.design,
             num_cores=spec.num_cores,
             llc_banks=spec.num_cores,
             mesh_rows=2,
-            **overrides,
         )
         programs = [
             list(
@@ -283,8 +270,7 @@ def enumerate_points(spec: CampaignSpec,
     transaction ordinals -- so the same spec enumerates the same points
     in any process and either engine mode.  Handshake legs enumerate
     per flushed epoch and per *used* bank (idle-bank acks are virtual
-    and deliberately unfaulted); under ``FanoutTopology.TREE`` the
-    FlushEpoch edge legs cover every edge on the root-to-bank path.
+    and deliberately unfaulted), keyed by (core, bank, seq).
     PersistCMP covers every bank -- the completion broadcast reaches
     idle banks too.
     """
@@ -292,7 +278,6 @@ def enumerate_points(spec: CampaignSpec,
     config = machine.config
     shift = config.offset_bits
     num_banks = config.llc_banks
-    tree_mode = config.fanout_topology is FanoutTopology.TREE
 
     # (core, seq) -> used banks, plus per-line PersistAck coordinates,
     # straight from the flush-handshake persists of the history.
@@ -313,23 +298,13 @@ def enumerate_points(spec: CampaignSpec,
             points.append(FaultPoint("persist_ack_drop", ack))
 
     for (core, seq), banks in sorted(epoch_banks.items()):
-        edges: List[int] = []
-        if tree_mode:
-            parents = machine.mesh.flush_tree(core).parents
-            for bank in banks:
-                b = bank
-                while b >= 0:
-                    if b not in edges:
-                        edges.append(b)
-                    b = parents[b]
-        else:
-            edges = list(banks)
-        for edge in sorted(edges):
-            coords = (core, edge, seq)
+        banks.sort()
+        for bank in banks:
+            coords = (core, bank, seq)
             points.append(FaultPoint("flush_epoch_drop", coords))
             points.append(FaultPoint("flush_epoch_dup", coords))
             points.append(FaultPoint("link_delay", coords))
-        for bank in sorted(banks):
+        for bank in banks:
             coords = (core, bank, seq)
             points.append(FaultPoint("bank_ack_drop", coords))
             points.append(FaultPoint("bank_ack_detour", coords))
@@ -362,8 +337,6 @@ def repro_command(spec: CampaignSpec, inject: Inject,
         f"--seed {spec.seed}",
         f"--fault-seed {spec.fault_seed}",
     ]
-    if spec.tree:
-        parts.append("--tree")
     for leg, coords in inject:
         parts.append(
             "--inject " + leg + ":" + ",".join(str(c) for c in coords)

@@ -37,16 +37,11 @@ EpochKey = Tuple[int, int]
 
 def _predecessors(outcome: CrashOutcome, key: EpochKey) -> Set[EpochKey]:
     """Direct hb-predecessors of an epoch: the previous same-core
-    *same-strand* epoch (per-strand order is total, so one edge
-    suffices; epochs of different strands are unordered) + IDT
+    epoch (per-core order is total, so one edge suffices) + IDT
     sources."""
-    record = outcome.epochs[key]
-    preds: Set[EpochKey] = set(record.source_keys)
+    preds: Set[EpochKey] = set(outcome.epochs[key].source_keys)
     core_id, seq = key
-    older = [
-        r.seq for r in outcome.epochs_of_core(core_id)
-        if r.seq < seq and r.strand == record.strand
-    ]
+    older = [r.seq for r in outcome.epochs_of_core(core_id) if r.seq < seq]
     if older:
         preds.add((core_id, max(older)))
     return preds

@@ -27,7 +27,6 @@ class EpochRecord:
     all_lines: frozenset
     source_keys: frozenset  # (core_id, seq) of IDT sources
     persisted: bool
-    strand: int = 0
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -67,7 +66,6 @@ def _record_epoch(epoch: Epoch) -> EpochRecord:
         all_lines=frozenset(epoch.all_lines),
         source_keys=frozenset(epoch.all_sources),
         persisted=epoch.persisted,
-        strand=epoch.strand,
     )
 
 

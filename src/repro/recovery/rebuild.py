@@ -87,9 +87,8 @@ def recover_bsp(outcome: CrashOutcome) -> RecoveredState:
     condemned = _torn_epochs(outcome, durable)
 
     # Propagate rollback to dependents of condemned epochs.  Program
-    # order: every later epoch of the same core *and strand* (epochs of
-    # other strands carry no ordering and keep their effects).  IDT
-    # edges: any epoch whose recorded sources include a condemned epoch.
+    # order: every later epoch of the same core.  IDT edges: any epoch
+    # whose recorded sources include a condemned epoch.
     changed = True
     while changed:
         changed = False
@@ -99,9 +98,7 @@ def recover_bsp(outcome: CrashOutcome) -> RecoveredState:
             core_id, seq = key
             if any(
                 c_core == core_id and c_seq < seq
-                and outcome.epochs[(c_core, c_seq)].strand == record.strand
                 for c_core, c_seq in condemned
-                if (c_core, c_seq) in outcome.epochs
             ) or (record.source_keys & condemned):
                 condemned.add(key)
                 changed = True

@@ -83,25 +83,6 @@ class PersistencyModel(enum.Enum):
         return self in (PersistencyModel.BSP, PersistencyModel.BSP_WT)
 
 
-class FanoutTopology(enum.Enum):
-    """How the flush handshake's broadcast legs spread across banks.
-
-    ``FLAT`` delivers FlushEpoch/PersistCMP point-to-point from the
-    initiating core's tile to every bank (one message per bank, latency
-    = the core->bank mesh distance).  ``TREE`` routes the same messages
-    through a ``fanout_degree``-ary aggregation tree rooted at the
-    core's tile: each hop forwards to at most ``fanout_degree``
-    children, and BankAcks combine on the way back up, so a 64-bank
-    handshake costs O(log n) sequential latency and the simulator can
-    batch whole subtrees into single events.  At ``llc_banks <=
-    fanout_degree`` the tree degenerates to the flat star, making the
-    two modes event-for-event identical on small machines.
-    """
-
-    FLAT = "flat"
-    TREE = "tree"
-
-
 class FlushMode(enum.Enum):
     """Whether a persist-flush invalidates the cached copy.
 
@@ -155,10 +136,6 @@ class MachineConfig:
     # (zero-latency FlushEpoch/BankAck/PersistCMP messages) to isolate
     # the coordination cost of the multi-banked flush protocol.
     ideal_flush_coordination: bool = False
-    # Broadcast topology for the handshake's FlushEpoch/BankAck legs
-    # (see the enum docstring; latency-shaping for TREE).
-    fanout_topology: FanoutTopology = FanoutTopology.FLAT
-    fanout_degree: int = 4
     flush_mode: FlushMode = FlushMode.CLWB
     barrier_design: BarrierDesign = BarrierDesign.LB_PP
     persistency: PersistencyModel = PersistencyModel.BEP
@@ -186,8 +163,6 @@ class MachineConfig:
             raise ValueError("mesh needs at least one row")
         if self.max_inflight_epochs < 2:
             raise ValueError("need at least two in-flight epochs")
-        if self.fanout_degree < 2:
-            raise ValueError("fanout tree degree must be at least 2")
 
     # ------------------------------------------------------------------
     # Stock configurations

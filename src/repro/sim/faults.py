@@ -6,18 +6,14 @@ the arbiter, a stalled memory controller stretches the persist window a
 crash can land in.  This module injects exactly those hazards, one knob
 per protocol leg:
 
-* **dropped FlushEpoch broadcasts** -- the copy crossing one fanout
-  edge is lost; the arbiter retransmits after ``flush_epoch_timeout``
-  with exponential backoff, bounded by ``max_flush_epoch_retries``.
-  Edges are keyed by their *child* bank, which makes the coordinate
-  scheme uniform across topologies: under the flat star every bank is a
-  root child (edge == bank), under ``FanoutTopology.TREE`` a dropped
-  edge delays the whole subtree hanging off it.
-* **duplicated FlushEpoch broadcasts** -- the edge delivers a second
+* **dropped FlushEpoch broadcasts** -- the copy sent to one bank is
+  lost; the arbiter retransmits after ``flush_epoch_timeout`` with
+  exponential backoff, bounded by ``max_flush_epoch_retries``.
+* **duplicated FlushEpoch broadcasts** -- the bank receives a second
   copy.  The protocol is idempotent (a bank already issuing ignores the
   duplicate), so the only observable is the message count -- which is
   exactly what the injection proves.
-* **fanout link delays** -- the FlushEpoch copy on one edge is rerouted
+* **FlushEpoch link delays** -- the copy sent to one bank is rerouted
   ``link_delay_hops`` extra mesh hops (congestion / adaptive routing).
 * **dropped BankAcks** -- the bank's ack is lost in the mesh; the bank
   times out and resends, bounded by ``max_ack_retries`` (the attempt at
@@ -102,7 +98,7 @@ _STREAM_WRETRY = 10
 #
 #   bank_ack_drop / bank_ack_detour : (core, bank, epoch_seq)
 #   flush_epoch_drop / flush_epoch_dup / link_delay
-#                                   : (core, edge_child_bank, epoch_seq)
+#                                   : (core, bank, epoch_seq)
 #   persist_cmp_drop                : (core, bank, epoch_seq)
 #   persist_ack_drop                : (core, epoch_seq, line)
 #   mc_stall / torn_write / write_retry : (mc_id, ordinal)
@@ -171,13 +167,13 @@ class FaultConfig:
     # BankAck rerouting: probability and detour length in mesh hops.
     delay_ack_rate: float = 0.0
     delay_ack_hops: int = 2
-    # FlushEpoch delivery loss, per fanout edge (keyed by child bank).
+    # FlushEpoch delivery loss, per bank.
     drop_flush_epoch_rate: float = 0.0
     flush_epoch_timeout: int = 300
     max_flush_epoch_retries: int = 3
-    # FlushEpoch duplication, per fanout edge.
+    # FlushEpoch duplication, per bank.
     dup_flush_epoch_rate: float = 0.0
-    # Fanout link congestion: probability and detour length per edge.
+    # FlushEpoch link congestion: probability and detour length per bank.
     link_delay_rate: float = 0.0
     link_delay_hops: int = 3
     # PersistAck loss: probability per flush-handshake line ack.
@@ -311,11 +307,11 @@ class FaultInjector:
 
     def flush_epoch_resends(self, core_id: int, bank: int,
                             epoch_seq: int) -> int:
-        """Retransmissions of the FlushEpoch copy on one fanout edge.
+        """Retransmissions of the FlushEpoch copy sent to one bank.
 
-        ``bank`` is the edge's child end.  0 means the first copy
-        arrived; the chain is bounded by ``max_flush_epoch_retries``
-        (the copy at the bound is never dropped).
+        0 means the first copy arrived; the chain is bounded by
+        ``max_flush_epoch_retries`` (the copy at the bound is never
+        dropped).
         """
         cfg = self.config
         resends = 0
@@ -333,7 +329,7 @@ class FaultInjector:
 
     def flush_epoch_dup(self, core_id: int, bank: int,
                         epoch_seq: int) -> bool:
-        """True when the edge delivers a duplicate FlushEpoch copy."""
+        """True when the bank receives a duplicate FlushEpoch copy."""
         cfg = self.config
         if self._target("flush_epoch_dup", (core_id, bank, epoch_seq)):
             return True
@@ -345,7 +341,7 @@ class FaultInjector:
         )
 
     def link_delay(self, core_id: int, bank: int, epoch_seq: int) -> int:
-        """Extra mesh hops the FlushEpoch copy on this edge detours."""
+        """Extra mesh hops the FlushEpoch copy to this bank detours."""
         cfg = self.config
         if self._target("link_delay", (core_id, bank, epoch_seq)):
             return cfg.link_delay_hops

@@ -19,7 +19,6 @@ from repro.workloads.base import (
     compute,
     load,
     store,
-    strand,
     txn_mark,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "compute",
     "load",
     "store",
-    "strand",
     "txn_mark",
 ]

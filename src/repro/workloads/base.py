@@ -15,10 +15,6 @@ Operations:
 * ``COMPUTE``  -- ``cycles`` of non-memory work.
 * ``TXN_MARK`` -- marks completion of one transaction, the unit of
   Figure 11's throughput metric.
-* ``STRAND``   -- switch the thread's persistence strand (Pelley et
-  al.'s NewStrand primitive; strand persistency is the third model of
-  the paper's reference [8], which the paper itself does not evaluate).
-  Epochs of different strands of one thread persist independently.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ class OpKind(enum.Enum):
     BARRIER = "barrier"
     COMPUTE = "compute"
     TXN_MARK = "txn"
-    STRAND = "strand"
 
 
 class Op:
@@ -97,13 +92,6 @@ def txn_mark() -> Op:
     return Op(OpKind.TXN_MARK)
 
 
-def strand(strand_id: int) -> Op:
-    """Switch to persistence strand ``strand_id``."""
-    if strand_id < 0:
-        raise ValueError("strand ids must be non-negative")
-    return Op(OpKind.STRAND, value=strand_id)
-
-
 def span_ops(
     kind: OpKind,
     addr: int,
@@ -160,10 +148,6 @@ class Program:
 
     def txn_mark(self) -> "Program":
         self.ops.append(txn_mark())
-        return self
-
-    def strand(self, strand_id: int) -> "Program":
-        self.ops.append(strand(strand_id))
         return self
 
     def extend(self, ops: Iterable[Op]) -> "Program":

@@ -139,3 +139,27 @@ def test_cache_subcommand_stats_and_prune(tmp_path, capsys):
 def test_bad_design_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--workload", "queue", "--design", "LBX"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--cores", "0"],
+    ["campaign", "--transactions", "-2"],
+    ["campaign", "--mc-stride", "0"],
+    ["campaign", "--max-points", "0"],
+    ["crashsweep", "--transactions", "-3"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_count_flags_reject_nonpositive_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument {argv[1]}: expected a positive integer" in err
+
+
+def test_count_flags_accept_positive_values():
+    args = build_parser().parse_args(
+        ["campaign", "--cores", "8", "--transactions", "2",
+         "--mc-stride", "4", "--max-points", "10"])
+    assert (args.cores, args.transactions, args.mc_stride,
+            args.max_points) == (8, 2, 4, 10)

@@ -1,11 +1,7 @@
-"""Hierarchical fanout, handshake message accounting, and the
-scaling-sweep plumbing.
+"""Handshake message accounting and the scaling-sweep plumbing.
 
-The 64-core scale-out work has four seams worth pinning:
+The 64-core scale-out work has three seams worth pinning:
 
-* the tree fanout (``FanoutTopology.TREE``) must degenerate to the flat
-  star at ``llc_banks <= fanout_degree`` -- identical schedules, hence
-  identical digests -- and obey its latency-model invariants at scale;
 * the per-flush message accounting must be exact: a pinned count for a
   hand-built single-line epoch on 8 banks, the quadratic all-to-all
   contrast derived from the arbiter counters, and fast-vs-reference
@@ -19,25 +15,16 @@ The 64-core scale-out work has four seams worth pinning:
 """
 
 import argparse
-import types
 
 import pytest
 
-from repro.core.flush import _ACKED
 from repro.harness.bench import (
     _multicore_setup,
     handshake_parity,
     parse_cores,
 )
 from repro.harness.report import all_to_all_counters
-from repro.sim.config import (
-    BarrierDesign,
-    FanoutTopology,
-    MachineConfig,
-    PersistencyModel,
-)
-from repro.sim.digest import run_digest
-from repro.sim.engine import reference_mode
+from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.system import Multicore
 from repro.workloads.base import Program
 
@@ -50,76 +37,6 @@ def make_machine(num_cores=1, **overrides):
         **overrides,
     )
     return Multicore(config, track_persist_order=True)
-
-
-# ----------------------------------------------------------------------
-# Tree fanout
-# ----------------------------------------------------------------------
-def test_tree_degenerates_to_flat_at_4_cores():
-    """At ``llc_banks <= fanout_degree`` (4 <= 4) every bank is a root
-    child, so tree and flat mode produce the same delivery offsets and
-    therefore identical (time, priority, seq) event orderings -- checked
-    end to end via the digest of a contended run."""
-    digests = {}
-    for topo in (FanoutTopology.FLAT, FanoutTopology.TREE):
-        config, programs = _multicore_setup(seed=3, transactions=12)
-        config = config.with_(fanout_topology=topo)
-        digests[topo] = run_digest(config, programs)
-    assert digests[FanoutTopology.FLAT] == digests[FanoutTopology.TREE]
-
-
-def test_flush_tree_invariants_at_64_banks():
-    config = MachineConfig.tiny(num_cores=64, llc_banks=64, mesh_rows=4)
-    mesh = Multicore(config).mesh
-    for core in (0, 17, 63):
-        tree = mesh.flush_tree(core)
-        row = mesh.c2b[core]
-        # Full coverage: the order is a permutation of the banks.
-        assert sorted(tree.order) == list(range(64))
-        # A routed delivery can never beat the direct mesh distance
-        # (triangle inequality of the hop metric), and root children
-        # pay exactly the direct distance.
-        for bank in range(64):
-            assert tree.delivery[bank] >= row[bank]
-        for bank in tree.order[:config.fanout_degree]:
-            assert tree.delivery[bank] == row[bank]
-        assert tree.bcast == max(tree.delivery)
-        # Deeper positions hang off earlier ones: parent delivered
-        # before child.
-        for pos, bank in enumerate(tree.order):
-            if pos >= config.fanout_degree:
-                parent = tree.order[pos // config.fanout_degree - 1]
-                assert tree.delivery[bank] > tree.delivery[parent]
-
-
-def test_small_tree_equals_direct_row():
-    config = MachineConfig.tiny(num_cores=4, llc_banks=4, mesh_rows=2)
-    mesh = Multicore(config).mesh
-    tree = mesh.flush_tree(2)
-    assert tuple(tree.delivery) == tuple(mesh.c2b[2])
-
-
-def test_tree_fanout_digest_matches_reference_at_16_cores():
-    """Above the degree the tree genuinely reroutes (different arrival
-    times than flat); both engine modes must still agree on it."""
-    config, programs = _multicore_setup(seed=3, transactions=8,
-                                        num_cores=16)
-    config = config.with_(fanout_topology=FanoutTopology.TREE)
-    fast = run_digest(config, programs)
-    with reference_mode():
-        ref = run_digest(config, programs)
-    assert fast == ref
-
-
-def test_double_ack_still_raises_under_tree_fanout():
-    """The single-BankAck-per-bank invariant survives the tree rework."""
-    m = make_machine(num_cores=4, llc_banks=4, mesh_rows=2,
-                     fanout_topology=FanoutTopology.TREE)
-    op = m.arbiters[0]._flush_op
-    op._epoch = types.SimpleNamespace(core_id=0)
-    op._bank_state[0] = _ACKED
-    with pytest.raises(RuntimeError, match="second BankAck"):
-        op._bank_ack(0)
 
 
 # ----------------------------------------------------------------------

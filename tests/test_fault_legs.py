@@ -138,20 +138,6 @@ def test_injected_leg_fires_and_run_completes(leg, points):
     assert fired >= 1
 
 
-def test_tree_edge_flush_epoch_drop_fires():
-    spec = CampaignSpec(workload="pingpong", num_cores=4, transactions=3,
-                        mc_stride=2, tree=True)
-    baseline = run_baseline(spec)
-    tree_points = enumerate_points(spec, baseline)
-    point = first_point(tree_points, "flush_epoch_drop")
-    probe = _run_probe(
-        spec, FaultConfig(seed=spec.fault_seed,
-                          inject=((point.leg, point.coords),)))
-    assert probe.error is None
-    assert probe.result is not None and probe.result.finished
-    assert probe.result.stats.total("flush_epoch_drops") >= 1
-
-
 # ----------------------------------------------------------------------
 # Watchdogs: a retry chain past its bound aborts with a typed
 # ProtocolError instead of hanging the simulation.

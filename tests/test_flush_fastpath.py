@@ -110,7 +110,7 @@ def test_all_banks_empty_epoch_still_persists():
     m.run([p], max_cycles=30_000, drain=False)
     mgr = m.managers[0]
     epoch = next(e for e in mgr.window if e.lines)
-    mgr.close_all_strands()
+    mgr.close_current()
     for line in list(epoch.lines):
         m.l1s[0].remove(line)
         for bank in m.llc_banks:
@@ -138,7 +138,7 @@ def test_line_evicted_midflush_is_discarded_not_reflushed():
     m.run([p], max_cycles=30_000, drain=False)
     mgr = m.managers[0]
     epoch = next(e for e in mgr.window if e.lines)
-    mgr.close_all_strands()
+    mgr.close_current()
     victim = lines[3]
     m.l1s[0].remove(victim)
     for bank in m.llc_banks:

@@ -24,18 +24,14 @@ DESIGNS = list(BarrierDesign)
 
 
 def random_programs(rng, num_threads, ops_per_thread, shared_lines=6,
-                    private_lines=24, barrier_prob=0.12,
-                    strand_prob=0.0, num_strands=3):
-    """Programs mixing private and shared traffic with random barriers
-    (and, optionally, random strand switches)."""
+                    private_lines=24, barrier_prob=0.12):
+    """Programs mixing private and shared traffic with random barriers."""
     shared = [0x8000 + i * 64 for i in range(shared_lines)]
     programs = []
     for tid in range(num_threads):
         private = [0x100000 * (tid + 1) + i * 64 for i in range(private_lines)]
         p = Program()
         for _ in range(ops_per_thread):
-            if strand_prob and rng.random() < strand_prob:
-                p.strand(rng.randrange(num_strands))
             pool = shared if rng.random() < 0.3 else private
             addr = rng.choice(pool)
             roll = rng.random()
@@ -92,30 +88,6 @@ def test_random_crashes_leave_consistent_nvram(seed, design_index,
     m.run(random_programs(rng, 2, 60), max_cycles=crash_cycle, drain=False)
     outcome = CrashOutcome(m.engine.now, m.image, snapshot_epochs(m))
     check_epoch_order(outcome)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    design_index=st.integers(0, len(DESIGNS) - 1),
-    crash_cycle=st.integers(100, 40_000),
-)
-def test_random_stranded_crashes_leave_consistent_nvram(
-        seed, design_index, crash_cycle):
-    """Random multi-strand programs: the strand-aware happens-before
-    order must hold at every crash point, under every design."""
-    rng = random.Random(seed)
-    config = MachineConfig.tiny(
-        barrier_design=DESIGNS[design_index],
-        persistency=PersistencyModel.BEP,
-    )
-    m = Multicore(config, track_values=True, track_persist_order=True,
-                  keep_epoch_log=True)
-    programs = random_programs(rng, 2, 60, strand_prob=0.15)
-    m.run(programs, max_cycles=crash_cycle, drain=False)
-    outcome = CrashOutcome(m.engine.now, m.image, snapshot_epochs(m))
-    check_epoch_order(outcome)
-    m.audit()
 
 
 @settings(max_examples=15, deadline=None)

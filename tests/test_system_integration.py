@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.epoch import EpochStatus
 from repro.sim.config import BarrierDesign, FlushMode, MachineConfig, PersistencyModel
 from repro.system import Multicore
 from repro.workloads.base import Program
@@ -169,3 +170,61 @@ def test_fill_race_reclassification_path():
     result = m.run([p0, p1])
     assert result.finished
     m.audit()
+
+
+# ----------------------------------------------------------------------
+# audit() must be able to fail: one planted corruption per check.
+# ----------------------------------------------------------------------
+def _unpersisted_machine():
+    """Core 0 holds two closed epochs and one ongoing epoch, none of
+    them persisted (LB flushes nothing without demand)."""
+    m = machine(track=False, barrier_design=BarrierDesign.LB)
+    p = Program().store(0x1000, 8).barrier().store(0x2000, 8).barrier()
+    p.store(0x3000, 8)
+    m.run([p, Program()], max_cycles=20_000, drain=False)
+    assert [e.seq for e in m.managers[0].window] == [0, 1, 2]
+    return m
+
+
+def _swap_window_head(m):
+    window = m.managers[0].window
+    window[0], window[1] = window[1], window[0]
+
+
+def _reopen_oldest_epoch(m):
+    m.managers[0].window[0].status = EpochStatus.ONGOING
+
+
+def _clear_current_slot(m):
+    m.managers[0].current = None
+
+
+def _close_current_behind_the_slot(m):
+    m.managers[0].current.status = EpochStatus.CLOSED
+
+
+def _drop_line_from_every_cache(m):
+    m.l1s[0].remove(0x1000)
+    for bank in m.llc_banks:
+        bank.remove(0x1000)
+
+
+def _plant_stale_epoch_tag(m):
+    m._epoch_tags[0x9000] = m.managers[0].window[0]
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_swap_window_head, "window out of order"),
+    (_reopen_oldest_epoch, "is not the current window tail"),
+    (_clear_current_slot, "is not the current window tail"),
+    (_close_current_behind_the_slot, "is not the ongoing window tail"),
+    (_drop_line_from_every_cache, "no cache holds it"),
+    (_plant_stale_epoch_tag, "epoch-tag map out of sync"),
+], ids=["window_order", "ongoing_not_tail", "ongoing_not_current",
+        "stale_current_slot", "line_in_no_cache", "stale_epoch_tag"])
+def test_audit_flags_planted_corruption(plant, message):
+    m = _unpersisted_machine()
+    m.audit()
+    plant(m)
+    with pytest.raises(AssertionError, match=message):
+        m.audit()
