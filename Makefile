@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow perfbench examples bench scale farm figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow perfbench examples bench scale figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
@@ -46,11 +46,11 @@ examples:
 		$(PYTHON) $$f > /dev/null || exit 1; \
 	done
 
-# Run every bench check family (scaling, crash, farm) and refresh
+# Run every bench check family (scaling, crash) and refresh
 # BENCH_sweep.json; exits nonzero if any check fails.  Host time is
 # measured by perfbench/ (see perfbench/README.md).
 bench:
-	$(PYTHON) -m repro bench --jobs 4
+	$(PYTHON) -m repro bench
 
 # The core-count scaling sweep: messages-per-flush at 4..64 cores
 # (arbiter vs the derived all-to-all), refreshing only the `scaling`
@@ -58,19 +58,13 @@ bench:
 scale:
 	$(PYTHON) -m repro bench --only scaling --cores 4,8,16,32,64
 
-# The delta-planner invariants: warm no-op replan, two-shard merge, and
-# a scoped version bump, refreshing only the `farm` family of
-# BENCH_sweep.json.
-farm:
-	$(PYTHON) -m repro bench --only farm
-
 figures:
 	$(PYTHON) -m repro figures all --scale small
 
-# The paper-scale full tier under a one-hour budget; rerun to resume
+# The paper-scale figures under a one-hour budget; rerun to resume
 # (completed runs are cached, only the remainder executes).
 figures-full:
-	$(PYTHON) -m repro figures all --full --budget 3600
+	$(PYTHON) -m repro figures all --scale paper --budget 3600
 
 clean-cache:
 	rm -rf .repro-cache

@@ -6,13 +6,11 @@ Subcommands:
   the result (throughput, conflicts, NVRAM traffic).
 * ``figures`` -- regenerate the paper's figures (delegates to
   :mod:`repro.harness.experiments`; sweeps fan out over ``--jobs``
-  worker processes and reuse cached results from ``.repro-cache/``).
+  worker processes, reuse cached results from ``.repro-cache/``, and
+  stop dispatching at ``--budget`` seconds; rerun to resume).
 * ``bench``   -- run the check registry (handshake scaling, crash
-  sweeps, planner invariants), write ``BENCH_sweep.json``, and exit
-  nonzero if any check fails.  Host time is measured by
-  ``perfbench/``, not here.
-* ``cache``   -- inspect (``--stats``) or garbage-collect (``--prune``)
-  the content-addressed result cache.
+  sweeps), write ``BENCH_sweep.json``, and exit nonzero if any check
+  fails.  Host time is measured by ``perfbench/``, not here.
 * ``crash``   -- crash a workload at a given cycle, check consistency,
   and (for BSP) perform undo-log recovery.
 * ``crashsweep`` -- run a workload once, capture its persist history,
@@ -115,14 +113,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         argv.append("--no-cache")
     if args.refresh:
         argv.append("--refresh")
-    if args.full:
-        argv.append("--full")
     if args.budget is not None:
         argv += ["--budget", str(args.budget)]
-    if args.shard is not None:
-        argv += ["--shard", args.shard]
-    if args.plan_file is not None:
-        argv += ["--plan-file", args.plan_file]
     if args.csv_dir is not None:
         argv += ["--csv-dir", args.csv_dir]
     return experiments_main(argv)
@@ -141,61 +133,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_size(text: str) -> int:
-    """Byte count with an optional K/M/G suffix (e.g. ``64M``)."""
-    scales = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-    t = text.strip().lower().rstrip("b")
-    if t and t[-1] in scales:
-        return int(float(t[:-1]) * scales[t[-1]])
-    return int(t)
-
-
-def _fmt_bytes(count: int) -> str:
-    value = float(count)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return (f"{value:.1f} {unit}" if unit != "B"
-                    else f"{count} B")
-        value /= 1024
-    return f"{count} B"
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.harness.cache import ResultCache
-    cache = ResultCache(args.cache_dir)
-    if args.prune:
-        if args.max_bytes is None and args.max_age_days is None:
-            print("cache --prune needs --max-bytes and/or --max-age-days",
-                  file=sys.stderr)
-            return 2
-        removed, freed = cache.prune(
-            max_bytes=args.max_bytes, max_age_days=args.max_age_days,
-            dry_run=args.dry_run,
-        )
-        verb = "would remove" if args.dry_run else "removed"
-        print(f"[cache] {verb} {removed} entries, "
-              f"{_fmt_bytes(freed)} freed")
-    if args.stats or not args.prune:
-        stats = cache.stats()
-        print(f"== cache {stats['root']} ==")
-        print(f"result entries   : {stats['entries']} "
-              f"({_fmt_bytes(stats['bytes'])})")
-        print(f"corrupt entries  : {stats['corrupt_entries']}"
-              + (" (checksum/parse failures; deleted and recomputed "
-                 "on next read)" if stats["corrupt_entries"] else ""))
-        print(f"cost records     : {stats['cost_entries']} "
-              f"({_fmt_bytes(stats['cost_bytes'])})")
-        if stats["entries"]:
-            print(f"last use (age)   : newest {stats['newest_age_s']}s, "
-                  f"mean {stats['mean_age_s']}s, "
-                  f"oldest {stats['oldest_age_s']}s")
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import run_bench
-    ran = run_bench(only=args.only, seed=args.seed, jobs=args.jobs,
-                    cores=args.cores, output=args.output)
+    ran = run_bench(only=args.only, seed=args.seed, cores=args.cores,
+                    output=args.output)
     failed = [name for name, record in ran.items() if not record["ok"]]
     if failed:
         print(f"[bench] ERROR: check failed: {', '.join(failed)}")
@@ -478,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("figures", nargs="+")
     fig_p.add_argument("--scale", default=None,
                        choices=[s.value for s in Scale],
-                       help="machine scale (default: small; paper "
-                            "under --full)")
+                       help="machine scale (default: small)")
     fig_p.add_argument("--seed", type=int, default=1)
     fig_p.add_argument("--csv-dir", default=None,
                        help="write each figure's data as CSV here")
@@ -487,35 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_executor_args(fig_p)
     fig_p.set_defaults(func=cmd_figures)
 
-    cache_p = sub.add_parser(
-        "cache", help="inspect or prune the result cache"
-    )
-    from repro.harness.cache import DEFAULT_CACHE_DIR
-    cache_p.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR))
-    cache_p.add_argument("--stats", action="store_true",
-                         help="print entry counts, bytes, and last-use "
-                              "ages (the default action)")
-    cache_p.add_argument("--prune", action="store_true",
-                         help="LRU/age garbage collection; scope with "
-                              "--max-bytes / --max-age-days")
-    cache_p.add_argument("--max-bytes", type=_parse_size, default=None,
-                         metavar="N[K|M|G]",
-                         help="evict least-recently-used results until "
-                              "the cache fits this budget")
-    cache_p.add_argument("--max-age-days", type=float, default=None,
-                         help="drop records not used for this long")
-    cache_p.add_argument("--dry-run", action="store_true",
-                         help="report what --prune would delete")
-    cache_p.set_defaults(func=cmd_cache)
-
     from repro.harness.bench import DEFAULT_OUTPUT, FAMILIES, parse_cores
     bench_p = sub.add_parser(
         "bench",
         help="run the check registry (writes BENCH_sweep.json; exit "
              "nonzero if any check fails)",
     )
-    bench_p.add_argument("--jobs", type=int, default=4,
-                         help="worker processes for the farm family")
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument("--only", choices=tuple(FAMILIES), default=None,
                          help="run one family; the output file keeps the "

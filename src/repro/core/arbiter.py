@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.epoch import Epoch, EpochManager
+from repro.core.epoch import BY_KEY, Epoch, EpochManager
 from repro.core.flush import FlushOperation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -150,7 +150,7 @@ class Arbiter:
             return False
         online = candidate.seq <= self._online_horizon
         blocked = False
-        for source in (list(candidate.idt_sources)
+        for source in (sorted(candidate.idt_sources, key=BY_KEY)
                        if candidate.idt_sources else ()):
             if source.persisted:
                 continue

@@ -24,11 +24,19 @@ source or be flushed) and a fresh ongoing remainder.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.engine import Engine
     from repro.sim.stats import StatDomain
+
+
+# Sort key for walking an IDT edge set.  Epochs hash by identity, so a
+# set's own order follows memory addresses and would leak into the
+# event queue; (core, seq) order is the order a CoreID-indexed register
+# file is scanned in.
+BY_KEY = attrgetter("key")
 
 
 class EpochStatus(enum.Enum):
@@ -379,7 +387,7 @@ class EpochManager:
         # Inform dependents first (the inform registers of section 4.2) so
         # that waiters re-examining dependency state see the edges gone.
         if epoch.idt_dependents:
-            dependents = list(epoch.idt_dependents)
+            dependents = sorted(epoch.idt_dependents, key=BY_KEY)
             epoch.idt_dependents.clear()
             for dependent in dependents:
                 dependent.idt_sources.discard(epoch)

@@ -6,15 +6,17 @@
   :class:`RunSpec` lists fanned out over a process pool, reduced to
   slim :class:`RunSummary` carriers in deterministic spec order.
 * :mod:`repro.harness.cache`       -- content-addressed disk cache of
-  run summaries keyed by SHA-256 over config + workload + seed.
+  run summaries keyed by SHA-256 over config + workload + seed + the
+  simulator's source, checksummed on every read.
 * :mod:`repro.harness.experiments` -- one driver per figure: fig11
   (BEP throughput), fig12 (conflicting epochs), fig13 (BSP epoch-size
   sweep), fig14 (BSP designs), plus the in-text ablations (clwb vs
-  clflush, naive write-through BSP, inter-thread conflict share).
+  clflush, naive write-through BSP, inter-thread conflict share), and
+  the figure-build planner: probe the cache once, run the delta under
+  an optional ``--budget``, assemble.
 * :mod:`repro.harness.bench`       -- the check registry behind
-  ``python -m repro bench`` (handshake scaling, crash sweeps, planner
-  invariants); writes ``BENCH_sweep.json``.  Host time is measured by
-  ``perfbench/``.
+  ``python -m repro bench`` (handshake scaling, crash sweeps); writes
+  ``BENCH_sweep.json``.  Host time is measured by ``perfbench/``.
 * :mod:`repro.harness.report`      -- table/series formatting and the
   derived all-to-all handshake counts.
 
@@ -24,14 +26,7 @@ Command line::
 """
 
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (
-    FarmError,
-    FarmHealth,
-    RunSpec,
-    RunSummary,
-    execute_resilient,
-    run_specs,
-)
+from repro.harness.executor import RunSpec, RunSummary, run_specs
 from repro.harness.runner import (
     Scale,
     bep_machine_config,
@@ -41,13 +36,10 @@ from repro.harness.runner import (
 )
 
 __all__ = [
-    "FarmError",
-    "FarmHealth",
     "ResultCache",
     "RunSpec",
     "RunSummary",
     "Scale",
-    "execute_resilient",
     "bep_machine_config",
     "bsp_machine_config",
     "run_bep",

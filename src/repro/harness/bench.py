@@ -17,9 +17,6 @@ entry is the family's verdict.
   both engines, each cross-checked against the truncate-and-recheck
   oracle, the reorder-fault checker self-test, and a faulted pingpong
   run that must complete through the BankAck retry path.
-* ``farm`` -- the delta planner's invariants over a fixed tiny sweep: a
-  warm replan is a no-op, two shards cover the plan, and a scoped
-  version bump invalidates a strict subset.
 
 ``python -m repro bench`` runs every family (``--only`` picks one),
 writes ``BENCH_sweep.json``, and exits nonzero when any family it ran
@@ -33,20 +30,10 @@ import argparse
 import hashlib
 import json
 import math
-import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.cache import SUBSYSTEM_VERSIONS, ResultCache
-from repro.harness.executor import RunSpec
-from repro.harness.experiments import (
-    bep_sweep_plan,
-    fig13_plan,
-    fig14_plan,
-)
-from repro.harness.plan import build_plan, run_plan, shard_plan
 from repro.harness.report import all_to_all_counters, scaling_table
-from repro.harness.runner import Scale
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
@@ -54,12 +41,6 @@ from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
 
 DEFAULT_OUTPUT = "BENCH_sweep.json"
-
-# The farm family's sweep: short run lengths, since the planner
-# invariants depend on the spec universe, not on how long each run is.
-_BENCH_TRANSACTIONS = 20
-_BENCH_MEM_OPS = 1500
-_BENCH_APPS = ("radix", "cholesky", "ssca2")
 
 # Contended pingpong: producer/consumer pairs hammering a shared mailbox
 # under BEP + LB++, every transaction leading with a contended ack --
@@ -545,87 +526,16 @@ def run_scaling_bench(seed: int = 1,
 
 
 # ----------------------------------------------------------------------
-# ``farm``: delta-planner invariants
-# ----------------------------------------------------------------------
-def bench_specs(seed: int = 1) -> List[RunSpec]:
-    """The fixed tiny-scale multi-figure sweep the farm family plans."""
-    seen = {}
-    for plan in (
-        bep_sweep_plan(Scale.TINY, seed, transactions=_BENCH_TRANSACTIONS),
-        fig13_plan(Scale.TINY, seed, mem_ops=_BENCH_MEM_OPS,
-                   apps=_BENCH_APPS),
-        fig14_plan(Scale.TINY, seed, mem_ops=_BENCH_MEM_OPS,
-                   apps=_BENCH_APPS),
-    ):
-        for spec in plan[0]:
-            seen.setdefault(spec, None)
-    return list(seen)
-
-
-def run_farm_bench(jobs: int = 4, seed: int = 1) -> dict:
-    """The ``farm`` family: the planner's serving-mode invariants.
-
-    Over the fixed bench sweep: a cold plan-and-run, then a warm replan
-    that must find zero pending specs; a two-shard split merging
-    through one shared cache, which must cover the plan; and a
-    single-subsystem version bump, which must invalidate a strict
-    subset.
-    """
-    specs = bench_specs(seed)
-    universe = {"bench": specs}
-    print(f"[bench] farm: {len(specs)} specs, tiny scale, jobs={jobs}")
-
-    with tempfile.TemporaryDirectory(prefix="repro-farm-cache-") as tmp:
-        plan = build_plan(universe, ResultCache(tmp))
-        cold_pending = len(plan.pending)
-        run_plan(plan, ResultCache(tmp), jobs=jobs)
-        warm_pending = len(build_plan(universe, ResultCache(tmp)).pending)
-        bumped = ResultCache(
-            tmp, versions={"flush": SUBSYSTEM_VERSIONS["flush"] + 1}
-        )
-        bump_pending = len(build_plan(universe, bumped).pending)
-
-    with tempfile.TemporaryDirectory(prefix="repro-farm-shard-") as tmp:
-        cache = ResultCache(tmp)
-        plan = build_plan(universe, cache)
-        for index in (1, 2):
-            run_plan(shard_plan(plan, index, 2), cache, jobs=jobs)
-        leftover = len(build_plan(universe, ResultCache(tmp)).pending)
-
-    record = {
-        "scale": "tiny",
-        "specs": len(specs),
-        "seed": seed,
-        "pending": {
-            "cold": cold_pending,
-            "warm": warm_pending,
-            "flush_bump": bump_pending,
-            "after_shards": leftover,
-        },
-        "warm_noop": warm_pending == 0,
-        "sharded_complete": leftover == 0,
-        "scoped_bump_partial": 0 < bump_pending < len(specs),
-    }
-    record["ok"] = (record["warm_noop"] and record["sharded_complete"]
-                    and record["scoped_bump_partial"])
-    print(f"[bench] farm: cold {cold_pending} pending, warm "
-          f"{warm_pending}, flush+1 invalidates {bump_pending}"
-          f"/{len(specs)}, {leftover} left after 2 shards")
-    return record
-
-
-# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-# name -> family(seed, jobs, cores) -> record with an ``ok`` verdict.
-FAMILIES: Dict[str, Callable[[int, int, Tuple[int, ...]], dict]] = {
-    "scaling": lambda seed, jobs, cores: run_scaling_bench(seed, cores),
-    "crash": lambda seed, jobs, cores: run_crash_sweep_bench(seed),
-    "farm": lambda seed, jobs, cores: run_farm_bench(jobs, seed),
+# name -> family(seed, cores) -> record with an ``ok`` verdict.
+FAMILIES: Dict[str, Callable[[int, Tuple[int, ...]], dict]] = {
+    "scaling": lambda seed, cores: run_scaling_bench(seed, cores),
+    "crash": lambda seed, cores: run_crash_sweep_bench(seed),
 }
 
 
-def run_bench(only: Optional[str] = None, seed: int = 1, jobs: int = 4,
+def run_bench(only: Optional[str] = None, seed: int = 1,
               cores: Optional[Tuple[int, ...]] = None,
               output: str = DEFAULT_OUTPUT) -> Dict[str, dict]:
     """Run every family (or just ``only``) and write ``output``.
@@ -644,7 +554,7 @@ def run_bench(only: Optional[str] = None, seed: int = 1, jobs: int = 4,
     if not isinstance(old, dict):
         old = {}
     ran = {
-        name: family(seed, jobs, cores or _SCALING_CORES)
+        name: family(seed, cores or _SCALING_CORES)
         for name, family in FAMILIES.items()
         if only in (None, name)
     }

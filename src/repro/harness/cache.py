@@ -1,142 +1,62 @@
 """Content-addressed disk cache for sweep results.
 
-A simulation run is a pure function of its inputs: the machine
-configuration, the workload parameters, and the seed.  The cache keys
-each :class:`~repro.harness.executor.RunSummary` by a SHA-256 over the
-canonical JSON form of exactly those inputs, plus the versions of the
-simulator *subsystems* the run actually exercises -- so a result is
-reused only while nothing that could change it has changed.
-
-Scoped invalidation
--------------------
-
-Earlier revisions salted every key with one monolithic ``CODE_VERSION``
-string, so any simulator change orphaned the entire cache.  The salt is
-now a **per-subsystem version map** (:data:`SUBSYSTEM_VERSIONS`): each
-spec declares the subsystems whose behaviour can reach its results
-(:func:`spec_subsystems`), and only *those* versions are folded into
-its key.  Bumping ``"flush"`` after a flush-path change invalidates
-every run that owns flush machinery while the NP baselines -- which
-never enter the flush path -- stay warm.
-
-The bump rule, per subsystem: bump its version whenever a code change
-can alter *any* observable of a run that declares it -- cycle counts,
-stats (including timing-sensitive counters like stall counts), persist
-order, or the NVRAM image -- even when headline results look unchanged.
-Pure refactors that provably preserve event order (the
-determinism-digest tests are the proof) may keep the version, but when
-in doubt, bump: a cold sweep is cheap, a stale hit is silently wrong.
-A change whose blast radius you cannot scope gets an ``"engine"`` bump,
-which every spec declares.
-
-* ``engine``   -- the event loop, ``system.py`` access paths, the
-  processor: every run.
-* ``mem``      -- caches, coherence, interconnect, NVRAM/MC: every run.
-* ``flush``    -- the persist/flush handshake, arbiters, epoch
-  machinery: every run under a persistency model (i.e. not NP).
-* ``bsp``      -- undo logging, checkpoints, the BSP epoch manager:
-  BSP and BSP-WT runs.
-* ``workload:<name>`` -- the workload generator itself; defaults to
-  version 1 until a generator change forces an entry here.
-
-Version history: the four core subsystems start at 8, carrying on from
-the retired ``sweep-v7`` whole-cache salt (the key-format change
-orphans pre-v8 entries exactly once; see the git history of this file
-for the v1-v7 log).  ``mem``/``flush`` 8 -> 9: protocol-wide fault
-injection wired retry/timeout state machines into the flush handshake
-and the NVRAM write path (fault-free runs are digest-identical, but
-the blast radius spans both subsystems -- when in doubt, bump).
-
-Torn-entry detection
---------------------
+A simulation run is a pure function of its inputs -- the machine
+configuration, the workload parameters and the seed -- and of the
+simulator's source.  The cache keys each
+:class:`~repro.harness.executor.RunSummary` by a SHA-256 over the
+canonical JSON form of those inputs plus :func:`source_digest`, a hash
+of every ``src/repro/**/*.py`` file (relative path and bytes) read once
+per process.  Any source edit therefore moves every key: a stale hit
+cannot happen, and the price is one cold rebuild per edit.
 
 Each entry embeds a SHA-256 ``checksum`` over its summary payload,
-verified on every read.  A torn or bit-flipped entry (power cut
-mid-``os.replace`` on a non-atomic filesystem, disk corruption on a
-long-lived farm host) is logged to stderr, deleted, and counted
-(``corrupt`` on the instance, ``corrupt_entries`` in :meth:`stats`);
-the read reports a miss, so the spec transparently reruns and the
-rewritten entry heals the cache.  Entries written before the checksum
-existed verify as legacy (no checksum, accepted as-is) until their
-next version bump rewrites them.
+verified on every read.  An entry that does not parse, has no checksum
+or fails it (a torn write, a flipped bit) is logged to stderr, deleted
+and counted (``corrupt``); the read reports a miss, so the spec reruns
+and the rewritten entry heals the cache.
 
 Entries live as individual JSON files under ``.repro-cache/`` (one file
-per key, atomically written), so concurrent sweeps, shards, and pool
-workers can share a cache directory without locking.  Alongside each
-summary the entry records the run's wall-clock seconds; a second,
-version-*independent* cost record (under ``costs/``) survives version
-bumps so the planner can still order invalidated reruns longest-first.
-A cache hit touches the entry's mtime, which is what ``prune`` uses as
-its LRU clock.
+per key, atomically written), so concurrent sweeps and pool workers can
+share a cache directory without locking.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.harness.executor import RunSpec, RunSummary
-from repro.sim.config import MachineConfig, PersistencyModel
-
-# Per-subsystem cache versions.  Bump one entry when a change can alter
-# the results of runs declaring that subsystem; every cached entry whose
-# key folded the old version becomes unreachable, everything else stays
-# warm.  Workloads not listed here are at version
-# ``_DEFAULT_SUBSYSTEM_VERSION``.
-SUBSYSTEM_VERSIONS: Dict[str, int] = {
-    "engine": 8,
-    "mem": 9,
-    "flush": 9,
-    "bsp": 8,
-}
-
-_DEFAULT_SUBSYSTEM_VERSION = 1
+from repro.sim.config import MachineConfig
 
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
-_COSTS_SUBDIR = "costs"
+# The ``repro`` package directory: every module under it can change a
+# run's result.
+_SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 
-def spec_subsystems(spec: RunSpec) -> Tuple[str, ...]:
-    """The subsystems whose behaviour can reach this spec's results.
-
-    Every run depends on the engine, the memory system, and its own
-    workload generator.  The flush/persist machinery is only on the
-    path under a persistency model (NP baselines never flush), and the
-    undo-log/checkpoint machinery only under BSP-family models.
-    """
-    model = spec.model or PersistencyModel.BEP
-    subs = ["engine", "mem", f"workload:{spec.workload}"]
-    if model is not PersistencyModel.NP:
-        subs.append("flush")
-    if model in (PersistencyModel.BSP, PersistencyModel.BSP_WT):
-        subs.append("bsp")
-    return tuple(sorted(subs))
-
-
-def scoped_versions(
-    spec: RunSpec, versions: Optional[Mapping[str, int]] = None,
-) -> Dict[str, int]:
-    """The ``{subsystem: version}`` slice folded into this spec's key.
-
-    ``versions`` overlays :data:`SUBSYSTEM_VERSIONS` (used by tests and
-    by callers simulating a bump without editing the module).
-    """
-    table: Mapping[str, int] = SUBSYSTEM_VERSIONS
-    if versions is not None:
-        table = {**SUBSYSTEM_VERSIONS, **versions}
-    return {
-        name: table.get(name, _DEFAULT_SUBSYSTEM_VERSION)
-        for name in spec_subsystems(spec)
-    }
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the package: its path relative
+    to the package root, then its bytes.  Computed once per process."""
+    digest = hashlib.sha256()
+    files = sorted(
+        (path.relative_to(_SOURCE_ROOT).as_posix(), path)
+        for path in _SOURCE_ROOT.rglob("*.py")
+    )
+    for relative, path in files:
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def canonical_config(config: MachineConfig) -> Dict[str, Any]:
@@ -155,39 +75,18 @@ def _digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def spec_fingerprints(
-    spec: RunSpec, versions: Optional[Mapping[str, int]] = None,
-) -> Tuple[str, str]:
-    """``(key, cost_key)`` for a spec, resolving its inputs once.
-
-    ``key`` is the content address of the result (inputs + scoped
-    subsystem versions); ``cost_key`` hashes the same inputs *without*
-    the versions, so recorded wall-clock costs survive version bumps
-    and keep informing the scheduler about the reruns they trigger.
-    """
-    body = {
+def spec_key(spec: RunSpec) -> str:
+    """SHA-256 fingerprint of everything that determines a run's result."""
+    return _digest({
+        "source": source_digest(),
         "config": canonical_config(spec.resolved_config()),
         "workload": spec.workload_params(),
-    }
-    cost_key = _digest(body)
-    key = _digest({"versions": scoped_versions(spec, versions), **body})
-    return key, cost_key
-
-
-def spec_key(
-    spec: RunSpec, versions: Optional[Mapping[str, int]] = None,
-) -> str:
-    """SHA-256 fingerprint of everything that determines a run's result."""
-    return spec_fingerprints(spec, versions)[0]
+    })
 
 
 def _record_files(directory: Path):
-    """Cache records only: 64-hex-named ``.json`` files.
-
-    The cache root also hosts the advisory ``plan.json`` cursor (and
-    the ``costs/`` subdir), which must not count as — or be GC'd as —
-    a result entry.
-    """
+    """Cache records only: 64-hex-named ``.json`` files (in-flight
+    ``.tmp-*`` writes are not records)."""
     for path in directory.glob("*.json"):
         stem = path.stem
         if len(stem) == 64 and all(c in "0123456789abcdef" for c in stem):
@@ -197,41 +96,30 @@ def _record_files(directory: Path):
 class ResultCache:
     """Disk-backed map from :class:`RunSpec` to :class:`RunSummary`.
 
-    ``hits`` / ``misses`` count ``get`` outcomes so drivers (and the
-    bench harness) can report the cache's effectiveness.  ``versions``
-    overlays :data:`SUBSYSTEM_VERSIONS` for every key this instance
-    computes (tests use it to simulate subsystem bumps).
+    ``hits`` / ``misses`` count ``get`` outcomes so callers can report
+    the cache's effectiveness; ``corrupt`` counts discarded entries.
     """
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR,
-                 versions: Optional[Mapping[str, int]] = None) -> None:
+    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.versions = dict(versions) if versions is not None else None
         self.hits = 0
         self.misses = 0
         self.corrupt = 0  # torn/corrupted entries discarded on read
 
     # ------------------------------------------------------------------
     def key_for(self, spec: RunSpec) -> str:
-        return spec_key(spec, self.versions)
-
-    def fingerprints(self, spec: RunSpec) -> Tuple[str, str]:
-        """``(key, cost_key)``, resolving the spec's inputs once."""
-        return spec_fingerprints(spec, self.versions)
+        return spec_key(spec)
 
     def _path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
-
-    def _cost_path(self, cost_key: str) -> Path:
-        return self.root / _COSTS_SUBDIR / f"{cost_key}.json"
 
     # ------------------------------------------------------------------
     def contains_key(self, key: str) -> bool:
         """Existence probe without loading or counting a hit.
 
-        The planner's one-pass probe over thousand-spec plans: a stat
-        per entry instead of a parse.  A truncated entry passes the
-        probe but falls back to a recompute at ``get`` time.
+        The planner's one-pass probe: a stat per entry instead of a
+        parse.  A corrupt entry passes the probe but falls back to a
+        recompute at ``get`` time.
         """
         return self._path_for(key).is_file()
 
@@ -249,26 +137,17 @@ class ResultCache:
             return None
         try:
             data = json.loads(raw)
-            checksum = data.get("checksum")
-            if (checksum is not None
-                    and checksum != _digest(data["summary"])):
+            if data["checksum"] != _digest(data["summary"]):
                 raise ValueError("payload checksum mismatch")
             summary = RunSummary.from_dict(data["summary"])
         except (ValueError, KeyError, TypeError):
-            # The file exists but its payload is torn, bit-flipped, or
-            # stale-format: warn, delete, count, and miss -- the rerun
-            # rewrites a good entry.
+            # The file exists but its payload is torn, bit-flipped,
+            # unchecksummed or stale-format: warn, delete, count, and
+            # miss -- the rerun rewrites a good entry.
             self._discard_corrupt(path, key)
             self.misses += 1
             return None
         self.hits += 1
-        try:
-            # The hit is this entry's last use: advance its mtime so
-            # ``prune`` evicts least-recently-*used*, not least-
-            # recently-written.
-            os.utime(path, None)
-        except OSError:
-            pass
         return summary
 
     def _discard_corrupt(self, path: Path, key: str) -> None:
@@ -283,35 +162,21 @@ class ResultCache:
         except OSError:
             pass
 
-    def put(self, spec: RunSpec, summary: RunSummary,
-            wall_seconds: Optional[float] = None) -> Path:
-        key, cost_key = self.fingerprints(spec)
-        return self.put_by_key(key, spec, summary,
-                               wall_seconds=wall_seconds, cost_key=cost_key)
+    def put(self, spec: RunSpec, summary: RunSummary) -> Path:
+        return self.put_by_key(self.key_for(spec), spec, summary)
 
-    def put_by_key(self, key: str, spec: RunSpec, summary: RunSummary,
-                   wall_seconds: Optional[float] = None,
-                   cost_key: Optional[str] = None) -> Path:
+    def put_by_key(self, key: str, spec: RunSpec,
+                   summary: RunSummary) -> Path:
         path = self._path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
         payload = summary.to_dict()
         record = {
             "key": key,
-            "versions": scoped_versions(spec, self.versions),
             "spec": spec.describe(),
             "summary": payload,
-            # Torn-write detection: verified on every read (see the
-            # module docstring).
+            # Torn-write detection: verified on every read.
             "checksum": _digest(payload),
         }
-        if wall_seconds is not None:
-            record["wall_seconds"] = round(wall_seconds, 4)
-        self._atomic_write(path, record)
-        if wall_seconds is not None and cost_key is not None:
-            self._put_cost(cost_key, spec, wall_seconds)
-        return path
-
-    def _atomic_write(self, path: Path, record: Dict[str, Any]) -> None:
         # Atomic publish: concurrent writers of the same key race
         # harmlessly (both write equivalent content).
         fd, tmp_name = tempfile.mkstemp(
@@ -327,142 +192,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    # ------------------------------------------------------------------
-    # Cost metadata (version-independent scheduler input)
-    # ------------------------------------------------------------------
-    def _put_cost(self, cost_key: str, spec: RunSpec,
-                  wall_seconds: float) -> None:
-        path = self._cost_path(cost_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, {
-            "spec": spec.describe(),
-            "wall_seconds": round(wall_seconds, 4),
-        })
-
-    def cost_by_key(self, cost_key: str) -> Optional[float]:
-        """Recorded wall-clock seconds for this spec's inputs, if any."""
-        try:
-            with self._cost_path(cost_key).open(
-                    "r", encoding="utf-8") as handle:
-                value = json.load(handle).get("wall_seconds")
-            return float(value) if value is not None else None
-        except (OSError, ValueError, TypeError):
-            return None
-
-    # ------------------------------------------------------------------
-    # Farm-host hygiene: stats and pruning
-    # ------------------------------------------------------------------
-    def verify_entry(self, path: Path) -> bool:
-        """True when the entry at ``path`` parses and its checksum (if
-        present -- legacy entries have none) matches its payload."""
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            checksum = data.get("checksum")
-            if (checksum is not None
-                    and checksum != _digest(data["summary"])):
-                return False
-            RunSummary.from_dict(data["summary"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return False
-        return True
-
-    def stats(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """Entry counts, byte totals, corrupt-entry count (every entry
-        is checksum-verified, read-only), and last-use (mtime) age
-        spread."""
-        now = time.time() if now is None else now
-        entries = 0
-        total_bytes = 0
-        corrupt_entries = 0
-        ages = []
-        if self.root.is_dir():
-            for path in _record_files(self.root):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries += 1
-                total_bytes += stat.st_size
-                if not self.verify_entry(path):
-                    corrupt_entries += 1
-                ages.append(max(0.0, now - stat.st_mtime))
-        cost_entries = 0
-        cost_bytes = 0
-        costs_dir = self.root / _COSTS_SUBDIR
-        if costs_dir.is_dir():
-            for path in _record_files(costs_dir):
-                try:
-                    cost_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                cost_entries += 1
-        return {
-            "root": str(self.root),
-            "entries": entries,
-            "bytes": total_bytes,
-            "corrupt_entries": corrupt_entries,
-            "cost_entries": cost_entries,
-            "cost_bytes": cost_bytes,
-            "newest_age_s": round(min(ages), 1) if ages else None,
-            "oldest_age_s": round(max(ages), 1) if ages else None,
-            "mean_age_s": round(sum(ages) / len(ages), 1) if ages else None,
-        }
-
-    def prune(self, max_bytes: Optional[int] = None,
-              max_age_days: Optional[float] = None,
-              dry_run: bool = False,
-              now: Optional[float] = None) -> Tuple[int, int]:
-        """LRU/age-based GC; returns ``(entries_removed, bytes_freed)``.
-
-        ``max_age_days`` first drops every record (result *and* cost)
-        not used for that long; ``max_bytes`` then evicts
-        least-recently-used result entries until the result files fit
-        the budget.  ``dry_run`` reports without deleting.
-        """
-        now = time.time() if now is None else now
-        removed = 0
-        freed = 0
-
-        def unlink(path: Path, size: int) -> None:
-            nonlocal removed, freed
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    return
-            removed += 1
-            freed += size
-
-        survivors = []  # (mtime, size, path) of result entries
-        candidates = []
-        if self.root.is_dir():
-            candidates.extend(_record_files(self.root))
-            costs_dir = self.root / _COSTS_SUBDIR
-            if costs_dir.is_dir():
-                candidates.extend(_record_files(costs_dir))
-        cutoff = (now - max_age_days * 86400.0
-                  if max_age_days is not None else None)
-        for path in candidates:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            if cutoff is not None and stat.st_mtime < cutoff:
-                unlink(path, stat.st_size)
-            elif path.parent == self.root:
-                survivors.append((stat.st_mtime, stat.st_size, path))
-
-        if max_bytes is not None:
-            survivors.sort()  # oldest last-use first
-            total = sum(size for _, size, _ in survivors)
-            for _, size, path in survivors:
-                if total <= max_bytes:
-                    break
-                unlink(path, size)
-                total -= size
-        return removed, freed
+        return path
 
     # ------------------------------------------------------------------
     def clear(self) -> int:
@@ -472,11 +202,6 @@ class ResultCache:
             for entry in _record_files(self.root):
                 entry.unlink()
                 removed += 1
-            costs_dir = self.root / _COSTS_SUBDIR
-            if costs_dir.is_dir():
-                for entry in _record_files(costs_dir):
-                    entry.unlink()
-                    removed += 1
         return removed
 
     def __len__(self) -> int:

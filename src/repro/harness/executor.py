@@ -16,36 +16,27 @@ were given, regardless of completion order.
   machine) across the process boundary; the summary is a handful of
   ints.
 * :func:`run_specs` -- execute a spec list.  ``jobs=1`` runs fully
-  in-process (the debugging path); ``jobs>1`` uses a
+  in-process (the debugging path); ``jobs>1`` uses one
   ``ProcessPoolExecutor``.  An optional result cache is consulted
-  before dispatch and populated afterwards.
-* :func:`execute_resilient` -- the self-healing pool driver underneath
-  :func:`run_specs` and the plan runner.  A worker death
-  (``BrokenProcessPool``) or a per-spec wall-clock timeout kills and
-  respawns the pool with the surviving specs; a spec that takes a pool
-  down ``max_attempts`` times is quarantined instead of wedging the
-  sweep forever.  :class:`FarmHealth` reports what the driver had to
-  do.
-
-Because every run is a pure function of its spec, a respawned rerun of
-a surviving spec produces the bit-identical summary the first attempt
-would have -- resilience never perturbs results, only wall-clock.
+  before dispatch and written as each result lands; an optional
+  deadline stops dispatching new runs.  A run that raises stops the
+  sweep with an error naming its spec; a failing run is a simulator
+  bug, so nothing is retried.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.runner import (
     Scale,
@@ -283,261 +274,6 @@ def execute(spec: RunSpec) -> RunSummary:
     return RunSummary.from_result(spec, result)
 
 
-def _maybe_inject_farm_fault(spec: RunSpec) -> None:
-    """Deterministic worker-fault hook for the resilience tests and CI.
-
-    Driven by the ``REPRO_FARM_FAULT`` environment variable (inherited
-    by pool workers), so a test can make exactly one worker die -- or
-    one spec hang -- without patching pool internals:
-
-    * ``crash-once:<workload>:<sentinel-path>`` -- the first worker to
-      pick up a spec of ``<workload>`` creates the sentinel file
-      (``O_CREAT | O_EXCL``, so concurrent workers race safely) and
-      hard-exits, taking its pool down; every later attempt finds the
-      sentinel and runs normally.  Exercises the respawn path.
-    * ``hang:<workload>`` -- every attempt at ``<workload>`` sleeps
-      past any reasonable timeout.  Exercises the timeout-kill and
-      quarantine paths.
-    """
-    directive = os.environ.get("REPRO_FARM_FAULT")
-    if not directive:
-        return
-    if multiprocessing.parent_process() is None:
-        # Worker faults only make sense in pool workers; firing in the
-        # serial in-process path would take the caller down with no
-        # pool to heal it.
-        return
-    parts = directive.split(":", 2)
-    if parts[0] == "crash-once" and len(parts) == 3:
-        if spec.workload != parts[1]:
-            return
-        try:
-            os.close(os.open(parts[2], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return
-        os._exit(86)
-    elif parts[0] == "hang" and len(parts) >= 2 and spec.workload == parts[1]:
-        time.sleep(3600)
-
-
-def execute_timed(spec: RunSpec) -> Tuple[RunSummary, float]:
-    """:func:`execute` plus the run's wall-clock seconds.
-
-    Module-level so it pickles cleanly into pool workers; the timing is
-    taken inside the worker, so pool scheduling latency is excluded and
-    the recorded cost approximates the run itself.
-    """
-    _maybe_inject_farm_fault(spec)
-    start = time.perf_counter()
-    summary = execute(spec)
-    return summary, time.perf_counter() - start
-
-
-# ----------------------------------------------------------------------
-# Self-healing execution
-# ----------------------------------------------------------------------
-_POLL_SECONDS = 0.2
-
-
-class FarmError(RuntimeError):
-    """A resilient sweep could not complete every spec: after the
-    configured number of attempts some specs were quarantined."""
-
-
-@dataclass
-class FarmHealth:
-    """What the self-healing executor had to do to finish a sweep.
-
-    ``attempts`` maps a spec's :meth:`RunSpec.describe` string to how
-    many failed attempts it accumulated; specs that reach
-    ``max_attempts`` move to ``quarantined`` and are dropped from the
-    sweep rather than allowed to take the pool down forever.
-    """
-
-    respawns: int = 0      # pool rebuilds after worker death / kill
-    timeouts: int = 0      # specs that exceeded the wall-clock timeout
-    attempts: Dict[str, int] = field(default_factory=dict)
-    quarantined: List[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not (self.respawns or self.timeouts or self.quarantined)
-
-    def describe(self) -> str:
-        if self.clean:
-            return "farm healthy: no worker faults"
-        parts = [f"{self.respawns} pool respawn(s)",
-                 f"{self.timeouts} spec timeout(s)"]
-        if self.quarantined:
-            parts.append("quarantined: " + ", ".join(self.quarantined))
-        return "; ".join(parts)
-
-
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-kill every worker process of a pool (used when a spec blows
-    its wall-clock timeout: there is no cooperative way to interrupt a
-    busy pool worker)."""
-    processes = getattr(pool, "_processes", None)
-    for process in list((processes or {}).values()):
-        try:
-            process.kill()
-        except OSError:  # pragma: no cover - already-dead race
-            pass
-
-
-def _pool_generation(
-    pending: Dict[int, RunSpec],
-    workers: int,
-    timeout: Optional[float],
-    deliver: Callable[[int, RunSummary, float], None],
-    should_stop: Optional[Callable[[], bool]],
-    health: FarmHealth,
-) -> Tuple[bool, Set[int]]:
-    """One process-pool lifetime over ``pending``.
-
-    Runs until every pending spec completes, the pool breaks (worker
-    death), a spec exceeds ``timeout`` (the pool is then killed), or
-    ``should_stop`` fires.  Completed specs are handed to ``deliver``
-    (which removes them from ``pending``); the return value is
-    ``(broke, suspects)`` where ``suspects`` are the indices that were
-    running when the pool went down -- the candidates to charge an
-    attempt to.
-    """
-    suspects: Set[int] = set()
-    stopping = False
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = {pool.submit(execute_timed, spec): index
-                   for index, spec in pending.items()}
-        running_since: Dict[Any, float] = {}
-        while futures:
-            done, _ = wait(list(futures), timeout=_POLL_SECONDS,
-                           return_when=FIRST_COMPLETED)
-            broke = False
-            for future in done:
-                index = futures.pop(future)
-                was_running = running_since.pop(future, None) is not None
-                if future.cancelled():
-                    continue
-                error = future.exception()
-                if error is None:
-                    summary, wall = future.result()
-                    deliver(index, summary, wall)
-                    continue
-                if isinstance(error, BrokenProcessPool):
-                    # A worker died; every sibling future breaks too.
-                    # Only futures that were *running* are plausible
-                    # culprits -- queued ones were never dispatched.
-                    broke = True
-                    if was_running:
-                        suspects.add(index)
-                    continue
-                raise error
-            if broke:
-                for future, index in futures.items():
-                    if future in running_since or future.running():
-                        suspects.add(index)
-                return True, suspects
-            now = time.monotonic()
-            for future in futures:
-                if future.running() and future not in running_since:
-                    running_since[future] = now
-            if timeout is not None:
-                for future, since in running_since.items():
-                    if now - since > timeout:
-                        health.timeouts += 1
-                        suspects.add(futures[future])
-                        _kill_pool_workers(pool)
-                        return True, suspects
-            if not stopping and should_stop is not None and should_stop():
-                stopping = True
-                for future in futures:
-                    future.cancel()
-        return False, suspects
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def execute_resilient(
-    tasks: Dict[int, RunSpec],
-    jobs: int,
-    *,
-    timeout: Optional[float] = None,
-    max_attempts: int = 2,
-    health: Optional[FarmHealth] = None,
-    force_pool: bool = False,
-    on_result: Optional[Callable[[int, RunSummary, float], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> Dict[int, Tuple[RunSummary, float]]:
-    """Execute ``tasks`` (index -> spec) with worker-death resilience.
-
-    Dispatch order follows ``tasks``'s iteration order (callers pass an
-    LPT-ordered dict).  Returns ``{index: (summary, wall_seconds)}``
-    for every task that completed; quarantined or stopped tasks are
-    simply absent.  ``on_result`` fires as each result lands (the plan
-    runner persists and checkpoints there); ``should_stop`` is polled
-    between completions and stops dispatching new work when it returns
-    True (in-flight work still completes and is delivered).
-
-    ``jobs <= 1`` (or a single task, unless ``force_pool``) runs
-    serially in-process: no pool means no crash/timeout protection,
-    which is the debugging path's contract already.  With a pool, a
-    ``BrokenProcessPool`` or a spec running past ``timeout`` seconds
-    kills the pool and respawns it with the surviving specs; each
-    suspect spec is charged one attempt, and a spec reaching
-    ``max_attempts`` is quarantined (recorded in ``health``, never
-    rerun).  Reruns of surviving specs are bit-identical to their first
-    attempt -- runs are pure functions of the spec -- so resilience
-    never changes results.
-    """
-    if health is None:
-        health = FarmHealth()
-    results: Dict[int, Tuple[RunSummary, float]] = {}
-    pending: Dict[int, RunSpec] = dict(tasks)
-    attempts: Dict[int, int] = {}
-
-    def deliver(index: int, summary: RunSummary, wall: float) -> None:
-        results[index] = (summary, wall)
-        pending.pop(index, None)
-        if on_result is not None:
-            on_result(index, summary, wall)
-
-    if not force_pool and (jobs <= 1 or len(pending) <= 1):
-        for index, spec in list(pending.items()):
-            if should_stop is not None and should_stop():
-                break
-            summary, wall = execute_timed(spec)
-            deliver(index, summary, wall)
-        return results
-
-    while pending:
-        if should_stop is not None and should_stop():
-            break
-        workers = max(1, min(jobs, len(pending)))
-        broke, suspects = _pool_generation(
-            pending, workers, timeout, deliver, should_stop, health
-        )
-        if not broke:
-            break
-        health.respawns += 1
-        if not suspects:
-            # The pool died before any future was observed running
-            # (sub-poll-interval crash).  Charge everyone still pending:
-            # harsh, but it bounds the respawn loop.
-            suspects = set(pending)
-        for index in sorted(suspects):
-            spec = pending.get(index)
-            if spec is None:
-                continue
-            count = attempts.get(index, 0) + 1
-            attempts[index] = count
-            health.attempts[spec.describe()] = count
-            if count >= max_attempts:
-                health.quarantined.append(spec.describe())
-                del pending[index]
-    return results
-
-
 def default_jobs() -> int:
     return os.cpu_count() or 1
 
@@ -565,20 +301,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def order_longest_first(indices: List[int],
-                        costs: Dict[int, Optional[float]]) -> List[int]:
-    """LPT schedule: order work items by estimated cost, descending.
-
-    Longest-processing-time-first is the classic makespan heuristic
-    for identical parallel workers: dispatching the big runs first
-    keeps the pool busy at the tail instead of waiting on one straggler
-    that started last.  Items with no recorded cost are assumed to cost
-    the mean of the known ones (ties keep submission order, so the
-    result is deterministic).
-    """
-    known = [c for c in costs.values() if c]
-    default = (sum(known) / len(known)) if known else 0.0
-    return sorted(indices, key=lambda i: -(costs.get(i) or default))
+def _run_failed(spec: RunSpec, error: BaseException) -> RuntimeError:
+    return RuntimeError(f"run {spec.describe()} failed: {error!r}")
 
 
 def run_specs(
@@ -586,74 +310,85 @@ def run_specs(
     jobs: Optional[int] = None,
     cache=None,
     refresh: bool = False,
-    timeout: Optional[float] = None,
-    health: Optional[FarmHealth] = None,
-) -> List[RunSummary]:
+    deadline: Optional[float] = None,
+) -> List[Optional[RunSummary]]:
     """Execute ``specs`` and return summaries in spec order.
 
-    ``jobs=None`` uses every core; ``jobs=1`` runs serially in-process
-    (no pool, easiest to debug/profile).  ``cache`` is any object with
-    the :class:`repro.harness.cache.ResultCache` interface; with
-    ``refresh`` the cache is only written, never read.  Each spec's
-    content key is computed exactly once and reused across the probe,
-    the store, and the cost lookup (hashing a resolved config per spec
-    per phase is measurable on thousand-spec plans).
+    ``jobs=None`` uses every core; ``jobs=1`` (or a single cache miss)
+    runs serially in-process, which is the path to debug and profile;
+    otherwise the misses run in one ``ProcessPoolExecutor``.  ``cache``
+    is any object with the :class:`repro.harness.cache.ResultCache`
+    interface; with ``refresh`` it is only written, never read.  Each
+    result is cached as it lands, so a sweep that stops early keeps
+    everything it finished.
 
-    Cache misses are executed longest-first by recorded wall-clock cost
-    (see :func:`order_longest_first`) via :func:`execute_resilient`, so
-    a worker death or a spec blowing ``timeout`` seconds respawns the
-    pool instead of aborting the sweep; completion order never reorders
-    the output, so any ``jobs`` value yields the same list.  If a spec
-    gets quarantined, a :exc:`FarmError` is raised -- unless the caller
-    passed a ``health`` sink, in which case the quarantined slots come
-    back ``None`` and the sink says why.
+    ``deadline`` is a :func:`time.monotonic` value: once it has passed
+    no new run is dispatched, runs in flight still finish and land, and
+    the runs never started come back as ``None``.  A run that raises
+    (or a pool worker that dies) stops the sweep the same way, then
+    raises a :exc:`RuntimeError` naming its spec; nothing is retried.
+    Completion order never reorders the output, so any ``jobs`` value
+    yields the same list.
     """
     jobs = resolve_jobs(jobs)
     summaries: List[Optional[RunSummary]] = [None] * len(specs)
-
-    fingerprints: Optional[List[Tuple[str, str]]] = None
-    if cache is not None:
-        fingerprints = [cache.fingerprints(spec) for spec in specs]
-
+    keys = ([cache.key_for(spec) for spec in specs]
+            if cache is not None else None)
     misses: List[int] = []
     for index in range(len(specs)):
-        hit = (cache.get_by_key(fingerprints[index][0])
-               if (cache is not None and not refresh) else None)
+        hit = (cache.get_by_key(keys[index])
+               if cache is not None and not refresh else None)
         if hit is not None:
             summaries[index] = hit
         else:
             misses.append(index)
 
-    if misses:
-        if cache is not None and len(misses) > 1:
-            costs = {
-                index: cache.cost_by_key(fingerprints[index][1])
-                for index in misses
-            }
-            misses = order_longest_first(misses, costs)
-        own_health = health if health is not None else FarmHealth()
-        completed = execute_resilient(
-            {index: specs[index] for index in misses}, jobs,
-            timeout=timeout, health=own_health,
-        )
-        walls: Dict[int, float] = {}
-        for index, (summary, wall) in completed.items():
-            summaries[index] = summary
-            walls[index] = wall
-        if not own_health.clean:
-            print(f"[executor] {own_health.describe()}", file=sys.stderr)
+    def land(index: int, summary: RunSummary) -> None:
+        summaries[index] = summary
         if cache is not None:
-            for index in misses:
-                if summaries[index] is None:
-                    continue
-                key, cost_key = fingerprints[index]
-                cache.put_by_key(key, specs[index], summaries[index],
-                                 wall_seconds=walls[index],
-                                 cost_key=cost_key)
-        if own_health.quarantined and health is None:
-            raise FarmError(
-                "specs quarantined after repeated worker faults: "
-                + ", ".join(own_health.quarantined)
-            )
+            cache.put_by_key(keys[index], specs[index], summary)
 
-    return summaries  # type: ignore[return-value]
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
+    workers = min(jobs, len(misses))
+    if workers <= 1:
+        for index in misses:
+            if expired():
+                break
+            try:
+                summary = execute(specs[index])
+            except Exception as error:
+                raise _run_failed(specs[index], error) from error
+            land(index, summary)
+        return summaries
+
+    queued = iter(misses)
+    running: Dict[Future, int] = {}
+    failure: Optional[Tuple[int, BaseException]] = None
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+
+        def dispatch() -> None:
+            # One run per free worker, so the deadline (and a failure)
+            # is checked before every dispatch.
+            if failure is None and not expired():
+                index = next(queued, None)
+                if index is not None:
+                    running[pool.submit(execute, specs[index])] = index
+
+        for _ in range(workers):
+            dispatch()
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = running.pop(future)
+                error = future.exception()
+                if error is None:
+                    land(index, future.result())
+                elif failure is None:
+                    failure = (index, error)
+                dispatch()
+    if failure is not None:
+        index, error = failure
+        raise _run_failed(specs[index], error) from error
+    return summaries

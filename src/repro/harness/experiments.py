@@ -16,21 +16,14 @@ the content-addressed disk cache (``.repro-cache/``, disable with
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.harness.executor import RunSpec, RunSummary, run_specs
-from repro.harness.plan import (
-    PLAN_FILENAME,
-    build_plan,
-    parse_shard,
-    run_plan,
-    shard_plan,
-)
 from repro.harness.report import FigureTable, normalize_rows, plan_table
 from repro.harness.runner import (
     BSP_EPOCH_SIZES,
@@ -433,9 +426,9 @@ _ALL_FIGURES = ("fig11", "fig12", "fig13", "fig14", "flushmode",
                 "writethrough", "contended")
 
 # tag -> plan function with the uniform (scale, seed) signature.  The
-# delta planner enumerates the universe through this table; fig11 and
-# fig12 share one sweep, so they map to the same plan (the planner
-# dedups the specs and tags them with both consumers).
+# planner enumerates a build's runs through this table; fig11 and fig12
+# share one sweep, so they map to the same plan (the planner dedups the
+# specs and tags them with both consumers).
 _FIGURE_PLANS: Dict[str, Callable[[Scale, int], _Plan]] = {
     "fig11": bep_sweep_plan,
     "fig12": bep_sweep_plan,
@@ -450,9 +443,61 @@ _FIGURE_PLANS: Dict[str, Callable[[Scale, int], _Plan]] = {
 def figure_plan_specs(scale: Scale, seed: int = 1,
                       figures: Optional[Sequence[str]] = None,
                       ) -> Dict[str, List[RunSpec]]:
-    """``{figure tag: spec list}`` for the delta planner."""
+    """``{figure tag: spec list}`` for the planner."""
     tags = list(figures) if figures is not None else list(_ALL_FIGURES)
     return {tag: _FIGURE_PLANS[tag](scale, seed)[0] for tag in tags}
+
+
+@dataclass(frozen=True)
+class PlanEntry:
+    """One deduplicated spec of a figure build."""
+
+    spec: RunSpec
+    figures: Tuple[str, ...]   # figure tags that consume this spec
+    cached: bool               # probe outcome at plan time
+
+
+def build_plan(figure_specs: Mapping[str, Sequence[RunSpec]],
+               cache: ResultCache,
+               refresh: bool = False) -> List[PlanEntry]:
+    """Probe the requested figures' runs against the cache in one pass.
+
+    The plan holds the deduplicated union of ``figure_specs`` in
+    first-seen order, each entry tagged with every figure that consumes
+    it (the shared NP baselines appear once).  With ``refresh`` every
+    entry is pending regardless of the probe.
+    """
+    consumers: Dict[RunSpec, List[str]] = {}
+    for tag, specs in figure_specs.items():
+        for spec in specs:
+            tags = consumers.setdefault(spec, [])
+            if tag not in tags:
+                tags.append(tag)
+    return [
+        PlanEntry(spec, tuple(tags),
+                  not refresh and cache.contains_key(cache.key_for(spec)))
+        for spec, tags in consumers.items()
+    ]
+
+
+def plan_summary(plan: Sequence[PlanEntry]) -> str:
+    """The ``N cached / M to run`` plan line."""
+    pending = sum(not entry.cached for entry in plan)
+    line = f"[plan] {len(plan) - pending} cached / {pending} to run"
+    return line if pending else line + " / nothing to do"
+
+
+def _budget_seconds(text: str) -> float:
+    """A ``--budget`` value: a finite number of seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def add_executor_args(parser: argparse.ArgumentParser) -> None:
@@ -475,29 +520,11 @@ def add_executor_args(parser: argparse.ArgumentParser) -> None:
         help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
-        "--full", action="store_true",
-        help="paper-scale full tier (implies --scale paper unless "
-             "--scale is given explicitly)",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=None, metavar="SECONDS",
+        "--budget", type=_budget_seconds, default=None, metavar="SECONDS",
         help="wall-clock allowance: stop dispatching new runs once "
              "exhausted; completed results persist and rerunning the "
-             "same command resumes from the remainder",
-    )
-    parser.add_argument(
-        "--shard", default=None, metavar="I/N",
-        help="run only this shard of the plan (1-based, e.g. 2/4); "
-             "shards are a stable hash of the spec key, so N jobs "
-             "sharing one cache dir cover the plan exactly once; "
-             "figure assembly is skipped (run once unsharded to "
-             "assemble from the merged cache)",
-    )
-    parser.add_argument(
-        "--plan-file", default=None, metavar="PATH",
-        help="where to checkpoint the plan cursor (default: "
-             "<cache-dir>/plan.json); advisory -- resume re-probes "
-             "the cache, never this file",
+             "same command resumes from the remainder (0 = print the "
+             "plan, run nothing)",
     )
 
 
@@ -509,10 +536,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figures", nargs="+",
         choices=list(_ALL_FIGURES) + ["all"],
     )
-    parser.add_argument("--scale", default=None,
+    parser.add_argument("--scale", default=Scale.SMALL.value,
                         choices=[s.value for s in Scale],
-                        help="machine scale (default: small; paper "
-                             "under --full)")
+                        help="machine scale (default: small)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--csv-dir", default=None,
                         help="write each figure's data as CSV here")
@@ -520,15 +546,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="render terminal bar charts too")
     add_executor_args(parser)
     args = parser.parse_args(argv)
-    if args.scale is not None:
-        scale = Scale(args.scale)
-    else:
-        scale = Scale.PAPER if args.full else Scale.SMALL
-    if args.no_cache and (args.full or args.shard
-                          or args.budget is not None):
-        parser.error("--full/--shard/--budget plan through the result "
-                     "cache; drop --no-cache")
-    shard = parse_shard(args.shard) if args.shard else None
+    scale = Scale(args.scale)
+    if args.no_cache and args.budget is not None:
+        parser.error("--budget plans through the result cache; drop "
+                     "--no-cache")
     wanted = set(args.figures)
     if "all" in wanted:
         wanted = set(_ALL_FIGURES)
@@ -550,37 +571,30 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     start = time.time()
     if cache is not None:
-        # Plan first: enumerate the whole universe for the requested
-        # figures, probe the cache in one pass, and execute only the
-        # delta (shared baselines are planned once).  Figure assembly
-        # below then reads from the warm cache.
+        # Plan first: probe the requested figures' runs against the
+        # cache in one pass and execute only the delta (shared
+        # baselines are planned once).  Figure assembly below then reads
+        # from the warm cache.
         ordered = [tag for tag in _ALL_FIGURES if tag in wanted]
-        plan = build_plan(
-            figure_plan_specs(scale, args.seed, ordered), cache,
-            refresh=refresh,
-        )
-        part = shard_plan(plan, *shard) if shard else plan
-        est_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        if part.pending:
-            print(plan_table(part).render(precision=1))
-        print(part.summary(est_jobs))
-        plan_path = (args.plan_file if args.plan_file is not None
-                     else Path(args.cache_dir) / PLAN_FILENAME)
-        report = run_plan(part, cache, jobs=jobs, budget=args.budget,
-                          plan_path=plan_path)
+        plan = build_plan(figure_plan_specs(scale, args.seed, ordered),
+                          cache, refresh=refresh)
+        pending = [entry.spec for entry in plan if not entry.cached]
+        if pending:
+            print(plan_table(plan).render(precision=0))
+        print(plan_summary(plan))
+        deadline = (time.monotonic() + args.budget
+                    if args.budget is not None else None)
+        done = run_specs(pending, jobs=jobs, cache=cache, refresh=True,
+                         deadline=deadline)
         refresh = False
-        if report.remaining:
-            print(f"[farm] budget exhausted after {report.elapsed:.1f}s: "
-                  f"{report.executed} executed, {report.remaining} "
+        remaining = done.count(None)
+        if remaining:
+            print(f"[plan] budget exhausted after "
+                  f"{time.time() - start:.1f}s: "
+                  f"{len(pending) - remaining} executed, {remaining} "
                   "remaining; rerun the same command to resume")
             print(f"[cache: {cache.hits} hits, {cache.misses} misses "
                   f"({args.cache_dir})]", file=sys.stderr)
-            return 0
-        if shard is not None:
-            print(f"[farm] shard {shard[0]}/{shard[1]} complete: "
-                  f"{report.executed} executed in {report.elapsed:.1f}s; "
-                  "assemble figures with an unsharded run over the "
-                  "shared cache")
             return 0
     if wanted & {"fig11", "fig12"}:
         sweep = run_bep_sweep(scale, args.seed, jobs=jobs, cache=cache,

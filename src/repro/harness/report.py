@@ -146,35 +146,27 @@ def scaling_table(record: Dict) -> FigureTable:
 
 
 def plan_table(plan) -> FigureTable:
-    """Per-figure breakdown of a :class:`~repro.harness.plan.SweepPlan`.
+    """Per-figure breakdown of a figure build's plan.
 
+    ``plan`` is a list of :class:`~repro.harness.experiments.PlanEntry`.
     One row per figure tag; a spec shared by several figures (the NP
     baselines, the fig11/fig12 sweep) counts in each consumer's row, so
     the columns answer "what does *this* figure still need", not "how
-    is the deduplicated universe split" -- the plan summary line gives
-    the deduplicated totals.  Counts and seconds share rows, so there
-    is no meaningful mean: no summary row.
+    is the deduplicated plan split" -- the plan summary line gives the
+    deduplicated totals.  Counts do not average, so there is no
+    summary row.
     """
-    tags: List[str] = []
-    stats: Dict[str, List[float]] = {}
-    for entry in plan.entries:
+    stats: Dict[str, List[int]] = {}
+    for entry in plan:
         for tag in entry.figures:
-            if tag not in stats:
-                tags.append(tag)
-                stats[tag] = [0, 0, 0, 0.0]  # specs/cached/pending/est
-            row = stats[tag]
+            row = stats.setdefault(tag, [0, 0, 0])  # specs/cached/pending
             row[0] += 1
-            if entry.cached:
-                row[1] += 1
-            else:
-                row[2] += 1
-                row[3] += entry.est_seconds or 0.0
+            row[1 if entry.cached else 2] += 1
     table = FigureTable(
-        "sweep plan", ["specs", "cached", "to run", "est s"],
-        summary="none",
+        "sweep plan", ["specs", "cached", "to run"], summary="none",
     )
-    for tag in tags:
-        table.add_row(tag, stats[tag])
+    for tag, row in stats.items():
+        table.add_row(tag, row)
     return table
 
 

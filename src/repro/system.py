@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.arbiter import Arbiter
 from repro.core.checkpoint import CheckpointEngine
-from repro.core.epoch import Epoch, EpochManager
+from repro.core.epoch import BY_KEY, Epoch, EpochManager
 from repro.core.idt import IDTracker
 from repro.core.undo_log import UndoLog
 from repro.cpu.processor import Core
@@ -1058,7 +1058,8 @@ class Multicore:
         if prev is not None:
             blockers.append(prev)
         blockers.extend(
-            src for src in victim_epoch.idt_sources if not src.persisted
+            src for src in sorted(victim_epoch.idt_sources, key=BY_KEY)
+            if not src.persisted
         )
         if not blockers:
             return True

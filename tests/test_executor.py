@@ -1,9 +1,12 @@
 """Tests for the parallel sweep executor and the result cache."""
 
 import json
+import time
 
 import pytest
 
+from repro.harness import cache as cache_module
+from repro.harness import executor as executor_module
 from repro.harness.cache import ResultCache, spec_key
 from repro.harness.executor import RunSpec, RunSummary, execute, run_specs
 from repro.harness.runner import Scale
@@ -108,6 +111,45 @@ def test_parallel_bsp_matches_serial():
     assert run_specs(specs, jobs=1) == run_specs(specs, jobs=2)
 
 
+def _failing_pair():
+    """A finished run and a run whose workload does not exist."""
+    return [
+        RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY, transactions=6),
+        RunSpec.bep("no_such_workload", BarrierDesign.LB, Scale.TINY,
+                    transactions=6),
+    ]
+
+
+def test_failing_run_keeps_finished_work_and_names_its_spec(tmp_path):
+    ok, bad = _failing_pair()
+    cache = ResultCache(tmp_path)
+    with pytest.raises(RuntimeError, match="run bep:no_such_workload/LB"):
+        run_specs([ok, bad], jobs=1, cache=cache)
+    # The run that finished before the failure stays cached.
+    assert len(cache) == 1
+    assert cache.get(ok) == execute(ok)
+
+
+def test_failing_run_in_pool_names_its_spec(monkeypatch, tmp_path):
+    # Force a pool even on a one-CPU host.
+    monkeypatch.setattr(executor_module, "resolve_jobs", lambda jobs: 2)
+    ok, bad = _failing_pair()
+    cache = ResultCache(tmp_path)
+    with pytest.raises(RuntimeError, match="run bep:no_such_workload/LB"):
+        run_specs([ok, bad], jobs=2, cache=cache)
+    # The run in flight beside the failure still lands in the cache.
+    assert cache.get(ok) == execute(ok)
+
+
+def test_expired_deadline_dispatches_nothing_in_pool(monkeypatch, tmp_path):
+    monkeypatch.setattr(executor_module, "resolve_jobs", lambda jobs: 2)
+    cache = ResultCache(tmp_path)
+    specs = _bep_specs()
+    done = run_specs(specs, jobs=2, cache=cache, deadline=time.monotonic())
+    assert done == [None] * len(specs)
+    assert len(cache) == 0
+
+
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
@@ -154,15 +196,14 @@ def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path)
     run_specs(_bep_specs()[:1], jobs=1, cache=cache)
     assert len(cache) == 1
-    # clear drops the result entry and its wall-clock cost record
-    assert cache.clear() == 2
+    assert cache.clear() == 1
     assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
-def test_key_changes_with_config_field_seed_and_version():
+def test_key_changes_with_config_field_seed_and_version(monkeypatch):
     base = RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY)
     keys = {
         spec_key(base),
@@ -174,8 +215,10 @@ def test_key_changes_with_config_field_seed_and_version():
         spec_key(RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY,
                              transactions=7)),           # run length
         spec_key(RunSpec.bep("sps", BarrierDesign.LB, Scale.TINY)),
-        spec_key(base, versions={"engine": 999}),        # subsystem bump
     }
+    # A different simulator source moves the key too.
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+    keys.add(spec_key(base))
     assert len(keys) == 7
 
 
@@ -183,9 +226,6 @@ def test_key_is_stable_for_equal_specs():
     a = RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY, l1_latency=4)
     b = RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY, l1_latency=4)
     assert spec_key(a) == spec_key(b)
-    # An overlay that restates the current versions is a no-op.
-    from repro.harness.cache import SUBSYSTEM_VERSIONS
-    assert spec_key(a, versions=dict(SUBSYSTEM_VERSIONS)) == spec_key(a)
 
 
 def test_bsp_key_distinguishes_epoch_stores_and_logging():

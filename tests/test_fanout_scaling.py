@@ -196,13 +196,13 @@ def test_failing_family_makes_bench_exit_nonzero(tmp_path, monkeypatch):
     from repro.__main__ import main
     from repro.harness import bench
 
-    monkeypatch.setitem(bench.FAMILIES, "farm",
-                        lambda seed, jobs, cores: {"ok": False})
+    monkeypatch.setitem(bench.FAMILIES, "crash",
+                        lambda seed, cores: {"ok": False})
     out = str(tmp_path / "bench.json")
-    assert main(["bench", "--only", "farm", "--output", out]) == 1
-    monkeypatch.setitem(bench.FAMILIES, "farm",
-                        lambda seed, jobs, cores: {"ok": True})
-    assert main(["bench", "--only", "farm", "--output", out]) == 0
+    assert main(["bench", "--only", "crash", "--output", out]) == 1
+    monkeypatch.setitem(bench.FAMILIES, "crash",
+                        lambda seed, cores: {"ok": True})
+    assert main(["bench", "--only", "crash", "--output", out]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,15 @@
-"""Self-healing farm tests: worker death and hung specs heal through
-pool respawn / timeout-quarantine without changing results, and torn
-cache entries are detected, discarded, and recomputed."""
+"""Cache-integrity tests: a torn, tampered or unchecksummed entry is
+detected on read, discarded, and recomputed to the same result."""
 
 import json
 
-import pytest
-
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (
-    FarmError,
-    FarmHealth,
-    RunSpec,
-    execute,
-    execute_resilient,
-    execute_timed,
-    run_specs,
-)
-from repro.harness import executor as executor_module
+from repro.harness.executor import RunSpec, execute, run_specs
 from repro.harness.runner import Scale
 from repro.sim.config import BarrierDesign
 
 
 def _specs():
-    """One crashable/hangable queue spec plus two bystanders."""
     return [
         RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY, seed=1,
                     transactions=6),
@@ -33,91 +20,15 @@ def _specs():
     ]
 
 
-def _clean_summaries(specs):
-    return {index: execute(spec) for index, spec in enumerate(specs)}
-
-
-# ----------------------------------------------------------------------
-# Worker crash -> pool respawn, bit-identical results
-# ----------------------------------------------------------------------
-def test_crash_once_respawns_and_results_match_clean_run(
-        monkeypatch, tmp_path):
-    specs = _specs()
-    sentinel = tmp_path / "crashed"
-    monkeypatch.setenv("REPRO_FARM_FAULT", f"crash-once:queue:{sentinel}")
-    health = FarmHealth()
-    results = execute_resilient(
-        dict(enumerate(specs)), jobs=2, force_pool=True, health=health)
-    assert sentinel.exists()
-    assert health.respawns >= 1
-    assert not health.quarantined
-    clean = _clean_summaries(specs)
-    assert set(results) == set(clean)
-    for index, (summary, _wall) in results.items():
-        assert summary == clean[index]
-
-
-def test_fault_hook_is_inert_outside_pool_workers(monkeypatch, tmp_path):
-    # In the serial in-process path the hook must never fire: crashing
-    # there would take the whole harness down with no pool to heal it.
-    sentinel = tmp_path / "crashed"
-    monkeypatch.setenv("REPRO_FARM_FAULT", f"crash-once:queue:{sentinel}")
-    summary, wall = execute_timed(_specs()[0])
-    assert summary.finished
-    assert not sentinel.exists()
-
-
-# ----------------------------------------------------------------------
-# Hung spec -> timeout kill, quarantine, survivors complete
-# ----------------------------------------------------------------------
-def test_hung_spec_is_quarantined_and_survivors_complete(monkeypatch):
-    specs = _specs()
-    monkeypatch.setenv("REPRO_FARM_FAULT", "hang:queue")
-    health = FarmHealth()
-    results = execute_resilient(
-        dict(enumerate(specs)), jobs=2, force_pool=True,
-        timeout=1.0, health=health)
-    assert health.timeouts >= 1
-    assert len(health.quarantined) == 1
-    assert "queue" in health.quarantined[0]
-    assert not health.clean
-    assert "quarantined" in health.describe()
-    # The hanging spec is absent; the bystanders completed intact.
-    assert set(results) == {1, 2}
-    clean = _clean_summaries(specs)
-    for index in (1, 2):
-        assert results[index][0] == clean[index]
-
-
-def test_run_specs_raises_farm_error_on_quarantine(monkeypatch):
-    specs = _specs()
-    monkeypatch.setenv("REPRO_FARM_FAULT", "hang:queue")
-    monkeypatch.setattr(executor_module, "resolve_jobs", lambda jobs: 2)
-    with pytest.raises(FarmError, match="quarantined"):
-        run_specs(specs, jobs=2, timeout=1.0)
-
-
-def test_run_specs_health_sink_reports_instead_of_raising(monkeypatch):
-    specs = _specs()
-    monkeypatch.setenv("REPRO_FARM_FAULT", "hang:queue")
-    monkeypatch.setattr(executor_module, "resolve_jobs", lambda jobs: 2)
-    health = FarmHealth()
-    summaries = run_specs(specs, jobs=2, timeout=1.0, health=health)
-    assert summaries[0] is None
-    assert summaries[1] is not None and summaries[2] is not None
-    assert len(health.quarantined) == 1
-
-
-# ----------------------------------------------------------------------
-# Torn cache entries: detected on read, healed by recompute
-# ----------------------------------------------------------------------
 def test_cache_put_embeds_payload_checksum(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _specs()[0]
-    path = cache.put(spec, execute(spec))
+    summary = execute(spec)
+    path = cache.put(spec, summary)
     record = json.loads(path.read_text())
     assert "checksum" in record
-    assert cache.verify_entry(path)
+    assert cache.get(spec) == summary
+    assert cache.corrupt == 0
 
 
 def test_tampered_cache_entry_is_discarded_and_recomputed(
@@ -129,7 +40,6 @@ def test_tampered_cache_entry_is_discarded_and_recomputed(
     record = json.loads(path.read_text())
     record["summary"]["nvram_writes"] += 1  # torn write to the payload
     path.write_text(json.dumps(record))
-    assert not cache.verify_entry(path)
 
     assert cache.get(spec) is None
     assert cache.corrupt == 1
@@ -141,27 +51,18 @@ def test_tampered_cache_entry_is_discarded_and_recomputed(
     assert cache.get(spec) == summary
 
 
-def test_legacy_entry_without_checksum_still_reads(tmp_path):
+def test_entry_without_checksum_is_corrupt(tmp_path):
+    # Every entry written under the current key format has a checksum,
+    # so one without is damaged, not legacy.
     cache = ResultCache(tmp_path)
     spec = _specs()[0]
-    summary = execute(spec)
-    path = cache.put(spec, summary)
+    path = cache.put(spec, execute(spec))
     record = json.loads(path.read_text())
     del record["checksum"]
     path.write_text(json.dumps(record))
-    assert cache.get(spec) == summary
-    assert cache.corrupt == 0
-
-
-def test_cache_stats_count_corrupt_entries(tmp_path):
-    cache = ResultCache(tmp_path)
-    specs = _specs()[:2]
-    paths = [cache.put(spec, execute(spec)) for spec in specs]
-    record = json.loads(paths[0].read_text())
-    record["summary"]["cycles_visible"] = 0
-    paths[0].write_text(json.dumps(record))
-    stats = cache.stats()
-    assert stats["corrupt_entries"] == 1
+    assert cache.get(spec) is None
+    assert cache.corrupt == 1
+    assert not path.exists()
 
 
 def test_corrupted_entry_plus_rerun_yields_identical_summaries(tmp_path):

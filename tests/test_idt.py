@@ -173,3 +173,23 @@ def test_split_prefix_persists_while_remainder_runs():
     assert dep.idt_sources == set()  # edge cleared on persist
     assert src_mgr.current is not None and src_mgr.current.ongoing
     src_mgr.audit()
+
+
+def test_idt_edge_walks_do_not_depend_on_memory_addresses():
+    """IDT edge sets hold identity-hashed epochs; every walk over them
+    that reaches the event queue goes in (core, seq) order, so repeated
+    runs in one process agree even when allocation history moves the
+    epochs to different addresses."""
+    from repro.harness.executor import RunSpec, execute
+    from repro.harness.runner import Scale
+    from repro.sim.config import BarrierDesign
+
+    spec = RunSpec.bsp("ssca2", BarrierDesign.LB_IDT, Scale.SMALL,
+                       epoch_stores=1500, mem_ops=1500)
+    summaries = []
+    junk = []
+    for round_ in range(4):
+        summaries.append(execute(spec))
+        # Throwaway allocations shift where the next run's epochs land.
+        junk.append([object() for _ in range(1000 * (round_ + 1))])
+    assert summaries.count(summaries[0]) == len(summaries)

@@ -1,9 +1,9 @@
-"""Tests for the sweep-farm planner: delta planning, scoped
-invalidation, deterministic sharding, cost-model scheduling, and
-budget/checkpoint/resume."""
+"""Tests for the figure-build planner: source-keyed invalidation, delta
+planning, and budget/resume."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -12,33 +12,20 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.harness.cache import (
-    SUBSYSTEM_VERSIONS,
-    ResultCache,
-    spec_fingerprints,
-    spec_key,
-    spec_subsystems,
-)
-from repro.harness.executor import RunSpec, order_longest_first, run_specs
-from repro.harness.experiments import figure_plan_specs
-from repro.harness.plan import (
-    PLAN_FILENAME,
-    PlanEntry,
-    SweepPlan,
+from repro.harness.cache import ResultCache, spec_key
+from repro.harness.executor import RunSpec, run_specs
+from repro.harness.experiments import (
     build_plan,
-    parse_shard,
-    pending_longest_first,
-    run_plan,
-    shard_of,
-    shard_plan,
+    figure_plan_specs,
+    plan_summary,
 )
 from repro.harness.runner import Scale
 from repro.sim.config import BarrierDesign, PersistencyModel
 
 
 def _mini_universe():
-    """One spec per subsystem profile: NP (no flush), BEP (flush, no
-    bsp), BSP (flush + bsp) -- all short enough to execute in tests."""
+    """An NP, a BEP and a BSP spec, all short enough to execute in
+    tests."""
     np_spec = RunSpec.bsp("radix", BarrierDesign.LB, Scale.TINY,
                           model=PersistencyModel.NP, mem_ops=300)
     bep_spec = RunSpec.bep("queue", BarrierDesign.LB, Scale.TINY,
@@ -48,44 +35,48 @@ def _mini_universe():
     return np_spec, bep_spec, bsp_spec
 
 
+def _pending(plan):
+    return [entry.spec for entry in plan if not entry.cached]
+
+
 # ----------------------------------------------------------------------
-# Subsystem declaration and scoped keys
+# Cache keys follow the source
 # ----------------------------------------------------------------------
-def test_spec_subsystems_by_model():
-    np_spec, bep_spec, bsp_spec = _mini_universe()
-    assert "flush" not in spec_subsystems(np_spec)
-    assert "bsp" not in spec_subsystems(np_spec)
-    assert "flush" in spec_subsystems(bep_spec)
-    assert "bsp" not in spec_subsystems(bep_spec)
-    assert "flush" in spec_subsystems(bsp_spec)
-    assert "bsp" in spec_subsystems(bsp_spec)
-    for spec in (np_spec, bep_spec, bsp_spec):
-        subs = spec_subsystems(spec)
-        assert "engine" in subs and "mem" in subs
-        assert f"workload:{spec.workload}" in subs
+_TINY_KEYS = (
+    "import json\n"
+    "from repro.harness.cache import spec_key\n"
+    "from repro.harness.experiments import figure_plan_specs\n"
+    "from repro.harness.runner import Scale\n"
+    "specs = [s for f in figure_plan_specs(Scale.TINY).values() for s in f]\n"
+    "print(json.dumps([spec_key(s) for s in dict.fromkeys(specs)]))\n"
+)
 
 
-def test_bump_moves_key_only_for_declaring_specs():
-    np_spec, bep_spec, bsp_spec = _mini_universe()
-    bump = {"flush": SUBSYSTEM_VERSIONS["flush"] + 1}
-    assert spec_key(np_spec, versions=bump) == spec_key(np_spec)
-    assert spec_key(bep_spec, versions=bump) != spec_key(bep_spec)
-    assert spec_key(bsp_spec, versions=bump) != spec_key(bsp_spec)
+def _tiny_keys_from(src_dir: Path):
+    """Every tiny figure spec's key, computed by a fresh interpreter
+    that imports ``repro`` from ``src_dir``."""
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    out = subprocess.run(
+        [sys.executable, "-c", _TINY_KEYS], cwd=src_dir,
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(out.stdout)
 
 
-def test_workload_version_scopes_to_one_generator():
-    _, bep_spec, bsp_spec = _mini_universe()
-    bump = {"workload:queue": 2}
-    assert spec_key(bep_spec, versions=bump) != spec_key(bep_spec)
-    assert spec_key(bsp_spec, versions=bump) == spec_key(bsp_spec)
-
-
-def test_cost_key_is_version_independent():
-    _, bep_spec, _ = _mini_universe()
-    key_a, cost_a = spec_fingerprints(bep_spec)
-    key_b, cost_b = spec_fingerprints(bep_spec, versions={"engine": 999})
-    assert key_a != key_b
-    assert cost_a == cost_b
+def test_one_byte_source_edit_changes_every_key(tmp_path):
+    specs = [s for f in figure_plan_specs(Scale.TINY).values() for s in f]
+    local = [spec_key(s) for s in dict.fromkeys(specs)]
+    copy = tmp_path / "src"
+    shutil.copytree(Path(repro.__file__).resolve().parent, copy / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # The digest covers relative paths and bytes, not where the tree
+    # lives: an unedited copy keys identically in another process.
+    assert _tiny_keys_from(copy) == local
+    target = copy / "repro" / "sim" / "stats.py"
+    target.write_bytes(target.read_bytes() + b"#")
+    edited = _tiny_keys_from(copy)
+    assert len(edited) == len(local)
+    assert not set(edited) & set(local)
 
 
 def test_workload_args_reach_key_but_absence_is_canonical():
@@ -100,205 +91,63 @@ def test_workload_args_reach_key_but_absence_is_canonical():
 
 
 # ----------------------------------------------------------------------
-# Delta planning + scoped invalidation end to end
+# Delta planning
 # ----------------------------------------------------------------------
-def test_bump_invalidates_exactly_declaring_specs(tmp_path):
-    specs = list(_mini_universe())
-    cache = ResultCache(tmp_path)
-    originals = run_specs(specs, jobs=1, cache=cache)
-
-    warm = build_plan({"t": specs}, cache)
-    assert [e.cached for e in warm.entries] == [True, True, True]
-
-    bumped = ResultCache(
-        tmp_path, versions={"flush": SUBSYSTEM_VERSIONS["flush"] + 1}
-    )
-    plan = build_plan({"t": specs}, bumped)
-    cached = {e.spec: e.cached for e in plan.entries}
-    np_spec, bep_spec, bsp_spec = specs
-    assert cached[np_spec] is True          # NP never flushes: stays warm
-    assert cached[bep_spec] is False
-    assert cached[bsp_spec] is False
-
-    # Recompute under the new version: digest-identical results (the
-    # bump was spurious, so the simulator output must not move).
-    recomputed = run_specs(specs, jobs=1, cache=bumped)
-    assert recomputed == originals
-
-
 def test_build_plan_tags_shared_specs_with_all_consumers(tmp_path):
     np_spec, bep_spec, _ = _mini_universe()
     cache = ResultCache(tmp_path)
     plan = build_plan(
         {"figA": [np_spec, bep_spec], "figB": [np_spec]}, cache
     )
-    assert len(plan.entries) == 2
-    by_spec = {e.spec: e for e in plan.entries}
-    assert by_spec[np_spec].figures == ("figA", "figB")
-    assert by_spec[bep_spec].figures == ("figA",)
+    assert [entry.spec for entry in plan] == [np_spec, bep_spec]
+    assert [entry.figures for entry in plan] == [("figA", "figB"),
+                                                 ("figA",)]
 
 
 def test_refresh_plans_everything_pending(tmp_path):
     specs = list(_mini_universe())[:1]
     cache = ResultCache(tmp_path)
     run_specs(specs, jobs=1, cache=cache)
-    assert not build_plan({"t": specs}, cache).pending
-    assert len(build_plan({"t": specs}, cache, refresh=True).pending) == 1
-
-
-# ----------------------------------------------------------------------
-# Sharding invariants
-# ----------------------------------------------------------------------
-def _full_tiny_plan(tmp_path):
-    cache = ResultCache(tmp_path)
-    return build_plan(figure_plan_specs(Scale.TINY), cache)
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5])
-def test_shards_are_disjoint_and_cover_the_plan(tmp_path, count):
-    plan = _full_tiny_plan(tmp_path)
-    all_keys = {e.key for e in plan.entries}
-    assert len(all_keys) == len(plan.entries)  # universe is deduped
-    seen = set()
-    for index in range(1, count + 1):
-        part = shard_plan(plan, index, count)
-        keys = {e.key for e in part.entries}
-        assert not (seen & keys)
-        assert part.universe == len(plan.entries)
-        seen |= keys
-    assert seen == all_keys
-
-
-def test_shard_of_is_a_pure_function_of_the_key():
-    # Pinned values: any drift here silently re-partitions every farm.
-    assert shard_of("0" * 64, 4) == 1
-    assert shard_of("f" * 64, 4) == 4  # (2**64 - 1) % 4 + 1
-    assert shard_of("8000000000000000" + "0" * 48, 2) == 1
-    for count in (1, 2, 7):
-        assert 1 <= shard_of("abcdef0123456789" + "0" * 48, count) <= count
-
-
-def test_shard_assignment_stable_across_processes(tmp_path):
-    plan = _full_tiny_plan(tmp_path)
-    keys = [e.key for e in plan.entries[:8]]
-    local = [shard_of(k, 4) for k in keys]
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    code = (
-        "import sys, json\n"
-        "from repro.harness.plan import shard_of\n"
-        "keys = json.load(sys.stdin)\n"
-        "print(json.dumps([shard_of(k, 4) for k in keys]))\n"
-    )
-    for hashseed in ("0", "424242"):
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hashseed
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code], input=json.dumps(keys),
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(out.stdout) == local
-
-
-def test_parse_shard_validates():
-    assert parse_shard("2/4") == (2, 4)
-    for bad in ("0/2", "3/2", "2", "a/b", "1/0", "-1/3"):
-        with pytest.raises(ValueError):
-            parse_shard(bad)
-
-
-def test_sharded_execution_merges_through_shared_cache(tmp_path):
-    specs = list(_mini_universe())
-    cache = ResultCache(tmp_path)
-    unsharded = run_specs(specs, jobs=1, cache=ResultCache(tmp_path / "u"))
-    plan = build_plan({"t": specs}, cache)
-    for index in (1, 2):
-        part = shard_plan(plan, index, 2)
-        report = run_plan(part, cache, jobs=1)
-        assert report.remaining == 0
-    # Every spec is now cached; results match the unsharded run exactly.
-    merged = run_specs(specs, jobs=1, cache=cache)
-    assert cache.misses == 0
-    assert merged == unsharded
-    assert not build_plan({"t": specs}, cache).pending
-
-
-# ----------------------------------------------------------------------
-# Cost model / LPT ordering
-# ----------------------------------------------------------------------
-def test_order_longest_first_with_mean_fill():
-    order = order_longest_first(
-        [0, 1, 2, 3], {0: 1.0, 1: 5.0, 2: None, 3: 3.0}
-    )
-    # Unknown cost (index 2) gets the mean of known (3.0), tying with
-    # index 3; ties keep submission order, so 2 stays ahead of 3.
-    assert order == [1, 2, 3, 0]
-
-
-def test_costs_survive_version_bumps_and_order_the_plan(tmp_path):
-    np_spec, bep_spec, _ = _mini_universe()
-    cache = ResultCache(tmp_path)
-    run_specs([np_spec, bep_spec], jobs=1, cache=cache)
-    for spec in (np_spec, bep_spec):
-        _, cost_key = cache.fingerprints(spec)
-        assert cache.cost_by_key(cost_key) is not None
-
-    bumped = ResultCache(
-        tmp_path, versions={"engine": SUBSYSTEM_VERSIONS["engine"] + 1}
-    )
-    plan = build_plan({"t": [np_spec, bep_spec]}, bumped)
-    assert all(not e.cached for e in plan.entries)
-    assert all(e.est_seconds is not None for e in plan.entries)
-    ordered = pending_longest_first(plan)
-    ests = [e.est_seconds for e in ordered]
-    assert ests == sorted(ests, reverse=True)
+    assert not _pending(build_plan({"t": specs}, cache))
+    assert len(_pending(build_plan({"t": specs}, cache, refresh=True))) == 1
 
 
 def test_plan_summary_counts(tmp_path):
     specs = list(_mini_universe())
     cache = ResultCache(tmp_path)
     run_specs(specs[:1], jobs=1, cache=cache)
-    plan = build_plan({"t": specs}, cache)
-    line = plan.summary(jobs=1)
+    line = plan_summary(build_plan({"t": specs}, cache))
     assert "1 cached" in line and "2 to run" in line
+    run_specs(specs, jobs=1, cache=cache)
+    line = plan_summary(build_plan({"t": specs}, cache))
+    assert "0 to run" in line and "nothing to do" in line
 
 
 # ----------------------------------------------------------------------
-# Budget + checkpoint/resume
+# Budget + resume
 # ----------------------------------------------------------------------
 def test_budget_zero_plans_everything_runs_nothing(tmp_path):
     specs = list(_mini_universe())
     cache = ResultCache(tmp_path)
-    plan = build_plan({"t": specs}, cache)
-    cursor = tmp_path / "plan.json"
-    report = run_plan(plan, cache, jobs=1, budget=0.0, plan_path=cursor)
-    assert report.executed == 0
-    assert report.remaining == len(specs)
-    assert report.over_budget
-    record = json.loads(cursor.read_text())
-    assert len(record["remaining"]) == len(specs)
-    assert record["completed"] == []
+    assert _pending(build_plan({"t": specs}, cache)) == specs
+    done = run_specs(specs, jobs=1, cache=cache, deadline=time.monotonic())
+    assert done == [None] * len(specs)
+    assert len(cache) == 0
 
 
 def test_interrupted_run_resumes_without_recompute(tmp_path):
     specs = list(_mini_universe())
     cache = ResultCache(tmp_path)
-    cursor = tmp_path / "plan.json"
     # Complete part of the plan (as a budget cut mid-sweep would).
     run_specs(specs[:2], jobs=1, cache=cache)
-    done_before = len(cache)
-    assert 0 < done_before < len(specs)
 
     # Resume = re-plan against the cache: completed specs are cached,
     # the remainder (and only the remainder) runs.
-    plan2 = build_plan({"t": specs}, cache)
-    assert len(plan2.cached_entries) == done_before
-    report = run_plan(plan2, cache, jobs=1, plan_path=cursor)
-    assert report.executed == len(specs) - done_before
-    assert report.remaining == 0
-    record = json.loads(cursor.read_text())
-    assert record["remaining"] == []
-    assert not build_plan({"t": specs}, cache).pending
+    pending = _pending(build_plan({"t": specs}, cache))
+    assert pending == specs[2:]
+    run_specs(pending, jobs=1, cache=cache, refresh=True)
+    assert len(cache) == len(specs)
+    assert not _pending(build_plan({"t": specs}, cache))
 
 
 def test_warm_figures_cli_reports_zero_to_run(tmp_path, capsys):
@@ -313,61 +162,3 @@ def test_warm_figures_cli_reports_zero_to_run(tmp_path, capsys):
     assert "0 to run" in warm and "nothing to do" in warm
     # Byte-identical figure output on the warm rebuild.
     assert cold.split("Contended", 1)[1] == warm.split("Contended", 1)[1]
-
-
-# ----------------------------------------------------------------------
-# Cache stats / prune (farm-host hygiene)
-# ----------------------------------------------------------------------
-def test_cache_stats_counts_entries_and_costs(tmp_path):
-    specs = list(_mini_universe())
-    cache = ResultCache(tmp_path)
-    run_specs(specs, jobs=1, cache=cache)
-    stats = cache.stats()
-    assert stats["entries"] == len(specs)
-    assert stats["cost_entries"] == len(specs)
-    assert stats["bytes"] > 0
-    assert stats["oldest_age_s"] is not None
-
-
-def test_prune_by_age_and_size(tmp_path):
-    specs = list(_mini_universe())
-    cache = ResultCache(tmp_path)
-    run_specs(specs, jobs=1, cache=cache)
-
-    # Dry run deletes nothing.
-    removed, freed = cache.prune(max_bytes=0, dry_run=True)
-    assert removed == len(specs) and freed > 0
-    assert len(cache) == len(specs)
-
-    # Size budget of one entry: the LRU survivor is the most recently
-    # used one. Touch the first spec so it survives.
-    time.sleep(0.02)
-    assert cache.get(specs[0]) is not None
-    keep_key = cache.key_for(specs[0])
-    budget = cache._path_for(keep_key).stat().st_size
-    cache.prune(max_bytes=budget)
-    assert len(cache) == 1
-    assert cache.contains_key(keep_key)
-
-    # Age cutoff in the future drops everything, costs included.
-    cache.prune(max_age_days=0.0, now=time.time() + 60)
-    assert len(cache) == 0
-    assert cache.stats()["cost_entries"] == 0
-
-
-def test_plan_cursor_is_not_a_cache_record(tmp_path):
-    """``plan.json`` in the cache root is never counted, pruned, or
-    cleared — only 64-hex content-addressed files are records."""
-    specs = list(_mini_universe())
-    cache = ResultCache(tmp_path)
-    run_specs(specs, jobs=1, cache=cache)
-    cursor = Path(tmp_path) / PLAN_FILENAME
-    cursor.write_text("{}", encoding="utf-8")
-
-    assert cache.stats()["entries"] == len(specs)
-    assert len(cache) == len(specs)
-    cache.prune(max_bytes=0, max_age_days=0.0, now=time.time() + 60)
-    assert len(cache) == 0
-    assert cursor.is_file()
-    assert cache.clear() == 0
-    assert cursor.is_file()
