@@ -8,9 +8,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
 # the example scripts, and the scaling check family (exits nonzero if
-# any of its checks fails).
+# any of its checks fails, or if its record in BENCH_sweep.json drifts).
 ci: test test-reference perfbench examples
-	$(PYTHON) -m repro bench --only scaling --output /tmp/bench-ci.json
+	$(PYTHON) -m repro bench --only scaling --output BENCH_sweep.json
+	git diff --exit-code BENCH_sweep.json
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
 test:

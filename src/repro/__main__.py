@@ -133,6 +133,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """A flag whose value 0 means "off": an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import run_bench
     ran = run_bench(only=args.only, seed=args.seed, cores=args.cores,
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--design", default="LB++", choices=_DESIGNS)
     sweep_p.add_argument("--transactions", type=_positive_int, default=15)
     sweep_p.add_argument("--seed", type=int, default=1)
-    sweep_p.add_argument("--reorder-window", type=int, default=0,
+    sweep_p.add_argument("--reorder-window", type=_non_negative_int, default=0,
                          help="enable the unsound reorder-persists fault "
                               "with this window (checker self-test)")
     sweep_p.add_argument("--expect-violation", action="store_true",
@@ -491,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--max-points", type=_positive_int, default=None,
                         help="cap the exhaustive enumeration "
                              "(deterministic prefix; smoke mode)")
-    camp_p.add_argument("--random-rounds", type=int, default=0,
+    camp_p.add_argument("--random-rounds", type=_non_negative_int, default=0,
                         help="seeded multi-fault rounds on top of the "
                              "exhaustive singles")
     camp_p.add_argument("--inject", action="append", type=_parse_inject,
                         default=None, metavar="LEG:C1,C2,...",
                         help="repro mode: triage exactly this fault "
                              "combination (repeatable)")
-    camp_p.add_argument("--reorder-window", type=int, default=0,
+    camp_p.add_argument("--reorder-window", type=_non_negative_int, default=0,
                         help="self-test mode: run the unsound reorder "
                              "fault through the triage")
     camp_p.add_argument("--expect-violation", action="store_true",

@@ -34,9 +34,10 @@ the full invariant list):
 * The per-bank issue schedule is precomputed in ``begin``: issue times,
   controller arrival times, and the FIFO service reservation for every
   (bank -> controller) run are all known up front, so each bank needs
-  one self-rescheduling walker event instead of an event per line, and
-  the memory controller needs one commit-walker per run instead of a
-  closure per line.
+  one self-rescheduling walker event (:meth:`FlushOperation._issue_bank`)
+  instead of an event per line, and the memory controller needs one
+  commit-walker per run instead of a closure per line.  Every bank takes
+  this one walk, one-line banks and one-line epochs included.
 * Cache-side transitions still happen at each line's exact issue time
   (via the walker), and NVRAM commits at each line's exact completion
   time (via the run walker) -- which is what keeps conflict
@@ -52,7 +53,9 @@ the full invariant list):
   deadline.  Idle banks (immediate acks) are pre-counted at ``begin``
   the same way.  Fault-injected runs keep per-ack events (drops and
   detours perturb arrival times), which is also what keeps the retry
-  state machine observable.
+  state machine observable.  The virtual legs are part of the model,
+  not only a saving: real fault-free ack events keep every cycle but
+  move PersistCMP among the events of its cycle.
 * Handshake *message* counts (as opposed to simulator events) are
   accounted per flush into the core's digest-invisible
   :class:`~repro.sim.stats.HandshakeStats`; batching never changes a
@@ -198,13 +201,14 @@ class FlushOperation:
         as soon as FlushEpoch reaches them, so each arrives back at
         ``now + 2 * delivery[bank]`` -- a pure core<->bank mesh round
         trip.  Those acks are *virtual*: nothing observes one in
-        flight, their message cost is charged at ``begin``, and an idle
-        round trip (at most a cross-chip mesh traversal) is always
-        shorter than any flushing bank's ack, which carries at least
-        one NVRAM write in its path.  Completion is ``max`` over ack
-        arrivals either way, so pre-counting the idle acks and folding
-        this deadline into ``_ack_deadline`` is exact -- and costs zero
-        simulator events per flush.
+        flight and their message cost is charged at ``begin``.  An idle
+        ack usually lands before every flushing bank's, but not always:
+        a flushing bank whose lines all left the caches before issue
+        acks ``2 * delivery[bank]`` after ``begin`` (plus the L1 leg),
+        and a farther idle bank lands later.  Completion is ``max`` over
+        ack arrivals either way, so pre-counting the idle acks and
+        folding this deadline into ``_ack_deadline`` (which only ever
+        grows) is exact -- and costs zero simulator events per flush.
         """
         if self._ideal:
             return now
@@ -290,9 +294,6 @@ class FlushOperation:
         num_banks = self._num_banks
         shift = self._line_shift
         epoch_lines = epoch.lines
-        if len(epoch_lines) == 1:
-            self._begin_single(epoch, next(iter(epoch_lines)))
-            return
         per_bank: Dict[int, List[int]] = {}
         for line in sorted(epoch_lines):
             bank = (line >> shift) % num_banks
@@ -331,22 +332,6 @@ class FlushOperation:
                 hop += fault_extras.get(bank, 0)
             state[bank] = _ISSUING
             base = now + hop
-            if len(lines) == 1:
-                # One line on this bank -- the dominant shape on
-                # contended runs.  Same schedule, same seq consumption,
-                # minus the batching scaffolding.
-                line = lines[0]
-                in_l1 = line in l1_resident
-                t = base + llc_latency if in_l1 else base
-                mc_id = (line >> shift) % n_mcs
-                arrival = t if ideal else t + b2mc[bank][mc_id]
-                entry = [t, line, None, 0, in_l1]
-                entry[2] = mcs[mc_id].write_single(
-                    arrival, line, core, seq, "data", self._bank_cbs[bank]
-                )
-                sched[bank] = [entry]
-                engine.schedule_call(t - now, self._issue_one, bank)
-                continue
             entries: List[list] = []
             monotone = True
             prev = -1
@@ -373,40 +358,28 @@ class FlushOperation:
             # residency (the common case) is already sorted.
             if not monotone:
                 entries.sort(key=_issue_time)
+            # Reserve the controller FIFO per (bank -> MC) run; each line
+            # arrives at its issue time plus the bank->MC leg.
             on_line = self._bank_cbs[bank]
-            if self._n_mcs == 1:
-                # Single controller: the whole bank schedule is one run.
-                leg = 0 if ideal else b2mc[bank][0]
-                arrivals = [entry[0] + leg for entry in entries]
-                run_lines = [entry[1] for entry in entries]
-                write_run = mcs[0].write_batch(
+            runs: Dict[int, Tuple[List[int], List[int], List[list]]] = {}
+            for entry in entries:
+                mc_id = (entry[1] >> shift) % n_mcs
+                run = runs.get(mc_id)
+                if run is None:
+                    run = runs[mc_id] = ([], [], [])
+                run[0].append(entry[0] if ideal else
+                              entry[0] + b2mc[bank][mc_id])
+                run[1].append(entry[1])
+                run[2].append(entry)
+            for mc_id, (arrivals, run_lines, run_entries) in runs.items():
+                write_run = mcs[mc_id].write_batch(
                     arrivals, run_lines, core, seq, "data", on_line
                 )
-                for run_pos, entry in enumerate(entries):
+                for run_pos, entry in enumerate(run_entries):
                     entry[2] = write_run
                     entry[3] = run_pos
-            else:
-                # Reserve the controller FIFO per (bank -> MC) run; each
-                # line arrives at its issue time plus the bank->MC leg.
-                runs: Dict[int, Tuple[List[int], List[int], List[list]]] = {}
-                for entry in entries:
-                    mc_id = (entry[1] >> shift) % n_mcs
-                    run = runs.get(mc_id)
-                    if run is None:
-                        run = runs[mc_id] = ([], [], [])
-                    run[0].append(entry[0] if ideal else
-                                  entry[0] + b2mc[bank][mc_id])
-                    run[1].append(entry[1])
-                    run[2].append(entry)
-                for mc_id, (arrivals, run_lines, run_entries) in runs.items():
-                    write_run = mcs[mc_id].write_batch(
-                        arrivals, run_lines, core, seq, "data", on_line
-                    )
-                    for run_pos, entry in enumerate(run_entries):
-                        entry[2] = write_run
-                        entry[3] = run_pos
             sched[bank] = entries
-            engine.schedule_call(entries[0][0] - now, self._issue_bank, bank)
+            engine.schedule(entries[0][0] - now, self._issue_bank, bank)
 
         # Message accounting (per logical hop, identical in both engine
         # modes): FlushEpoch reaches every bank -- n messages -- and
@@ -433,108 +406,6 @@ class FlushOperation:
             self._acks_complete()
 
     # ------------------------------------------------------------------
-    def _begin_single(self, epoch: Epoch, line: int) -> None:
-        """Specialised :meth:`begin` tail for a one-line epoch.
-
-        Contended runs (a barrier per transaction) make single-line
-        epochs the dominant flush shape, and the generic path's per-bank
-        partition/monotonicity/batching scaffolding is pure overhead for
-        them.  Every schedule happens at the same cycle, in the same
-        order, consuming the same sequence numbers as the generic path
-        would -- this is a fast reformulation of the same handshake, not
-        a different one, and both engine modes take it.
-        """
-        machine = self._machine
-        engine = self._engine
-        now = engine.now
-        ideal = self._ideal
-        core = epoch.core_id
-        num_banks = self._num_banks
-        shift = self._line_shift
-        bank = (line >> shift) % num_banks
-
-        state = self._bank_state
-        state[:] = self._acked_template
-        state[bank] = _ISSUING
-        used = self._used
-        used.clear()
-        used.append(bank)
-
-        faults = self._faults
-        fe_msgs = 0
-        fe_extra = 0
-        if faults is not None and faults.flush_epoch_active:
-            fault_extras, fe_msgs = self._fault_delivery_extras(
-                core, epoch.seq, (bank,)
-            )
-            fe_extra = fault_extras.get(bank, 0)
-
-        t = now + (0 if ideal else self._delivery[bank]) + fe_extra
-        l1_entry = machine.l1s[core].lookup(line)
-        in_l1 = (
-            l1_entry is not None
-            and l1_entry.dirty
-            and l1_entry.epoch is epoch
-        )
-        if in_l1:
-            t += self._config.llc_latency
-        mc_id = (line >> shift) % self._n_mcs
-        arrival = t if ideal else t + self._mesh.b2mc[bank][mc_id]
-        entry = [t, line, None, 0, in_l1]
-        entry[2] = machine.mcs[mc_id].write_single(
-            arrival, line, core, epoch.seq, "data", self._bank_cbs[bank]
-        )
-        self._bank_sched[bank] = [entry]
-        engine.schedule_call(t - now, self._issue_one, bank)
-
-        hs = self._hs
-        hs.flush_epoch_msgs += num_banks
-        hs.bank_ack_msgs += num_banks - 1
-        self._flush_msgs = 2 * num_banks - 1
-        if fe_msgs:
-            hs.flush_epoch_msgs += fe_msgs
-            self._flush_msgs += fe_msgs
-
-        # Idle acks, virtualised exactly as in the generic path.
-        self._acks_received = num_banks - 1
-        self._ack_deadline = (
-            self._idle_ack_deadline(now) if num_banks > 1 else now
-        )
-
-    # ------------------------------------------------------------------
-    def _issue_one(self, bank: int) -> None:
-        """Single-line bank walk: :meth:`_issue_bank` minus the loop
-        and position bookkeeping, for the dominant one-line-per-bank
-        shape of contended runs.  Same transitions at the same cycle;
-        ``_bank_pos`` stays at its between-flush value of zero.
-        """
-        entry = self._bank_sched[bank][0]
-        epoch = self._epoch
-        machine = self._machine
-        line = entry[1]
-        if machine._untag_line(epoch, line):
-            centry = (machine.l1s[epoch.core_id].lookup(line)
-                      if entry[4] else None)
-            if centry is not None and centry.dirty and centry.epoch is epoch:
-                level_core = epoch.core_id
-            else:
-                centry = machine.llc_banks[bank].lookup(line)
-                if (centry is not None and centry.dirty
-                        and centry.epoch is epoch):
-                    level_core = None
-                else:
-                    centry = None
-                    self._stats.bump("flush_lines_already_inflight")
-            if centry is not None:
-                epoch.inflight_writes += 1
-                entry[2].mark_issued(0, machine.flush_line_transition(
-                    centry, line, self._invalidate, level_core))
-                self._bank_state[bank] = _ISSUE_DONE
-                self._bank_outstanding[bank] = 1
-                return
-        self._bank_state[bank] = _ISSUE_DONE
-        self._schedule_bank_ack(bank)
-
     def _issue_bank(self, bank: int) -> None:
         """Walk the bank's issue schedule at the current cycle.
 
@@ -599,7 +470,7 @@ class FlushOperation:
         if issued:
             self._bank_outstanding[bank] += issued
         if pos < n:
-            engine.schedule_call(entries[pos][0] - now,
+            engine.schedule(entries[pos][0] - now,
                                  self._issue_bank, bank)
             return
         self._bank_state[bank] = _ISSUE_DONE
@@ -693,7 +564,7 @@ class FlushOperation:
         if faults.drop_bank_ack(core, bank, seq, attempt):
             if self._arbiter is not None:
                 self._arbiter.note_fault("flush_ack_drops")
-            self._engine.schedule_call(
+            self._engine.schedule(
                 delay + faults.config.ack_timeout,
                 self._ack_timeout, bank, attempt,
             )
@@ -703,7 +574,7 @@ class FlushOperation:
             if self._arbiter is not None:
                 self._arbiter.note_fault("flush_ack_delays")
             delay += self._mesh.detour_latency(detour)
-        self._engine.schedule_call(delay, self._bank_ack, bank)
+        self._engine.schedule(delay, self._bank_ack, bank)
 
     def _ack_timeout(self, bank: int, attempt: int) -> None:
         """The bank concluded its BankAck was lost; resend it."""
@@ -745,7 +616,7 @@ class FlushOperation:
         if lag < 0:
             lag = 0
         bcast = 0 if self._ideal else self._bcast_delay
-        engine.schedule_call(lag + bcast + extra, self._persist_cmp)
+        engine.schedule(lag + bcast + extra, self._persist_cmp)
 
     def _persist_cmp_fault_extra(self) -> int:
         """PersistCMP-loss fold: retransmission cost of the completion

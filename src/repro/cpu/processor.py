@@ -65,12 +65,6 @@ _EPOCH_MODELS = (
     PersistencyModel.EP,
 )
 
-# Bound on nested inline compute continuations (each nesting level is a
-# handful of Python stack frames; the cap keeps compute streaks from
-# growing the stack unboundedly, like the machine's inline-depth cap).
-_MAX_COMPUTE_INLINE = 16
-
-
 class Core:
     """One simulated core executing one thread's op stream."""
 
@@ -104,17 +98,13 @@ class Core:
         self._issue_cycles = machine.config.issue_width_cycles
         self._wb_capacity = machine.config.write_buffer_entries
         self._track_values = machine.track_values
-        # Reference mode (see repro.sim.engine) neither claims the clock
-        # for compute bursts nor fast-forwards the drain.
-        self._fast = machine.engine.fast
-        self._compute_depth = 0
         # Fast-forward drain sessions (_ff_try): fast mode only, and only
         # for the epoch-tagged models whose drain chain dominates the
         # event count.  _ff_active marks a session in progress so
         # _issue_store virtualizes its issue-width continuation instead
         # of scheduling it; _ff_issue_slot carries that (time, seq) pair
         # back to the session loop.
-        self._ff_on = self._fast and self._uses_epochs
+        self._ff_on = machine.engine.fast and self._uses_epochs
         self._ff_active = False
         self._ff_issue_slot: Optional[Tuple[int, int]] = None
         # Session accounting, exposed for tests and diagnostics.  Plain
@@ -187,31 +177,7 @@ class Core:
         elif kind is OpKind.STORE:
             self._issue_store(op)
         elif kind is OpKind.COMPUTE:
-            eng = self._engine
-            if self._fast:
-                # Same clock-claim check as the machine's fused request
-                # paths: when the end of the compute burst would be the
-                # very next event, advance the clock and continue
-                # synchronously instead of round-tripping the heap.
-                done = eng.now + op.cycles
-                queue = eng._queue
-                if (
-                    self._compute_depth < _MAX_COMPUTE_INLINE
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._compute_depth += 1
-                    try:
-                        self._next()
-                    finally:
-                        self._compute_depth -= 1
-                    return
-            eng.schedule_call(op.cycles, self._next)
+            self._engine.finish(op.cycles, self._next)
         elif kind is OpKind.TXN_MARK:
             self._n_txns += 1
             self._engine.call_soon(self._next)
@@ -229,7 +195,7 @@ class Core:
         if self._wb_lines.get(line):
             # Store-to-load forwarding out of the write buffer.
             self._n_wb_forwards += 1
-            self._engine.schedule_call(1, self._next)
+            self._engine.schedule(1, self._next)
             return
         self._machine.load(self.core_id, line, on_done=self._next)
 
@@ -268,11 +234,11 @@ class Core:
             self._ff_issue_slot = (eng.now + self._issue_cycles, seq)
             return
         # NOTE: the issue-width advance must stay a scheduled event.  An
-        # inline try_advance here is unsound: _issue_store can run mid-
+        # inline Engine.finish here is unsound: _issue_store can run mid-
         # chain (resumed from _pop_store), and the enclosing caller may
         # still schedule same-cycle work after it returns, which the
         # clock claim would reorder.
-        self._engine.schedule_call(self._issue_cycles, self._next)
+        self._engine.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
         self._n_barriers += 1
@@ -367,7 +333,7 @@ class Core:
     # each a heap round-trip.  A session replaces both with *virtual*
     # events -- (time, seq) pairs held in locals -- and advances the
     # clock analytically, firing any interleaved queued event through
-    # Engine.ff_dispatch_one in exact (time, priority, seq) order.  Every
+    # Engine.ff_dispatch_one in exact (time, seq) order.  Every
     # state mutation mirrors the event-per-op path line for line, so an
     # observer of stats, cycle counts, or the NVRAM image cannot tell a
     # fast-forwarded stretch from a stepped one; the moment any
@@ -415,7 +381,7 @@ class Core:
         Returns 0 when the first drain step refused (no observable side
         effects; the caller continues per-op), 1 when the session
         advanced work and then reached a step the event-per-op path must
-        handle, or 2 when stop()/until interrupted it.  For 1 and 2
+        handle, or 2 when the run's until bound interrupted it.  For 1 and 2
         every outstanding virtual event has been re-materialized into
         the heap under its original sequence number.
         """
@@ -429,9 +395,9 @@ class Core:
         d_slot = None   # (time, seq, epoch): store completion in flight
         n_slot = None   # (time, seq): pending issue-width continuation
         stores = 0
-        # Hoisted queue handles: compaction mutates these objects in
-        # place (never replaces them), so the bindings stay valid across
-        # any event the session dispatches.
+        # Hoisted queue handles: the engine never replaces these
+        # objects, so the bindings stay valid across any event the
+        # session dispatches.
         queue = eng._queue
         ready = eng._ready
         until = eng._until
@@ -491,15 +457,10 @@ class Core:
                 v_is_issue = False
             # Decide from the queue heads whether a foreign queued event
             # precedes the virtual one without building key tuples.  A
-            # ready entry carries key (now, 0, seq) and now <= v_time
+            # ready entry carries key (now, seq) and now <= v_time
             # always holds, so when the clocks tie only the seq decides;
             # for the until-bound both candidate times are <= now <=
             # until, so f_time only matters for the heap case.
-            if (ready and ready[0][3] is not None
-                    and ready[0][3].cancelled) or (
-                    queue and queue[0][3] is not None
-                    and queue[0][3].cancelled):
-                eng._discard_cancelled_head()
             f_time = -1
             if ready:
                 if eng.now < v_time or ready[0][0] < v_seq:
@@ -507,14 +468,10 @@ class Core:
             if f_time < 0 and queue:
                 head2 = queue[0]
                 h0 = head2[0]
-                if h0 < v_time or (
-                    h0 == v_time
-                    and (head2[1] < 0
-                         or (head2[1] == 0 and head2[2] < v_seq))
-                ):
+                if h0 < v_time or (h0 == v_time and head2[1] < v_seq):
                     f_time = h0
             if f_time >= 0:
-                if eng._stopped or (until is not None and f_time > until):
+                if until is not None and f_time > until:
                     self._ff_rematerialize(d_slot, n_slot)
                     self.ff_batches += 1
                     self.ff_stores += stores
@@ -524,7 +481,7 @@ class Core:
                     n_slot = self._ff_issue_slot
                     self._ff_issue_slot = None
                 continue
-            if eng._stopped or (until is not None and v_time > until):
+            if until is not None and v_time > until:
                 self._ff_rematerialize(d_slot, n_slot)
                 self.ff_batches += 1
                 self.ff_stores += stores
@@ -592,19 +549,13 @@ class Core:
         the scheduled path would have queued."""
         eng = self._engine
         if n_slot is not None:
-            heapq.heappush(
-                eng._queue,
-                (n_slot[0], 0, n_slot[1], None, self._next, ()),
-            )
-            eng._live += 1
+            heapq.heappush(eng._queue, (n_slot[0], n_slot[1], self._next, ()))
         if d_slot is not None:
             self._drain_epoch = d_slot[2]
             heapq.heappush(
                 eng._queue,
-                (d_slot[0], 0, d_slot[1], None,
-                 self._drained_epoch, (d_slot[0],)),
+                (d_slot[0], d_slot[1], self._drained_epoch, (d_slot[0],)),
             )
-            eng._live += 1
 
     def _drain_barrier(self, entry: WriteBufferEntry) -> None:
         self.wb.popleft()

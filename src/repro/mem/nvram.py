@@ -17,11 +17,12 @@ epoch atomicity).  Per-line :class:`PersistRecord` bookkeeping
 is on -- it exists for the recovery checker, and skipping it keeps the
 common untracked run allocation-free per persist.
 
-Epoch flushes reserve a whole run of line writes at once through
-:meth:`MemoryController.write_batch`: the FIFO service starts for all k
-lines are computed in one arithmetic pass (no per-line arrival events),
-and a single self-rescheduling :class:`_WriteRun` event commits each line
-at its exact completion time.  Committing per line -- rather than once at
+Epoch flushes reserve each (bank -> controller) run of line writes at
+once through :meth:`MemoryController.write_batch`, one-line runs
+included: the FIFO service starts for all k lines are computed in one
+arithmetic pass (no per-line arrival events), and a single
+self-rescheduling :class:`_WriteRun` event commits each line at its
+exact completion time.  Committing per line -- rather than once at
 the end of the run -- is what keeps crash truncation exact: a crash at
 cycle C observes precisely the commits with time <= C.
 """
@@ -242,64 +243,7 @@ class _WriteRun:
         pos += 1
         self._pos = pos
         if pos < len(self._dones):
-            mc._engine.schedule_call(self._dones[pos] - time, self.step)
-
-
-class _WriteOne:
-    """A reserved FIFO slot for a single flush write.
-
-    Specialisation of :class:`_WriteRun` for ``k == 1`` runs -- the
-    dominant shape on contended multicores, where each epoch scatters a
-    handful of lines one-per-bank.  Same reservation rule, same commit
-    event, same ``mark_issued`` surface; no per-run list scaffolding.
-    """
-
-    __slots__ = (
-        "_mc", "_line", "_done", "_value", "_issued",
-        "_core_id", "_epoch_seq", "_kind", "_on_line",
-    )
-
-    def __init__(
-        self,
-        mc: "MemoryController",
-        line: int,
-        done: int,
-        core_id: int,
-        epoch_seq: int,
-        kind: str,
-        on_line: Callable[[int], None],
-    ) -> None:
-        self._mc = mc
-        self._line = line
-        self._done = done
-        self._value: Optional[Dict[int, object]] = None
-        self._issued = False
-        self._core_id = core_id
-        self._epoch_seq = epoch_seq
-        self._kind = kind
-        self._on_line = on_line
-
-    def mark_issued(self, pos: int,
-                    values: Optional[Dict[int, object]]) -> None:
-        self._issued = True
-        self._value = values
-
-    def step(self) -> None:
-        if self._issued:
-            mc = self._mc
-            mc._account_write(self._kind)
-            mc._image.commit(
-                self._done, self._line, self._core_id, self._epoch_seq,
-                self._kind, self._value,
-            )
-            self._value = None
-            if mc._faults is None:
-                self._on_line(self._done)
-            else:
-                mc._deliver_persist_ack(
-                    self._done, self._line, self._core_id,
-                    self._epoch_seq, self._on_line,
-                )
+            mc._engine.schedule(self._dones[pos] - time, self.step)
 
 
 class MemoryController:
@@ -416,7 +360,7 @@ class MemoryController:
             )
         self._stats.bump("fault_persist_ack_drops", resends)
         extra = backoff_cycles(cfg.persist_ack_timeout, resends)
-        self._engine.schedule_call(extra, on_line, time + extra)
+        self._engine.schedule(extra, on_line, time + extra)
 
     def _service_start(self, occupancy: int, write: bool = False) -> int:
         now = self._engine.now
@@ -469,7 +413,7 @@ class MemoryController:
         start = self._service_start(self._config.mc_read_occupancy)
         done = start + self._config.nvram_read_latency
         self._n_reads += 1
-        self._engine.schedule_call(
+        self._engine.schedule(
             done - self._engine.now, callback, *cb_args, done
         )
 
@@ -494,7 +438,7 @@ class MemoryController:
                                     write=True)
         done = start + self._config.nvram_write_latency
         self._account_write(kind)
-        self._engine.schedule_call(
+        self._engine.schedule(
             done - self._engine.now, self._commit_write,
             done, line, core_id, epoch_seq, kind, values, callback, cb_args,
         )
@@ -565,38 +509,7 @@ class MemoryController:
         self._busy_until = busy
         run = _WriteRun(self, lines, dones, core_id, epoch_seq, kind,
                         on_line)
-        self._engine.schedule_call(dones[0] - self._engine.now, run.step)
-        return run
-
-    def write_single(
-        self,
-        arrival: int,
-        line: int,
-        core_id: int,
-        epoch_seq: int,
-        kind: str,
-        on_line: Callable[[int], None],
-    ) -> _WriteOne:
-        """Reserve one FIFO write slot: :meth:`write_batch` for ``k=1``.
-
-        Identical reservation arithmetic and commit event, minus the
-        per-run list scaffolding.
-        """
-        config = self._config
-        busy = self._busy_until
-        start = arrival if arrival > busy else busy
-        if self._faults is not None:
-            start += self._fault_stall(True)
-        self._busy_until = start + config.mc_write_occupancy
-        wait = start - arrival
-        self._qw_sum += wait
-        self._qw_count += 1
-        if wait > self._qw_max:
-            self._qw_max = wait
-        done = start + config.nvram_write_latency
-        run = _WriteOne(self, line, done, core_id, epoch_seq, kind,
-                        on_line)
-        self._engine.schedule_call(done - self._engine.now, run.step)
+        self._engine.schedule(dones[0] - self._engine.now, run.step)
         return run
 
     def write_log(
@@ -614,7 +527,7 @@ class MemoryController:
                                     write=True)
         done = start + self._config.nvram_write_latency
         self._account_write("log")
-        self._engine.schedule_call(
+        self._engine.schedule(
             done - self._engine.now, self._commit_log,
             done, log_line, data_line, core_id, epoch_seq, old_values,
             callback, cb_args,

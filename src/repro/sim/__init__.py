@@ -16,13 +16,12 @@ from repro.sim.config import (
     MachineConfig,
     PersistencyModel,
 )
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain, Stats
 
 __all__ = [
     "BarrierDesign",
     "Engine",
-    "Event",
     "FlushMode",
     "MachineConfig",
     "PersistencyModel",

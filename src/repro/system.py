@@ -49,12 +49,6 @@ from repro.sim.trace import Tracer
 
 _MAX_REQUEST_RETRIES = 1000
 
-# Bound on nested inline completions: a streak of conflict-free L1 hits
-# re-enters the request machinery recursively (completion -> next op ->
-# hit -> completion ...); past this depth the completion falls back to
-# the scheduler so the Python stack stays shallow.
-_MAX_INLINE_DEPTH = 32
-
 # Negative returns of Multicore.try_clean_store: the store must take the
 # general classifier, or (stores from Multicore.store only) the fused
 # full-miss path.
@@ -268,7 +262,6 @@ class Multicore:
         self._fill_travel = _LazyRows(config.num_cores, lambda core: tuple(
             round_trip + lat for lat in self.mesh.c2b[core]
         ))
-        self._inline_depth = 0
         # Per-line epoch tags: line -> the epoch holding the *newest*
         # unpersisted dirty version of the line, maintained on store
         # (_tag_line, try_clean_store) and persist (_untag_line).
@@ -313,12 +306,10 @@ class Multicore:
     # ------------------------------------------------------------------
     # The fused fast paths below collapse the conflict-free L1-hit case
     # of load/store into the entry call: no _Request allocation, no
-    # dispatcher hops, the clock-claim check from Engine.try_advance
-    # inlined (conservatively: a cancelled ready-queue head refuses
-    # instead of reaping, which only falls back to the scheduled path).
-    # Every state transition and every count matches the general path
-    # bit for bit -- the determinism-digest tests compare against the
-    # reference mode, which always takes the general path.
+    # dispatcher hops, and the completion through Engine.finish.  Every
+    # state transition and every count matches the general path bit for
+    # bit -- the determinism-digest tests compare against the reference
+    # mode, which always takes the general path.
 
     def load(self, core_id: int, line: int,
              on_done: Callable[[int], None]) -> None:
@@ -334,26 +325,7 @@ class Multicore:
                 self._lat_counts[core_id] += 1
                 if lat > self._lat_maxes[core_id]:
                     self._lat_maxes[core_id] = lat
-                eng = self.engine
-                done = eng.now + lat
-                queue = eng._queue
-                if (
-                    self._inline_depth < _MAX_INLINE_DEPTH
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._inline_depth += 1
-                    try:
-                        on_done(done)
-                    finally:
-                        self._inline_depth -= 1
-                    return
-                eng.schedule_call(lat, on_done, done)
+                self.engine.finish(lat, on_done)
                 return
             # Fused L1-miss/LLC-hit path: a conflict-free fill from the
             # LLC completes without a request object, mirroring the hit
@@ -393,19 +365,7 @@ class Multicore:
                         self._lat_counts[core_id] += 1
                         if lat > self._lat_maxes[core_id]:
                             self._lat_maxes[core_id] = lat
-                        eng = self.engine
-                        done = eng.now + lat
-                        if (
-                            self._inline_depth < _MAX_INLINE_DEPTH
-                            and eng.try_advance(done)
-                        ):
-                            self._inline_depth += 1
-                            try:
-                                on_done(done)
-                            finally:
-                                self._inline_depth -= 1
-                            return
-                        eng.schedule_call(lat, on_done, done)
+                        self.engine.finish(lat, on_done)
                         return
                 if llc_entry is None and owner is None:
                     self._n_llc_misses += 1
@@ -436,26 +396,7 @@ class Multicore:
             resolved = epoch.resolve()
             lat = self.try_clean_store(core_id, line, values, resolved)
             if lat >= 0:
-                eng = self.engine
-                done = eng.now + lat
-                queue = eng._queue
-                if (
-                    self._inline_depth < _MAX_INLINE_DEPTH
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._inline_depth += 1
-                    try:
-                        on_done(done)
-                    finally:
-                        self._inline_depth -= 1
-                    return
-                eng.schedule_call(lat, on_done, done)
+                self.engine.finish(lat, on_done)
                 return
             if lat == _FULL_MISS:
                 # Write-allocate.  Stores do not bump the LLC miss
@@ -580,7 +521,7 @@ class Multicore:
         mc_id = self.amap.mc_of(line)
         bank_mc = self.mesh.b2mc[bank][mc_id]
         eng = self.engine
-        eng.schedule_call(
+        eng.schedule(
             self._fill_travel[core_id][bank] + bank_mc,
             self._fused_miss_at_mc, mc_id, core_id, line, bank,
             bank_mc + self.mesh.c2b[core_id][bank], on_done, eng.now,
@@ -676,24 +617,12 @@ class Multicore:
             l1.touch(l1_entry)
         else:
             self.directory.add_sharer(line, core_id)
-        eng = self.engine
-        done = eng.now + delivery
-        sample = done - issue_time
+        sample = self.engine.now + delivery - issue_time
         self._lat_sums[core_id] += sample
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        if (
-            self._inline_depth < _MAX_INLINE_DEPTH
-            and eng.try_advance(done)
-        ):
-            self._inline_depth += 1
-            try:
-                on_done(done)
-            finally:
-                self._inline_depth -= 1
-            return
-        eng.schedule_call(delivery, on_done, done)
+        self.engine.finish(delivery, on_done)
 
     # ------------------------------------------------------------------
     # Request state machine
@@ -715,31 +644,15 @@ class Multicore:
             self._try_load(req)
 
     def _complete(self, req: _Request, latency: int) -> None:
-        done = self.engine.now + latency
-        sample = done - req.issue_time
+        sample = self.engine.now + latency - req.issue_time
         core_id = req.core_id
         self._lat_sums[core_id] += sample
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        # Synchronous fast path: when this completion would be the very
-        # next event anyway (nothing else pending at or before ``done``),
-        # skip the scheduler round-trip and invoke it inline.  The
-        # engine's try_advance enforces exactness -- the firing order is
-        # identical to the scheduled path; it always refuses in
-        # reference mode -- and the depth guard keeps hit streaks from
-        # growing the Python stack unboundedly.
-        if (
-            self._inline_depth < _MAX_INLINE_DEPTH
-            and self.engine.try_advance(done)
-        ):
-            self._inline_depth += 1
-            try:
-                req.on_done(done)
-            finally:
-                self._inline_depth -= 1
-            return
-        self.engine.schedule_call(latency, req.on_done, done)
+        # Inline when this completion is the very next event anyway
+        # (Engine.finish; it always schedules in reference mode).
+        self.engine.finish(latency, req.on_done)
 
     # -- loads -----------------------------------------------------------
     def _try_load(self, req: _Request) -> None:
@@ -941,12 +854,12 @@ class Multicore:
         travel = self.mesh.core_to_mc(req.core_id, mc_id)
 
         if sync:
-            self.engine.schedule_call(
+            self.engine.schedule(
                 latency + travel, self._issue_write_through,
                 mc, line, req.core_id, values, req.on_done,
             )
         else:
-            self.engine.schedule_call(
+            self.engine.schedule(
                 latency + travel, self._issue_write_through,
                 mc, line, req.core_id, values, req.on_persist_ack,
             )
@@ -1163,7 +1076,7 @@ class Multicore:
         bank_mc = self.mesh.b2mc[bank][mc_id]
         travel = self._fill_travel[req.core_id][bank] + bank_mc
         delivery = bank_mc + self.mesh.c2b[req.core_id][bank] + extra_lat
-        self.engine.schedule_call(travel, self._mem_at_mc,
+        self.engine.schedule(travel, self._mem_at_mc,
                                   mc_id, req, bank, delivery)
 
     def _mem_at_mc(self, mc_id: int, req: _Request, bank: int,
@@ -1348,7 +1261,7 @@ class Multicore:
 
         mc = self.mcs[self.amap.mc_of(line)]
         if extra_delay:
-            self.engine.schedule_call(
+            self.engine.schedule(
                 extra_delay, self._issue_persist,
                 mc, line, core_id, seq, kind, values, epoch, on_ack,
             )

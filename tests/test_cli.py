@@ -144,3 +144,28 @@ def test_count_flags_accept_positive_values():
          "--mc-stride", "4", "--max-points", "10"])
     assert (args.cores, args.transactions, args.mc_stride,
             args.max_points) == (8, 2, 4, 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["crashsweep", "--reorder-window", "-3"],
+    ["campaign", "--reorder-window", "-1"],
+    ["campaign", "--random-rounds", "-2"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_off_switch_flags_reject_negative_values(argv, capsys):
+    # A negative reorder window would report the self-test as run while
+    # never reordering anything; a negative round count runs no rounds.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument {argv[1]}: expected a non-negative integer" in err
+
+
+def test_off_switch_flags_accept_zero_as_off():
+    parser = build_parser()
+    args = parser.parse_args(
+        ["campaign", "--reorder-window", "0", "--random-rounds", "0"])
+    assert (args.reorder_window, args.random_rounds) == (0, 0)
+    args = parser.parse_args(["crashsweep", "--reorder-window", "0"])
+    assert args.reorder_window == 0

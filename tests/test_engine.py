@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine
+from repro.sim.engine import _MAX_INLINE_DEPTH, Engine, reference_mode
 
 
 def test_events_fire_in_time_order():
@@ -25,28 +25,10 @@ def test_same_cycle_events_fire_in_schedule_order():
     assert fired == list("abcde")
 
 
-def test_priority_orders_same_cycle_events():
-    engine = Engine()
-    fired = []
-    engine.schedule(5, fired.append, "low", priority=1)
-    engine.schedule(5, fired.append, "high", priority=0)
-    engine.run()
-    assert fired == ["high", "low"]
-
-
 def test_negative_delay_rejected():
     engine = Engine()
     with pytest.raises(ValueError):
         engine.schedule(-1, lambda: None)
-
-
-def test_schedule_at_absolute_time():
-    engine = Engine()
-    fired = []
-    engine.schedule(10, lambda: engine.schedule_at(25, fired.append, "x"))
-    engine.run()
-    assert fired == ["x"]
-    assert engine.now == 25
 
 
 def test_run_until_stops_clock_at_bound():
@@ -59,32 +41,6 @@ def test_run_until_stops_clock_at_bound():
     assert engine.now == 50
     engine.run()
     assert fired == ["early", "late"]
-
-
-def test_cancelled_event_does_not_fire():
-    engine = Engine()
-    fired = []
-    event = engine.schedule(10, fired.append, "cancelled")
-    engine.schedule(5, fired.append, "kept")
-    event.cancel()
-    engine.run()
-    assert fired == ["kept"]
-
-
-def test_stop_halts_run():
-    engine = Engine()
-    fired = []
-
-    def stopper():
-        fired.append("first")
-        engine.stop()
-
-    engine.schedule(1, stopper)
-    engine.schedule(2, fired.append, "second")
-    assert engine.run() == 1
-    assert fired == ["first"]
-    engine.run()
-    assert fired == ["first", "second"]
 
 
 def test_events_scheduled_during_run_execute():
@@ -116,94 +72,6 @@ def test_zero_delay_runs_after_queued_same_cycle_events():
     assert fired == ["first", "second", "nested"]
 
 
-def test_max_events_bound():
-    engine = Engine()
-    fired = []
-    for i in range(10):
-        engine.schedule(i, fired.append, i)
-    engine.run(max_events=4)
-    assert fired == [0, 1, 2, 3]
-
-
-def test_pending_and_peek():
-    engine = Engine()
-    assert engine.peek_time() is None
-    event = engine.schedule(7, lambda: None)
-    engine.schedule(3, lambda: None)
-    assert engine.pending() == 2
-    assert engine.peek_time() == 3
-    event.cancel()
-    assert engine.pending() == 1
-
-
-def test_cancel_is_idempotent():
-    engine = Engine()
-    event = engine.schedule(5, lambda: None)
-    engine.schedule(9, lambda: None)
-    event.cancel()
-    event.cancel()  # double cancel must not double-decrement
-    assert engine.pending() == 1
-    assert engine.run() == 1
-    assert engine.pending() == 0
-
-
-def test_cancel_then_peek_then_run_ordering():
-    """Regression: peek_time reaps cancelled head entries; a subsequent
-    run must still fire the remaining events in order and never fire the
-    cancelled one."""
-    engine = Engine()
-    fired = []
-    head = engine.schedule(3, fired.append, "cancelled-head")
-    engine.schedule(5, fired.append, "a")
-    engine.schedule(5, fired.append, "b")
-    head.cancel()
-    assert engine.peek_time() == 5  # cancelled head is skipped
-    assert engine.pending() == 2
-    engine.run()
-    assert fired == ["a", "b"]
-    assert engine.now == 5
-    assert engine.pending() == 0
-
-
-def test_cancelled_peek_survivor_fires_after_run():
-    engine = Engine()
-    fired = []
-    first = engine.schedule(2, fired.append, "x")
-    engine.schedule(4, fired.append, "y")
-    first.cancel()
-    # peek, then schedule more work, then run: lazy deletion must not
-    # disturb ordering of events scheduled after the peek.
-    assert engine.peek_time() == 4
-    engine.schedule(3, fired.append, "z")
-    engine.run()
-    assert fired == ["z", "y"]
-
-
-def test_mass_cancellation_compacts_queue():
-    engine = Engine()
-    events = [engine.schedule(i + 1, lambda: None) for i in range(500)]
-    keeper_fired = []
-    engine.schedule(1000, keeper_fired.append, "keeper")
-    for event in events:
-        event.cancel()
-    # Compaction keeps the heap proportional to live work.
-    assert engine.pending() == 1
-    assert len(engine._queue) < 100
-    engine.run()
-    assert keeper_fired == ["keeper"]
-    assert engine.now == 1000
-
-
-def test_pending_counts_executed_events_down():
-    engine = Engine()
-    for i in range(5):
-        engine.schedule(i, lambda: None)
-    engine.run(max_events=2)
-    assert engine.pending() == 3
-    engine.run()
-    assert engine.pending() == 0
-
-
 def test_call_soon_fires_in_order_with_schedule_zero():
     engine = Engine()
     fired = []
@@ -232,30 +100,6 @@ def test_call_soon_runs_after_earlier_timed_event_same_cycle():
     assert fired == ["timed", "second-timed", "soon", "zero"]
 
 
-def test_schedule_zero_event_cancellable_on_ready_path():
-    engine = Engine()
-    fired = []
-    event = engine.schedule(0, fired.append, "cancelled")
-    engine.call_soon(fired.append, "kept")
-    event.cancel()
-    assert engine.pending() == 1
-    engine.run()
-    assert fired == ["kept"]
-
-
-def test_negative_priority_timed_event_precedes_ready_work():
-    engine = Engine()
-    fired = []
-    engine.call_soon(fired.append, "soon")
-    engine.schedule(0, fired.append, "urgent", priority=-1)
-    engine.run()
-    assert fired == ["urgent", "soon"]
-
-
-def test_try_advance_refused_outside_run():
-    engine = Engine()
-    assert not engine.try_advance(10)
-    assert engine.now == 0
 
 
 def _fast_engine() -> Engine:
@@ -269,92 +113,112 @@ def _fast_engine() -> Engine:
     return engine
 
 
-def test_try_advance_claims_clock_when_next():
+def test_finish_schedules_outside_run():
     engine = _fast_engine()
-    seen = {}
-
-    def handler():
-        # Nothing else queued: the completion at now+7 is the next event.
-        seen["claimed"] = engine.try_advance(engine.now + 7)
-        seen["now"] = engine.now
-
-    engine.schedule(3, handler)
+    fired = []
+    engine.finish(10, fired.append)
+    # No run is active, so nothing can claim the clock.
+    assert fired == [] and engine.now == 0
     engine.run()
-    assert seen == {"claimed": True, "now": 10}
+    assert fired == [10]
     assert engine.now == 10
 
 
-def test_try_advance_refused_when_work_pending():
+def test_finish_claims_clock_when_next():
     engine = _fast_engine()
-    seen = {}
+    fired = []
 
     def handler():
-        engine.call_soon(lambda: None)
-        seen["with-ready"] = engine.try_advance(engine.now + 7)
+        # Nothing else queued: the completion at now+7 is the next event.
+        engine.finish(7, fired.append)
+        fired.append(("returned at", engine.now))
+
+    engine.schedule(3, handler)
+    engine.run()
+    assert fired == [10, ("returned at", 10)]
+    assert engine.now == 10
+
+
+def test_finish_schedules_when_work_pending():
+    engine = _fast_engine()
+    fired = []
+
+    def handler():
+        engine.call_soon(fired.append, "ready")
+        engine.finish(7, fired.append)    # behind ready work: t=8
 
     def later():
         # A timed event at t=5 precedes a completion at t=10.
-        seen["with-earlier-heap"] = engine.try_advance(engine.now + 9)
+        engine.finish(9, fired.append)
 
     engine.schedule(1, handler)
     engine.schedule(1, later)
-    engine.schedule(5, lambda: None)
+    engine.schedule(5, fired.append, "timed")
     engine.run()
-    assert seen == {"with-ready": False, "with-earlier-heap": False}
+    assert fired == ["ready", "timed", 8, 10]
 
 
-def test_try_advance_respects_until_bound():
+def test_finish_respects_until_bound():
     engine = _fast_engine()
-    seen = {}
+    fired = []
 
     def handler():
-        seen["past-bound"] = engine.try_advance(100)
-        seen["at-bound"] = engine.try_advance(50)
+        engine.finish(98, fired.append)   # t=100, past the bound
+        engine.finish(48, fired.append)   # t=50, at the bound: inline
 
     engine.schedule(2, handler)
     engine.run(until=50)
-    assert seen == {"past-bound": False, "at-bound": True}
+    assert fired == [50]
+    assert engine.now == 50
+    engine.run()
+    assert fired == [50, 100]
 
 
-def test_try_advance_refused_while_clock_held():
+def test_finish_schedules_while_clock_held():
     engine = _fast_engine()
-    seen = {}
+    fired = []
 
     def handler():
         engine.advance_holds += 1
         try:
-            seen["held"] = engine.try_advance(engine.now + 7)
+            engine.finish(7, fired.append)   # held: queued for t=10
         finally:
             engine.advance_holds -= 1
-        seen["released"] = engine.try_advance(engine.now + 7)
+        fired.append(("released at", engine.now))
+        engine.finish(3, fired.append)       # t=6 precedes t=10: inline
 
     engine.schedule(3, handler)
     engine.run()
     # While held the clock must not move; after release the claim works.
-    assert seen == {"held": False, "released": True}
+    assert fired == [("released at", 3), 6, 10]
     assert engine.now == 10
 
 
-def test_schedule_call_matches_schedule_ordering():
-    engine = _fast_engine()
-    fired = []
-    engine.schedule_call(5, fired.append, "first")
-    engine.schedule(5, fired.append, "second")
-    engine.schedule_call(5, fired.append, "third")
-    engine.schedule_call(0, fired.append, "soon")
-    engine.run()
-    assert fired == ["soon", "first", "second", "third"]
-    assert engine.now == 5
+def test_finish_inline_depth_is_bounded():
+    # A 5,000-step chain of inline completions would overflow the Python
+    # stack without the depth bound; with it, the chain falls back to
+    # the heap every _MAX_INLINE_DEPTH steps and sees the same cycles.
+    def chain(engine):
+        cycles, depths = [], []
 
+        def step(time):
+            cycles.append(time)
+            depths.append(engine._inline_depth)
+            if time < 5000:
+                engine.finish(1, step)
 
-def test_schedule_call_rejects_negative_delay():
-    engine = _fast_engine()
-    try:
-        engine.schedule_call(-1, lambda: None)
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("negative delay must raise")
+        engine.call_soon(engine.finish, 1, step)
+        engine.run()
+        return cycles, depths
+
+    cycles, depths = chain(_fast_engine())
+    assert cycles == list(range(1, 5001))
+    assert max(depths) == _MAX_INLINE_DEPTH
+    with reference_mode():
+        reference = Engine()
+    ref_cycles, ref_depths = chain(reference)
+    assert ref_cycles == cycles
+    assert set(ref_depths) == {0}
 
 
 def test_slow_mode_routes_everything_through_heap(monkeypatch):
@@ -365,9 +229,8 @@ def test_slow_mode_routes_everything_through_heap(monkeypatch):
     engine.call_soon(fired.append, "a")
     engine.schedule(0, fired.append, "b")
     assert not engine._ready  # everything heads to the heap
-    seen = {}
-    engine.schedule(1, lambda: seen.setdefault(
-        "advance", engine.try_advance(5)))
+    engine.schedule(1, engine.finish, 4, fired.append)
+    engine.schedule(1, lambda: fired.append(("after finish", engine.now)))
     engine.run()
-    assert fired == ["a", "b"]
-    assert seen == {"advance": False}
+    # Reference mode never claims the clock: the completion is queued.
+    assert fired == ["a", "b", ("after finish", 1), 5]

@@ -194,7 +194,7 @@ def test_foreign_tag_refuses_the_store():
         machine = Multicore(config)
     line = 0x0C00_0000
     done = []
-    machine.engine.schedule_call(
+    machine.engine.schedule(
         0, lambda: machine.store(
             1, line, None, machine.managers[1].current_or_new(),
             on_done=done.append,
