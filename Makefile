@@ -32,12 +32,15 @@ test-slow:
 	$(PYTHON) -m pytest -q -m slow
 
 # CI's perfbench job: the benchmark harness's own tests, then one
-# measured run per workload, digest-checked against the reference
-# engine (run.py exits 1 on a mismatch).  No timing threshold.
+# measured run per workload at seed 1 and at the held-out seed 1009,
+# each digest-checked against the reference engine (run.py exits 1 on
+# a mismatch).  No timing threshold.
 perfbench:
 	$(PYTHON) -m pytest -q perfbench
 	for w in hotset serving pingpong4 bsp_stream; do \
-		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 0 || exit 1; \
+		for s in 1 1009; do \
+			$(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds 0 || exit 1; \
+		done; \
 	done
 
 # Run every example script; each must exit 0.

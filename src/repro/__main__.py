@@ -120,32 +120,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
-def _positive_int(text: str) -> int:
-    """A count flag's value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """A flag whose value 0 means "off": an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return value
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import run_bench
     ran = run_bench(only=args.only, seed=args.seed, cores=args.cores,
@@ -409,6 +383,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.experiments import (
+        add_executor_args, non_negative_int, positive_int,
+    )
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Efficient Persist Barriers for Multicores "
@@ -422,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--model", default=None, choices=_MODELS)
     run_p.add_argument("--scale", default="small",
                        choices=[s.value for s in Scale])
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--transactions", type=int, default=None)
-    run_p.add_argument("--mem-ops", type=int, default=None)
-    run_p.add_argument("--epoch-stores", type=int, default=1500)
+    run_p.add_argument("--seed", type=non_negative_int, default=1)
+    run_p.add_argument("--transactions", type=positive_int, default=None)
+    run_p.add_argument("--mem-ops", type=positive_int, default=None)
+    run_p.add_argument("--epoch-stores", type=positive_int, default=1500)
     run_p.set_defaults(func=cmd_run)
 
     fig_p = sub.add_parser("figures", help="regenerate paper figures")
@@ -433,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--scale", default=None,
                        choices=[s.value for s in Scale],
                        help="machine scale (default: small)")
-    fig_p.add_argument("--seed", type=int, default=1)
+    fig_p.add_argument("--seed", type=non_negative_int, default=1)
     fig_p.add_argument("--csv-dir", default=None,
                        help="write each figure's data as CSV here")
-    from repro.harness.experiments import add_executor_args
     add_executor_args(fig_p)
     fig_p.set_defaults(func=cmd_figures)
 
@@ -446,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the check registry (writes BENCH_sweep.json; exit "
              "nonzero if any check fails)",
     )
-    bench_p.add_argument("--seed", type=int, default=1)
+    bench_p.add_argument("--seed", type=non_negative_int, default=1)
     bench_p.add_argument("--only", choices=tuple(FAMILIES), default=None,
                          help="run one family; the output file keeps the "
                               "other families' existing records")
@@ -461,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     crash_p = sub.add_parser("crash", help="crash + recovery demo")
     crash_p.add_argument("--workload", default="queue")
     crash_p.add_argument("--design", default="LB++", choices=_DESIGNS)
-    crash_p.add_argument("--cycle", type=int, default=20_000)
-    crash_p.add_argument("--seed", type=int, default=1)
-    crash_p.add_argument("--epoch-stores", type=int, default=100)
+    crash_p.add_argument("--cycle", type=non_negative_int, default=20_000)
+    crash_p.add_argument("--seed", type=non_negative_int, default=1)
+    crash_p.add_argument("--epoch-stores", type=positive_int, default=100)
     crash_p.set_defaults(func=cmd_crash)
 
     sweep_p = sub.add_parser(
@@ -474,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a microbenchmark; 'pingpong' uses the "
                               "contended 4-core configuration")
     sweep_p.add_argument("--design", default="LB++", choices=_DESIGNS)
-    sweep_p.add_argument("--transactions", type=_positive_int, default=15)
-    sweep_p.add_argument("--seed", type=int, default=1)
-    sweep_p.add_argument("--reorder-window", type=_non_negative_int, default=0,
+    sweep_p.add_argument("--transactions", type=positive_int, default=15)
+    sweep_p.add_argument("--seed", type=non_negative_int, default=1)
+    sweep_p.add_argument("--reorder-window", type=non_negative_int, default=0,
                          help="enable the unsound reorder-persists fault "
                               "with this window (checker self-test)")
     sweep_p.add_argument("--expect-violation", action="store_true",
@@ -493,25 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("pingpong", "queue"))
     camp_p.add_argument("--design", default="lb_pp",
                         help="barrier design (lb, lb_pp, LB, LB++, ...)")
-    camp_p.add_argument("--cores", type=_positive_int, default=4,
+    camp_p.add_argument("--cores", type=positive_int, default=4,
                         help="core count for the pingpong workload")
-    camp_p.add_argument("--transactions", type=_positive_int, default=6)
-    camp_p.add_argument("--seed", type=int, default=1)
+    camp_p.add_argument("--transactions", type=positive_int, default=6)
+    camp_p.add_argument("--seed", type=non_negative_int, default=1)
     camp_p.add_argument("--fault-seed", type=int, default=0)
-    camp_p.add_argument("--mc-stride", type=_positive_int, default=1,
+    camp_p.add_argument("--mc-stride", type=positive_int, default=1,
                         help="probe every Nth controller transaction "
                              "ordinal (thins the mc legs)")
-    camp_p.add_argument("--max-points", type=_positive_int, default=None,
+    camp_p.add_argument("--max-points", type=positive_int, default=None,
                         help="cap the exhaustive enumeration "
                              "(deterministic prefix; smoke mode)")
-    camp_p.add_argument("--random-rounds", type=_non_negative_int, default=0,
+    camp_p.add_argument("--random-rounds", type=non_negative_int, default=0,
                         help="seeded multi-fault rounds on top of the "
                              "exhaustive singles")
     camp_p.add_argument("--inject", action="append", type=_parse_inject,
                         default=None, metavar="LEG:C1,C2,...",
                         help="repro mode: triage exactly this fault "
                              "combination (repeatable)")
-    camp_p.add_argument("--reorder-window", type=_non_negative_int, default=0,
+    camp_p.add_argument("--reorder-window", type=non_negative_int, default=0,
                         help="self-test mode: run the unsound reorder "
                              "fault through the triage")
     camp_p.add_argument("--expect-violation", action="store_true",

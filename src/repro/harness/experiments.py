@@ -500,6 +500,39 @@ def _budget_seconds(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """An integer of at least 0: a seed, a cycle, or a flag whose value 0
+    means "off".
+
+    Seeds must not be negative: ``random.Random`` seeds with an
+    integer's absolute value, so a negative seed would silently replay
+    a positive one's draws (a microbenchmark's thread 0 draws the same
+    stream under ``--seed -1`` as under ``--seed 1``).
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def add_executor_args(parser: argparse.ArgumentParser) -> None:
     """The sweep-executor knobs, shared with ``python -m repro``."""
     parser.add_argument(
@@ -539,7 +572,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--scale", default=Scale.SMALL.value,
                         choices=[s.value for s in Scale],
                         help="machine scale (default: small)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=non_negative_int, default=1)
     parser.add_argument("--csv-dir", default=None,
                         help="write each figure's data as CSV here")
     parser.add_argument("--chart", action="store_true",

@@ -34,6 +34,11 @@ class OpKind(enum.Enum):
 class Op:
     """One memory operation.  Treat instances as immutable.
 
+    Generators share instances: the barrier and transaction-marker ops
+    of :mod:`repro.workloads.micro`, and every load ``hotset`` emits,
+    are one object each, yielded again and again.  A consumer that
+    mutated an op would rewrite every later occurrence.
+
     A hand-rolled slots class rather than a frozen dataclass: million-
     transaction programs construct tens of millions of these, and the
     frozen dataclass ``__init__`` (an ``object.__setattr__`` per field)

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -128,6 +130,14 @@ def test_bad_design_rejected():
     ["campaign", "--mc-stride", "0"],
     ["campaign", "--max-points", "0"],
     ["crashsweep", "--transactions", "-3"],
+    # A negative count ran zero transactions or memory ops and exited
+    # 0; zero or negative epoch stores ended a hardware epoch at every
+    # store.
+    ["run", "--transactions", "-5", "--workload", "hotset", "--scale", "tiny"],
+    ["run", "--mem-ops", "-10", "--workload", "ssca2", "--scale", "tiny"],
+    ["run", "--epoch-stores", "0", "--workload", "ssca2", "--scale", "tiny"],
+    ["run", "--epoch-stores", "-3", "--workload", "ssca2", "--scale", "tiny"],
+    ["crash", "--epoch-stores", "0", "--workload", "intruder"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_count_flags_reject_nonpositive_values(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -150,16 +160,38 @@ def test_count_flags_accept_positive_values():
     ["crashsweep", "--reorder-window", "-3"],
     ["campaign", "--reorder-window", "-1"],
     ["campaign", "--random-rounds", "-2"],
+    ["crash", "--cycle", "-5"],
+    # The flags after the seed keep each command small and leave
+    # BENCH_sweep.json alone should the seed ever parse.
+    ["run", "--seed", "-1", "--workload", "hotset", "--scale", "tiny"],
+    ["figures", "--seed", "-1", "fig12", "--scale", "tiny"],
+    ["bench", "--seed", "-1", "--only", "scaling", "--cores", "2",
+     "--output", os.devnull],
+    ["crash", "--seed", "-1"],
+    ["crashsweep", "--seed", "-1"],
+    ["campaign", "--seed", "-1", "--max-points", "1"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
-def test_off_switch_flags_reject_negative_values(argv, capsys):
+def test_non_negative_flags_reject_negative_values(argv, capsys):
     # A negative reorder window would report the self-test as run while
-    # never reordering anything; a negative round count runs no rounds.
+    # never reordering anything; a negative round count runs no rounds;
+    # a negative crash cycle crashes before the run starts; and a
+    # negative seed silently reran its absolute value.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
     assert f"argument {argv[1]}: expected a non-negative integer" in err
+
+
+def test_experiments_main_rejects_negative_seed(capsys):
+    from repro.harness.experiments import main as experiments_main
+    with pytest.raises(SystemExit) as exc:
+        experiments_main(["fig11", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "argument --seed: expected a non-negative integer" in err
 
 
 def test_off_switch_flags_accept_zero_as_off():
@@ -169,3 +201,11 @@ def test_off_switch_flags_accept_zero_as_off():
     assert (args.reorder_window, args.random_rounds) == (0, 0)
     args = parser.parse_args(["crashsweep", "--reorder-window", "0"])
     assert args.reorder_window == 0
+
+
+def test_seed_and_crash_cycle_accept_zero(capsys):
+    assert main(["run", "--workload", "hotset", "--scale", "tiny",
+                 "--transactions", "5", "--seed", "0"]) == 0
+    assert "hotset / LB++ / BEP" in capsys.readouterr().out
+    assert main(["crash", "--workload", "queue", "--cycle", "0"]) == 0
+    assert "crash @ 0:" in capsys.readouterr().out

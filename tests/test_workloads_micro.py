@@ -65,8 +65,8 @@ def test_ops_are_well_formed(name):
 def test_deterministic_given_seed(name):
     a = list(make_benchmark(name, thread_id=1, seed=7).ops(20))
     b = list(make_benchmark(name, thread_id=1, seed=7).ops(20))
-    assert [(o.kind, o.addr, o.size) for o in a] == \
-        [(o.kind, o.addr, o.size) for o in b]
+    assert [(o.kind, o.addr, o.size, o.value, o.cycles) for o in a] == \
+        [(o.kind, o.addr, o.size, o.value, o.cycles) for o in b]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + EXTRA_NAMES)
