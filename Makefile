@@ -3,13 +3,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow perfbench examples bench scale figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow perfbench examples faults bench scale figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
-# the example scripts, and the scaling check family (exits nonzero if
-# any of its checks fails, or if its record in BENCH_sweep.json drifts).
-ci: test test-reference perfbench examples
+# the example scripts, the fault campaign and crash sweep jobs, and the
+# scaling check family (exits nonzero if any of its checks fails, or if
+# its record in BENCH_sweep.json drifts).
+ci: test test-reference perfbench examples faults
 	$(PYTHON) -m repro bench --only scaling --output BENCH_sweep.json
 	git diff --exit-code BENCH_sweep.json
 
@@ -49,6 +50,24 @@ examples:
 		echo "== $$f"; \
 		$(PYTHON) $$f > /dev/null || exit 1; \
 	done
+
+# CI's fault-campaign-smoke and crash-sweep-smoke jobs, command for
+# command: the exhaustive LB++ campaign with its reference-engine rerun,
+# the LB campaign, both reorder self-tests, the pingpong crash sweep,
+# and the crash bench family, whose record in BENCH_sweep.json must not
+# drift.  About 3 minutes on a 2-CPU Linux container.
+faults:
+	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
+		--transactions 4 --mc-stride 4 --random-rounds 3 --check-digests
+	$(PYTHON) -m repro campaign --workload pingpong --design lb \
+		--cores 4 --transactions 4 --mc-stride 8 --quiet
+	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
+		--reorder-window 6 --expect-violation
+	$(PYTHON) -m repro crashsweep --workload pingpong --transactions 10
+	$(PYTHON) -m repro crashsweep --workload queue \
+		--reorder-window 6 --expect-violation
+	$(PYTHON) -m repro bench --only crash --output BENCH_sweep.json
+	git diff --exit-code BENCH_sweep.json
 
 # Run every bench check family (scaling, crash) and refresh
 # BENCH_sweep.json; exits nonzero if any check fails.  Host time is

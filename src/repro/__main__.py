@@ -258,7 +258,7 @@ def cmd_crashsweep(args: argparse.Namespace) -> int:
 
 def _parse_inject(text: str):
     """``leg:c1,c2,...`` -> ``(leg, (c1, c2, ...))``, validated."""
-    from repro.sim.faults import FAULT_LEGS
+    from repro.sim.faults import check_leg
     try:
         leg, coords_s = text.split(":", 1)
         coords = tuple(int(c) for c in coords_s.split(","))
@@ -266,10 +266,10 @@ def _parse_inject(text: str):
         raise argparse.ArgumentTypeError(
             f"--inject expects leg:c1,c2,... got {text!r}"
         ) from None
-    if leg not in FAULT_LEGS:
-        raise argparse.ArgumentTypeError(
-            f"unknown fault leg {leg!r}; choose from {sorted(FAULT_LEGS)}"
-        )
+    try:
+        check_leg(leg, coords)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return leg, coords
 
 

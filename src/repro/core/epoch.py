@@ -63,7 +63,6 @@ class Epoch:
         "outstanding_checkpoint_writes",
         "idt_sources",
         "idt_dependents",
-        "idt_last",
         "all_sources",
         "persist_waiters",
         "complete_waiters",
@@ -110,11 +109,6 @@ class Epoch:
         # IDT edges (section 3.1).
         self.idt_sources: Set["Epoch"] = set()
         self.idt_dependents: Set["Epoch"] = set()
-        # Edge-interning memo (fast mode): the last source this epoch
-        # recorded (or found already covered) via IDTracker.try_record.
-        # Contended sharing hits the same epoch pair many times in a
-        # row; the memo short-circuits the re-scan of idt_sources.
-        self.idt_last: Optional["Epoch"] = None
         # Permanent (core, seq) log of every IDT source ever recorded,
         # for the recovery checker (idt_sources drains as sources persist).
         self.all_sources: Set[tuple] = set()

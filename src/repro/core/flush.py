@@ -69,7 +69,15 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.epoch import Epoch
 from repro.sim.config import FlushMode
-from repro.sim.faults import ProtocolError, backoff_cycles
+from repro.sim.faults import (
+    ACK_TIMEOUT,
+    BANK_ACK_DETOUR_HOPS,
+    FLUSH_EPOCH_TIMEOUT,
+    LINK_DELAY_HOPS,
+    MAX_ACK_RETRIES,
+    PERSIST_CMP_TIMEOUT,
+    ProtocolError,
+)
 from repro.sim.stats import HandshakeStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -93,6 +101,10 @@ _ACKED = 4
 # tests building the op without a full machine); real machines hand
 # every flush op the per-core HandshakeStats instead.
 _NULL_HANDSHAKE = HandshakeStats()
+
+# The fault legs of the FlushEpoch broadcast.
+_FLUSH_EPOCH_LEGS = frozenset(("flush_epoch_drop", "flush_epoch_dup",
+                               "link_delay"))
 
 
 __all__ = ["FlushOperation", "ProtocolError", "FLUSH_PIPELINE_INTERVAL"]
@@ -228,42 +240,30 @@ class FlushOperation:
         Each bank's FlushEpoch copy independently draws its drop,
         duplication and link-delay faults.  Returns ``(extras, msgs)``:
         ``extras[bank]`` is the extra delivery latency of the bank's
-        copy, and ``msgs`` the extra FlushEpoch messages
-        (retransmissions plus duplicates) to charge.  A dropped copy is
-        retransmitted by the arbiter after ``flush_epoch_timeout`` with
-        exponential backoff; the watchdog turns a chain past
-        ``max_flush_epoch_retries`` into a :class:`ProtocolError`.
+        copy, and ``msgs`` the extra FlushEpoch messages (resends plus
+        duplicates) to charge.  A dropped copy is resent by the arbiter
+        ``FLUSH_EPOCH_TIMEOUT`` cycles later.
         """
-        faults = self._faults
-        cfg = faults.config
+        fires = self._faults.fires
         arb = self._arbiter
         extras: Dict[int, int] = {}
         msgs = 0
         for bank in banks:
             extra = 0
-            resends = faults.flush_epoch_resends(core, bank, seq)
-            if resends:
-                if resends > cfg.max_flush_epoch_retries:
-                    raise ProtocolError(
-                        f"FlushEpoch retry chain for bank {bank} of "
-                        f"core {core} epoch seq {seq} exceeded "
-                        f"bound {cfg.max_flush_epoch_retries} "
-                        f"({resends} resends)"
-                    )
-                extra += backoff_cycles(cfg.flush_epoch_timeout, resends)
-                msgs += resends
+            if fires("flush_epoch_drop", core, bank, seq):
+                extra += FLUSH_EPOCH_TIMEOUT
+                msgs += 1
                 if arb is not None:
-                    arb.note_fault("flush_epoch_drops", resends)
-            if faults.flush_epoch_dup(core, bank, seq):
+                    arb.note_fault("flush_epoch_drops")
+            if fires("flush_epoch_dup", core, bank, seq):
                 # The duplicate copy is ignored by the bank (the
                 # handshake is idempotent); only the message count
                 # observes it.
                 msgs += 1
                 if arb is not None:
                     arb.note_fault("flush_epoch_dups")
-            hops = faults.link_delay(core, bank, seq)
-            if hops:
-                extra += self._mesh.detour_latency(hops)
+            if fires("link_delay", core, bank, seq):
+                extra += self._mesh.detour_latency(LINK_DELAY_HOPS)
                 if arb is not None:
                     arb.note_fault("flush_link_delays")
             if extra:
@@ -314,7 +314,8 @@ class FlushOperation:
         faults = self._faults
         fault_extras: Optional[Dict[int, int]] = None
         fe_msgs = 0
-        if faults is not None and faults.flush_epoch_active:
+        if faults is not None and not faults.active.isdisjoint(
+                _FLUSH_EPOCH_LEGS):
             fault_extras, fe_msgs = self._fault_delivery_extras(
                 core, seq, sorted(per_bank)
             )
@@ -536,10 +537,10 @@ class FlushOperation:
         """Fault-aware BankAck transmission with bounded retry.
 
         A dropped ack arms a timeout at the nominal delivery time plus
-        ``ack_timeout``; the timeout resends with the attempt counter
-        bumped.  The injector guarantees the attempt at the retry bound
-        is delivered, so the chain is finite.  At most one transmission
-        or timeout per bank is ever outstanding (the _ACK_SENT guard in
+        ``ACK_TIMEOUT``; the timeout resends with the attempt counter
+        bumped.  The attempt at ``MAX_ACK_RETRIES`` is never dropped, so
+        the chain is finite.  At most one transmission or timeout per
+        bank is ever outstanding (the _ACK_SENT guard in
         :meth:`_schedule_bank_ack` serialises the chain), which is what
         lets :meth:`_ack_timeout` treat any other state as a
         :class:`ProtocolError`.
@@ -547,33 +548,32 @@ class FlushOperation:
         Every transmission counts toward the message totals -- dropped
         acks were sent; the network lost them.
         """
-        faults = self._faults
-        if attempt > faults.config.max_ack_retries:
-            # Simulated-time watchdog: the injector promises the
-            # transmission at the bound is delivered, so a chain this
-            # long means the retry machinery itself is broken.
+        if attempt > MAX_ACK_RETRIES:
+            # Simulated-time watchdog: the attempt at the bound is
+            # always delivered, so a chain this long means the retry
+            # machinery itself is broken.
             raise ProtocolError(
                 f"BankAck retry chain for bank {bank} exceeded bound "
-                f"{faults.config.max_ack_retries} (attempt {attempt})"
+                f"{MAX_ACK_RETRIES} (attempt {attempt})"
             )
         self._hs.bank_ack_msgs += 1
         self._flush_msgs += 1
         epoch = self._epoch
         core = epoch.core_id
         seq = epoch.seq
-        if faults.drop_bank_ack(core, bank, seq, attempt):
+        fires = self._faults.fires
+        if attempt < MAX_ACK_RETRIES and fires(
+                "bank_ack_drop", core, bank, seq, attempt=attempt):
             if self._arbiter is not None:
                 self._arbiter.note_fault("flush_ack_drops")
             self._engine.schedule(
-                delay + faults.config.ack_timeout,
-                self._ack_timeout, bank, attempt,
+                delay + ACK_TIMEOUT, self._ack_timeout, bank, attempt,
             )
             return
-        detour = faults.bank_ack_detour(core, bank, seq, attempt)
-        if detour:
+        if fires("bank_ack_detour", core, bank, seq, attempt=attempt):
             if self._arbiter is not None:
                 self._arbiter.note_fault("flush_ack_delays")
-            delay += self._mesh.detour_latency(detour)
+            delay += self._mesh.detour_latency(BANK_ACK_DETOUR_HOPS)
         self._engine.schedule(delay, self._bank_ack, bank)
 
     def _ack_timeout(self, bank: int, attempt: int) -> None:
@@ -609,7 +609,7 @@ class FlushOperation:
         self._flush_msgs += self._num_banks
         faults = self._faults
         extra = 0
-        if faults is not None and faults.persist_cmp_active:
+        if faults is not None and "persist_cmp_drop" in faults.active:
             extra = self._persist_cmp_fault_extra()
         engine = self._engine
         lag = self._ack_deadline - engine.now
@@ -619,45 +619,28 @@ class FlushOperation:
         engine.schedule(lag + bcast + extra, self._persist_cmp)
 
     def _persist_cmp_fault_extra(self) -> int:
-        """PersistCMP-loss fold: retransmission cost of the completion
+        """PersistCMP-loss fold: the resend cost of the completion
         broadcast.
 
-        Each bank's copy of PersistCMP independently draws its loss
-        chain; a lost copy is retransmitted after
-        ``persist_cmp_timeout`` with exponential backoff.  The epoch is
-        complete only when every bank heard the broadcast, so the
-        completion event slips by the *worst* per-bank chain; every
-        retransmission is charged as a message.  Bounded by
-        ``max_persist_cmp_retries`` with the watchdog raising
-        :class:`ProtocolError` past it.
+        Each bank's copy of PersistCMP independently draws its loss; a
+        lost copy is resent ``PERSIST_CMP_TIMEOUT`` cycles later.  The
+        epoch is complete only when every bank heard the broadcast, so
+        any loss delays the completion event by that timeout; every
+        resend is charged as a message.
         """
-        faults = self._faults
-        cfg = faults.config
+        fires = self._faults.fires
         epoch = self._epoch
         core = epoch.core_id
         seq = epoch.seq
-        worst = 0
-        total = 0
-        for bank in range(self._num_banks):
-            resends = faults.persist_cmp_resends(core, bank, seq)
-            if not resends:
-                continue
-            if resends > cfg.max_persist_cmp_retries:
-                raise ProtocolError(
-                    f"PersistCMP retry chain for bank {bank} of core "
-                    f"{core} epoch seq {seq} exceeded bound "
-                    f"{cfg.max_persist_cmp_retries} ({resends} resends)"
-                )
-            total += resends
-            stall = backoff_cycles(cfg.persist_cmp_timeout, resends)
-            if stall > worst:
-                worst = stall
-        if total:
-            self._hs.persist_cmp_msgs += total
-            self._flush_msgs += total
-            if self._arbiter is not None:
-                self._arbiter.note_fault("flush_cmp_drops", total)
-        return worst
+        lost = sum(fires("persist_cmp_drop", core, bank, seq)
+                   for bank in range(self._num_banks))
+        if not lost:
+            return 0
+        self._hs.persist_cmp_msgs += lost
+        self._flush_msgs += lost
+        if self._arbiter is not None:
+            self._arbiter.note_fault("flush_cmp_drops", lost)
+        return PERSIST_CMP_TIMEOUT
 
     def _persist_cmp(self) -> None:
         epoch = self._epoch

@@ -29,15 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class IDTracker:
     """Machine-wide front end for recording IDT edges."""
 
-    def __init__(self, registers_per_epoch: int, stats: StatDomain,
-                 fast: bool = True) -> None:
+    def __init__(self, registers_per_epoch: int, stats: StatDomain) -> None:
         if registers_per_epoch < 1:
             raise ValueError("need at least one IDT register pair per epoch")
         self._registers = registers_per_epoch
         self._stats = stats
-        # The machine passes its engine's mode: reference mode skips the
-        # edge-interning shortcut below.
-        self._fast = fast
 
     def try_record(self, source: "Epoch", dependent: "Epoch") -> bool:
         """Attempt to record ``source`` happens-before ``dependent``.
@@ -48,20 +44,10 @@ class IDTracker:
         """
         if source.persisted:
             return True
-        if self._fast and dependent.idt_last is source:
-            # Interned edge (fast mode): the immediately preceding
-            # record on this dependent was the same source, so the edge
-            # is already tracked or subsumed and ``all_sources`` already
-            # logged the pair.  Contended sharing repeats one epoch pair
-            # per touched line; this skips the re-scan.  Every path that
-            # sets the memo bumps no counters on re-entry, so fast and
-            # reference stat counters stay identical.
-            return True
         if source.core_id == dependent.core_id:
             raise ValueError("IDT edges are inter-thread only")
         dependent.all_sources.add(source.key)
         if source in dependent.idt_sources:
-            dependent.idt_last = source
             return True
 
         # Subsumption: an existing edge to a *newer* epoch of the same
@@ -72,7 +58,6 @@ class IDTracker:
             if existing.core_id != source.core_id:
                 continue
             if existing.seq >= source.seq:
-                dependent.idt_last = source
                 return True
             superseded = existing
             break
@@ -93,6 +78,5 @@ class IDTracker:
 
         dependent.idt_sources.add(source)
         source.idt_dependents.add(dependent)
-        dependent.idt_last = source
         self._stats.bump("idt_edges")
         return True

@@ -313,16 +313,14 @@ def run_crash_sweep_bench(seed: int = 1) -> dict:
           f"{'caught' if selftest['match'] else 'MISSED'} at point "
           f"{fast['first_violation']}")
 
-    fault_config = FaultConfig(
-        seed=seed, drop_ack_rate=0.3, delay_ack_rate=0.2,
-        mc_stall_rate=0.1,
-    )
+    rates = {"bank_ack_drop": 0.3, "bank_ack_detour": 0.2, "mc_stall": 0.1}
+    fault_config = FaultConfig(seed, rates=tuple(rates.items()))
     fast, ref = _both_engines(lambda: _fault_run(seed, fault_config))
     faults = {
         "config": {
-            "drop_ack_rate": fault_config.drop_ack_rate,
-            "delay_ack_rate": fault_config.delay_ack_rate,
-            "mc_stall_rate": fault_config.mc_stall_rate,
+            "drop_ack_rate": rates["bank_ack_drop"],
+            "delay_ack_rate": rates["bank_ack_detour"],
+            "mc_stall_rate": rates["mc_stall"],
         },
         "fast": fast,
         "reference": ref,

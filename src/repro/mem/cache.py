@@ -66,17 +66,18 @@ class SetAssociativeCache:
         line_size: int,
         stats: StatDomain,
     ) -> None:
-        if num_sets < 1 or assoc < 1:
-            raise ValueError(f"invalid cache geometry: {num_sets} sets x {assoc}")
+        if num_sets < 1 or num_sets & (num_sets - 1) or assoc < 1:
+            raise ValueError(
+                f"invalid cache geometry: {num_sets} sets x {assoc} "
+                "(the set count must be a power of two)"
+            )
         self.name = name
         self.num_sets = num_sets
         self.assoc = assoc
         self._offset_bits = line_size.bit_length() - 1
-        # Set counts are powers of two for every stock geometry, which
-        # turns the per-access modulo into a mask.
-        self._set_mask = (
-            num_sets - 1 if num_sets & (num_sets - 1) == 0 else None
-        )
+        # A power-of-two set count turns the per-access modulo into a
+        # mask.
+        self._set_mask = num_sets - 1
         self._sets: list[Dict[int, CacheEntry]] = [{} for _ in range(num_sets)]
         self._stats = stats
         self._tick = 0
@@ -85,22 +86,13 @@ class SetAssociativeCache:
         self._n_fills = 0
 
     # ------------------------------------------------------------------
-    # The set-index computation is inlined in lookup/victim_for/insert/
-    # remove: those four sit under every memory request and a helper call
-    # per access is measurable there.
-    def _set_of(self, line: int) -> Dict[int, CacheEntry]:
-        index = line >> self._offset_bits
-        mask = self._set_mask
-        if mask is not None:
-            return self._sets[index & mask]
-        return self._sets[index % self.num_sets]
-
+    # The set-index computation is inlined in every method below: they
+    # sit under every memory request and a helper call per access is
+    # measurable there.
     def lookup(self, line: int) -> Optional[CacheEntry]:
         """Return the entry for ``line`` or None, without touching LRU."""
-        mask = self._set_mask
-        if mask is not None:
-            return self._sets[(line >> self._offset_bits) & mask].get(line)
-        return self._set_of(line).get(line)
+        return self._sets[
+            (line >> self._offset_bits) & self._set_mask].get(line)
 
     def dirty_under(self, lines, epoch) -> set:
         """Subset of ``lines`` resident, dirty, and tagged by ``epoch``.
@@ -112,17 +104,10 @@ class SetAssociativeCache:
         offset = self._offset_bits
         mask = self._set_mask
         out = set()
-        if mask is not None:
-            for line in lines:
-                entry = sets[(line >> offset) & mask].get(line)
-                if entry is not None and entry.dirty and entry.epoch is epoch:
-                    out.add(line)
-        else:
-            nsets = self.num_sets
-            for line in lines:
-                entry = sets[(line >> offset) % nsets].get(line)
-                if entry is not None and entry.dirty and entry.epoch is epoch:
-                    out.add(line)
+        for line in lines:
+            entry = sets[(line >> offset) & mask].get(line)
+            if entry is not None and entry.dirty and entry.epoch is epoch:
+                out.add(line)
         return out
 
     def touch(self, entry: CacheEntry) -> None:
@@ -138,11 +123,7 @@ class SetAssociativeCache:
         replacement bias, and important here because evicting a dirty
         unpersisted line drags persist ordering into the critical path).
         """
-        mask = self._set_mask
-        if mask is not None:
-            cache_set = self._sets[(line >> self._offset_bits) & mask]
-        else:
-            cache_set = self._set_of(line)
+        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         if line in cache_set or len(cache_set) < self.assoc:
             return None
         # Single pass: least-recently-used clean entry if one exists,
@@ -167,11 +148,7 @@ class SetAssociativeCache:
         full set raises, because silently dropping a possibly-dirty line
         would corrupt epoch bookkeeping.
         """
-        mask = self._set_mask
-        if mask is not None:
-            cache_set = self._sets[(line >> self._offset_bits) & mask]
-        else:
-            cache_set = self._set_of(line)
+        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         entry = cache_set.get(line)
         if entry is None:
             if len(cache_set) >= self.assoc:
@@ -190,11 +167,7 @@ class SetAssociativeCache:
         """Replace ``victim`` (clean, same set, from ``victim_for``) with
         a fresh entry for ``line`` -- remove + insert with a single set
         resolution.  ``victim=None`` degenerates to a plain insert."""
-        mask = self._set_mask
-        if mask is not None:
-            cache_set = self._sets[(line >> self._offset_bits) & mask]
-        else:
-            cache_set = self._set_of(line)
+        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         if victim is not None:
             cache_set.pop(victim.line, None)
         entry = cache_set.get(line)
@@ -222,11 +195,7 @@ class SetAssociativeCache:
         The clean-victim choice matches ``victim_for``: least-recently-
         used clean entry.  The caller guarantees ``line`` misses.
         """
-        mask = self._set_mask
-        if mask is not None:
-            cache_set = self._sets[(line >> self._offset_bits) & mask]
-        else:
-            cache_set = self._set_of(line)
+        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         victim_line = -1
         if len(cache_set) >= self.assoc:
             best: Optional[CacheEntry] = None
@@ -248,11 +217,8 @@ class SetAssociativeCache:
 
     def remove(self, line: int) -> Optional[CacheEntry]:
         """Remove and return the entry for ``line`` if present."""
-        mask = self._set_mask
-        if mask is not None:
-            return self._sets[(line >> self._offset_bits) & mask].pop(
-                line, None)
-        return self._set_of(line).pop(line, None)
+        return self._sets[
+            (line >> self._offset_bits) & self._set_mask].pop(line, None)
 
     def flush_hot_stats(self) -> None:
         """Merge the attribute-held fill count into the stat domain."""

@@ -11,26 +11,30 @@ The directory here is behavioural, not message-accurate: the machine
 consults and updates it atomically per transaction and accounts latency
 separately (remote-L1 forwarding costs an extra mesh round trip).
 
-Two implementations share one API:
+Two implementations:
 
 * :class:`Directory` (fast mode) keeps two flat dicts -- ``line ->
   owner core`` and ``line -> sharer bitmask`` -- so the hot queries the
   request path runs per access (``owner_of``, ``exclusive_ok``) are one
   dict probe plus integer arithmetic, with no per-line entry object and
-  no sharer-set allocation anywhere on the clean path.
+  no sharer-set allocation anywhere on the clean path.  Only it serves
+  the fused request paths (``exclusive_ok``, ``refill_sharer``,
+  ``refill_owner``) and the ``peek`` snapshot the tests read.
 * :class:`ReferenceDirectory` (``REPRO_SLOW_ENGINE=1``) is the
   original per-line :class:`DirectoryEntry` form, kept deliberately
   plain as the executable specification the determinism-digest tests
-  compare against.
+  compare against.  It answers only what the general request
+  classifier asks (reference mode never runs the fused paths): the
+  owner/sharer queries and the five state updates.
 
 Shared invariants (asserted by the equivalence tests):
 
 * an owner always appears in the sharer record, and an *exclusive*
   owner is the only sharer (``owner == c`` implies ``sharers == {c}``);
 * a read by another core downgrades the owner to a sharer;
-* a line with no owner and no sharers has no record at all (``peek``
-  returns None) -- entries are reclaimed eagerly so the table tracks
-  only lines actually cached somewhere.
+* a line with no owner and no sharers has no record at all -- entries
+  are reclaimed eagerly so the table tracks only lines actually cached
+  somewhere.
 """
 
 from __future__ import annotations
@@ -228,10 +232,6 @@ class ReferenceDirectory:
             self._entries[line] = ent
         return ent
 
-    def peek(self, line: int) -> Optional[DirectoryEntry]:
-        """Entry if one exists, without creating it."""
-        return self._entries.get(line)
-
     def owner_of(self, line: int) -> Optional[int]:
         ent = self._entries.get(line)
         return ent.owner if ent else None
@@ -271,67 +271,6 @@ class ReferenceDirectory:
             # Owner was downgraded to S by the read that added a sharer.
             ent.sharers.add(ent.owner)
             ent.owner = None
-
-    def exclusive_ok(self, line: int, core_id: int) -> bool:
-        """True when ``core_id`` could take M on ``line`` without any
-        invalidation or forwarding: no directory entry, or no *foreign*
-        owner and no foreign sharers.  One lookup, no allocation -- the
-        guard the fused store paths use to stay conflict-free."""
-        ent = self._entries.get(line)
-        if ent is None:
-            return True
-        if ent.owner is not None and ent.owner != core_id:
-            return False
-        for sharer in ent.sharers:
-            if sharer != core_id:
-                return False
-        return True
-
-    def refill_sharer(self, line: int, victim_line: int,
-                      core_id: int) -> None:
-        """``drop_core(victim_line)`` + ``add_sharer(line)`` in one call
-        -- the fused load-fill path's directory update (``victim_line``
-        is -1 when a free way absorbed the fill)."""
-        entries = self._entries
-        if victim_line >= 0:
-            ent = entries.get(victim_line)
-            if ent is not None:
-                if ent.owner == core_id:
-                    ent.owner = None
-                ent.sharers.discard(core_id)
-                if ent.owner is None and not ent.sharers:
-                    del entries[victim_line]
-        ent = entries.get(line)
-        if ent is None:
-            ent = DirectoryEntry()
-            entries[line] = ent
-        ent.sharers.add(core_id)
-        if ent.owner is not None and ent.owner != core_id:
-            ent.sharers.add(ent.owner)
-            ent.owner = None
-
-    def refill_owner(self, line: int, victim_line: int,
-                     core_id: int) -> None:
-        """``drop_core(victim_line)`` + ``set_owner(line)`` in one call
-        -- the fused store-fill path's directory update."""
-        entries = self._entries
-        if victim_line >= 0:
-            ent = entries.get(victim_line)
-            if ent is not None:
-                if ent.owner == core_id:
-                    ent.owner = None
-                ent.sharers.discard(core_id)
-                if ent.owner is None and not ent.sharers:
-                    del entries[victim_line]
-        ent = entries.get(line)
-        if ent is None:
-            ent = DirectoryEntry()
-            entries[line] = ent
-            ent.owner = core_id
-            ent.sharers = {core_id}
-        elif ent.owner != core_id:
-            ent.owner = core_id
-            ent.sharers = {core_id}
 
     def drop_line(self, line: int) -> None:
         """Forget the line entirely (all copies invalidated)."""

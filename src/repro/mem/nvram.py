@@ -33,7 +33,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.sim.config import MachineConfig
 from repro.sim.engine import Engine
-from repro.sim.faults import ProtocolError, backoff_cycles
+from repro.sim.faults import (
+    MC_STALL_CYCLES,
+    PERSIST_ACK_TIMEOUT,
+    TORN_WRITE_CYCLES,
+    WRITE_RETRY_CYCLES,
+)
 from repro.sim.stats import StatDomain
 
 
@@ -285,37 +290,28 @@ class MemoryController:
     def _fault_stall(self, write: bool = False) -> int:
         """Stall cycles for the next transaction (0 without faults).
 
-        Write transactions additionally draw the media faults: torn
-        lines detected by verify-after-write are rewritten (each rewrite
-        costs ``torn_write_cycles``; the chain is bounded by
-        ``max_torn_write_retries`` with the watchdog raising
-        :class:`ProtocolError` past it), and a transient media retry
-        costs ``write_retry_cycles`` once.  The data always commits
-        intact -- only durability *timing* slips, the image never
-        records a torn value.
+        Write transactions additionally draw the media faults: a torn
+        line detected by verify-after-write is rewritten once (costing
+        ``TORN_WRITE_CYCLES``), and a transient media retry costs
+        ``WRITE_RETRY_CYCLES``.  The data always commits intact -- only
+        durability *timing* slips, the image never records a torn value.
         """
-        faults = self._faults
+        fires = self._faults.fires
+        mc_id = self.mc_id
         ordinal = self._txn_ordinal
         self._txn_ordinal = ordinal + 1
-        stall = faults.mc_stall(self.mc_id, ordinal)
-        if stall:
+        stall = 0
+        if fires("mc_stall", mc_id, ordinal):
+            stall = MC_STALL_CYCLES
             self._stats.bump("fault_stalls")
             self._stats.bump("fault_stall_cycles", stall)
-        if write and faults.media_active:
-            cfg = faults.config
+        if write:
             extra = 0
-            tears = faults.torn_write_retries(self.mc_id, ordinal)
-            if tears:
-                if tears > cfg.max_torn_write_retries:
-                    raise ProtocolError(
-                        f"torn-write rewrite chain at mc {self.mc_id} "
-                        f"ordinal {ordinal} exceeded bound "
-                        f"{cfg.max_torn_write_retries} ({tears} rewrites)"
-                    )
-                extra += tears * cfg.torn_write_cycles
-                self._stats.bump("fault_torn_writes", tears)
-            if faults.write_retry(self.mc_id, ordinal):
-                extra += cfg.write_retry_cycles
+            if fires("torn_write", mc_id, ordinal):
+                extra += TORN_WRITE_CYCLES
+                self._stats.bump("fault_torn_writes")
+            if fires("write_retry", mc_id, ordinal):
+                extra += WRITE_RETRY_CYCLES
                 self._stats.bump("fault_write_retries")
             if extra:
                 self._stats.bump("fault_media_cycles", extra)
@@ -332,35 +328,23 @@ class MemoryController:
     ) -> None:
         """Deliver a flush-handshake PersistAck, possibly late.
 
-        A lost ack is retransmitted by the controller after
-        ``persist_ack_timeout`` with exponential backoff (the line is
-        already durable; only its acknowledgement slips), bounded by
-        ``max_persist_ack_retries``.  Eviction-path persists
-        (``core_id < 0`` / ``epoch_seq < 0``) have no handshake ack to
-        lose and always deliver directly.
+        A lost ack is resent by the controller ``PERSIST_ACK_TIMEOUT``
+        cycles later (the line is already durable; only its
+        acknowledgement slips).  Eviction-path persists (``core_id < 0``
+        / ``epoch_seq < 0``) have no handshake ack to lose and always
+        deliver directly.
         """
-        faults = self._faults
         if (
             core_id < 0
             or epoch_seq < 0
-            or not faults.persist_ack_active
+            or not self._faults.fires("persist_ack_drop", core_id,
+                                      epoch_seq, line)
         ):
             on_line(time)
             return
-        resends = faults.persist_ack_resends(core_id, epoch_seq, line)
-        if not resends:
-            on_line(time)
-            return
-        cfg = faults.config
-        if resends > cfg.max_persist_ack_retries:
-            raise ProtocolError(
-                f"PersistAck retry chain for line {line:#x} of core "
-                f"{core_id} epoch seq {epoch_seq} exceeded bound "
-                f"{cfg.max_persist_ack_retries} ({resends} resends)"
-            )
-        self._stats.bump("fault_persist_ack_drops", resends)
-        extra = backoff_cycles(cfg.persist_ack_timeout, resends)
-        self._engine.schedule(extra, on_line, time + extra)
+        self._stats.bump("fault_persist_ack_drops")
+        self._engine.schedule(PERSIST_ACK_TIMEOUT, on_line,
+                              time + PERSIST_ACK_TIMEOUT)
 
     def _service_start(self, occupancy: int, write: bool = False) -> int:
         now = self._engine.now

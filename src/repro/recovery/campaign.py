@@ -19,8 +19,8 @@ Every probed run is triaged into one of three verdicts:
   sweep_crash_points`, including the workload's semantic queue checks),
   and the final durable image equals the baseline's: the fault cost
   time, not correctness.
-* ``aborted-clean`` -- a retry chain exceeded its configured bound and
-  the simulated-time watchdog raised
+* ``aborted-clean`` -- a protocol watchdog (a BankAck retry chain past
+  its bound, a double ack, an orphaned retry timeout) raised
   :class:`~repro.sim.faults.ProtocolError`; the partial durable state
   left behind still passes every checker.  The machine failed *stop*,
   not *silent*.

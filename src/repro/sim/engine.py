@@ -34,13 +34,15 @@ Implementation notes -- the two-tier queue:
   ``delay`` cycles out would be the very next event anyway, it claims
   the clock and calls it directly instead of round-tripping the heap.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
-  (see :func:`reference_mode`).  It means exactly two things.  The
+  (see :func:`reference_mode`).  It means exactly three things.  The
   engine runs its plain heap loop: every event, including
   ``call_soon``, goes through the heap, and :meth:`finish` and
-  fast-forward sessions always schedule or refuse.  And the machine
+  fast-forward sessions always schedule or refuse.  The machine
   classifies every request with its general classifier instead of the
-  fused paths.  Everything else -- counting, latency tables, epoch
-  tags -- runs the same way in both modes.  The determinism-digest
+  fused paths.  And the coherence directory is the per-line-entry
+  ``ReferenceDirectory`` instead of the flat bitmask ``Directory``.
+  Everything else -- counting, latency tables, epoch tags, IDT edges --
+  runs the same way in both modes.  The determinism-digest
   tests assert that both modes fire callbacks in bit-identical order
   across every persistency model.
 """

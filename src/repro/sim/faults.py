@@ -3,40 +3,35 @@
 The robustness story of the flush protocol (section 4.1, Figure 8) rests
 on every message of the handshake arriving: a lost BankAck would wedge
 the arbiter, a stalled memory controller stretches the persist window a
-crash can land in.  This module injects exactly those hazards, one knob
-per protocol leg:
+crash can land in.  This module injects exactly those hazards.  Each
+protocol leg is one yes/no decision, :meth:`FaultInjector.fires`, and a
+leg that fires adds one fixed cost (the module constants below):
 
-* **dropped FlushEpoch broadcasts** -- the copy sent to one bank is
-  lost; the arbiter retransmits after ``flush_epoch_timeout`` with
-  exponential backoff, bounded by ``max_flush_epoch_retries``.
-* **duplicated FlushEpoch broadcasts** -- the bank receives a second
-  copy.  The protocol is idempotent (a bank already issuing ignores the
-  duplicate), so the only observable is the message count -- which is
-  exactly what the injection proves.
-* **FlushEpoch link delays** -- the copy sent to one bank is rerouted
-  ``link_delay_hops`` extra mesh hops (congestion / adaptive routing).
-* **dropped BankAcks** -- the bank's ack is lost in the mesh; the bank
-  times out and resends, bounded by ``max_ack_retries`` (the attempt at
-  the retry bound is always delivered, so forward progress is
-  guaranteed);
-* **delayed BankAcks** -- the ack is rerouted ``delay_ack_hops`` extra
-  mesh hops;
-* **dropped PersistAcks** -- the controller's per-line ack back to the
-  owning bank is lost; the controller retransmits after
-  ``persist_ack_timeout`` with exponential backoff, bounded by
-  ``max_persist_ack_retries``.  The line is already durable (the commit
-  happened); only its acknowledgement is late.
-* **dropped PersistCMP broadcasts** -- the completion broadcast to one
-  bank is lost and retransmitted (bounded); the epoch's persist
-  completion is delayed by the worst per-bank retry chain.
-* **transient NVRAM bank stalls** -- a controller transaction's service
-  start slips by ``mc_stall_cycles`` (media-level retries, thermal
-  throttling);
-* **torn line writes** -- the media write is detected torn
-  (verify-after-write / ECC) and rewritten; each rewrite costs
-  ``torn_write_cycles``, bounded by ``max_torn_write_retries``.
-* **media write retries** -- a single transient retry costing
-  ``write_retry_cycles`` (no chain).
+* **dropped FlushEpoch** -- the copy sent to one bank is lost; the
+  arbiter resends it ``FLUSH_EPOCH_TIMEOUT`` cycles later (one extra
+  message).
+* **duplicated FlushEpoch** -- the bank receives a second copy.  The
+  protocol is idempotent (a bank already issuing ignores the duplicate),
+  so the only observable is the message count.
+* **FlushEpoch link delay** -- the copy sent to one bank detours
+  ``LINK_DELAY_HOPS`` extra mesh hops (congestion / adaptive routing).
+* **dropped BankAck** -- the bank's ack is lost in the mesh; the bank
+  times out after ``ACK_TIMEOUT`` cycles and resends.  This is the one
+  message retried as events: the flush engine never drops the attempt
+  at ``MAX_ACK_RETRIES``, so the chain always ends.
+* **BankAck detour** -- the ack is rerouted ``BANK_ACK_DETOUR_HOPS``
+  extra mesh hops.
+* **dropped PersistAck** -- the controller's per-line ack back to the
+  owning bank is lost and resent ``PERSIST_ACK_TIMEOUT`` cycles later.
+  The line is already durable; only its acknowledgement is late.
+* **dropped PersistCMP** -- the completion broadcast to one bank is lost
+  and resent ``PERSIST_CMP_TIMEOUT`` cycles later.
+* **NVRAM bank stall** -- a controller transaction's service start slips
+  ``MC_STALL_CYCLES`` (media-level retries, thermal throttling).
+* **torn line write** -- verify-after-write detects a torn line and
+  rewrites it once, costing ``TORN_WRITE_CYCLES``.
+* **media write retry** -- one transient retry costing
+  ``WRITE_RETRY_CYCLES``.
 * **persist reordering** -- a deliberately *unsound* fault: the NVRAM
   image buffers ``reorder_window`` data persists and records them in
   reversed order, modelling hardware that ignores the epoch ordering
@@ -46,25 +41,18 @@ per protocol leg:
   proving the oracle can actually fail.
 
 Every decision is a pure function of the seed and stable simulated
-coordinates (core, bank, epoch sequence, line, attempt number,
-controller write ordinal) via a splitmix64-style integer hash -- never
-of wall clock, Python hashes, or a shared sequential PRNG stream.  Both
-engine modes (fast paths and the ``REPRO_SLOW_ENGINE=1`` reference
+coordinates (core, bank, epoch sequence, line, BankAck attempt number,
+controller transaction ordinal) via a splitmix64-style integer hash --
+never of wall clock, Python hashes, or a shared sequential PRNG stream.
+Both engine modes (fast paths and the ``REPRO_SLOW_ENGINE=1`` reference
 heap) therefore make bit-identical fault decisions, which is what keeps
 the determinism digests comparable across modes *with faults enabled*.
 
-Besides the rate knobs, :attr:`FaultConfig.inject` targets *specific*
+Besides per-leg rates, :attr:`FaultConfig.inject` targets *specific*
 coordinates: ``(("persist_ack_drop", (core, seq, line)), ...)`` faults
-exactly those protocol events (at attempt 0; the bounded retry machinery
-then recovers).  The campaign driver
+exactly those protocol events.  The campaign driver
 (:mod:`repro.recovery.campaign`) enumerates the injectable coordinates
 of a captured run and probes them one at a time this way.
-
-Every retry chain is bounded *twice*: the injector never faults an
-attempt at or past the leg's retry bound, and the consuming state
-machine independently raises :class:`ProtocolError` if a chain somehow
-exceeds the bound (the simulated-time watchdog) -- a buggy injector
-turns into a typed error, never a hang.
 
 Fault injection deliberately does not cover the degenerate empty-bank
 acks (a bank with no lines of the epoch): those model the arbiter's own
@@ -74,58 +62,54 @@ re-exercise the same retry path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Stream tags: one per decision kind, so the same coordinates never
-# share a draw across kinds.
-_STREAM_DROP = 1
-_STREAM_DELAY = 2
-_STREAM_MC = 3
-_STREAM_FLUSH_EPOCH = 4
-_STREAM_FLUSH_DUP = 5
-_STREAM_LINK = 6
-_STREAM_PERSIST_ACK = 7
-_STREAM_PERSIST_CMP = 8
-_STREAM_TORN = 9
-_STREAM_WRETRY = 10
-
 # The injectable protocol legs, by the name the targeted-injection
-# tuples and the campaign driver use.  Coordinates per leg:
-#
-#   bank_ack_drop / bank_ack_detour : (core, bank, epoch_seq)
-#   flush_epoch_drop / flush_epoch_dup / link_delay
-#                                   : (core, bank, epoch_seq)
-#   persist_cmp_drop                : (core, bank, epoch_seq)
-#   persist_ack_drop                : (core, epoch_seq, line)
-#   mc_stall / torn_write / write_retry : (mc_id, ordinal)
-FAULT_LEGS: Tuple[str, ...] = (
-    "bank_ack_drop",
-    "bank_ack_detour",
-    "flush_epoch_drop",
-    "flush_epoch_dup",
-    "link_delay",
-    "persist_ack_drop",
-    "persist_cmp_drop",
-    "mc_stall",
-    "torn_write",
-    "write_retry",
-)
+# tuples and the campaign driver use: name -> (stream tag, coordinate
+# names).  The stream tag keys each leg's draws apart, so the same
+# coordinates never share a draw across legs.
+_HANDSHAKE = ("core", "bank", "seq")
+_MEDIA = ("mc", "ordinal")
+_LEGS: Dict[str, Tuple[int, Tuple[str, ...]]] = {
+    "bank_ack_drop": (1, _HANDSHAKE),
+    "bank_ack_detour": (2, _HANDSHAKE),
+    "flush_epoch_drop": (4, _HANDSHAKE),
+    "flush_epoch_dup": (5, _HANDSHAKE),
+    "link_delay": (6, _HANDSHAKE),
+    "persist_ack_drop": (7, ("core", "seq", "line")),
+    "persist_cmp_drop": (8, _HANDSHAKE),
+    "mc_stall": (3, _MEDIA),
+    "torn_write": (9, _MEDIA),
+    "write_retry": (10, _MEDIA),
+}
+FAULT_LEGS: Tuple[str, ...] = tuple(_LEGS)
+
+# What one fault costs, per leg.
+ACK_TIMEOUT = 200            # cycles a bank waits per lost BankAck
+MAX_ACK_RETRIES = 3          # the BankAck attempt that always delivers
+BANK_ACK_DETOUR_HOPS = 2
+FLUSH_EPOCH_TIMEOUT = 300
+LINK_DELAY_HOPS = 3
+PERSIST_ACK_TIMEOUT = 400
+PERSIST_CMP_TIMEOUT = 300
+MC_STALL_CYCLES = 100
+TORN_WRITE_CYCLES = 150
+WRITE_RETRY_CYCLES = 60
 
 
 class ProtocolError(RuntimeError):
     """The flush/persist protocol's state machine was violated.
 
     Raised when a bank acks twice, when an ack-retry timeout fires for
-    a bank that is no longer waiting, or when any bounded retry chain
-    (FlushEpoch, BankAck, PersistAck, PersistCMP, torn-write rewrite)
-    exceeds its configured bound -- the simulated-time watchdog that
-    turns a non-terminating retry chain into a typed error instead of a
-    hang.  All of these indicate a simulator bug (or a fault-injection
-    hole), never a legal protocol state.
+    a bank that is no longer waiting, or when a BankAck retry chain
+    runs past ``MAX_ACK_RETRIES`` -- the simulated-time watchdog that
+    turns a non-terminating chain into a typed error instead of a hang.
+    All of these indicate a simulator bug (or a fault-injection hole),
+    never a legal protocol state.
     """
 
 
@@ -140,72 +124,33 @@ def _mix64(x: int) -> int:
     return x
 
 
-def backoff_cycles(timeout: int, resends: int) -> int:
-    """Total stall of a retry chain with ``resends`` retransmissions.
-
-    Exponential backoff: retry ``i`` waits ``timeout * 2**i``, so the
-    cumulative extra is ``timeout * (2**resends - 1)`` -- zero when the
-    first transmission got through.
-    """
-    return timeout * ((1 << resends) - 1)
+def check_leg(leg: str, coords: Optional[Tuple[int, ...]] = None) -> None:
+    """Raise ValueError unless ``leg`` is a fault leg and ``coords``
+    (when given) has as many coordinates as the leg takes."""
+    if leg not in _LEGS:
+        raise ValueError(f"unknown fault leg {leg!r}; choose from {FAULT_LEGS}")
+    names = _LEGS[leg][1]
+    if coords is not None and len(coords) != len(names):
+        raise ValueError(
+            f"fault leg {leg!r} takes {len(names)} coordinates "
+            f"({','.join(names)}), got {len(coords)}"
+        )
 
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Knobs of the fault-injection layer.  All rates default to 0
-    (no faults); ``reorder_window=0`` disables the unsound fault."""
+    """What to inject.  The default injects nothing.
+
+    ``rates`` gives ``(leg, probability)`` pairs for randomized stress;
+    ``inject`` gives ``(leg, coords)`` pairs that fire exactly at those
+    coordinates (see the leg table above).  ``reorder_window > 0``
+    enables the unsound reorder fault (checker self-test only).
+    """
 
     seed: int = 0
-    # BankAck loss: probability per (data-bearing) BankAck transmission.
-    drop_ack_rate: float = 0.0
-    # Cycles the sending bank waits (past the nominal delivery time)
-    # before concluding its ack was lost and resending.
-    ack_timeout: int = 200
-    # Retry bound: the ack sent at attempt == max_ack_retries is always
-    # delivered, so a flush can stall at most max_ack_retries timeouts.
-    max_ack_retries: int = 3
-    # BankAck rerouting: probability and detour length in mesh hops.
-    delay_ack_rate: float = 0.0
-    delay_ack_hops: int = 2
-    # FlushEpoch delivery loss, per bank.
-    drop_flush_epoch_rate: float = 0.0
-    flush_epoch_timeout: int = 300
-    max_flush_epoch_retries: int = 3
-    # FlushEpoch duplication, per bank.
-    dup_flush_epoch_rate: float = 0.0
-    # FlushEpoch link congestion: probability and detour length per bank.
-    link_delay_rate: float = 0.0
-    link_delay_hops: int = 3
-    # PersistAck loss: probability per flush-handshake line ack.
-    drop_persist_ack_rate: float = 0.0
-    persist_ack_timeout: int = 400
-    max_persist_ack_retries: int = 3
-    # PersistCMP loss: probability per per-bank completion broadcast.
-    drop_persist_cmp_rate: float = 0.0
-    persist_cmp_timeout: int = 300
-    max_persist_cmp_retries: int = 3
-    # Transient NVRAM stalls: probability per controller transaction,
-    # and the service-start slip in cycles.
-    mc_stall_rate: float = 0.0
-    mc_stall_cycles: int = 100
-    # Torn media writes: probability per rewrite attempt, rewrite cost,
-    # and the rewrite-chain bound.
-    torn_write_rate: float = 0.0
-    torn_write_cycles: int = 150
-    max_torn_write_retries: int = 3
-    # Single-shot transient media retry.
-    write_retry_rate: float = 0.0
-    write_retry_cycles: int = 60
-    # The unsound reorder-persists fault (checker self-test only):
-    # buffer this many data/eviction persists and record them reversed.
+    rates: Tuple[Tuple[str, float], ...] = ()
+    inject: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
     reorder_window: int = 0
-    # Targeted injection: ((leg_name, coords), ...) faults exactly
-    # those coordinates at attempt 0 (see FAULT_LEGS for the coordinate
-    # scheme per leg), independently of the rate knobs.  The campaign
-    # driver's exhaustive enumeration runs one such config per point.
-    inject: Tuple[Tuple[str, Tuple[int, ...]], ...] = field(
-        default_factory=tuple
-    )
 
 
 class FaultInjector:
@@ -218,219 +163,45 @@ class FaultInjector:
     """
 
     def __init__(self, config: FaultConfig) -> None:
-        self.config = config
         self._base = _mix64(config.seed * _GOLDEN + 0x1234567)
-        targets: Dict[str, Set[Tuple[int, ...]]] = {}
-        for leg, coords in config.inject:
-            if leg not in FAULT_LEGS:
+        self._rates: Dict[str, float] = {}
+        for leg, rate in config.rates:
+            check_leg(leg)
+            if not 0.0 <= rate <= 1.0:
                 raise ValueError(
-                    f"unknown fault leg {leg!r}; choose from {FAULT_LEGS}"
+                    f"fault rate for {leg!r} must lie in [0, 1], got {rate}"
                 )
-            targets.setdefault(leg, set()).add(tuple(coords))
-        self._targets = targets
-        # Per-leg activity flags: consumers skip the whole fold (and
-        # its draws) when a leg can never fire, which is what keeps an
-        # all-zero FaultConfig digest-neutral and cheap.
-        self.flush_epoch_active = (
-            config.drop_flush_epoch_rate > 0.0
-            or config.dup_flush_epoch_rate > 0.0
-            or config.link_delay_rate > 0.0
-            or "flush_epoch_drop" in targets
-            or "flush_epoch_dup" in targets
-            or "link_delay" in targets
-        )
-        self.persist_ack_active = (
-            config.drop_persist_ack_rate > 0.0
-            or "persist_ack_drop" in targets
-        )
-        self.persist_cmp_active = (
-            config.drop_persist_cmp_rate > 0.0
-            or "persist_cmp_drop" in targets
-        )
-        self.media_active = (
-            config.torn_write_rate > 0.0
-            or config.write_retry_rate > 0.0
-            or "torn_write" in targets
-            or "write_retry" in targets
-        )
+            if rate > 0.0:
+                self._rates[leg] = rate
+        self._targets: Dict[str, Set[Tuple[int, ...]]] = {}
+        for leg, coords in config.inject:
+            coords = tuple(coords)
+            check_leg(leg, coords)
+            self._targets.setdefault(leg, set()).add(coords)
+        # The legs that can fire at all: consumers skip a leg's whole
+        # fold (and its draws) when it cannot, which keeps an all-zero
+        # FaultConfig digest-neutral and cheap.
+        self.active = frozenset(self._rates) | frozenset(self._targets)
 
-    # ------------------------------------------------------------------
-    def _draw(self, stream: int, *coords: int) -> float:
-        """A uniform [0, 1) draw keyed on (seed, stream, coords)."""
-        x = self._base ^ (stream * _GOLDEN)
+    def fires(self, leg: str, *coords: int,
+              attempt: Optional[int] = None) -> bool:
+        """True when ``leg`` faults the event at ``coords``.
+
+        A target fires on its coordinates; otherwise a uniform draw keyed
+        on (seed, the leg's stream tag, coords) falls under the leg's
+        rate.  The BankAck legs pass their retry ``attempt``: a target
+        fires at attempt 0 only, and the draw is keyed on the attempt too.
+        """
+        if not attempt:
+            targets = self._targets.get(leg)
+            if targets is not None and coords in targets:
+                return True
+        rate = self._rates.get(leg)
+        if rate is None:
+            return False
+        x = self._base ^ (_LEGS[leg][0] * _GOLDEN)
+        if attempt is not None:
+            coords += (attempt,)
         for c in coords:
             x = _mix64(x ^ ((c & _MASK64) * _GOLDEN))
-        return _mix64(x) / float(1 << 64)
-
-    def _target(self, leg: str, coords: Tuple[int, ...]) -> bool:
-        bucket = self._targets.get(leg)
-        return bucket is not None and coords in bucket
-
-    # ------------------------------------------------------------------
-    # Flush-handshake faults (core/flush.py)
-    # ------------------------------------------------------------------
-    def drop_bank_ack(self, core_id: int, bank: int, epoch_seq: int,
-                      attempt: int) -> bool:
-        """True when this BankAck transmission is lost in the mesh.
-
-        Bounded: the transmission at ``attempt == max_ack_retries`` is
-        never dropped, so the retry chain always terminates.
-        """
-        cfg = self.config
-        if attempt >= cfg.max_ack_retries:
-            return False
-        if attempt == 0 and self._target(
-                "bank_ack_drop", (core_id, bank, epoch_seq)):
-            return True
-        if cfg.drop_ack_rate <= 0.0:
-            return False
-        return (
-            self._draw(_STREAM_DROP, core_id, bank, epoch_seq, attempt)
-            < cfg.drop_ack_rate
-        )
-
-    def bank_ack_detour(self, core_id: int, bank: int, epoch_seq: int,
-                        attempt: int) -> int:
-        """Extra mesh hops this BankAck is rerouted (0 = direct)."""
-        cfg = self.config
-        if attempt == 0 and self._target(
-                "bank_ack_detour", (core_id, bank, epoch_seq)):
-            return cfg.delay_ack_hops
-        if cfg.delay_ack_rate <= 0.0:
-            return 0
-        if (
-            self._draw(_STREAM_DELAY, core_id, bank, epoch_seq, attempt)
-            < cfg.delay_ack_rate
-        ):
-            return cfg.delay_ack_hops
-        return 0
-
-    def flush_epoch_resends(self, core_id: int, bank: int,
-                            epoch_seq: int) -> int:
-        """Retransmissions of the FlushEpoch copy sent to one bank.
-
-        0 means the first copy arrived; the chain is bounded by
-        ``max_flush_epoch_retries`` (the copy at the bound is never
-        dropped).
-        """
-        cfg = self.config
-        resends = 0
-        if self._target("flush_epoch_drop", (core_id, bank, epoch_seq)):
-            resends = 1
-        if cfg.drop_flush_epoch_rate > 0.0:
-            while (
-                resends < cfg.max_flush_epoch_retries
-                and self._draw(_STREAM_FLUSH_EPOCH, core_id, bank,
-                               epoch_seq, resends)
-                < cfg.drop_flush_epoch_rate
-            ):
-                resends += 1
-        return resends
-
-    def flush_epoch_dup(self, core_id: int, bank: int,
-                        epoch_seq: int) -> bool:
-        """True when the bank receives a duplicate FlushEpoch copy."""
-        cfg = self.config
-        if self._target("flush_epoch_dup", (core_id, bank, epoch_seq)):
-            return True
-        if cfg.dup_flush_epoch_rate <= 0.0:
-            return False
-        return (
-            self._draw(_STREAM_FLUSH_DUP, core_id, bank, epoch_seq)
-            < cfg.dup_flush_epoch_rate
-        )
-
-    def link_delay(self, core_id: int, bank: int, epoch_seq: int) -> int:
-        """Extra mesh hops the FlushEpoch copy to this bank detours."""
-        cfg = self.config
-        if self._target("link_delay", (core_id, bank, epoch_seq)):
-            return cfg.link_delay_hops
-        if cfg.link_delay_rate <= 0.0:
-            return 0
-        if (
-            self._draw(_STREAM_LINK, core_id, bank, epoch_seq)
-            < cfg.link_delay_rate
-        ):
-            return cfg.link_delay_hops
-        return 0
-
-    def persist_cmp_resends(self, core_id: int, bank: int,
-                            epoch_seq: int) -> int:
-        """Retransmissions of the PersistCMP broadcast to one bank."""
-        cfg = self.config
-        resends = 0
-        if self._target("persist_cmp_drop", (core_id, bank, epoch_seq)):
-            resends = 1
-        if cfg.drop_persist_cmp_rate > 0.0:
-            while (
-                resends < cfg.max_persist_cmp_retries
-                and self._draw(_STREAM_PERSIST_CMP, core_id, bank,
-                               epoch_seq, resends)
-                < cfg.drop_persist_cmp_rate
-            ):
-                resends += 1
-        return resends
-
-    # ------------------------------------------------------------------
-    # Memory-controller faults (mem/nvram.py)
-    # ------------------------------------------------------------------
-    def persist_ack_resends(self, core_id: int, epoch_seq: int,
-                            line: int) -> int:
-        """Retransmissions of one flush-handshake PersistAck."""
-        cfg = self.config
-        resends = 0
-        if self._target("persist_ack_drop", (core_id, epoch_seq, line)):
-            resends = 1
-        if cfg.drop_persist_ack_rate > 0.0:
-            while (
-                resends < cfg.max_persist_ack_retries
-                and self._draw(_STREAM_PERSIST_ACK, core_id, epoch_seq,
-                               line, resends)
-                < cfg.drop_persist_ack_rate
-            ):
-                resends += 1
-        return resends
-
-    def mc_stall(self, mc_id: int, ordinal: int) -> int:
-        """Service-start slip (cycles) for the controller's
-        ``ordinal``-th transaction; 0 = no stall."""
-        cfg = self.config
-        if self._target("mc_stall", (mc_id, ordinal)):
-            return cfg.mc_stall_cycles
-        if cfg.mc_stall_rate <= 0.0:
-            return 0
-        if self._draw(_STREAM_MC, mc_id, ordinal) < cfg.mc_stall_rate:
-            return cfg.mc_stall_cycles
-        return 0
-
-    def torn_write_retries(self, mc_id: int, ordinal: int) -> int:
-        """Rewrites the controller's ``ordinal``-th write needed before
-        it verified intact (0 = clean first write; bounded)."""
-        cfg = self.config
-        tears = 0
-        if self._target("torn_write", (mc_id, ordinal)):
-            tears = 1
-        if cfg.torn_write_rate > 0.0:
-            while (
-                tears < cfg.max_torn_write_retries
-                and self._draw(_STREAM_TORN, mc_id, ordinal, tears)
-                < cfg.torn_write_rate
-            ):
-                tears += 1
-        return tears
-
-    def write_retry(self, mc_id: int, ordinal: int) -> bool:
-        """True when the ``ordinal``-th write takes one transient media
-        retry."""
-        cfg = self.config
-        if self._target("write_retry", (mc_id, ordinal)):
-            return True
-        if cfg.write_retry_rate <= 0.0:
-            return False
-        return self._draw(_STREAM_WRETRY, mc_id, ordinal) < \
-            cfg.write_retry_rate
-
-    # ------------------------------------------------------------------
-    @property
-    def reorder_window(self) -> int:
-        return self.config.reorder_window
+        return _mix64(x) / float(1 << 64) < rate

@@ -206,7 +206,6 @@ class Multicore:
         self.checkpoints: List[CheckpointEngine] = []
         self.idt = IDTracker(
             config.idt_registers_per_epoch, self.stats.domain("idt"),
-            fast=self._fast,
         )
         # Per-core handshake message accounting -- digest-invisible by
         # construction (plain attributes, never a StatDomain; see
@@ -1036,11 +1035,10 @@ class Multicore:
                 if not self._eviction_allowed(victim.epoch, req):
                     return False
                 self._n_llc_dirty_evictions += 1
-                self.persist_line(victim, victim.epoch, kind="eviction")
+                self.persist_line(victim, victim.epoch)
                 return True
             self._n_llc_dirty_evictions += 1
-            self.persist_line(victim, None, kind="eviction",
-                              evictor_core=req.core_id)
+            self.persist_line(victim, None, evictor_core=req.core_id)
             return True
         bank_cache.remove(victim.line)
         return True
@@ -1195,8 +1193,7 @@ class Multicore:
         """Cache-side transition of a line leaving the dirty domain.
 
         Returns the value snapshot to commit (ownership passes to the
-        NVRAM image).  Shared between the flush engine's issue walker and
-        :meth:`persist_line`.
+        NVRAM image).  Called by the flush engine's issue walker.
         """
         values = dict(entry.values) if entry.values is not None else None
         if invalidate:
@@ -1227,74 +1224,32 @@ class Multicore:
         self,
         entry: CacheEntry,
         epoch: Optional[Epoch],
-        kind: str,
-        extra_delay: int = 0,
-        on_ack: Optional[Callable[[int], None]] = None,
-        invalidate: bool = False,
-        from_l1_core: Optional[int] = None,
         evictor_core: int = -1,
     ) -> None:
-        """Issue a durable write of ``entry``'s current value.
+        """Write back ``entry``, an LLC replacement victim, to NVRAM.
 
-        The cache-side transition happens now (the version leaves the
-        dirty domain); the NVRAM image commit and ``on_ack`` fire when the
-        memory controller acknowledges the write.  Used by the eviction
-        paths; epoch flushes go through the batch machinery in
-        :mod:`repro.core.flush` instead.
+        Only the LLC copy disappears, now; the NVRAM image commit (and,
+        for an unpersisted version, the epoch's persist check) happens
+        when the memory controller acknowledges the write.  Epoch
+        flushes go through the batch machinery in :mod:`repro.core.flush`
+        instead.
         """
         line = entry.line
         if epoch is not None:
             self._untag_line(epoch, line)
             epoch.inflight_writes += 1
-            core_id, seq = epoch.core_id, epoch.seq
-        else:
-            core_id, seq = evictor_core, -1
-
-        if kind == "eviction":
-            # LLC replacement: only the LLC copy disappears.
-            values = dict(entry.values) if entry.values is not None else None
-            self.llc_banks[self.amap.bank_of(line)].remove(line)
-        else:
-            values = self.flush_line_transition(
-                entry, line, invalidate, from_l1_core
-            )
-
+        values = dict(entry.values) if entry.values is not None else None
+        self.llc_banks[self.amap.bank_of(line)].remove(line)
         mc = self.mcs[self.amap.mc_of(line)]
-        if extra_delay:
-            self.engine.schedule(
-                extra_delay, self._issue_persist,
-                mc, line, core_id, seq, kind, values, epoch, on_ack,
-            )
+        if epoch is None:
+            mc.write(line, evictor_core, -1, "eviction", values)
         else:
-            self._issue_persist(
-                mc, line, core_id, seq, kind, values, epoch, on_ack
-            )
+            mc.write(line, epoch.core_id, epoch.seq, "eviction", values,
+                     callback=self._persist_acked, cb_args=(epoch,))
 
-    def _issue_persist(
-        self,
-        mc: MemoryController,
-        line: int,
-        core_id: int,
-        seq: int,
-        kind: str,
-        values: Optional[Dict[int, object]],
-        epoch: Optional[Epoch],
-        on_ack: Optional[Callable[[int], None]],
-    ) -> None:
-        if epoch is None and on_ack is None:
-            mc.write(line, core_id, seq, kind, values)
-        else:
-            mc.write(line, core_id, seq, kind, values,
-                     callback=self._persist_acked, cb_args=(epoch, on_ack))
-
-    def _persist_acked(self, epoch: Optional[Epoch],
-                       on_ack: Optional[Callable[[int], None]],
-                       time: int) -> None:
-        if epoch is not None:
-            epoch.inflight_writes -= 1
-            self.maybe_persist(epoch)
-        if on_ack is not None:
-            on_ack(time)
+    def _persist_acked(self, epoch: Epoch, time: int) -> None:
+        epoch.inflight_writes -= 1
+        self.maybe_persist(epoch)
 
     def maybe_persist(self, epoch: Epoch) -> None:
         """Declare ``epoch`` persisted if every condition now holds."""

@@ -116,6 +116,12 @@ def test_invalid_geometry_rejected():
         make_cache(num_sets=0)
 
 
+def test_non_power_of_two_set_count_rejected():
+    # Set indexing is a mask; three sets would alias lines across sets.
+    with pytest.raises(ValueError, match="power of two"):
+        make_cache(num_sets=3)
+
+
 def test_lookup_after_remove_and_reinsert():
     """A removed entry is never served again; a re-insert is fresh."""
     cache = make_cache()

@@ -20,7 +20,7 @@ from repro.recovery.campaign import (
     triage,
 )
 from repro.sim.engine import reference_mode
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultInjector, ProtocolError
 
 
 SPEC = CampaignSpec(workload="pingpong", num_cores=2, transactions=3,
@@ -71,10 +71,17 @@ def test_campaign_max_points_caps_enumeration():
 # Triage verdicts
 # ----------------------------------------------------------------------
 def test_triage_watchdog_abort_is_aborted_clean(monkeypatch):
-    # A retry chain past the bound trips the ProtocolError watchdog;
-    # the partial image must still pass the crash sweep -> aborted-clean.
-    monkeypatch.setattr(FaultInjector, "flush_epoch_resends",
-                        lambda self, *args: 99)
+    # A watchdog ProtocolError mid-run (planted where the targeted
+    # fault fires); the partial image must still pass the crash sweep
+    # -> aborted-clean.
+    fires = FaultInjector.fires
+
+    def planted(self, leg, *coords, attempt=None):
+        if fires(self, leg, *coords, attempt=attempt):
+            raise ProtocolError(f"retry chain planted at {leg}{coords}")
+        return False
+
+    monkeypatch.setattr(FaultInjector, "fires", planted)
     baseline = run_baseline(SPEC)
     point = next(p for p in enumerate_points(SPEC, baseline)
                  if p.leg == "flush_epoch_drop")

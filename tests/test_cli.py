@@ -209,3 +209,38 @@ def test_seed_and_crash_cycle_accept_zero(capsys):
     assert "hotset / LB++ / BEP" in capsys.readouterr().out
     assert main(["crash", "--workload", "queue", "--cycle", "0"]) == 0
     assert "crash @ 0:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["bank_ack_drop:1,2", "mc_stall:0,1,2,3"])
+def test_inject_rejects_wrong_coordinate_count(target, capsys):
+    # A target with the wrong arity never matched an event, so the
+    # command injected nothing and reported "survived".
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--workload", "pingpong", "--cores", "2",
+              "--transactions", "2", "--inject", target])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    leg = target.split(":")[0]
+    assert f"argument --inject: fault leg {leg!r} takes" in err
+
+
+def test_campaign_inject_reports_a_verdict(capsys):
+    assert main(["campaign", "--workload", "pingpong", "--cores", "2",
+                 "--transactions", "2", "--inject",
+                 "bank_ack_drop:0,1,2"]) == 0
+    out = capsys.readouterr().out
+    assert "inject           : bank_ack_drop(0, 1, 2)" in out
+    assert "verdict          : survived" in out
+
+
+def test_crashsweep_queue_is_consistent(capsys):
+    assert main(["crashsweep", "--workload", "queue",
+                 "--transactions", "3"]) == 0
+    assert "consistent at every crash point" in capsys.readouterr().out
+
+
+def test_crashsweep_reorder_self_test_flags_a_violation(capsys):
+    assert main(["crashsweep", "--workload", "queue", "--reorder-window",
+                 "6", "--expect-violation"]) == 0
+    assert "verdict          : VIOLATION" in capsys.readouterr().out

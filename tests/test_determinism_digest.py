@@ -196,8 +196,9 @@ def test_faulted_16core_pingpong_digest_matches_reference():
     """
     from repro.sim.faults import FaultConfig
 
-    faults = FaultConfig(seed=5, drop_ack_rate=0.25, delay_ack_rate=0.15,
-                         mc_stall_rate=0.05)
+    faults = FaultConfig(seed=5, rates=(
+        ("bank_ack_drop", 0.25), ("bank_ack_detour", 0.15),
+        ("mc_stall", 0.05)))
     config, programs = _multicore_setup(
         seed=3, transactions=8, num_cores=16,
         barrier_design=BarrierDesign.LB_PP,
@@ -232,8 +233,8 @@ def test_fault_coordinates_are_core_count_stable():
     """
     from repro.sim.faults import FaultConfig, FaultInjector
 
-    cfg = FaultConfig(seed=11, drop_ack_rate=0.3, delay_ack_rate=0.2,
-                      mc_stall_rate=0.1)
+    cfg = FaultConfig(seed=11, rates=(
+        ("bank_ack_drop", 0.3), ("bank_ack_detour", 0.2), ("mc_stall", 0.1)))
 
     def decisions(injector, cores, reverse=False):
         coords = [
@@ -247,9 +248,9 @@ def test_fault_coordinates_are_core_count_stable():
             coords.reverse()
         return {
             (c, b, s, a): (
-                injector.drop_bank_ack(c, b, s, a),
-                injector.bank_ack_detour(c, b, s, a),
-                injector.mc_stall(b, s),
+                injector.fires("bank_ack_drop", c, b, s, attempt=a),
+                injector.fires("bank_ack_detour", c, b, s, attempt=a),
+                injector.fires("mc_stall", b, s),
             )
             for c, b, s, a in coords
         }

@@ -1,7 +1,10 @@
 """Per-leg fault-injection tests: every injectable protocol leg fires
-where targeted, bumps its counter, stays bounded at the retry maximum,
-and trips the simulated-time watchdog into a typed ProtocolError when a
-retry chain exceeds its bound."""
+where targeted and bumps its counter, every leg adds at most one fixed
+cost per coordinate, malformed configs are rejected, and the BankAck
+retry chain stays bounded, with the simulated-time watchdog turning a
+chain past its bound into a typed ProtocolError."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +16,13 @@ from repro.recovery.campaign import (
 )
 from repro.sim.faults import (
     FAULT_LEGS,
+    MAX_ACK_RETRIES,
+    MC_STALL_CYCLES,
+    TORN_WRITE_CYCLES,
+    WRITE_RETRY_CYCLES,
     FaultConfig,
     FaultInjector,
     ProtocolError,
-    backoff_cycles,
 )
 
 
@@ -62,56 +68,90 @@ def test_leg_counter_table_covers_registry():
     assert set(LEG_COUNTERS) == set(FAULT_LEGS)
 
 
-def test_backoff_is_exponential_sum():
-    assert backoff_cycles(200, 0) == 0
-    assert backoff_cycles(200, 1) == 200
-    assert backoff_cycles(200, 2) == 600
-    assert backoff_cycles(300, 3) == 300 * 7
-
-
 def test_unknown_inject_leg_rejected():
     with pytest.raises(ValueError, match="unknown fault leg"):
         FaultInjector(FaultConfig(inject=(("bogus_leg", (0, 0)),)))
 
 
+@pytest.mark.parametrize("leg,coords", [
+    ("bank_ack_drop", (1, 2)),
+    ("persist_ack_drop", (0, 1, 2, 3)),
+    ("mc_stall", (0, 1, 2)),
+])
+def test_wrong_coordinate_count_rejected(leg, coords):
+    # A target with the wrong arity could never match an event, so the
+    # run would inject nothing and still report success.
+    with pytest.raises(ValueError, match="coordinates"):
+        FaultInjector(FaultConfig(inject=((leg, coords),)))
+
+
+@pytest.mark.parametrize("rates,message", [
+    ((("bogus_leg", 0.5),), "unknown fault leg"),
+    ((("bank_ack_drop", 1.5),), r"\[0, 1\]"),
+    ((("mc_stall", -0.1),), r"\[0, 1\]"),
+    ((("mc_stall", float("nan")),), r"\[0, 1\]"),
+])
+def test_bad_rates_rejected(rates, message):
+    with pytest.raises(ValueError, match=message):
+        FaultInjector(FaultConfig(rates=rates))
+
+
 def test_targeted_injection_fires_only_at_its_coordinates():
     inject = (("flush_epoch_drop", (0, 1, 2)),)
     faults = FaultInjector(FaultConfig(inject=inject))
-    assert faults.flush_epoch_resends(0, 1, 2) == 1
-    assert faults.flush_epoch_resends(0, 1, 3) == 0
-    assert faults.flush_epoch_resends(1, 1, 2) == 0
+    assert faults.fires("flush_epoch_drop", 0, 1, 2)
+    assert not faults.fires("flush_epoch_drop", 0, 1, 3)
+    assert not faults.fires("flush_epoch_drop", 1, 1, 2)
+    assert not faults.fires("flush_epoch_dup", 0, 1, 2)
+    assert faults.active == {"flush_epoch_drop"}
 
 
 def test_targeted_bank_ack_drop_fires_on_first_attempt_only():
     faults = FaultInjector(
         FaultConfig(inject=(("bank_ack_drop", (0, 1, 2)),)))
-    assert faults.drop_bank_ack(0, 1, 2, attempt=0)
-    assert not faults.drop_bank_ack(0, 1, 2, attempt=1)
-    assert not faults.drop_bank_ack(0, 0, 2, attempt=0)
+    assert faults.fires("bank_ack_drop", 0, 1, 2, attempt=0)
+    assert not faults.fires("bank_ack_drop", 0, 1, 2, attempt=1)
+    assert not faults.fires("bank_ack_drop", 0, 0, 2, attempt=0)
 
 
 def test_rate_one_chains_stay_bounded():
-    cfg = FaultConfig(
-        seed=7,
-        drop_flush_epoch_rate=1.0,
-        drop_persist_ack_rate=1.0,
-        drop_persist_cmp_rate=1.0,
-        torn_write_rate=1.0,
-    )
-    faults = FaultInjector(cfg)
-    assert faults.flush_epoch_resends(0, 0, 0) == cfg.max_flush_epoch_retries
-    assert faults.persist_ack_resends(0, 0, 0x40) == \
-        cfg.max_persist_ack_retries
-    assert faults.persist_cmp_resends(0, 0, 0) == cfg.max_persist_cmp_retries
-    assert faults.torn_write_retries(0, 0) == cfg.max_torn_write_retries
+    # Every leg certain to fire: the run still finishes, and each leg
+    # other than the retried BankAck adds exactly one fixed cost per
+    # coordinate -- no chain can form.
+    cfg = FaultConfig(seed=7, rates=tuple((leg, 1.0) for leg in FAULT_LEGS))
+    probe = _run_probe(SPEC, cfg)
+    assert probe.error is None and probe.result.finished
+    total = probe.result.stats.total
+    flushes = probe.machine.handshake_counters()["flushes"]
+    assert flushes > 0
+    assert total("flush_cmp_drops") == \
+        flushes * probe.machine.config.llc_banks
+    assert total("flush_epoch_drops") == total("flush_epoch_dups") \
+        == total("flush_link_delays") > 0
+    assert total("fault_stall_cycles") == \
+        total("fault_stalls") * MC_STALL_CYCLES
+    torn = total("fault_torn_writes")
+    assert torn > 0 and total("fault_write_retries") == torn
+    assert total("fault_media_cycles") == \
+        torn * (TORN_WRITE_CYCLES + WRITE_RETRY_CYCLES)
 
 
-def test_drop_bank_ack_never_drops_final_attempt():
-    cfg = FaultConfig(seed=3, drop_ack_rate=1.0)
-    faults = FaultInjector(cfg)
-    assert faults.drop_bank_ack(0, 0, 0, attempt=0)
-    assert not faults.drop_bank_ack(0, 0, 0,
-                                    attempt=cfg.max_ack_retries)
+def test_drop_bank_ack_never_drops_final_attempt(monkeypatch):
+    # The flush engine owns the retry bound: under a certain drop the
+    # attempt below MAX_ACK_RETRIES arms a timeout, the attempt at the
+    # bound is delivered.
+    machine = run_baseline(SPEC).machine
+    flush_op = machine.arbiters[0]._flush_op
+    scheduled = []
+    monkeypatch.setattr(flush_op, "_engine", SimpleNamespace(
+        schedule=lambda delay, callback, *args:
+            scheduled.append(callback.__name__)))
+    monkeypatch.setattr(flush_op, "_epoch", SimpleNamespace(core_id=0, seq=0))
+    flush_op._faults = FaultInjector(
+        FaultConfig(rates=(("bank_ack_drop", 1.0),)))
+    flush_op._send_bank_ack(0, delay=0, attempt=MAX_ACK_RETRIES - 1)
+    flush_op._send_bank_ack(0, delay=0, attempt=MAX_ACK_RETRIES)
+    assert scheduled == ["_ack_timeout", "_bank_ack"]
 
 
 # ----------------------------------------------------------------------
@@ -139,42 +179,16 @@ def test_injected_leg_fires_and_run_completes(leg, points):
 
 
 # ----------------------------------------------------------------------
-# Watchdogs: a retry chain past its bound aborts with a typed
+# Watchdog: a BankAck retry chain past its bound aborts with a typed
 # ProtocolError instead of hanging the simulation.
 # ----------------------------------------------------------------------
-WATCHDOGS = [
-    ("flush_epoch_resends", dict(drop_flush_epoch_rate=0.5),
-     "FlushEpoch retry chain"),
-    ("persist_cmp_resends", dict(drop_persist_cmp_rate=0.5),
-     "PersistCMP retry chain"),
-    ("persist_ack_resends", dict(drop_persist_ack_rate=0.5),
-     "PersistAck retry chain"),
-    ("torn_write_retries", dict(torn_write_rate=0.5),
-     "torn-write rewrite chain"),
-]
-
-
-@pytest.mark.parametrize("method,knobs,message", WATCHDOGS,
-                         ids=[w[0] for w in WATCHDOGS])
-def test_watchdog_aborts_runaway_retry_chain(monkeypatch, method, knobs,
-                                             message):
-    monkeypatch.setattr(FaultInjector, method, lambda self, *args: 99)
-    probe = _run_probe(SPEC, FaultConfig(seed=SPEC.fault_seed, **knobs))
-    assert probe.error is not None
-    assert message in str(probe.error)
-    # The watchdog aborts the run but still captures a partial image
-    # the triage can sweep.
-    assert probe.outcome.image is not None
-
-
 def test_bank_ack_watchdog_rejects_attempts_past_bound():
     probe = run_baseline(
         CampaignSpec(workload="pingpong", num_cores=2, transactions=2,
                      mc_stride=2))
     machine = probe.machine
-    faults = FaultInjector(FaultConfig(drop_ack_rate=0.5))
     flush_op = machine.arbiters[0]._flush_op
-    flush_op._faults = faults
+    flush_op._faults = FaultInjector(
+        FaultConfig(rates=(("bank_ack_drop", 0.5),)))
     with pytest.raises(ProtocolError, match="BankAck retry chain"):
-        flush_op._send_bank_ack(
-            0, delay=0, attempt=faults.config.max_ack_retries + 1)
+        flush_op._send_bank_ack(0, delay=0, attempt=MAX_ACK_RETRIES + 1)

@@ -19,7 +19,12 @@ from repro.recovery import (
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
-from repro.sim.faults import FaultConfig, FaultInjector
+from repro.sim.faults import (
+    MAX_ACK_RETRIES,
+    MC_STALL_CYCLES,
+    FaultConfig,
+    FaultInjector,
+)
 from repro.system import Multicore
 from repro.workloads.micro import QueueWorkload
 
@@ -40,50 +45,74 @@ def queue_run(faults=None, transactions=12, seed=1, **machine_kwargs):
 # ----------------------------------------------------------------------
 # The injector itself
 # ----------------------------------------------------------------------
+def rates(**by_leg):
+    return tuple(by_leg.items())
+
+
+def decide(injector, c, bk, s):
+    return (injector.fires("bank_ack_drop", c, bk, s, attempt=0),
+            injector.fires("bank_ack_detour", c, bk, s, attempt=0),
+            injector.fires("mc_stall", c, s))
+
+
 def test_decisions_are_deterministic_and_coordinate_keyed():
-    config = FaultConfig(seed=42, drop_ack_rate=0.5, delay_ack_rate=0.5,
-                         mc_stall_rate=0.5)
+    config = FaultConfig(seed=42, rates=rates(
+        bank_ack_drop=0.5, bank_ack_detour=0.5, mc_stall=0.5))
     a = FaultInjector(config)
     b = FaultInjector(config)
-    decisions = [
-        (a.drop_bank_ack(c, bk, s, 0), a.bank_ack_detour(c, bk, s, 0),
-         a.mc_stall(c, s))
-        for c in range(4) for bk in range(4) for s in range(16)
-    ]
-    replayed = [
-        (b.drop_bank_ack(c, bk, s, 0), b.bank_ack_detour(c, bk, s, 0),
-         b.mc_stall(c, s))
-        for c in range(4) for bk in range(4) for s in range(16)
-    ]
+    decisions = [decide(a, c, bk, s)
+                 for c in range(4) for bk in range(4) for s in range(16)]
+    replayed = [decide(b, c, bk, s)
+                for c in range(4) for bk in range(4) for s in range(16)]
     assert decisions == replayed
     # A 50% rate over 256 coordinate triples must actually vary.
     drops = [d for d, _, _ in decisions]
     assert any(drops) and not all(drops)
     # A different seed flips some decisions.
-    other = FaultInjector(FaultConfig(seed=43, drop_ack_rate=0.5))
+    other = FaultInjector(FaultConfig(seed=43,
+                                      rates=rates(bank_ack_drop=0.5)))
     assert any(
-        a.drop_bank_ack(c, bk, s, 0) != other.drop_bank_ack(c, bk, s, 0)
+        a.fires("bank_ack_drop", c, bk, s, attempt=0)
+        != other.fires("bank_ack_drop", c, bk, s, attempt=0)
         for c in range(4) for bk in range(4) for s in range(16)
     )
 
 
-def test_retry_bound_guarantees_delivery():
-    injector = FaultInjector(FaultConfig(drop_ack_rate=1.0,
-                                         max_ack_retries=3))
-    assert injector.drop_bank_ack(0, 0, 5, 0)
-    assert injector.drop_bank_ack(0, 0, 5, 2)
-    assert not injector.drop_bank_ack(0, 0, 5, 3)  # at the bound
-    assert not injector.drop_bank_ack(0, 0, 5, 7)
+def test_retry_bound_guarantees_delivery(monkeypatch):
+    # Under a certain drop every data-bearing BankAck is lost exactly
+    # MAX_ACK_RETRIES times and then delivered: the flush engine never
+    # puts the attempt at the bound to the injector.
+    asked = []
+    fires = FaultInjector.fires
+
+    def recording(self, leg, *coords, attempt=None):
+        if leg == "bank_ack_drop":
+            asked.append(attempt)
+        return fires(self, leg, *coords, attempt=attempt)
+
+    monkeypatch.setattr(FaultInjector, "fires", recording)
+    machine, result, _ = queue_run(
+        faults=FaultConfig(seed=5, rates=rates(bank_ack_drop=1.0)))
+    assert result.finished
+    acks = asked.count(0)
+    assert acks > 0
+    assert sorted(set(asked)) == list(range(MAX_ACK_RETRIES))
+    assert len(asked) == MAX_ACK_RETRIES * acks
+    assert result.stats.total("flush_ack_drops") == len(asked)
+    # Every bank's ack of every flush still arrives exactly once: the
+    # BankAck transmissions are one per FlushEpoch plus the lost ones.
+    counters = machine.handshake_counters()
+    assert counters["bank_ack_msgs"] == \
+        counters["flush_epoch_msgs"] + len(asked)
 
 
 def test_zero_rates_fault_nothing():
     injector = FaultInjector(FaultConfig(seed=9))
     assert not any(
-        injector.drop_bank_ack(c, b, s, 0)
-        or injector.bank_ack_detour(c, b, s, 0)
-        or injector.mc_stall(c, s)
+        any(decide(injector, c, b, s))
         for c in range(4) for b in range(4) for s in range(32)
     )
+    assert not injector.active
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +127,7 @@ def test_all_zero_fault_config_is_digest_neutral():
 
 def test_certain_ack_drop_completes_via_bounded_retries():
     machine, result, _ = queue_run(
-        faults=FaultConfig(seed=5, drop_ack_rate=1.0)
+        faults=FaultConfig(seed=5, rates=rates(bank_ack_drop=1.0))
     )
     assert result.finished
     assert result.cycles_durable is not None
@@ -110,20 +139,21 @@ def test_certain_ack_drop_completes_via_bounded_retries():
 def test_delay_and_stall_faults_count_and_slow_the_run():
     _, clean, _ = queue_run()
     machine, result, _ = queue_run(
-        faults=FaultConfig(seed=5, delay_ack_rate=0.5, mc_stall_rate=0.3,
-                           mc_stall_cycles=200)
+        faults=FaultConfig(seed=5, rates=rates(bank_ack_detour=0.5,
+                                               mc_stall=0.3))
     )
     assert result.finished
     assert result.stats.total("flush_ack_delays") > 0
     stalls = result.stats.total("fault_stalls")
     assert stalls > 0
-    assert result.stats.total("fault_stall_cycles") == stalls * 200
+    assert result.stats.total("fault_stall_cycles") == \
+        stalls * MC_STALL_CYCLES
     assert result.cycles_durable > clean.cycles_durable
 
 
 def test_fault_digest_parity_fast_vs_reference():
-    config = FaultConfig(seed=7, drop_ack_rate=0.3, delay_ack_rate=0.2,
-                         mc_stall_rate=0.1)
+    config = FaultConfig(seed=7, rates=rates(
+        bank_ack_drop=0.3, bank_ack_detour=0.2, mc_stall=0.1))
     machine, result, _ = queue_run(faults=config)
     digest = state_digest(machine, result)
     with reference_mode():
@@ -144,7 +174,7 @@ def test_double_bank_ack_is_a_protocol_error():
 
 def test_orphan_ack_timeout_is_a_protocol_error():
     machine, _, _ = queue_run(
-        faults=FaultConfig(seed=5, drop_ack_rate=0.5)
+        faults=FaultConfig(seed=5, rates=rates(bank_ack_drop=0.5))
     )
     op = machine.arbiters[0]._flush_op
     with pytest.raises(ProtocolError, match="timeout"):
