@@ -51,11 +51,13 @@ examples:
 		$(PYTHON) $$f > /dev/null || exit 1; \
 	done
 
-# CI's fault-campaign-smoke and crash-sweep-smoke jobs, command for
-# command: the exhaustive LB++ campaign with its reference-engine rerun,
-# the LB campaign, both reorder self-tests, the pingpong crash sweep,
-# and the crash bench family, whose record in BENCH_sweep.json must not
-# drift.  About 3 minutes on a 2-CPU Linux container.
+# CI's fault-campaign-smoke, crash-sweep-smoke and serving-smoke jobs,
+# command for command: the exhaustive LB++ campaign with its
+# reference-engine rerun, the LB campaign, both reorder self-tests, the
+# pingpong crash sweep, the serving crash sweep (the one sweep over a
+# miss-heavy stream, which runs the fused load, fill and full-miss
+# paths), and the crash bench family, whose record in BENCH_sweep.json
+# must not drift.  About 3 minutes on a 2-CPU Linux container.
 faults:
 	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
 		--transactions 4 --mc-stride 4 --random-rounds 3 --check-digests
@@ -64,6 +66,7 @@ faults:
 	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
 		--reorder-window 6 --expect-violation
 	$(PYTHON) -m repro crashsweep --workload pingpong --transactions 10
+	$(PYTHON) -m repro crashsweep --workload serving --transactions 60
 	$(PYTHON) -m repro crashsweep --workload queue \
 		--reorder-window 6 --expect-violation
 	$(PYTHON) -m repro bench --only crash --output BENCH_sweep.json

@@ -65,6 +65,27 @@ _EPOCH_MODELS = (
     PersistencyModel.EP,
 )
 
+# Why a fast-forward session attempt fell back to the event-per-op path:
+# an injector is configured; ff_begin refused (a clock hold, or outside
+# run()); or the first drain step refused, because the head store is a
+# full miss, try_clean_store refused it, the BSP store quota is spent,
+# or the epoch-ID window is full.
+_FF_FALLBACK_REASONS = ("faults", "held", "full_miss", "refused",
+                        "bsp_limit", "window")
+# Multicore.try_clean_store's negative returns, by name (repro.system's
+# _REFUSED and _FULL_MISS; that module imports this one).
+_STORE_REFUSALS = {-1: "refused", -2: "full_miss"}
+
+# The op loop compares kinds against module globals: on CPython 3.11
+# an ``OpKind.LOAD`` attribute read through the enum class costs about
+# ten times a global read.
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_COMPUTE = OpKind.COMPUTE
+_TXN_MARK = OpKind.TXN_MARK
+_BARRIER = OpKind.BARRIER
+
+
 class Core:
     """One simulated core executing one thread's op stream."""
 
@@ -111,9 +132,12 @@ class Core:
         # attributes that are never merged into a stat domain: reference
         # mode has no sessions, so folding these into digested stats
         # would break fast-vs-reference digest equality by construction.
+        # A session attempt that does no work falls back for one of the
+        # reasons in _FF_FALLBACK_REASONS.
         self.ff_batches = 0
         self.ff_stores = 0
-        self.ff_fallbacks = 0
+        self.ff_fallback_reasons: Dict[str, int] = dict.fromkeys(
+            _FF_FALLBACK_REASONS, 0)
 
         self.wb: deque[WriteBufferEntry] = deque()
         self._wb_stores = 0
@@ -131,6 +155,11 @@ class Core:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self._engine.call_soon(self._next)
+
+    @property
+    def ff_fallbacks(self) -> int:
+        """Session attempts that fell back, for any reason."""
+        return sum(self.ff_fallback_reasons.values())
 
     def flush_hot_stats(self) -> None:
         """Merge the attribute-held hot counters into the stat domain.
@@ -163,41 +192,66 @@ class Core:
             self._n_window_stalls = 0
 
     def _next(self, _time: Optional[int] = None) -> None:
-        try:
-            op = next(self._it)
-        except StopIteration:
-            self._stream_done = True
-            self._check_done()
-            return
-        kind = op.kind
+        """Issue ops back to back until one has to wait for an event.
+
+        A load that hits (the fused L1 hit or LLC fill) or forwards
+        from the write buffer, a compute burst and a transaction marker
+        each complete at a known cycle.  When the engine lets the core
+        claim that cycle (:meth:`Engine.claim`), the clock moves there
+        and the loop issues the next op at once: exactly where the
+        scheduled continuation would have fired, minus the event.  When
+        it refuses, the continuation is scheduled.  Stores, barriers
+        and loads that miss leave the loop through their own paths.
+        """
+        eng = self._engine
+        claim = eng.claim
+        load = self._machine.load
+        core_id = self.core_id
+        line_mask = self._line_mask
+        wb_lines = self._wb_lines
+        nxt = self._next
         # Dispatch order follows op-stream frequency: dense workloads are
         # nearly all loads and stores, with compute/marker ops between.
-        if kind is OpKind.LOAD:
-            self._issue_load(op)
-        elif kind is OpKind.STORE:
-            self._issue_store(op)
-        elif kind is OpKind.COMPUTE:
-            self._engine.finish(op.cycles, self._next)
-        elif kind is OpKind.TXN_MARK:
-            self._n_txns += 1
-            self._engine.call_soon(self._next)
-        elif kind is OpKind.BARRIER:
-            self._issue_barrier()
-        else:  # pragma: no cover - exhaustive over OpKind
-            raise ValueError(f"unknown op kind {kind}")
-
-    # ------------------------------------------------------------------
-    # Loads
-    # ------------------------------------------------------------------
-    def _issue_load(self, op: Op) -> None:
-        line = op.addr & self._line_mask
-        self._n_loads += 1
-        if self._wb_lines.get(line):
-            # Store-to-load forwarding out of the write buffer.
-            self._n_wb_forwards += 1
-            self._engine.schedule(1, self._next)
-            return
-        self._machine.load(self.core_id, line, on_done=self._next)
+        for op in self._it:
+            kind = op.kind
+            if kind is _LOAD:
+                line = op.addr & line_mask
+                self._n_loads += 1
+                if wb_lines.get(line):
+                    # Store-to-load forwarding out of the write buffer.
+                    self._n_wb_forwards += 1
+                    if claim(1):
+                        continue
+                    eng.schedule(1, nxt)
+                    return
+                lat = load(core_id, line, nxt)
+                if lat < 0:
+                    # A miss path calls nxt when the data arrives.
+                    return
+                if claim(lat):
+                    continue
+                eng.schedule(lat, nxt)
+                return
+            if kind is _STORE:
+                self._issue_store(op)
+                return
+            if kind is _COMPUTE:
+                if claim(op.cycles):
+                    continue
+                eng.schedule(op.cycles, nxt)
+                return
+            if kind is _TXN_MARK:
+                self._n_txns += 1
+                if claim(0):
+                    continue
+                eng.call_soon(nxt)
+                return
+            if kind is _BARRIER:
+                self._issue_barrier()
+                return
+            raise ValueError(f"unknown op kind {kind}")  # pragma: no cover
+        self._stream_done = True
+        self._check_done()
 
     # ------------------------------------------------------------------
     # Stores and barriers (issue side)
@@ -233,11 +287,11 @@ class Core:
             eng._seq = seq + 1
             self._ff_issue_slot = (eng.now + self._issue_cycles, seq)
             return
-        # NOTE: the issue-width advance must stay a scheduled event.  An
-        # inline Engine.finish here is unsound: _issue_store can run mid-
-        # chain (resumed from _pop_store), and the enclosing caller may
-        # still schedule same-cycle work after it returns, which the
-        # clock claim would reorder.
+        # NOTE: the issue-width advance must stay a scheduled event.  A
+        # clock claim here (Engine.claim) is unsound: _issue_store can
+        # run mid-chain (resumed from _pop_store), and the enclosing
+        # caller may still schedule same-cycle work after it returns,
+        # which the claim would reorder.
         self._engine.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
@@ -353,11 +407,11 @@ class Core:
             # per-event attempt counts; fast-forwarding a faulty machine
             # could shift a draw.  Conservative: never claim a window
             # when an injector is configured.
-            self.ff_fallbacks += 1
+            self.ff_fallback_reasons["faults"] += 1
             return False
         eng = self._engine
         if not eng.ff_begin():
-            self.ff_fallbacks += 1
+            self.ff_fallback_reasons["held"] += 1
             return False
         self._ff_active = True
         try:
@@ -366,7 +420,6 @@ class Core:
             eng.ff_end()
             self._ff_active = False
         if outcome == 0:
-            self.ff_fallbacks += 1
             return False
         if outcome == 1:
             # The session stopped at work the event-per-op path owns (a
@@ -379,7 +432,8 @@ class Core:
         """The session loop.
 
         Returns 0 when the first drain step refused (no observable side
-        effects; the caller continues per-op), 1 when the session
+        effects beyond counting the reason in ``ff_fallback_reasons``;
+        the caller continues per-op), 1 when the session
         advanced work and then reached a step the event-per-op path must
         handle, or 2 when the run's until bound interrupted it.  For 1 and 2
         every outstanding virtual event has been re-materialized into
@@ -425,15 +479,18 @@ class Core:
                     and cur is not None
                     and cur.num_stores + cur.pending_stores >= bsp_limit
                 ):
+                    stop = "bsp_limit"
                     break
                 if cur is None:
                     if not mgr.can_open_epoch():
+                        stop = "window"
                         break
                     # Same epoch the per-op tag_store would open, at the
                     # same cycle with the same stats.
                     cur = mgr.current_or_new()
                 lat = try_clean_store(core_id, head.line, head.values, cur)
                 if lat < 0:
+                    stop = _STORE_REFUSALS[lat]
                     break
                 cur.pending_stores += 1
                 seq = eng._seq
@@ -536,7 +593,10 @@ class Core:
 
         if not stores:
             # Drain-step refusal before any work: a clean refuse (no
-            # issue continuation can exist yet either).
+            # issue continuation can exist yet either).  The first step
+            # always finds a store at the buffer head (_drain checked),
+            # so one of the guards above set ``stop``.
+            self.ff_fallback_reasons[stop] += 1
             return 0
         self._ff_rematerialize(None, n_slot)
         self.ff_batches += 1

@@ -30,21 +30,24 @@ Implementation notes -- the two-tier queue:
   whenever it is at the current cycle with an older sequence number.
   The clock only advances off the heap, so the ready deque can never
   hold entries from two different cycles.
-* :meth:`Engine.finish` is the inline completion: when a callback due
-  ``delay`` cycles out would be the very next event anyway, it claims
-  the clock and calls it directly instead of round-tripping the heap.
+* :meth:`Engine.claim` is the clock claim: when an event due ``delay``
+  cycles out would be the very next event anyway, it advances the clock
+  there and the caller continues inline instead of round-tripping the
+  heap.  A core's op loop claims for every load hit, forwarded load,
+  compute burst and transaction marker; :meth:`Engine.finish` claims
+  and then calls a completion callback directly.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
   (see :func:`reference_mode`).  It means exactly three things.  The
   engine runs its plain heap loop: every event, including
-  ``call_soon``, goes through the heap, and :meth:`finish` and
-  fast-forward sessions always schedule or refuse.  The machine
-  classifies every request with its general classifier instead of the
-  fused paths.  And the coherence directory is the per-line-entry
-  ``ReferenceDirectory`` instead of the flat bitmask ``Directory``.
-  Everything else -- counting, latency tables, epoch tags, IDT edges --
-  runs the same way in both modes.  The determinism-digest
-  tests assert that both modes fire callbacks in bit-identical order
-  across every persistency model.
+  ``call_soon``, goes through the heap, :meth:`claim` always refuses
+  (so :meth:`finish` always schedules), and fast-forward sessions
+  always refuse.  The machine classifies every request with its
+  general classifier instead of the fused paths.  And the coherence
+  directory is the per-line-entry ``ReferenceDirectory`` instead of
+  the flat bitmask ``Directory``.  Everything else -- counting,
+  latency tables, epoch tags, IDT edges -- runs the same way in both
+  modes.  The determinism-digest tests assert that both modes fire
+  callbacks in bit-identical order across every persistency model.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ _MODE_VAR = "REPRO_SLOW_ENGINE"
 
 # Bound on nested inline completions (Engine.finish): a streak of
 # completions that each claim the clock re-enters the caller recursively
-# (completion -> next op -> hit -> completion ...); past this depth the
-# completion falls back to the scheduler so the Python stack stays
-# shallow.
+# (store completion -> next drain step -> hit -> completion ...); past
+# this depth the completion falls back to the scheduler so the Python
+# stack stays shallow.  A core's op loop claims without recursing, so it
+# needs no bound.
 _MAX_INLINE_DEPTH = 32
 
 
@@ -106,12 +110,12 @@ class Engine:
         self._ready: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
         self._seq = 0
         self.now: int = 0
-        # True while run() is executing in fast mode; gates finish's
-        # clock claim and fast-forward sessions.
+        # True while run() is executing in fast mode; gates clock
+        # claims and fast-forward sessions.
         self._in_run = False
         self._until: Optional[int] = None
         self._inline_depth = 0
-        # While positive, finish never claims the clock.  Held by
+        # While positive, claim never moves the clock.  Held by
         # components that dispatch several independent continuations
         # synchronously from one event (the epoch managers' waiter
         # loops): an inline completion inside the first continuation
@@ -153,18 +157,20 @@ class Engine:
             heapq.heappush(self._queue, (self.now, self._seq, callback, args))
         self._seq += 1
 
-    def finish(self, delay: int, callback: Callable[[int], None]) -> None:
-        """Complete ``callback(now + delay)``, inline when it is next.
+    def claim(self, delay: int) -> bool:
+        """Advance ``now`` by ``delay`` when nothing can observe the gap.
 
-        When a callback scheduled ``delay`` cycles out would be the very
-        next event to fire -- nothing is queued at or before that cycle,
-        no component holds the clock (``advance_holds``), the active
-        fast-mode ``run()`` would reach it, and the inline depth is
-        below its bound -- advance ``now`` and call it directly,
-        skipping a heap round-trip.  Otherwise schedule it.  Firing
-        order is the same either way as long as the caller calls this
-        last: work it scheduled after an inline completion would run
-        after that completion, where the scheduled path runs it first.
+        Returns True, with the clock moved, when an event scheduled
+        ``delay`` cycles out would be the very next event to fire:
+        the active fast-mode ``run()`` would reach it, no component
+        holds the clock (``advance_holds``), no same-cycle work is
+        ready, nothing in the heap is due at or before that cycle, and
+        the run's ``until`` bound is not crossed.  Otherwise returns
+        False and leaves the clock alone; the caller schedules its
+        continuation instead.  A caller that claims must then do
+        exactly what the scheduled event would have done, and call this
+        last: work it scheduled after a claim would run after the
+        claimed continuation, where the scheduled path runs it first.
 
         The hold matters for soundness: a synchronous fan-out (an epoch
         waking several parked waiters in one event) is invisible to the
@@ -177,18 +183,29 @@ class Engine:
             self._in_run
             and not self.advance_holds
             and not self._ready
-            and self._inline_depth < _MAX_INLINE_DEPTH
             and (not queue or queue[0][0] > time)
             and (self._until is None or time <= self._until)
         ):
             self.now = time
+            return True
+        return False
+
+    def finish(self, delay: int, callback: Callable[[int], None]) -> None:
+        """Complete ``callback(now + delay)``, inline when it is next.
+
+        Claims the clock (:meth:`claim`) and calls ``callback`` directly
+        while the inline depth is below its bound; otherwise schedules
+        it.  The same calling rule as :meth:`claim` applies: call this
+        last.
+        """
+        if self._inline_depth < _MAX_INLINE_DEPTH and self.claim(delay):
             self._inline_depth += 1
             try:
-                callback(time)
+                callback(self.now)
             finally:
                 self._inline_depth -= 1
             return
-        self.schedule(delay, callback, time)
+        self.schedule(delay, callback, self.now + delay)
 
     # ------------------------------------------------------------------
     # Execution

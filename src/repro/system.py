@@ -305,16 +305,29 @@ class Multicore:
     # ------------------------------------------------------------------
     # The fused fast paths below collapse the conflict-free L1-hit case
     # of load/store into the entry call: no _Request allocation, no
-    # dispatcher hops, and the completion through Engine.finish.  Every
-    # state transition and every count matches the general path bit for
-    # bit -- the determinism-digest tests compare against the reference
-    # mode, which always takes the general path.
+    # dispatcher hops, and no scheduled completion: a fused load returns
+    # its latency to the core, a fused store completes through
+    # Engine.finish.  Every state transition and every count matches the
+    # general path bit for bit -- the determinism-digest tests compare
+    # against the reference mode, which always takes the general path.
 
     def load(self, core_id: int, line: int,
-             on_done: Callable[[int], None]) -> None:
+             on_done: Callable[[int], None]) -> int:
+        """Load ``line`` for ``core_id``.
+
+        A fused L1 hit or conflict-free LLC fill is applied at once and
+        its latency returned; nothing is scheduled, and the caller
+        continues at ``now + latency`` (claiming the clock or scheduling
+        its own continuation).  Any other load returns -1 and calls
+        ``on_done(time)`` when its data arrives -- the full miss, the
+        general classifier, and every load in reference mode.
+        """
         if self._fast:
             l1 = self.l1s[core_id]
-            entry = l1.lookup(line)
+            # Cache.lookup, inlined: this is the simulator's most
+            # frequent probe.
+            entry = l1._sets[
+                (line >> l1._offset_bits) & l1._set_mask].get(line)
             if entry is not None:
                 l1._tick = tick = l1._tick + 1
                 entry._lru = tick
@@ -324,8 +337,7 @@ class Multicore:
                 self._lat_counts[core_id] += 1
                 if lat > self._lat_maxes[core_id]:
                     self._lat_maxes[core_id] = lat
-                self.engine.finish(lat, on_done)
-                return
+                return lat
             # Fused L1-miss/LLC-hit path: a conflict-free fill from the
             # LLC completes without a request object, mirroring the hit
             # fast path above.  Conflict-free means: no foreign M owner,
@@ -364,16 +376,16 @@ class Multicore:
                         self._lat_counts[core_id] += 1
                         if lat > self._lat_maxes[core_id]:
                             self._lat_maxes[core_id] = lat
-                        self.engine.finish(lat, on_done)
-                        return
+                        return lat
                 if llc_entry is None and owner is None:
                     self._n_llc_misses += 1
                     self._fused_miss(core_id, line, bank, on_done, None,
                                      None)
-                    return
+                    return -1
         req = _Request(core_id, line, False, None, None, on_done)
         req.issue_time = self.engine.now
         self._try_access(req)
+        return -1
 
     def store(
         self,

@@ -10,6 +10,8 @@ persistency model both ways and assert:
 * identical recovery-checker verdicts on a mid-run crash.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.bench import _multicore_setup
@@ -20,6 +22,7 @@ from repro.sim.digest import run_digest, state_digest
 from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
+from tests.test_perfbench_pins import WORKLOADS as PERFBENCH_WORKLOADS
 
 MODELS = [
     PersistencyModel.NP,
@@ -139,6 +142,38 @@ def test_multicore_digest_matches_reference_engine(cores, design):
     with reference_mode():
         ref = run_digest(config, programs)
     assert fast == ref
+
+
+# ----------------------------------------------------------------------
+# Runs cut at a cycle bound.  run(max_cycles=..., drain=False) stops the
+# clock at the bound, so every fast path that claims the clock must
+# refuse a cycle past it -- a core's op loop included, in the middle of
+# a stretch of L1 hits.  Each perfbench workload, shortened so the
+# largest bound still falls inside it, is cut at four bounds.
+# ----------------------------------------------------------------------
+_CUT_BOUNDS = (1_000, 12_345, 50_001, 77_777)
+_CUT_TXNS = {"hotset": 500, "serving": 70, "pingpong4": 70,
+             "bsp_stream": 2500}
+
+
+def _cut_run(workload, bound: int, slow: bool):
+    with reference_mode(slow):
+        config = workload.config()
+        machine = Multicore(config, track_values=True,
+                            track_persist_order=True)
+    result = machine.run(workload.programs(1, config.line_size),
+                         max_cycles=bound, drain=False)
+    return state_digest(machine, result), machine.engine.now, result.finished
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_TXNS))
+def test_cut_runs_match_reference_engine(name):
+    workload = replace(PERFBENCH_WORKLOADS[name],
+                       transactions=_CUT_TXNS[name])
+    for bound in _CUT_BOUNDS:
+        fast = _cut_run(workload, bound, slow=False)
+        assert fast == _cut_run(workload, bound, slow=True), bound
+        assert fast[1:] == (bound, False), bound
 
 
 def conflict_counters(stats):

@@ -234,3 +234,55 @@ def test_slow_mode_routes_everything_through_heap(monkeypatch):
     engine.run()
     # Reference mode never claims the clock: the completion is queued.
     assert fired == ["a", "b", ("after finish", 1), 5]
+
+
+def test_claim_moves_the_clock_only_when_it_can_be_next():
+    engine = _fast_engine()
+    verdicts = []
+
+    def probe(label, delay):
+        start = engine.now
+        verdicts.append((label, engine.claim(delay), engine.now - start))
+
+    def with_ready_work():
+        engine.call_soon(fired.append, "ready")
+        probe("ready work", 1)
+
+    def before_heap_event():
+        # The heap holds "timed" at t=20: a claim to t=20 (a tie) or
+        # past it is refused, a claim to t=19 is granted.
+        probe("at heap event", 10)
+        probe("past heap event", 11)
+        probe("before heap event", 9)
+
+    def held():
+        engine.advance_holds += 1
+        try:
+            probe("held", 1)
+        finally:
+            engine.advance_holds -= 1
+
+    def past_until():
+        probe("past until", 100)
+        probe("at until", 30)
+
+    fired = []
+    probe("outside run", 5)
+    engine.schedule(1, with_ready_work)
+    engine.schedule(10, before_heap_event)
+    engine.schedule(20, fired.append, "timed")
+    engine.schedule(25, held)
+    engine.schedule(30, past_until)
+    engine.run(until=60)
+    assert verdicts == [
+        ("outside run", False, 0),
+        ("ready work", False, 0),
+        ("at heap event", False, 0),
+        ("past heap event", False, 0),
+        ("before heap event", True, 9),
+        ("held", False, 0),
+        ("past until", False, 0),
+        ("at until", True, 30),
+    ]
+    assert fired == ["ready", "timed"]
+    assert engine.now == 60

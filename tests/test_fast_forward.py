@@ -167,6 +167,8 @@ def test_faults_configured_refuses_every_session():
     assert counters["stores"] == 0
     assert counters["batches"] == 0
     assert counters["fallbacks"] > 0
+    assert all(core.ff_fallback_reasons["faults"] == core.ff_fallbacks
+               for core in machine.cores)
     # The refusal is also invisible: same digest as the reference
     # engine under the same (all-zero) fault plan.
     with reference_mode():

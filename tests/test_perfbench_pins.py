@@ -3,9 +3,10 @@
 ``perfbench/`` measures how fast the simulator runs four workloads.  A
 speed claim only holds if the simulator still does the same work, so
 these tests pin what each workload simulates at seed 1 (its
-``state_digest``: stats, cycles and the persisted NVRAM image) and the
-exact op stream ``hotset`` generates at seed 1 and at the held-out seed
-1009.  A change meant to be a pure speed-up must leave every pin alone.
+``state_digest``: stats, cycles and the persisted NVRAM image, and its
+fast-forward session counts) and the exact op stream ``hotset``
+generates at seed 1 and at the held-out seed 1009.  A change meant to
+be a pure speed-up must leave every pin alone.
 
 Re-pinning after a deliberate model or generator change: run this file,
 copy each new value the failing assertion prints into the table below,
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 
 _WORKLOADS_PY = (Path(__file__).resolve().parent.parent
@@ -50,6 +52,18 @@ STATE_DIGESTS = {
     "bsp_stream": "101debd1a58142f67ab9ca0e3d79f7204a7e1145c0ecc750728797a4d1e8b728",
 }
 
+# Seed-1 fast-forward sessions: (batches, stores drained, fallbacks by
+# reason).  Sessions exist only in fast mode, so these are counted on a
+# fast engine whatever REPRO_SLOW_ENGINE says; the fallbacks' sum is
+# perfbench's processor.ff_fallbacks.
+FF_COUNTS = {
+    "hotset": (5443, 11626, {"refused": 374}),
+    "serving": (443, 2972, {"full_miss": 5685, "refused": 10}),
+    "pingpong4": (1569, 8684,
+                  {"held": 5708, "full_miss": 39, "refused": 1581}),
+    "bsp_stream": (38, 99870, {"refused": 125, "bsp_limit": 10}),
+}
+
 HOTSET_STREAMS = {
     1: "94a06af73372bb23d5e55fed9a93d69c9782b397fd7951bee3c00f4fbb3c9945",
     1009: "295b75f1a210165d7cbe9235e0c8a5939f06a600aa2ecf36454e482fc888d348",
@@ -67,6 +81,23 @@ def test_seed_one_state_digest(name):
     machine = Multicore(config)
     result = machine.run(workload.programs(1, config.line_size))
     assert state_digest(machine, result) == STATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FF_COUNTS))
+def test_seed_one_ff_counts(name):
+    workload = WORKLOADS[name]
+    config = workload.config()
+    with reference_mode(False):
+        machine = Multicore(config)
+    machine.run(workload.programs(1, config.line_size))
+    reasons = {}
+    for core in machine.cores:
+        for reason, count in core.ff_fallback_reasons.items():
+            if count:
+                reasons[reason] = reasons.get(reason, 0) + count
+    counts = (sum(c.ff_batches for c in machine.cores),
+              sum(c.ff_stores for c in machine.cores), reasons)
+    assert counts == FF_COUNTS[name]
 
 
 def _stream_digest(streams) -> str:

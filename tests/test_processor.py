@@ -1,6 +1,8 @@
 """Tests for the core model: write buffer, forwarding, barriers."""
 
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
 
@@ -111,3 +113,26 @@ def test_stores_drain_in_fifo_order():
     m2.run([p])
     data = [r.line for r in m2.image.history if r.kind == "data"]
     assert data == sorted(data)
+
+
+def _one_line_loads(slow):
+    with reference_mode(slow):
+        m = Multicore(machine().config, track_values=True,
+                      track_persist_order=True)
+    p = Program()
+    for _ in range(10_000):
+        p.load(0x1000)
+    return m, m.run([p])
+
+
+def test_load_hits_run_in_one_loop():
+    # The first load misses; the 9,999 after it hit the L1 and complete
+    # inside the core's op loop without an engine event.  Reference
+    # mode schedules every one.
+    fast, fast_result = _one_line_loads(slow=False)
+    assert fast_result.finished
+    assert fast_result.stats.total("loads") == 10_000
+    assert fast.engine._seq <= 5
+    ref, ref_result = _one_line_loads(slow=True)
+    assert ref.engine._seq > 10_000
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
