@@ -1,5 +1,5 @@
 """Processor models: cores and their write buffers."""
 
-from repro.cpu.processor import Core, WriteBufferEntry
+from repro.cpu.processor import Core
 
-__all__ = ["Core", "WriteBufferEntry"]
+__all__ = ["Core"]

@@ -7,7 +7,9 @@ granularity:
 * loads block until data returns (with store-buffer forwarding);
 * stores retire into a finite FIFO write buffer (Table 1: 32 entries)
   that drains through the L1 in the background -- the stand-in for the
-  OoO window's ability to hide store latency;
+  OoO window's ability to hide store latency.  The buffer holds the
+  store ops themselves; the drain derives each one's line (and, when
+  values are tracked, its value) as it needs them;
 * persist barriers travel through the write buffer as markers, so --
   exactly as in Condit et al.'s design -- a store is tagged with the
   epoch that is current *when it completes at the L1*.  An epoch closes
@@ -44,21 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system import Multicore
 
 
-class WriteBufferEntry:
-    """A store awaiting drain, or a persist-barrier marker."""
-
-    __slots__ = ("line", "values", "is_barrier", "ep_wait")
-
-    def __init__(self, line: int = 0,
-                 values: Optional[Dict[int, object]] = None,
-                 is_barrier: bool = False, ep_wait: bool = False) -> None:
-        self.line = line
-        self.values = values
-        self.is_barrier = is_barrier
-        # EP model: the core is parked until this barrier's epoch persists.
-        self.ep_wait = ep_wait
-
-
 _EPOCH_MODELS = (
     PersistencyModel.BEP,
     PersistencyModel.BSP,
@@ -76,14 +63,23 @@ _FF_FALLBACK_REASONS = ("faults", "held", "full_miss", "refused",
 # _REFUSED and _FULL_MISS; that module imports this one).
 _STORE_REFUSALS = {-1: "refused", -2: "full_miss"}
 
-# The op loop compares kinds against module globals: on CPython 3.11
-# an ``OpKind.LOAD`` attribute read through the enum class costs about
-# ten times a global read.
+# The op loop compares kinds, and the drain and barrier paths compare
+# persistency models, against module globals: on CPython 3.11 an
+# ``OpKind.LOAD`` attribute read through the enum class costs about ten
+# times a global read.
 _LOAD = OpKind.LOAD
 _STORE = OpKind.STORE
 _COMPUTE = OpKind.COMPUTE
 _TXN_MARK = OpKind.TXN_MARK
 _BARRIER = OpKind.BARRIER
+_SP = PersistencyModel.SP
+_EP = PersistencyModel.EP
+_BSP = PersistencyModel.BSP
+_BSP_WT = PersistencyModel.BSP_WT
+
+# The write buffer's barrier marker: one shared op, told apart from the
+# buffered store ops by identity.
+_MARKER = Op(OpKind.BARRIER)
 
 
 class Core:
@@ -99,6 +95,10 @@ class Core:
         self.stats = machine.stats.domain(f"core{core_id}")
         self._model = machine.config.persistency
         self._uses_epochs = self._model in _EPOCH_MODELS
+        # NP/SP/BSP_WT ignore explicit barriers; under BSP bulk mode the
+        # hardware inserts its own.
+        self._ignores_barriers = (not self._uses_epochs
+                                  or self._model is _BSP)
         self._mgr = machine.managers[core_id]
         self._ckpt = machine.checkpoints[core_id]
         # Hot-path accounting: these counters are bumped on every memory
@@ -139,7 +139,8 @@ class Core:
         self.ff_fallback_reasons: Dict[str, int] = dict.fromkeys(
             _FF_FALLBACK_REASONS, 0)
 
-        self.wb: deque[WriteBufferEntry] = deque()
+        # Buffered store ops and barrier markers (_MARKER), in order.
+        self.wb: deque[Op] = deque()
         self._wb_stores = 0
         self._wb_lines: Dict[int, int] = {}
         self._draining = False
@@ -195,13 +196,16 @@ class Core:
         """Issue ops back to back until one has to wait for an event.
 
         A load that hits (the fused L1 hit or LLC fill) or forwards
-        from the write buffer, a compute burst and a transaction marker
-        each complete at a known cycle.  When the engine lets the core
-        claim that cycle (:meth:`Engine.claim`), the clock moves there
-        and the loop issues the next op at once: exactly where the
-        scheduled continuation would have fired, minus the event.  When
-        it refuses, the continuation is scheduled.  Stores, barriers
-        and loads that miss leave the loop through their own paths.
+        from the write buffer, a compute burst, a transaction marker
+        and a barrier the model ignores each complete at a known cycle.
+        When the engine lets the core claim that cycle
+        (:meth:`Engine.claim`), the clock moves there and the loop
+        issues the next op at once: exactly where the scheduled
+        continuation would have fired, minus the event.  When it
+        refuses, the continuation is scheduled.  Stores, epoch barriers
+        and loads that miss leave the loop through their own paths; a
+        store that meets a full write buffer is parked here until the
+        drain frees a slot.
         """
         eng = self._engine
         claim = eng.claim
@@ -233,6 +237,12 @@ class Core:
                 eng.schedule(lat, nxt)
                 return
             if kind is _STORE:
+                if self._wb_stores + self._wt_outstanding >= self._wb_capacity:
+                    # A store stalls here nearly every cycle of a
+                    # streaming burst (drain is slower than issue).
+                    self._n_wb_full += 1
+                    self._pending_push = op
+                    return
                 self._issue_store(op)
                 return
             if kind is _COMPUTE:
@@ -247,6 +257,12 @@ class Core:
                 eng.call_soon(nxt)
                 return
             if kind is _BARRIER:
+                self._n_barriers += 1
+                if self._ignores_barriers:
+                    if claim(0):
+                        continue
+                    eng.call_soon(nxt)
+                    return
                 self._issue_barrier()
                 return
             raise ValueError(f"unknown op kind {kind}")  # pragma: no cover
@@ -257,92 +273,81 @@ class Core:
     # Stores and barriers (issue side)
     # ------------------------------------------------------------------
     def _issue_store(self, op: Op) -> None:
-        if self._wb_stores + self._wt_outstanding >= self._wb_capacity:
-            # A store stalls here nearly every cycle of a streaming burst
-            # (drain is slower than issue), so the stall counter is hot.
-            self._n_wb_full += 1
-            self._pending_push = op
-            return
-        line = op.addr & self._line_mask
-        values: Optional[Dict[int, object]] = None
-        if self._track_values:
-            values = {op.addr - line: op.value}
-        # _push, inlined: this is the hottest call site (twice per store
-        # on a streaming burst, once at issue and once resumed after the
-        # stall), and the barrier path keeps using the helper.
-        self.wb.append(WriteBufferEntry(line, values))
+        """Push a store into the write buffer, which has room for it,
+        and continue issuing after the issue width."""
+        self.wb.append(op)
+        eng = self._engine
         if not self._draining:
             self._draining = True
-            self._engine.call_soon(self._drain)
+            eng.call_soon(self._drain)
         self._wb_stores += 1
+        line = op.addr & self._line_mask
         self._wb_lines[line] = self._wb_lines.get(line, 0) + 1
         self._n_stores += 1
         if self._ff_active:
             # Inside a fast-forward session the issue-width advance
             # becomes the session's virtual issue event; the session
             # merges it against the queues by (time, seq), which is the
-            # scheduled path's ordering by construction.
-            eng = self._engine
+            # scheduled path's ordering by construction.  The session's
+            # lend must not reach past it.
             seq = eng._seq
             eng._seq = seq + 1
-            self._ff_issue_slot = (eng.now + self._issue_cycles, seq)
+            time = eng.now + self._issue_cycles
+            self._ff_issue_slot = (time, seq)
+            if time < eng._lent:
+                eng._lent = time
             return
         # NOTE: the issue-width advance must stay a scheduled event.  A
         # clock claim here (Engine.claim) is unsound: _issue_store can
         # run mid-chain (resumed from _pop_store), and the enclosing
         # caller may still schedule same-cycle work after it returns,
         # which the claim would reorder.
-        self._engine.schedule(self._issue_cycles, self._next)
+        eng.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
-        self._n_barriers += 1
-        if not self._uses_epochs or self._model is PersistencyModel.BSP:
-            # NP/SP/WT ignore explicit barriers; under BSP bulk mode the
-            # hardware inserts its own.
-            self._engine.call_soon(self._next)
-            return
-        ep_wait = self._model is PersistencyModel.EP
-        self._push(WriteBufferEntry(is_barrier=True, ep_wait=ep_wait))
-        if not ep_wait:
-            self._engine.call_soon(self._next)
-        # For EP the core parks here; the marker's drain handler resumes
-        # it once the epoch persists (rule E2 of section 2.1).
-
-    def _push(self, entry: WriteBufferEntry) -> None:
-        self.wb.append(entry)
+        """Buffer an epoch barrier's marker (EP and BEP; the op loop
+        claims through the barriers the other models ignore)."""
+        self.wb.append(_MARKER)
         if not self._draining:
             self._draining = True
             self._engine.call_soon(self._drain)
+        if self._model is not _EP:
+            self._engine.call_soon(self._next)
+        # For EP the core parks here; the marker's drain handler resumes
+        # it once the epoch persists (rule E2 of section 2.1).
 
     # ------------------------------------------------------------------
     # Write-buffer drain (epoch tagging happens here)
     # ------------------------------------------------------------------
     def _drain(self) -> None:
-        if not self.wb:
+        wb = self.wb
+        if not wb:
             self._draining = False
             self._check_done()
             return
-        entry = self.wb[0]
-        if entry.is_barrier:
-            self._drain_barrier(entry)
+        op = wb[0]
+        if op is _MARKER:
+            self._drain_barrier()
             return
-        if self._model is PersistencyModel.SP:
-            self._machine.store(
-                self.core_id, entry.line, entry.values, None,
-                on_done=self._drained, persist_sync=True,
-            )
-            return
-        if self._model is PersistencyModel.BSP_WT or not self._uses_epochs:
-            if self._model is PersistencyModel.BSP_WT:
+        if not self._uses_epochs:
+            line = op.addr & self._line_mask
+            values = ({op.addr - line: op.value} if self._track_values
+                      else None)
+            if self._model is _SP:
+                self._machine.store(
+                    self.core_id, line, values, None,
+                    on_done=self._drained, persist_sync=True,
+                )
+            elif self._model is _BSP_WT:
                 self._wt_outstanding += 1
                 self._machine.store(
-                    self.core_id, entry.line, entry.values, None,
+                    self.core_id, line, values, None,
                     on_done=self._drained, wt_async=True,
                     on_persist_ack=self._wt_acked,
                 )
             else:
                 self._machine.store(
-                    self.core_id, entry.line, entry.values, None,
+                    self.core_id, line, values, None,
                     on_done=self._drained,
                 )
             return
@@ -353,7 +358,7 @@ class Core:
         mgr = self._mgr
         current = mgr.current
         if (
-            self._model is PersistencyModel.BSP
+            self._model is _BSP
             and current is not None
             and current.num_stores + current.pending_stores
             >= self._config.bsp_epoch_stores
@@ -374,9 +379,11 @@ class Core:
             return
         epoch = mgr.tag_store()
         self._drain_epoch = epoch
+        line = op.addr & self._line_mask
         self._machine.store(
-            self.core_id, entry.line, entry.values, epoch,
-            on_done=self._drained_epoch,
+            self.core_id, line,
+            {op.addr - line: op.value} if self._track_values else None,
+            epoch, on_done=self._drained_epoch,
         )
 
     # ------------------------------------------------------------------
@@ -387,7 +394,10 @@ class Core:
     # each a heap round-trip.  A session replaces both with *virtual*
     # events -- (time, seq) pairs held in locals -- and advances the
     # clock analytically, firing any interleaved queued event through
-    # Engine.ff_dispatch_one in exact (time, seq) order.  Every
+    # Engine.ff_dispatch_one in exact (time, seq) order.  While it
+    # dispatches an event or runs the core's op loop it lends the clock
+    # up to its earliest virtual event, so loads, markers and ignored
+    # barriers between stores claim instead of queueing.  Every
     # state mutation mirrors the event-per-op path line for line, so an
     # observer of stats, cycle counts, or the NVRAM image cannot tell a
     # fast-forwarded stretch from a stepped one; the moment any
@@ -443,9 +453,12 @@ class Core:
         machine = self._machine
         mgr = self._mgr
         wb = self.wb
-        is_bsp = self._model is PersistencyModel.BSP
+        is_bsp = self._model is _BSP
         bsp_limit = self._config.bsp_epoch_stores if is_bsp else 0
         core_id = self.core_id
+        line_mask = self._line_mask
+        track_values = self._track_values
+        issue_cycles = self._issue_cycles
         d_slot = None   # (time, seq, epoch): store completion in flight
         n_slot = None   # (time, seq): pending issue-width continuation
         stores = 0
@@ -456,6 +469,7 @@ class Core:
         ready = eng._ready
         until = eng._until
         try_clean_store = machine.try_clean_store
+        wb_append = wb.append
         wb_popleft = wb.popleft
         wb_lines = self._wb_lines
         closed_s = EpochStatus.CLOSED
@@ -469,7 +483,7 @@ class Core:
                 if not wb:
                     break
                 head = wb[0]
-                if head.is_barrier:
+                if head is _MARKER:
                     break
                 # A split (a conflict dispatched mid-session) replaces
                 # the current epoch, so re-read the slot every step.
@@ -488,7 +502,12 @@ class Core:
                     # Same epoch the per-op tag_store would open, at the
                     # same cycle with the same stats.
                     cur = mgr.current_or_new()
-                lat = try_clean_store(core_id, head.line, head.values, cur)
+                addr = head.addr
+                line = addr & line_mask
+                lat = try_clean_store(
+                    core_id, line,
+                    {addr - line: head.value} if track_values else None,
+                    cur)
                 if lat < 0:
                     stop = _STORE_REFUSALS[lat]
                     break
@@ -533,6 +552,9 @@ class Core:
                     self.ff_batches += 1
                     self.ff_stores += stores
                     return 2
+                # The dispatched event may claim any cycle before the
+                # earliest virtual event.
+                eng._lent = v_time
                 eng.ff_dispatch_one()
                 if self._ff_issue_slot is not None:
                     n_slot = self._ff_issue_slot
@@ -549,6 +571,9 @@ class Core:
             eng.now = v_time
             if v_is_issue:
                 n_slot = None
+                # The store completion is the one virtual event left;
+                # the op loop may claim any cycle before it.
+                eng._lent = t_d
                 self._next()
                 if self._ff_issue_slot is not None:
                     n_slot = self._ff_issue_slot
@@ -572,24 +597,30 @@ class Core:
                     )
                 if epoch.status is closed_s:
                     mgr._complete(epoch)
-            entry = wb_popleft()
-            self._wb_stores -= 1
-            count = wb_lines[entry.line] - 1
+            line = wb_popleft().addr & line_mask
+            count = wb_lines[line] - 1
             if count:
-                wb_lines[entry.line] = count
+                wb_lines[line] = count
             else:
-                del wb_lines[entry.line]
+                del wb_lines[line]
             op = self._pending_push
-            if op is not None:
-                # _resume_pending_push, inlined: the pop above freed a
-                # buffer slot, so only outstanding write-throughs can
-                # still hold the op back.
-                if self._wb_stores + self._wt_outstanding < self._wb_capacity:
-                    self._pending_push = None
-                    self._issue_store(op)
-                    if self._ff_issue_slot is not None:
-                        n_slot = self._ff_issue_slot
-                        self._ff_issue_slot = None
+            if op is None:
+                self._wb_stores -= 1
+                continue
+            # _resume_pending_push and _issue_store, inlined: the pop
+            # above freed the slot the parked store takes (sessions never
+            # run beside write-throughs), so the buffer's store count is
+            # unchanged, and the issue-width continuation becomes the
+            # virtual issue event.  The core's issue side is parked, so
+            # no other issue event is outstanding.
+            self._pending_push = None
+            wb_append(op)
+            line = op.addr & line_mask
+            wb_lines[line] = wb_lines.get(line, 0) + 1
+            self._n_stores += 1
+            seq = eng._seq
+            eng._seq = seq + 1
+            n_slot = (eng.now + issue_cycles, seq)
 
         if not stores:
             # Drain-step refusal before any work: a clean refuse (no
@@ -617,10 +648,10 @@ class Core:
                 (d_slot[0], d_slot[1], self._drained_epoch, (d_slot[0],)),
             )
 
-    def _drain_barrier(self, entry: WriteBufferEntry) -> None:
+    def _drain_barrier(self) -> None:
         self.wb.popleft()
         closed = self._mgr.close_current()
-        if self._model is PersistencyModel.EP and entry.ep_wait:
+        if self._model is _EP:
             if closed is None:
                 self._engine.call_soon(self._next)
             else:
@@ -648,13 +679,13 @@ class Core:
         self._pop_store()
 
     def _pop_store(self) -> None:
-        entry = self.wb.popleft()
+        line = self.wb.popleft().addr & self._line_mask
         self._wb_stores -= 1
-        count = self._wb_lines[entry.line] - 1
+        count = self._wb_lines[line] - 1
         if count:
-            self._wb_lines[entry.line] = count
+            self._wb_lines[line] = count
         else:
-            del self._wb_lines[entry.line]
+            del self._wb_lines[line]
         if self._pending_push is not None:
             self._resume_pending_push()
         self._drain()
@@ -681,10 +712,7 @@ class Core:
             and self._wt_outstanding == 0
         ):
             self.done = True
-            if (
-                self._model is PersistencyModel.BSP
-                and self._mgr.current is not None
-            ):
+            if self._model is _BSP and self._mgr.current is not None:
                 # Close the trailing hardware epoch so it checkpoints and
                 # persists like any other.
                 self._hardware_barrier()

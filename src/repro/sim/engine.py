@@ -34,8 +34,10 @@ Implementation notes -- the two-tier queue:
   cycles out would be the very next event anyway, it advances the clock
   there and the caller continues inline instead of round-tripping the
   heap.  A core's op loop claims for every load hit, forwarded load,
-  compute burst and transaction marker; :meth:`Engine.finish` claims
-  and then calls a completion callback directly.
+  compute burst, transaction marker and ignored barrier;
+  :meth:`Engine.finish` claims and then calls a completion callback
+  directly.  A fast-forward session holds the clock but lends it up to
+  its earliest virtual event, so the work it dispatches claims too.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
   (see :func:`reference_mode`).  It means exactly three things.  The
   engine runs its plain heap loop: every event, including
@@ -115,12 +117,16 @@ class Engine:
         self._in_run = False
         self._until: Optional[int] = None
         self._inline_depth = 0
-        # While positive, claim never moves the clock.  Held by
-        # components that dispatch several independent continuations
-        # synchronously from one event (the epoch managers' waiter
-        # loops): an inline completion inside the first continuation
-        # must not advance ``now`` under the feet of the rest.
+        # While positive, claim never moves the clock, except below a
+        # session's lend (_lent).  Held by components that dispatch
+        # several independent continuations synchronously from one
+        # event (the epoch managers' waiter loops): an inline completion
+        # inside the first continuation must not advance ``now`` under
+        # the feet of the rest.
         self.advance_holds = 0
+        # The cycle a fast-forward session lends the clock up to
+        # (exclusive) while it dispatches work; -1 when nothing is lent.
+        self._lent = -1
         # REPRO_SLOW_ENGINE=1 selects the pure-heap reference mode.
         self.fast = not _slow_engine_requested()
 
@@ -175,13 +181,22 @@ class Engine:
         The hold matters for soundness: a synchronous fan-out (an epoch
         waking several parked waiters in one event) is invisible to the
         queues, so without the hold the first waiter could warp ``now``
-        and the remaining waiters would observe the wrong cycle.
+        and the remaining waiters would observe the wrong cycle.  A
+        fast-forward session's hold is the one exception: its own
+        events are virtual, outside the queues, and it lends the clock
+        up to the earliest of them (``_lent``).  Under exactly one hold
+        a claim that lands strictly before the lent cycle is granted --
+        a tie loses, because the virtual event holds the older sequence
+        number -- and under two holds (a fan-out inside the session)
+        every claim is refused.
         """
         time = self.now + delay
+        holds = self.advance_holds
+        if holds and (holds > 1 or time >= self._lent):
+            return False
         queue = self._queue
         if (
             self._in_run
-            and not self.advance_holds
             and not self._ready
             and (not queue or queue[0][0] > time)
             and (self._until is None or time <= self._until)
@@ -256,16 +271,18 @@ class Engine:
     # A fast-forward session lets one component (the core's write-buffer
     # drain) advance a stretch of its own future work analytically while
     # interleaved foreign events still fire in exact (time, seq) order.
-    # The session holds the clock (``advance_holds``), so every
-    # finish() elsewhere schedules -- the queues stay the single source
-    # of truth for foreign work -- and the session's own *virtual*
-    # events live outside the queues as (time, seq) keys that the caller
-    # merges against the queue heads.  Virtual events draw their
-    # sequence numbers from ``_seq``, the same counter real scheduling
-    # uses, so a virtual event that has to be re-materialized into the
-    # heap (session bail-out) lands exactly where its scheduled twin
-    # would have been.  The one session owner, ``Core._ff_run``, reads
-    # the queue heads and takes sequence numbers inline.
+    # The session's own *virtual* events live outside the queues as
+    # (time, seq) keys that the caller merges against the queue heads.
+    # The session holds the clock (``advance_holds``), so no claim can
+    # jump past a virtual event it cannot see; while it dispatches a
+    # queued event or runs its core's op loop it lends the clock up to
+    # its earliest virtual event (``_lent``), so claims below that cycle
+    # still move the clock inline.  Virtual events draw their sequence
+    # numbers from ``_seq``, the same counter real scheduling uses, so a
+    # virtual event that has to be re-materialized into the heap
+    # (session bail-out) lands exactly where its scheduled twin would
+    # have been.  The one session owner, ``Core._ff_run``, reads the
+    # queue heads, takes sequence numbers and sets the lend inline.
 
     def ff_begin(self) -> bool:
         """Open a fast-forward session.
@@ -280,7 +297,9 @@ class Engine:
         return True
 
     def ff_end(self) -> None:
-        """Close the session opened by the matching :meth:`ff_begin`."""
+        """Close the session opened by the matching :meth:`ff_begin`,
+        withdrawing its lend."""
+        self._lent = -1
         self.advance_holds -= 1
 
     def ff_dispatch_one(self) -> None:

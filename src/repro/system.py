@@ -448,7 +448,8 @@ class Multicore:
         epoch, already resolved.
         """
         l1 = self.l1s[core_id]
-        entry = l1.lookup(line)
+        # Cache.lookup, inlined as in load.
+        entry = l1._sets[(line >> l1._offset_bits) & l1._set_mask].get(line)
         if entry is not None and entry.dirty and entry.epoch is resolved:
             # Same-epoch store to an owned M-state line: no logging (the
             # line is already dirty under this epoch), no conflict

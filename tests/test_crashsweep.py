@@ -20,6 +20,7 @@ from repro.recovery import (
 )
 from repro.recovery.crash import CrashOutcome
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.micro import QueueWorkload, make_benchmark
 
@@ -57,6 +58,24 @@ def pingpong_outcome(design, transactions=6, seed=3):
         for tid in range(4)
     ]
     return capture_run(tracking_machine(config), programs)
+
+
+def bsp_stream_outcome(transactions=40, bsp_epoch_stores=50):
+    """perfbench's bsp_stream shape -- one-core pingpong under BSP and
+    LB++ -- with a store quota small enough that a hardware epoch
+    closes every five transactions.  Built in fast mode whatever
+    REPRO_SLOW_ENGINE says, so the history comes from fast-forward
+    sessions."""
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BSP,
+        barrier_design=BarrierDesign.LB_PP, num_cores=1,
+        bsp_epoch_stores=bsp_epoch_stores,
+    )
+    with reference_mode(False):
+        machine = tracking_machine(config)
+    program = make_benchmark("pingpong", thread_id=0, seed=1,
+                             line_size=config.line_size).ops(transactions)
+    return capture_run(machine, [program]), machine
 
 
 def mutated(outcome, history, history_values, history_log=None):
@@ -108,6 +127,23 @@ def test_sweep_bsp_undo_coverage_all_points():
     assert any(r.kind == "log" for r in outcome.image.history)
     oracle = sweep_reference(outcome, bsp=True, stride=1)
     assert report.merge_key() == oracle.merge_key()
+
+
+def test_sweep_bsp_stream_all_points():
+    # The queue's BSP sessions mostly refuse under undo logging; on the
+    # streaming shape sessions drain three stores in four, lending the
+    # clock to the loads, markers and ignored barriers between them,
+    # while hardware epochs close, checkpoint and persist.
+    outcome, machine = bsp_stream_outcome()
+    core = machine.cores[0]
+    assert 4 * core.ff_stores > 3 * machine.stats.total("stores")
+    assert machine.stats.total("hw_barriers") >= 8
+    report = sweep_crash_points(outcome, bsp=True)
+    assert report.ok and report.bsp_checked
+    assert any(r.kind == "log" for r in outcome.image.history)
+    oracle = sweep_reference(outcome, bsp=True, stride=1)
+    assert report.merge_key() == oracle.merge_key()
+    assert report.data_persists == oracle.data_persists
 
 
 def test_sweep_requires_replay_payloads():

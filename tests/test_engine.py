@@ -286,3 +286,53 @@ def test_claim_moves_the_clock_only_when_it_can_be_next():
     ]
     assert fired == ["ready", "timed"]
     assert engine.now == 60
+
+
+def test_claim_under_a_session_lend():
+    # A fast-forward session holds the clock and lends it up to its
+    # earliest virtual event: under that one hold a claim is granted
+    # only strictly below the lent cycle, and never under two holds.
+    engine = _fast_engine()
+    verdicts = []
+
+    def probe(label, delay):
+        start = engine.now
+        verdicts.append((label, engine.claim(delay), engine.now - start))
+
+    def session():
+        assert engine.ff_begin()
+        try:
+            probe("nothing lent", 1)
+            engine._lent = 20
+            probe("below the lend", 5)           # t=15
+            probe("on the lend", 5)              # t=20: a tie is refused
+            probe("just below the lend", 4)      # t=19
+            engine.advance_holds += 1
+            probe("two holds", 0)
+            engine.advance_holds -= 1
+            engine._lent = 100
+            probe("past until", 12)              # t=31 > until 30
+            probe("at until", 11)                # t=30
+            engine.call_soon(fired.append, "ready")
+            probe("ready work", 0)
+        finally:
+            engine.ff_end()
+        verdicts.append(("after ff_end", engine._lent, engine.advance_holds))
+
+    fired = []
+    engine.schedule(10, session)
+    engine.schedule(40, fired.append, "timed")
+    engine.run(until=30)
+    assert verdicts == [
+        ("nothing lent", False, 0),
+        ("below the lend", True, 5),
+        ("on the lend", False, 0),
+        ("just below the lend", True, 4),
+        ("two holds", False, 0),
+        ("past until", False, 0),
+        ("at until", True, 11),
+        ("ready work", False, 0),
+        ("after ff_end", -1, 0),
+    ]
+    assert fired == ["ready"]
+    assert engine.now == 30

@@ -1,5 +1,7 @@
 """Tests for the core model: write buffer, forwarding, barriers."""
 
+import pytest
+
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
@@ -91,7 +93,6 @@ def test_programs_fewer_than_cores_allowed():
 
 def test_too_many_programs_rejected():
     m = machine(num_cores=2)
-    import pytest
     with pytest.raises(ValueError):
         m.run([Program(), Program(), Program()])
 
@@ -99,7 +100,6 @@ def test_too_many_programs_rejected():
 def test_machine_cannot_run_twice():
     m = machine()
     m.run([Program()])
-    import pytest
     with pytest.raises(RuntimeError):
         m.run([Program()])
 
@@ -135,4 +135,74 @@ def test_load_hits_run_in_one_loop():
     assert fast.engine._seq <= 5
     ref, ref_result = _one_line_loads(slow=True)
     assert ref.engine._seq > 10_000
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def _ignored_barriers(model, slow):
+    with reference_mode(slow):
+        m = Multicore(machine(persistency=model).config, track_values=True,
+                      track_persist_order=True)
+    p = Program().store(0x1000, 8)
+    for _ in range(10_000):
+        p.barrier()
+    return m, m.run([p])
+
+
+@pytest.mark.parametrize("model", [PersistencyModel.NP, PersistencyModel.BSP])
+def test_ignored_barriers_run_in_one_loop(model):
+    # NP ignores barriers and BSP's hardware inserts its own, so each
+    # barrier completes at once and the op loop claims through it; the
+    # few events left are the store's drain and persist.
+    fast, fast_result = _ignored_barriers(model, slow=False)
+    assert fast_result.finished
+    assert fast_result.stats.total("barriers") == 10_000
+    assert fast.engine._seq <= 30
+    ref, ref_result = _ignored_barriers(model, slow=True)
+    assert ref.engine._seq > 10_000
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def _bsp_stream(slow, transactions=200):
+    """A one-core BSP stream of ten-store transactions, each led by a
+    load the write buffer forwards and closed by a marker; returns the
+    machine, its result and the events it queued."""
+    with reference_mode(slow):
+        m = Multicore(machine(persistency=PersistencyModel.BSP).config,
+                      track_values=True, track_persist_order=True)
+    engine = m.engine
+    queued = [0]
+    schedule, call_soon = engine.schedule, engine.call_soon
+
+    def counted_schedule(*args):
+        queued[0] += 1
+        schedule(*args)
+
+    def counted_call_soon(*args):
+        queued[0] += 1
+        call_soon(*args)
+
+    engine.schedule = counted_schedule
+    engine.call_soon = counted_call_soon
+    p = Program()
+    for txn in range(transactions):
+        p.load(0x1000)
+        for i in range(10):
+            p.store(0x1000 + i * 64, 8, value=(txn, i))
+        p.txn_mark()
+    return m, m.run([p]), queued[0]
+
+
+def test_session_lends_the_clock_to_its_core():
+    # Nearly every store is drained in a fast-forward session.  The
+    # session lends its core the clock up to the next store completion,
+    # so the forwarded loads and the markers between stores claim it
+    # instead of each queueing an event (two per transaction before the
+    # lend).
+    fast, fast_result, queued = _bsp_stream(slow=False)
+    assert fast_result.finished
+    assert fast.cores[0].ff_stores >= 1_900
+    assert fast_result.stats.total("wb_forwards") == 199
+    assert queued < 200
+    ref, ref_result, ref_queued = _bsp_stream(slow=True)
+    assert ref_queued > 4_000
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
