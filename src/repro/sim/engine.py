@@ -39,17 +39,16 @@ Implementation notes -- the two-tier queue:
   directly.  A fast-forward session holds the clock but lends it up to
   its earliest virtual event, so the work it dispatches claims too.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
-  (see :func:`reference_mode`).  It means exactly three things.  The
+  (see :func:`reference_mode`).  It means exactly two things.  The
   engine runs its plain heap loop: every event, including
   ``call_soon``, goes through the heap, :meth:`claim` always refuses
   (so :meth:`finish` always schedules), and fast-forward sessions
-  always refuse.  The machine classifies every request with its
-  general classifier instead of the fused paths.  And the coherence
-  directory is the per-line-entry ``ReferenceDirectory`` instead of
-  the flat bitmask ``Directory``.  Everything else -- counting,
-  latency tables, epoch tags, IDT edges -- runs the same way in both
-  modes.  The determinism-digest tests assert that both modes fire
-  callbacks in bit-identical order across every persistency model.
+  always refuse.  And the machine classifies every request with its
+  general classifier instead of the fused paths.  Everything else --
+  counting, latency tables, the coherence directory, epoch tags, IDT
+  edges -- runs the same way in both modes.  The determinism-digest
+  tests assert that both modes fire callbacks in bit-identical order
+  across every persistency model.
 """
 
 from __future__ import annotations
@@ -80,7 +79,9 @@ def reference_mode(slow: bool = True) -> Iterator[None]:
     """Build engines in reference mode (or, with ``slow=False``, in
     fast mode) within the block.
 
-    An :class:`Engine` reads ``REPRO_SLOW_ENGINE`` once, at
+    Reference mode means two things: the engine's plain heap loop and
+    the machine's general request classifier (module docstring).  An
+    :class:`Engine` reads ``REPRO_SLOW_ENGINE`` once, at
     construction, and every component reads the mode from its machine's
     engine, so toggling the variable around machine construction is all
     it takes; the previous value is restored on exit.

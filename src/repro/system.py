@@ -38,7 +38,7 @@ from repro.core.undo_log import UndoLog
 from repro.cpu.processor import Core
 from repro.mem.address import AddressMap
 from repro.mem.cache import CacheEntry, SetAssociativeCache
-from repro.mem.coherence import Directory, ReferenceDirectory
+from repro.mem.coherence import Directory
 from repro.mem.interconnect import Mesh, _LazyRows
 from repro.mem.nvram import MemoryController, NVRAMImage
 from repro.sim.faults import FaultConfig, FaultInjector
@@ -153,9 +153,8 @@ class Multicore:
         self.engine = Engine()
         # Reference mode (REPRO_SLOW_ENGINE=1, see repro.sim.engine)
         # classifies every request with the general classifier below
-        # instead of the fused paths, and builds the reference forms of
-        # the directory and the IDT tracker.  Counting, latency tables
-        # and epoch tags are the same in both modes.
+        # instead of the fused paths.  Counting, latency tables, the
+        # directory and epoch tags are the same in both modes.
         self._fast = self.engine.fast
         self.stats = Stats()
         self.track_values = track_values
@@ -193,12 +192,7 @@ class Multicore:
             )
             for b in range(config.llc_banks)
         ]
-        # Fast mode uses the flat owner/sharer-bitmask directory; the
-        # reference mode keeps the seed's per-line-entry form as the
-        # executable specification (see mem/coherence.py).
-        self.directory = (
-            Directory() if self._fast else ReferenceDirectory()
-        )
+        self.directory = Directory()
 
         self.managers: List[EpochManager] = []
         self.arbiters: List[Arbiter] = []
@@ -363,13 +357,12 @@ class Multicore:
                         bank_cache._tick = btick = bank_cache._tick + 1
                         llc_entry._lru = btick
                         if self.track_values:
-                            if llc_entry.values is not None:
-                                entry.values = dict(llc_entry.values)
-                            else:
-                                stored = self.image.values.get(line)
-                                entry.values = dict(stored) if stored else {}
-                        self.directory.refill_sharer(line, victim_line,
-                                                     core_id)
+                            entry.values = self._fill_values(line,
+                                                             llc_entry)
+                        directory = self.directory
+                        if victim_line >= 0:
+                            directory.drop_core(victim_line, core_id)
+                        directory.add_sharer(line, core_id)
                         self._n_llc_hits += 1
                         lat = self._base_lat[core_id][bank]
                         self._lat_sums[core_id] += lat
@@ -432,10 +425,9 @@ class Multicore:
 
         The one conflict-free store path, shared by the fused
         :meth:`store` and the core's fast-forward drain.  It applies
-        three shapes, state change for state change and count for count
-        as the general classifier would: the same-epoch dirty hit, the
-        re-dirty of a line whose previous version already persisted,
-        and the clean miss/upgrade filled from a conflict-free LLC copy.
+        two shapes, state change for state change and count for count
+        as the general classifier would: the same-epoch dirty hit and
+        the clean miss/upgrade filled from a conflict-free LLC copy.
         It records the latency sample but never schedules the
         completion; the caller does.  ``_FULL_MISS`` marks an untagged
         line that no other core holds and neither this L1 nor the LLC
@@ -451,54 +443,45 @@ class Multicore:
         # Cache.lookup, inlined as in load.
         entry = l1._sets[(line >> l1._offset_bits) & l1._set_mask].get(line)
         if entry is not None and entry.dirty and entry.epoch is resolved:
-            # Same-epoch store to an owned M-state line: no logging (the
-            # line is already dirty under this epoch), no conflict
-            # checks, ownership already held.
-            self.directory.set_owner(line, core_id)
+            # Same-epoch store to an M-state line: no logging (the line
+            # is already dirty under this epoch), no conflict checks,
+            # and the directory already records this core as the owner
+            # (a dirty L1 line's core is always its owner).
             resolved.lines.add(line)
             lat = self._l1_lat
         else:
-            # Undo logging, or any unpersisted version of the line, is
-            # the general classifier's business.  A line absent from
-            # the tag map has no unpersisted dirty version anywhere (one
-            # in a foreign L1 would also fail exclusive_ok below).
-            if self._logging_on or line in self._epoch_tags:
+            # Undo logging, an unpersisted version of the line anywhere
+            # (the tag map holds every one), a dirty copy in this L1 from
+            # another epoch, and another core's copy are the general
+            # classifier's business.  The dirty copy is always tagged in
+            # practice: a persisted epoch's flush cleans or invalidates
+            # its L1 lines.
+            directory = self.directory
+            if (
+                self._logging_on
+                or line in self._epoch_tags
+                or (entry is not None and entry.dirty)
+                or not directory.exclusive_ok(line, core_id)
+            ):
                 return _REFUSED
-            if entry is not None and entry.dirty:
-                if entry.epoch is not None and not entry.epoch.persisted:
+            # An S-state L1 hit upgraded in place, or an L1 miss filled
+            # from the LLC (same end state as _try_store -> _fill_l1 for
+            # a clean-victim fill).
+            bank = (line >> self._bank_shift) % self._n_banks
+            if entry is None:
+                llc_entry = self.llc_banks[bank].lookup(line)
+                if llc_entry is None:
+                    return _FULL_MISS
+                filled = l1.clean_fill(line)
+                if filled is None:
                     return _REFUSED
-                # Re-dirtying a line whose previous version already
-                # persisted: the old version left the dirty domain and
-                # the line is still M-state in this L1.  The first store
-                # of every transaction in re-touch workloads (pingpong
-                # mailboxes, zipfian hot keys).
-                self.directory.set_owner(line, core_id)
-                lat = self._l1_lat
-            elif not self.directory.exclusive_ok(line, core_id):
-                return _REFUSED
-            else:
-                # An S-state L1 hit upgraded in place, or an L1 miss
-                # filled from the LLC (same end state as _try_store ->
-                # _fill_l1 for a clean-victim fill).
-                bank = (line >> self._bank_shift) % self._n_banks
-                if entry is not None:
-                    self.directory.set_owner(line, core_id)
-                else:
-                    llc_entry = self.llc_banks[bank].lookup(line)
-                    if llc_entry is None:
-                        return _FULL_MISS
-                    filled = l1.clean_fill(line)
-                    if filled is None:
-                        return _REFUSED
-                    entry, victim_line = filled
-                    if self.track_values:
-                        if llc_entry.values is not None:
-                            entry.values = dict(llc_entry.values)
-                        else:
-                            stored = self.image.values.get(line)
-                            entry.values = dict(stored) if stored else {}
-                    self.directory.refill_owner(line, victim_line, core_id)
-                lat = self._base_lat[core_id][bank]
+                entry, victim_line = filled
+                if self.track_values:
+                    entry.values = self._fill_values(line, llc_entry)
+                if victim_line >= 0:
+                    directory.drop_core(victim_line, core_id)
+            directory.set_owner(line, core_id)
+            lat = self._base_lat[core_id][bank]
             entry.dirty = True
             entry.epoch = resolved
             # The guard proved no prior unpersisted version, so the tag
@@ -599,8 +582,7 @@ class Multicore:
                 bank_cache.remove(llc_victim.line)
             llc_entry = bank_cache.insert(line)
             if self.track_values:
-                stored = self.image.values.get(line)
-                llc_entry.values = dict(stored) if stored else {}
+                llc_entry.values = self._fill_values(line)
         else:
             llc_entry = raced
         if l1_entry is None:
@@ -610,13 +592,9 @@ class Multicore:
             else:
                 l1_entry = l1.swap_in(line)
             if self.track_values:
-                if llc_entry.values is not None:
-                    l1_entry.values = dict(llc_entry.values)
-                else:
-                    stored = self.image.values.get(line)
-                    l1_entry.values = dict(stored) if stored else {}
+                l1_entry.values = self._fill_values(line, llc_entry)
         if epoch is not None:
-            self.directory.set_owner(line, core_id)
+            self._grant_m(line, core_id)
             resolved = epoch.resolve()
             l1_entry.dirty = True
             l1_entry.epoch = resolved
@@ -830,7 +808,8 @@ class Multicore:
             old = dict(entry.values) if entry.values is not None else None
             self.undo_logs[core_id].record(epoch, line, old)
 
-        self.directory.set_owner(line, core_id)
+        # Every caller has just granted this core M, or found the line
+        # dirty in its L1 (which makes it the owner already).
         if epoch is not None:
             entry.dirty = True
             entry.epoch = epoch
@@ -1073,12 +1052,19 @@ class Multicore:
         else:
             entry = l1.swap_in(line)
         if self.track_values:
-            if source is not None and source.values is not None:
-                entry.values = dict(source.values)
-            else:
-                stored = self.image.values.get(line)
-                entry.values = dict(stored) if stored else {}
+            entry.values = self._fill_values(line, source)
         return True
+
+    def _fill_values(self, line: int,
+                     source: Optional[CacheEntry] = None
+                     ) -> Dict[int, object]:
+        """A fresh value dict for a cache filling ``line`` (value
+        tracking only): a copy of ``source``'s values, or of the NVRAM
+        image's when ``source`` is absent or holds none."""
+        if source is not None and source.values is not None:
+            return dict(source.values)
+        stored = self.image.values.get(line)
+        return dict(stored) if stored else {}
 
     def _mem_read_fill(self, req: _Request, bank: int,
                        extra_lat: int = 0) -> None:
@@ -1115,19 +1101,27 @@ class Multicore:
                 return
             llc_entry = bank_cache.insert(line)
             if self.track_values:
-                stored = self.image.values.get(line)
-                llc_entry.values = dict(stored) if stored else {}
+                llc_entry.values = self._fill_values(line)
         else:
-            llc_entry = bank_cache.lookup(line)
+            llc_entry = raced_entry
         if not self._fill_l1(req.core_id, line, req, source=llc_entry):
             return
         if req.is_store:
-            self.directory.set_owner(line, req.core_id)
+            self._grant_m(line, req.core_id)
             entry = self.l1s[req.core_id].lookup(line)
             self._finish_store(req, entry, delivery)
         else:
             self.directory.add_sharer(line, req.core_id)
             self._complete(req, delivery)
+
+    def _grant_m(self, line: int, core_id: int) -> None:
+        """Grant a memory fill's store M on ``line``.  Another core may
+        have loaded the line while the read was at the memory
+        controller; its clean copy is invalidated, as :meth:`_try_store`
+        invalidates the sharers of an LLC hit."""
+        for sharer in self.directory.set_owner(line, core_id):
+            if sharer != core_id:
+                self.l1s[sharer].remove(line)
 
     # ------------------------------------------------------------------
     # Per-line epoch tags
@@ -1210,16 +1204,21 @@ class Multicore:
         """
         values = dict(entry.values) if entry.values is not None else None
         if invalidate:
-            # clflush semantics: every cached copy is invalidated.
+            # clflush semantics: every cached copy is invalidated, except
+            # another core's dirty L1 copy -- a newer version (the IDT
+            # case: this one was written back to the LLC) that must
+            # persist with its own epoch.  Its core owns the line and is
+            # its only sharer, so the directory keeps that record.
             if from_l1_core is not None:
                 self.l1s[from_l1_core].remove(line)
             self.llc_banks[self.amap.bank_of(line)].remove(line)
-            for sharer in self.directory.sharers_of(line):
-                self.l1s[sharer].remove(line)
-            owner = self.directory.owner_of(line)
-            if owner is not None:
-                self.l1s[owner].remove(line)
-            self.directory.drop_line(line)
+            directory = self.directory
+            owner = directory.owner_of(line)
+            newer = self.l1s[owner].lookup(line) if owner is not None else None
+            if newer is None or not newer.dirty:
+                for sharer in directory.sharers_of(line):
+                    self.l1s[sharer].remove(line)
+                directory.drop_line(line)
         else:
             # clwb semantics: the copy stays cached, now clean.
             entry.dirty = False
@@ -1502,3 +1501,21 @@ class Multicore:
         for line in self._tag_depth:
             if line not in counts:
                 raise AssertionError(f"stale depth entry for 0x{line:x}")
+        # The directory records every L1 copy (a stale sharer record,
+        # left by an invalidation, is harmless), and a dirty L1 line's
+        # core owns it.
+        directory = self.directory
+        directory.audit()
+        for core_id, l1 in enumerate(self.l1s):
+            for entry in l1.entries():
+                ent = directory.peek(entry.line)
+                if ent is None or core_id not in ent.sharers:
+                    raise AssertionError(
+                        f"L1.{core_id} holds 0x{entry.line:x} but the "
+                        f"directory does not record it as a sharer"
+                    )
+                if entry.dirty and ent.owner != core_id:
+                    raise AssertionError(
+                        f"L1.{core_id} holds 0x{entry.line:x} dirty but "
+                        f"the directory's owner is {ent.owner}"
+                    )

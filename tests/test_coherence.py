@@ -67,3 +67,43 @@ def test_lines_tracked_independently():
     directory.set_owner(0x2000, 2)
     assert directory.owner_of(0x1000) == 1
     assert directory.owner_of(0x2000) == 2
+
+
+def test_exclusive_ok_without_a_record():
+    assert Directory().exclusive_ok(0x1000, 1)
+
+
+def test_exclusive_ok_for_the_owner():
+    directory = Directory()
+    directory.set_owner(0x1000, 1)
+    assert directory.exclusive_ok(0x1000, 1)
+
+
+def test_exclusive_ok_refuses_a_foreign_owner():
+    directory = Directory()
+    directory.set_owner(0x1000, 2)
+    assert not directory.exclusive_ok(0x1000, 1)
+
+
+def test_exclusive_ok_refuses_a_foreign_sharer():
+    directory = Directory()
+    directory.add_sharer(0x1000, 1)
+    directory.add_sharer(0x1000, 2)
+    assert not directory.exclusive_ok(0x1000, 1)
+    directory.drop_core(0x1000, 1)
+    assert not directory.exclusive_ok(0x1000, 1)
+
+
+def test_exclusive_ok_for_the_sole_sharer():
+    directory = Directory()
+    directory.add_sharer(0x1000, 1)
+    assert directory.exclusive_ok(0x1000, 1)
+
+
+def test_peek_returns_the_live_entry():
+    directory = Directory()
+    directory.add_sharer(0x1000, 1)
+    entry = directory.peek(0x1000)
+    directory.add_sharer(0x1000, 2)
+    assert entry.sharers == {1, 2}
+    assert directory.peek(0x1000) is entry

@@ -101,13 +101,13 @@ def test_crash_verdict_matches_reference_engine(model):
 # ----------------------------------------------------------------------
 # Multicore conflict-path matrix: contended pingpong from 4 up to 64
 # cores, with (LB++) and without (LB) inter-thread dependence tracking.
-# This is the regime where the directory fast path, the per-line
-# epoch-tag probe, IDT edge interning, and the deadlock-avoiding split
-# path all fire; the high-core-count rows additionally cover the
-# virtualised handshake broadcast legs at real scale.  The digests
-# prove the fast formulations are observationally identical to the
-# reference walk.  Transaction counts shrink with core count so the
-# matrix stays in the unit-test wall-time band.
+# This is the regime where the fused paths' directory guard, the
+# per-line epoch-tag probe and the deadlock-avoiding split path all
+# fire; the high-core-count rows additionally cover the virtualised
+# handshake broadcast legs at real scale.  The digests prove the fast
+# formulations are observationally identical to the reference walk.
+# Transaction counts shrink with core count so the matrix stays in the
+# unit-test wall-time band.
 # ----------------------------------------------------------------------
 MULTICORE_CONFIGS = [
     (4, BarrierDesign.LB),

@@ -97,25 +97,25 @@ _RECORDED_ARBITER = {
             persist_ack_msgs=7704, persist_cmp_msgs=8048,
             idt_notify_msgs=294, total_msgs=32142, mean_flush_msgs=31.66,
             max_flush_msgs=34),
-    16: dict(flushes=1018, flush_epoch_msgs=16288, bank_ack_msgs=16288,
-             persist_ack_msgs=7728, persist_cmp_msgs=16288,
-             idt_notify_msgs=299, total_msgs=56891, mean_flush_msgs=55.59,
+    16: dict(flushes=1004, flush_epoch_msgs=16064, bank_ack_msgs=16064,
+             persist_ack_msgs=7728, persist_cmp_msgs=16064,
+             idt_notify_msgs=282, total_msgs=56202, mean_flush_msgs=55.7,
              max_flush_msgs=58),
-    32: dict(flushes=1016, flush_epoch_msgs=32512, bank_ack_msgs=32512,
-             persist_ack_msgs=7776, persist_cmp_msgs=32512,
-             idt_notify_msgs=279, total_msgs=105591,
-             mean_flush_msgs=103.65, max_flush_msgs=106),
-    64: dict(flushes=1028, flush_epoch_msgs=65792, bank_ack_msgs=65792,
-             persist_ack_msgs=7872, persist_cmp_msgs=65792,
-             idt_notify_msgs=249, total_msgs=205497,
-             mean_flush_msgs=199.66, max_flush_msgs=202),
+    32: dict(flushes=1026, flush_epoch_msgs=32832, bank_ack_msgs=32832,
+             persist_ack_msgs=7776, persist_cmp_msgs=32832,
+             idt_notify_msgs=292, total_msgs=106564,
+             mean_flush_msgs=103.58, max_flush_msgs=106),
+    64: dict(flushes=1024, flush_epoch_msgs=65536, bank_ack_msgs=65536,
+             persist_ack_msgs=7872, persist_cmp_msgs=65536,
+             idt_notify_msgs=249, total_msgs=204729,
+             mean_flush_msgs=199.69, max_flush_msgs=202),
 }
 _RECORDED_A2A = {
     4: (28201, 27.61, 30),
     8: (80430, 79.66, 82),
-    16: (284923, 279.59, 282),
-    32: (1080951, 1063.65, 1066),
-    64: (4284601, 4167.66, 4170),
+    16: (281098, 279.7, 282),
+    32: (1091524, 1063.58, 1066),
+    64: (4267961, 4167.69, 4170),
 }
 
 

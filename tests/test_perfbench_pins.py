@@ -55,7 +55,7 @@ WORKLOADS = _load_perfbench_workloads().WORKLOADS
 STATE_DIGESTS = {
     "hotset": "f23622bff2cfa9f1540d69042ca289a1f44b1434b140ed71f0e298322b68d2fe",
     "serving": "13f703f608db34a89ee95c772298eda4668642e47d3af1e83bd0e401b3cac31b",
-    "pingpong4": "17f28831db0af3cb2f1da215aaae562048730f64164c551512207e52d3a18e25",
+    "pingpong4": "39a637a766c3c83f01dbcd1c10f67b017a5c04d207f13fefd7d284183075aae0",
     "bsp_stream": "101debd1a58142f67ab9ca0e3d79f7204a7e1145c0ecc750728797a4d1e8b728",
 }
 

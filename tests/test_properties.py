@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from repro.mem.cache import SetAssociativeCache
 from repro.recovery import check_epoch_order
 from repro.recovery.crash import CrashOutcome, snapshot_epochs
-from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.config import (
+    BarrierDesign, FlushMode, MachineConfig, PersistencyModel,
+)
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
 from repro.system import Multicore
@@ -52,15 +54,18 @@ def random_programs(rng, num_threads, ops_per_thread, shared_lines=6,
 @given(
     seed=st.integers(0, 10_000),
     design_index=st.integers(0, len(DESIGNS) - 1),
+    flush_mode=st.sampled_from(list(FlushMode)),
+    cut_cycle=st.integers(100, 20_000),
 )
-def test_random_bep_runs_terminate_and_audit(seed, design_index):
-    rng = random.Random(seed)
+def test_random_bep_runs_terminate_and_audit(seed, design_index,
+                                             flush_mode, cut_cycle):
     config = MachineConfig.tiny(
         barrier_design=DESIGNS[design_index],
         persistency=PersistencyModel.BEP,
+        flush_mode=flush_mode,
     )
     m = Multicore(config)
-    result = m.run(random_programs(rng, 2, 60))
+    result = m.run(random_programs(random.Random(seed), 2, 60))
     assert result.finished
     assert result.cycles_durable is not None
     m.audit()
@@ -68,6 +73,11 @@ def test_random_bep_runs_terminate_and_audit(seed, design_index):
     for mgr in m.managers:
         for epoch in mgr.window:
             assert epoch.ongoing and epoch.num_stores == 0
+    # The invariants hold mid-run too: the same run, cut short.
+    m = Multicore(config)
+    m.run(random_programs(random.Random(seed), 2, 60),
+          max_cycles=cut_cycle, drain=False)
+    m.audit()
 
 
 @settings(max_examples=25, deadline=None)

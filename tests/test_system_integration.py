@@ -6,6 +6,7 @@ from repro.core.epoch import EpochStatus
 from repro.sim.config import BarrierDesign, FlushMode, MachineConfig, PersistencyModel
 from repro.system import Multicore
 from repro.workloads.base import Program
+from repro.workloads.micro import make_benchmark
 
 
 def machine(track=True, **overrides):
@@ -213,6 +214,22 @@ def _plant_stale_epoch_tag(m):
     m._epoch_tags[0x9000] = m.managers[0].window[0]
 
 
+def _add_sharer_beside_owner(m):
+    m.directory.peek(0x1000).sharers.add(1)
+
+
+def _empty_directory_entry(m):
+    m.directory.peek(0x1000).sharers.clear()
+
+
+def _forget_l1_copy(m):
+    m.directory.drop_core(0x1000, 0)
+
+
+def _drop_dirty_line_owner(m):
+    m.directory.clear_owner(0x1000)
+
+
 @pytest.mark.parametrize("plant, message", [
     (_swap_window_head, "window out of order"),
     (_reopen_oldest_epoch, "is not the current window tail"),
@@ -220,11 +237,71 @@ def _plant_stale_epoch_tag(m):
     (_close_current_behind_the_slot, "is not the ongoing window tail"),
     (_drop_line_from_every_cache, "no cache holds it"),
     (_plant_stale_epoch_tag, "epoch-tag map out of sync"),
+    (_add_sharer_beside_owner, "is not its sole sharer"),
+    (_empty_directory_entry, "empty directory entry"),
+    (_forget_l1_copy, "does not record it as a sharer"),
+    (_drop_dirty_line_owner, "dirty but the directory's owner is None"),
 ], ids=["window_order", "ongoing_not_tail", "ongoing_not_current",
-        "stale_current_slot", "line_in_no_cache", "stale_epoch_tag"])
+        "stale_current_slot", "line_in_no_cache", "stale_epoch_tag",
+        "owner_not_sole_sharer", "empty_directory_entry",
+        "l1_copy_not_a_sharer", "dirty_line_not_owned"])
 def test_audit_flags_planted_corruption(plant, message):
     m = _unpersisted_machine()
     m.audit()
     plant(m)
     with pytest.raises(AssertionError, match=message):
         m.audit()
+
+
+# ----------------------------------------------------------------------
+# Coherence under contention: 4-core pingpong, every transaction
+# conflicting, one LLC bank per tile on a 2-row mesh.
+# ----------------------------------------------------------------------
+def _contended_pingpong(design, flush_mode, **machine_kwargs):
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BEP, barrier_design=design,
+        flush_mode=flush_mode, num_cores=4, llc_banks=4, mesh_rows=2,
+    )
+    programs = [
+        make_benchmark("pingpong", thread_id=tid, seed=3,
+                       line_size=config.line_size,
+                       conflict_rate=1.0).ops(30)
+        for tid in range(4)
+    ]
+    return Multicore(config, **machine_kwargs), programs
+
+
+@pytest.mark.parametrize("design, flush_mode, cut", [
+    (BarrierDesign.LB_PP, FlushMode.CLWB, 1250),
+    (BarrierDesign.LB, FlushMode.CLFLUSH, 3000),
+])
+def test_memory_fill_store_invalidates_a_late_sharer(design, flush_mode,
+                                                     cut):
+    """A core that loads a line while a store's read of it is at the
+    memory controller loses its copy when the fill grants the store M,
+    so every L1 copy stays recorded in the directory."""
+    m, programs = _contended_pingpong(design, flush_mode)
+    m.run(programs, max_cycles=cut, drain=False)
+    m.audit()
+
+
+@pytest.mark.parametrize("design", [BarrierDesign.LB_IDT,
+                                    BarrierDesign.LB_PP])
+def test_clflush_keeps_a_newer_dirty_version(design):
+    """An invalidating flush of an LLC-resident version leaves another
+    core's newer dirty L1 version in place, so every line of every
+    retired epoch reaches NVRAM under that epoch."""
+    m, programs = _contended_pingpong(design, FlushMode.CLFLUSH,
+                                      track_persist_order=True,
+                                      keep_epoch_log=True)
+    result = m.run(programs)
+    assert result.cycles_durable is not None
+    m.audit()
+    persisted = {(r.line, r.core_id, r.epoch_seq) for r in m.image.history}
+    lines = [
+        (line, epoch.core_id, epoch.seq)
+        for mgr in m.managers for epoch in mgr.retired
+        for line in epoch.all_lines
+    ]
+    assert len(lines) == 1212
+    assert [key for key in lines if key not in persisted] == []
