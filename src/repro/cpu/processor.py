@@ -112,6 +112,13 @@ class Core:
         self._n_txns = 0
         self._n_wb_full = 0
         self._n_window_stalls = 0
+        # L1 load hits the op loop serves itself (fast mode only; the
+        # machine takes the count at run end), and the handles it needs:
+        # this core's L1, None in reference mode, where every load goes
+        # through the machine's general classifier.
+        self._n_l1_hits = 0
+        self._l1 = machine.l1s[core_id] if machine.engine.fast else None
+        self._l1_lat = machine.config.l1_latency
         # line_of is a single mask op; cache the mask so the per-op path
         # skips the config attribute and method dispatch.  The issue
         # width and write-buffer capacity are read per op too.
@@ -163,13 +170,18 @@ class Core:
         return sum(self.ff_fallback_reasons.values())
 
     def flush_hot_stats(self) -> None:
-        """Merge the attribute-held hot counters into the stat domain.
+        """Merge the attribute-held hot counters into the stat domain,
+        and hand the L1 hits the op loop served to the machine
+        (:meth:`Multicore.merge_l1_hits`).
 
         Called by the machine at run end (and idempotent: counters reset
         to zero as they merge), so readers of ``stats`` after a run see
         exactly what per-op ``bump`` calls would have produced.
         """
         stats = self.stats
+        if self._n_l1_hits:
+            self._machine.merge_l1_hits(self.core_id, self._n_l1_hits)
+            self._n_l1_hits = 0
         if self._n_loads:
             stats.bump("loads", self._n_loads)
             self._n_loads = 0
@@ -195,48 +207,63 @@ class Core:
     def _next(self, _time: Optional[int] = None) -> None:
         """Issue ops back to back until one has to wait for an event.
 
-        A load that hits (the fused L1 hit or LLC fill) or forwards
-        from the write buffer, a compute burst, a transaction marker
-        and a barrier the model ignores each complete at a known cycle.
-        When the engine lets the core claim that cycle
-        (:meth:`Engine.claim`), the clock moves there and the loop
-        issues the next op at once: exactly where the scheduled
-        continuation would have fired, minus the event.  When it
-        refuses, the continuation is scheduled.  Stores, epoch barriers
-        and loads that miss leave the loop through their own paths; a
-        store that meets a full write buffer is parked here until the
-        drain frees a slot.
+        A load that hits this core's L1 or forwards from the write
+        buffer, a load the machine fills from the LLC at once
+        (:meth:`Multicore.load` returns its latency), a compute burst,
+        a transaction marker and a barrier the model ignores each
+        complete at a known cycle.  When that cycle lies below the
+        engine's horizon (:meth:`Engine.horizon`), the clock moves there
+        and the loop issues the next op at once: exactly where the
+        scheduled continuation would have fired, minus the event.
+        Otherwise the continuation is scheduled.  Stores, epoch
+        barriers and loads that miss leave the loop through their own
+        paths; a store that meets a full write buffer is parked here
+        until the drain frees a slot.
+
+        In fast mode the core serves an L1 load hit itself: it probes
+        its own L1 set, touches LRU and counts the hit, which it hands
+        to the machine at run end (:meth:`flush_hot_stats`).  Reference
+        mode sends every load to :meth:`Multicore.load`.
+
+        The horizon is read once per call, at the first claim, so a
+        call that only parks a store never reads it.  Comparing later
+        claims against that one value is exact: nothing the loop does
+        between two claims (the L1 probe, a forward, compute, a marker,
+        an ignored barrier, the machine's LLC fill) queues an event,
+        dispatches one or changes a hold, and every path that might (a
+        miss, a store, an epoch barrier) leaves the loop.
         """
-        eng = self._engine
-        claim = eng.claim
-        load = self._machine.load
-        core_id = self.core_id
-        line_mask = self._line_mask
-        wb_lines = self._wb_lines
-        nxt = self._next
+        horizon = -1
         # Dispatch order follows op-stream frequency: dense workloads are
         # nearly all loads and stores, with compute/marker ops between.
         for op in self._it:
             kind = op.kind
             if kind is _LOAD:
-                line = op.addr & line_mask
+                line = op.addr & self._line_mask
                 self._n_loads += 1
-                if wb_lines.get(line):
+                if self._wb_lines.get(line):
                     # Store-to-load forwarding out of the write buffer.
                     self._n_wb_forwards += 1
-                    if claim(1):
-                        continue
-                    eng.schedule(1, nxt)
-                    return
-                lat = load(core_id, line, nxt)
-                if lat < 0:
-                    # A miss path calls nxt when the data arrives.
-                    return
-                if claim(lat):
-                    continue
-                eng.schedule(lat, nxt)
-                return
-            if kind is _STORE:
+                    lat = 1
+                else:
+                    l1 = self._l1
+                    # Cache.lookup, inlined: the simulator's most
+                    # frequent probe.
+                    entry = None if l1 is None else l1._sets[
+                        (line >> l1._offset_bits) & l1._set_mask].get(line)
+                    if entry is not None:
+                        l1._tick = tick = l1._tick + 1
+                        entry._lru = tick
+                        self._n_l1_hits += 1
+                        lat = self._l1_lat
+                    else:
+                        lat = self._machine.load(self.core_id, line,
+                                                 self._next)
+                        if lat < 0:
+                            # A miss path calls _next when the data
+                            # arrives.
+                            return
+            elif kind is _STORE:
                 if self._wb_stores + self._wt_outstanding >= self._wb_capacity:
                     # A store stalls here nearly every cycle of a
                     # streaming burst (drain is slower than issue).
@@ -245,27 +272,28 @@ class Core:
                     return
                 self._issue_store(op)
                 return
-            if kind is _COMPUTE:
-                if claim(op.cycles):
-                    continue
-                eng.schedule(op.cycles, nxt)
-                return
-            if kind is _TXN_MARK:
+            elif kind is _COMPUTE:
+                lat = op.cycles
+            elif kind is _TXN_MARK:
                 self._n_txns += 1
-                if claim(0):
-                    continue
-                eng.call_soon(nxt)
-                return
-            if kind is _BARRIER:
+                lat = 0
+            elif kind is _BARRIER:
                 self._n_barriers += 1
-                if self._ignores_barriers:
-                    if claim(0):
-                        continue
-                    eng.call_soon(nxt)
+                if not self._ignores_barriers:
+                    self._issue_barrier()
                     return
-                self._issue_barrier()
-                return
-            raise ValueError(f"unknown op kind {kind}")  # pragma: no cover
+                lat = 0
+            else:  # pragma: no cover
+                raise ValueError(f"unknown op kind {kind}")
+            if horizon < 0:
+                eng = self._engine
+                horizon = eng.horizon()
+            time = eng.now + lat
+            if time < horizon:
+                eng.now = time
+                continue
+            eng.schedule(lat, self._next)
+            return
         self._stream_done = True
         self._check_done()
 

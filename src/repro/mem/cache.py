@@ -16,6 +16,7 @@ victim *before* mutating the array.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.sim.stats import StatDomain
@@ -48,6 +49,10 @@ class CacheEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" epoch={self.epoch}" if self.epoch else ""
         return f"<line 0x{self.line:x}{' dirty' if self.dirty else ''}{tag}>"
+
+
+# The replacement order: an entry's LRU tick (unique within one cache).
+_BY_LRU = attrgetter("_lru")
 
 
 class SetAssociativeCache:
@@ -126,20 +131,14 @@ class SetAssociativeCache:
         cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         if line in cache_set or len(cache_set) < self.assoc:
             return None
-        # Single pass: least-recently-used clean entry if one exists,
-        # otherwise least-recently-used overall.  Dirty candidates stop
-        # being tracked once any clean entry has been seen.
-        best_clean: Optional[CacheEntry] = None
-        best_dirty: Optional[CacheEntry] = None
-        for entry in cache_set.values():
-            if not entry.dirty:
-                if best_clean is None or entry._lru < best_clean._lru:
-                    best_clean = entry
-            elif best_clean is None and (
-                best_dirty is None or entry._lru < best_dirty._lru
-            ):
-                best_dirty = entry
-        return best_clean if best_clean is not None else best_dirty
+        # The least-recently-used entry, when clean, is also the
+        # least-recently-used clean entry (LRU ticks are unique), so the
+        # clean scan runs only when it is dirty.
+        victim = min(cache_set.values(), key=_BY_LRU)
+        if victim.dirty:
+            victim = min((e for e in cache_set.values() if not e.dirty),
+                         key=_BY_LRU, default=victim)
+        return victim
 
     def insert(self, line: int) -> CacheEntry:
         """Insert (or return the existing) entry for ``line``.
@@ -198,14 +197,13 @@ class SetAssociativeCache:
         cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         victim_line = -1
         if len(cache_set) >= self.assoc:
-            best: Optional[CacheEntry] = None
-            for entry in cache_set.values():
-                if not entry.dirty and (
-                    best is None or entry._lru < best._lru
-                ):
-                    best = entry
-            if best is None:
-                return None
+            # victim_for's pick, limited to clean entries.
+            best = min(cache_set.values(), key=_BY_LRU)
+            if best.dirty:
+                best = min((e for e in cache_set.values() if not e.dirty),
+                           key=_BY_LRU, default=None)
+                if best is None:
+                    return None
             victim_line = best.line
             del cache_set[victim_line]
         entry = CacheEntry(line)

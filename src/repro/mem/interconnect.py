@@ -21,31 +21,36 @@ from typing import Callable, Iterator
 from repro.sim.config import MachineConfig
 
 
-class _LazyRows:
+class _LazyRows(dict):
     """List-of-rows lookalike whose rows materialize on first index.
 
-    ``build(i)`` produces row ``i`` (any indexable value); the result is
-    cached forever.  Iteration materializes everything, so cold paths
-    that genuinely want the full table (tests, debug dumps) still work.
+    ``build(i)`` produces row ``i`` (any indexable value) for ``0 <= i <
+    count``; the result is cached forever, so indexing a built row is a
+    plain dict lookup in C and only a first index runs Python
+    (``__missing__``).  Length and iteration cover all ``count`` rows,
+    materializing them, so cold paths that genuinely want the full
+    table (tests, debug dumps) still work.
     """
 
-    __slots__ = ("_rows", "_build")
+    __slots__ = ("_count", "_build")
 
     def __init__(self, count: int, build: Callable[[int], object]) -> None:
-        self._rows: list = [None] * count
+        super().__init__()
+        self._count = count
         self._build = build
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index: int):
-        row = self._rows[index]
-        if row is None:
-            row = self._rows[index] = self._build(index)
+    def __missing__(self, index: int):
+        if not 0 <= index < self._count:
+            raise IndexError(
+                f"row {index} out of range 0..{self._count - 1}")
+        row = self[index] = self._build(index)
         return row
 
+    def __len__(self) -> int:
+        return self._count
+
     def __iter__(self) -> Iterator:
-        for i in range(len(self._rows)):
+        for i in range(self._count):
             yield self[i]
 
 

@@ -33,11 +33,14 @@ Implementation notes -- the two-tier queue:
 * :meth:`Engine.claim` is the clock claim: when an event due ``delay``
   cycles out would be the very next event anyway, it advances the clock
   there and the caller continues inline instead of round-tripping the
-  heap.  A core's op loop claims for every load hit, forwarded load,
-  compute burst, transaction marker and ignored barrier;
-  :meth:`Engine.finish` claims and then calls a completion callback
-  directly.  A fast-forward session holds the clock but lends it up to
-  its earliest virtual event, so the work it dispatches claims too.
+  heap.  :meth:`Engine.horizon` holds the conditions: a claim is
+  granted exactly when it lands below the horizon.  A core's op loop
+  reads the horizon once and claims by comparison for every load hit,
+  forwarded load, compute burst, transaction marker and ignored
+  barrier; :meth:`Engine.finish` claims and then calls a completion
+  callback directly.  A fast-forward session holds the clock but lends
+  it up to its earliest virtual event, so the work it dispatches claims
+  too.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
   (see :func:`reference_mode`).  It means exactly two things.  The
   engine runs its plain heap loop: every event, including
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import sys
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
@@ -68,6 +72,9 @@ _MODE_VAR = "REPRO_SLOW_ENGINE"
 # stack stays shallow.  A core's op loop claims without recursing, so it
 # needs no bound.
 _MAX_INLINE_DEPTH = 32
+
+# The horizon when nothing bounds a claim: past every reachable cycle.
+_UNBOUNDED = sys.maxsize
 
 
 def _slow_engine_requested() -> bool:
@@ -164,20 +171,18 @@ class Engine:
             heapq.heappush(self._queue, (self.now, self._seq, callback, args))
         self._seq += 1
 
-    def claim(self, delay: int) -> bool:
-        """Advance ``now`` by ``delay`` when nothing can observe the gap.
+    def horizon(self) -> int:
+        """The first cycle a clock claim cannot reach.
 
-        Returns True, with the clock moved, when an event scheduled
-        ``delay`` cycles out would be the very next event to fire:
-        the active fast-mode ``run()`` would reach it, no component
-        holds the clock (``advance_holds``), no same-cycle work is
-        ready, nothing in the heap is due at or before that cycle, and
-        the run's ``until`` bound is not crossed.  Otherwise returns
-        False and leaves the clock alone; the caller schedules its
-        continuation instead.  A caller that claims must then do
-        exactly what the scheduled event would have done, and call this
-        last: work it scheduled after a claim would run after the
-        claimed continuation, where the scheduled path runs it first.
+        A claim to cycle ``t`` is granted exactly when ``t <
+        horizon()``.  Five conditions set it: the active fast-mode
+        ``run()`` must be the caller's context, no same-cycle work may
+        be ready, no component may hold the clock (``advance_holds``;
+        a session's lend is the exception, below), nothing in the heap
+        may be due at or before ``t``, and ``t`` may not cross the
+        run's ``until`` bound.  When one of the first three fails the
+        horizon is ``now``: nothing, not even a zero-cycle claim, is
+        reachable.
 
         The hold matters for soundness: a synchronous fan-out (an epoch
         waking several parked waiters in one event) is invisible to the
@@ -186,22 +191,46 @@ class Engine:
         fast-forward session's hold is the one exception: its own
         events are virtual, outside the queues, and it lends the clock
         up to the earliest of them (``_lent``).  Under exactly one hold
-        a claim that lands strictly before the lent cycle is granted --
-        a tie loses, because the virtual event holds the older sequence
-        number -- and under two holds (a fan-out inside the session)
-        every claim is refused.
+        the horizon is at most the lent cycle -- a tie loses, because
+        the virtual event holds the older sequence number -- and under
+        two holds (a fan-out inside the session) it is ``now``.
+
+        The value moves only when something is queued or dispatched or
+        a hold or lend changes, so a caller that does none of these
+        between claims (a core's op loop) may read it once and compare
+        against it.
+        """
+        holds = self.advance_holds
+        if not self._in_run or self._ready or holds > 1:
+            return self.now
+        if holds:
+            limit = self._lent
+            if limit < 0:
+                return self.now
+        else:
+            limit = _UNBOUNDED
+        queue = self._queue
+        if queue and queue[0][0] < limit:
+            limit = queue[0][0]
+        until = self._until
+        if until is not None and until < limit:
+            limit = until + 1
+        return limit
+
+    def claim(self, delay: int) -> bool:
+        """Advance ``now`` by ``delay`` when nothing can observe the gap.
+
+        Returns True, with the clock moved, when an event scheduled
+        ``delay`` cycles out would be the very next event to fire: when
+        ``now + delay`` lies below :meth:`horizon`.  Otherwise returns
+        False and leaves the clock alone; the caller schedules its
+        continuation instead.  A caller that claims must then do
+        exactly what the scheduled event would have done, and call this
+        last: work it scheduled after a claim would run after the
+        claimed continuation, where the scheduled path runs it first.
         """
         time = self.now + delay
-        holds = self.advance_holds
-        if holds and (holds > 1 or time >= self._lent):
-            return False
-        queue = self._queue
-        if (
-            self._in_run
-            and not self._ready
-            and (not queue or queue[0][0] > time)
-            and (self._until is None or time <= self._until)
-        ):
+        if time < self.horizon():
             self.now = time
             return True
         return False

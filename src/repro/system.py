@@ -297,47 +297,37 @@ class Multicore:
     # ------------------------------------------------------------------
     # Public request API (called by cores)
     # ------------------------------------------------------------------
-    # The fused fast paths below collapse the conflict-free L1-hit case
-    # of load/store into the entry call: no _Request allocation, no
+    # The fused fast paths below collapse the conflict-free cases of
+    # load/store into the entry call: no _Request allocation, no
     # dispatcher hops, and no scheduled completion: a fused load returns
     # its latency to the core, a fused store completes through
-    # Engine.finish.  Every state transition and every count matches the
-    # general path bit for bit -- the determinism-digest tests compare
-    # against the reference mode, which always takes the general path.
+    # Engine.finish.  (An L1 load hit never gets here in fast mode: the
+    # core serves it from its own L1 and hands its hit count over at run
+    # end, merge_l1_hits.)  Every state transition and every count
+    # matches the general path bit for bit -- the determinism-digest
+    # tests compare against the reference mode, which always takes the
+    # general path.
 
     def load(self, core_id: int, line: int,
              on_done: Callable[[int], None]) -> int:
         """Load ``line`` for ``core_id``.
 
-        A fused L1 hit or conflict-free LLC fill is applied at once and
-        its latency returned; nothing is scheduled, and the caller
-        continues at ``now + latency`` (claiming the clock or scheduling
-        its own continuation).  Any other load returns -1 and calls
+        In fast mode the core calls this only when its own L1 missed.
+        A conflict-free LLC fill is applied at once and its latency
+        returned; nothing is scheduled, and the caller continues at
+        ``now + latency`` (claiming the clock or scheduling its own
+        continuation).  Any other load returns -1 and calls
         ``on_done(time)`` when its data arrives -- the full miss, the
-        general classifier, and every load in reference mode.
+        general classifier, and every load in reference mode, where the
+        core sends hits here too.
         """
         if self._fast:
-            l1 = self.l1s[core_id]
-            # Cache.lookup, inlined: this is the simulator's most
-            # frequent probe.
-            entry = l1._sets[
-                (line >> l1._offset_bits) & l1._set_mask].get(line)
-            if entry is not None:
-                l1._tick = tick = l1._tick + 1
-                entry._lru = tick
-                self._l1_hit_counts[core_id] += 1
-                lat = self._l1_lat
-                self._lat_sums[core_id] += lat
-                self._lat_counts[core_id] += 1
-                if lat > self._lat_maxes[core_id]:
-                    self._lat_maxes[core_id] = lat
-                return lat
             # Fused L1-miss/LLC-hit path: a conflict-free fill from the
-            # LLC completes without a request object, mirroring the hit
-            # fast path above.  Conflict-free means: no foreign M owner,
-            # the LLC copy (if dirty) is not another core's unpersisted
-            # version, and the L1 victim (if any) is clean.  Anything
-            # else falls through to the general classifier.
+            # LLC completes without a request object.  Conflict-free
+            # means: no foreign M owner, the LLC copy (if dirty) is not
+            # another core's unpersisted version, and the L1 victim (if
+            # any) is clean.  Anything else falls through to the general
+            # classifier.
             bank = (line >> self._bank_shift) % self._n_banks
             owner = self.directory.owner_of(line)
             if owner is None or owner == core_id:
@@ -349,7 +339,7 @@ class Multicore:
                     and llc_entry.epoch.core_id != core_id
                     and not llc_entry.epoch.persisted
                 ):
-                    filled = l1.clean_fill(line)
+                    filled = self.l1s[core_id].clean_fill(line)
                     if filled is not None:
                         # Same end state as the general path: LLC
                         # touched, victim out, fill in, sharer added.
@@ -1289,6 +1279,19 @@ class Multicore:
     # ------------------------------------------------------------------
     # Run control
     # ------------------------------------------------------------------
+    def merge_l1_hits(self, core_id: int, hits: int) -> None:
+        """Account ``hits`` L1 load hits that ``core_id`` served from
+        its own L1 (fast mode; Core.flush_hot_stats calls this at run
+        end): one L1 ``hits`` count and one ``mem_latency`` sample of
+        ``l1_latency`` cycles each, exactly what the general
+        classifier's hit path records per load."""
+        self._l1_hit_counts[core_id] += hits
+        lat = self._l1_lat
+        self._lat_sums[core_id] += hits * lat
+        self._lat_counts[core_id] += hits
+        if lat > self._lat_maxes[core_id]:
+            self._lat_maxes[core_id] = lat
+
     def core_finished(self, core_id: int) -> None:
         self._active_cores -= 1
         if self._active_cores == 0:
@@ -1370,8 +1373,9 @@ class Multicore:
         Covers the machine's own hoists (L1 hit counts, LLC access and
         flush counts, memory-latency samples), the cache arrays' fill
         counts and the memory controllers'; the cores flush their own
-        right after the visible phase.  Idempotent, like the component
-        flushes it delegates to.
+        right after the visible phase, handing over the L1 hits they
+        served (merge_l1_hits) before this merge.  Idempotent, like the
+        component flushes it delegates to.
         """
         for core_id in range(self.config.num_cores):
             hits = self._l1_hit_counts[core_id]

@@ -1,5 +1,7 @@
 """Tests for address mapping and the 2D-mesh latency model."""
 
+import pytest
+
 from repro.mem.address import AddressMap
 from repro.mem.interconnect import Mesh
 from repro.sim.config import MachineConfig
@@ -83,3 +85,20 @@ def test_tiny_single_row_mesh():
     mesh = Mesh(config)
     assert mesh.rows == 1
     assert mesh.latency(0, 1) == config.hop_latency + 2 * config.router_latency
+
+
+def test_lazy_rows_build_once_and_reject_out_of_range():
+    config = MachineConfig.paper()
+    mesh = Mesh(config)
+    table = mesh.c2b
+    assert len(table) == config.num_cores
+    row = table[3]
+    assert row == tuple(mesh.latency(mesh.tile_of_core(3),
+                                     mesh.tile_of_bank(b))
+                        for b in range(config.llc_banks))
+    assert table[3] is row                 # built once, then cached
+    for bad in (-1, config.num_cores):
+        with pytest.raises(IndexError):
+            table[bad]
+    rows = list(table)                     # iteration builds every row
+    assert len(rows) == config.num_cores and rows[3] is row

@@ -47,6 +47,31 @@ def test_victim_prefers_clean_lines():
     assert cache.victim_for(addr(0, 2)) is newer_clean
 
 
+def test_dirty_lru_entry_yields_the_lru_clean_victim():
+    # Four ways, touched in order: the LRU entry and the third are dirty,
+    # so the victim is the older of the two clean ones.
+    cache = make_cache(assoc=4)
+    ways = [cache.insert(addr(0, tag)) for tag in range(4)]
+    ways[0].dirty = ways[2].dirty = True
+    assert cache.victim_for(addr(0, 4)) is ways[1]
+    entry, victim_line = cache.clean_fill(addr(0, 4))
+    assert victim_line == ways[1].line
+    assert cache.lookup(addr(0, 4)) is entry
+    assert cache.lookup(ways[1].line) is None
+
+
+def test_all_dirty_set_yields_the_lru_dirty_victim():
+    cache = make_cache(assoc=3)
+    ways = [cache.insert(addr(0, tag)) for tag in range(3)]
+    for entry in ways:
+        entry.dirty = True
+    cache.touch(ways[0])
+    assert cache.victim_for(addr(0, 3)) is ways[1]
+    # The fused fill takes clean victims only and leaves the set alone.
+    assert cache.clean_fill(addr(0, 3)) is None
+    assert [cache.lookup(e.line) for e in ways] == ways
+
+
 def test_victim_for_resident_line_is_none():
     cache = make_cache(assoc=1)
     cache.insert(addr(0, 0))

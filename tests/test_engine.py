@@ -236,13 +236,25 @@ def test_slow_mode_routes_everything_through_heap(monkeypatch):
     assert fired == ["a", "b", ("after finish", 1), 5]
 
 
-def test_claim_moves_the_clock_only_when_it_can_be_next():
-    engine = _fast_engine()
-    verdicts = []
+def _claim_probe(engine, verdicts):
+    """A probe that claims ``delay`` cycles, checks the verdict against
+    the horizon (a claim is granted exactly when ``now + delay <
+    horizon()``) and records (label, granted, cycles moved)."""
 
     def probe(label, delay):
         start = engine.now
-        verdicts.append((label, engine.claim(delay), engine.now - start))
+        reachable = start + delay < engine.horizon()
+        granted = engine.claim(delay)
+        assert granted == reachable, label
+        verdicts.append((label, granted, engine.now - start))
+
+    return probe
+
+
+def test_claim_moves_the_clock_only_when_it_can_be_next():
+    engine = _fast_engine()
+    verdicts = []
+    probe = _claim_probe(engine, verdicts)
 
     def with_ready_work():
         engine.call_soon(fired.append, "ready")
@@ -294,10 +306,7 @@ def test_claim_under_a_session_lend():
     # only strictly below the lent cycle, and never under two holds.
     engine = _fast_engine()
     verdicts = []
-
-    def probe(label, delay):
-        start = engine.now
-        verdicts.append((label, engine.claim(delay), engine.now - start))
+    probe = _claim_probe(engine, verdicts)
 
     def session():
         assert engine.ff_begin()
@@ -336,3 +345,53 @@ def test_claim_under_a_session_lend():
     ]
     assert fired == ["ready"]
     assert engine.now == 30
+
+
+def test_horizon_is_the_first_cycle_a_claim_cannot_reach():
+    # The horizon is now whenever nothing is reachable (outside run(),
+    # ready work, a hold with nothing lent, two holds), and otherwise
+    # the least of the heap head, the cycle after until and the lend.
+    engine = _fast_engine()
+    seen = []
+
+    def note(label):
+        seen.append((label, engine.horizon() - engine.now))
+
+    def at_ten():
+        note("heap head at 20")
+        engine.call_soon(lambda: None)
+        note("ready work")
+
+    def at_twenty_five():
+        note("nothing queued, until 40")
+        assert engine.ff_begin()
+        try:
+            note("session, nothing lent")
+            engine._lent = 30
+            note("lent to 30")
+            engine._lent = 50
+            note("lent past until")
+            engine.advance_holds += 1
+            note("two holds")
+            engine.advance_holds -= 1
+        finally:
+            engine.ff_end()
+
+    note("outside run")
+    engine.schedule(10, at_ten)
+    engine.schedule(20, lambda: None)
+    engine.schedule(25, at_twenty_five)
+    engine.run(until=40)
+    assert seen == [
+        ("outside run", 0),
+        ("heap head at 20", 10),
+        ("ready work", 0),
+        ("nothing queued, until 40", 16),
+        ("session, nothing lent", 0),
+        ("lent to 30", 5),
+        ("lent past until", 16),
+        ("two holds", 0),
+    ]
+    engine.schedule(1, lambda: note("unbounded"))
+    engine.run()
+    assert seen[-1][1] > 1 << 60

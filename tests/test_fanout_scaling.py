@@ -15,6 +15,8 @@ The 64-core scale-out work has three seams worth pinning:
 """
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
@@ -85,45 +87,24 @@ def test_all_to_all_accounting_is_quadratic():
     assert hs["max_flush_msgs"] == 73
 
 
-# LB++ pingpong handshake counters at 4..64 cores (one bank per core) as
-# recorded by the scaling family, and the all-to-all (total, mean, max)
-# the separate strawman runs recorded for the same points.
-_RECORDED_ARBITER = {
-    4: dict(flushes=1011, flush_epoch_msgs=4044, bank_ack_msgs=4044,
-            persist_ack_msgs=7692, persist_cmp_msgs=4044,
-            idt_notify_msgs=289, total_msgs=20113, mean_flush_msgs=19.61,
-            max_flush_msgs=22),
-    8: dict(flushes=1006, flush_epoch_msgs=8048, bank_ack_msgs=8048,
-            persist_ack_msgs=7704, persist_cmp_msgs=8048,
-            idt_notify_msgs=294, total_msgs=32142, mean_flush_msgs=31.66,
-            max_flush_msgs=34),
-    16: dict(flushes=1004, flush_epoch_msgs=16064, bank_ack_msgs=16064,
-             persist_ack_msgs=7728, persist_cmp_msgs=16064,
-             idt_notify_msgs=282, total_msgs=56202, mean_flush_msgs=55.7,
-             max_flush_msgs=58),
-    32: dict(flushes=1026, flush_epoch_msgs=32832, bank_ack_msgs=32832,
-             persist_ack_msgs=7776, persist_cmp_msgs=32832,
-             idt_notify_msgs=292, total_msgs=106564,
-             mean_flush_msgs=103.58, max_flush_msgs=106),
-    64: dict(flushes=1024, flush_epoch_msgs=65536, bank_ack_msgs=65536,
-             persist_ack_msgs=7872, persist_cmp_msgs=65536,
-             idt_notify_msgs=249, total_msgs=204729,
-             mean_flush_msgs=199.69, max_flush_msgs=202),
-}
-_RECORDED_A2A = {
-    4: (28201, 27.61, 30),
-    8: (80430, 79.66, 82),
-    16: (281098, 279.7, 282),
-    32: (1091524, 1063.58, 1066),
-    64: (4267961, 4167.69, 4170),
-}
+# The scaling family's LB++ records at 4..64 cores (one bank per core),
+# read from the committed BENCH_sweep.json: the pingpong arbiter
+# counters, and the all-to-all counters the family derived from them.
+# `make ci` rewrites the family and fails on any diff of the file, so
+# these are the current records, not copies.
+_BENCH_SWEEP = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+_SCALED_CORES = (4, 8, 16, 32, 64)
 
 
-@pytest.mark.parametrize("cores", sorted(_RECORDED_A2A))
+def _recorded_lbpp(family, cores):
+    scaling = json.loads(_BENCH_SWEEP.read_text())["scaling"]
+    return scaling[family]["LB++"][str(cores)]["handshake"]
+
+
+@pytest.mark.parametrize("cores", _SCALED_CORES)
 def test_all_to_all_derivation_reproduces_recorded_runs(cores):
-    hs = all_to_all_counters(_RECORDED_ARBITER[cores], banks=cores)
-    assert (hs["total_msgs"], hs["mean_flush_msgs"],
-            hs["max_flush_msgs"]) == _RECORDED_A2A[cores]
+    hs = all_to_all_counters(_recorded_lbpp("pingpong", cores), banks=cores)
+    assert hs == _recorded_lbpp("all_to_all", cores)
     assert hs["bank_ack_msgs"] == cores * cores * hs["flushes"]
     assert hs["persist_cmp_msgs"] == 0
 
@@ -170,8 +151,6 @@ def test_scaling_table_renders_per_core_rows():
 def test_only_scaling_carries_other_families_forward(tmp_path):
     """Two restricted runs write identical, exact ``scaling`` records,
     and both keep the existing ``crash`` record value for value."""
-    import json
-
     from repro.__main__ import main
 
     crash = {"sweeps": {}, "ok": True}

@@ -138,6 +138,85 @@ def test_load_hits_run_in_one_loop():
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
 
 
+def _counted_run(slow, programs, num_cores=1):
+    """Run ``programs`` on a machine whose ``load``, ``Engine.claim``
+    and ``Engine.horizon`` count their calls; ``load`` also records who
+    asked for which line.  Returns (machine, result, counts, loads)."""
+    with reference_mode(slow):
+        m = Multicore(machine(num_cores=num_cores).config, track_values=True,
+                      track_persist_order=True)
+    counts = {"claim": 0, "horizon": 0}
+    loads = []
+
+    def counted(obj, name):
+        method = getattr(obj, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+
+        setattr(obj, name, wrapper)
+
+    load = m.load
+
+    def recorded_load(core_id, line, on_done):
+        loads.append((core_id, line))
+        return load(core_id, line, on_done)
+
+    m.load = recorded_load
+    counted(m.engine, "claim")
+    counted(m.engine, "horizon")
+    return m, m.run(programs), counts, loads
+
+
+def _latency_samples(result, core):
+    domain = result.stats.domain(f"core{core}")
+    return (domain.count("mem_latency"), domain.total("mem_latency"),
+            domain.maximum("mem_latency"))
+
+
+def test_l1_load_hits_stay_in_the_core():
+    # 10,000 loads over four lines: four cold misses, then hits the
+    # core serves from its own L1 without calling the machine or the
+    # clock claim; the hit count and latency samples it hands over at
+    # run end are the ones the reference classifier records per load.
+    lines = [0x1000 + i * 64 for i in range(4)]
+    p = Program()
+    for i in range(10_000):
+        p.load(lines[i % 4])
+    fast, fast_result, counts, loads = _counted_run(False, [p])
+    assert sorted(loads) == [(0, line) for line in lines]
+    assert counts["claim"] <= 5 and counts["horizon"] <= 10
+    ref, ref_result, _, ref_loads = _counted_run(True, [p])
+    assert len(ref_loads) == 10_000
+    hits = fast_result.stats.domain("l1.0").get("hits")
+    assert hits == ref_result.stats.domain("l1.0").get("hits") == 9_996
+    assert _latency_samples(fast_result, 0) == _latency_samples(ref_result, 0)
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def test_a_remote_store_ends_the_local_hit_stretch():
+    # Core 0 hits one line over and over; core 1's store to it
+    # invalidates core 0's copy mid-stretch, so core 0's next load of
+    # the line misses and goes to the machine, which finds core 1's
+    # dirty copy.
+    line = 0x1000
+    reader = Program()
+    for _ in range(2_000):
+        reader.load(line)
+    writer = Program().compute(600).store(line, 8, value=1).barrier()
+    fast, fast_result, _, loads = _counted_run(False, [reader, writer],
+                                               num_cores=2)
+    assert loads.count((0, line)) >= 2
+    assert fast_result.stats.domain("llc").get("forwards") >= 1
+    ref, ref_result, _, _ = _counted_run(True, [reader, writer],
+                                         num_cores=2)
+    assert (fast_result.stats.domain("l1.0").get("hits")
+            == ref_result.stats.domain("l1.0").get("hits"))
+    assert _latency_samples(fast_result, 0) == _latency_samples(ref_result, 0)
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
 def _ignored_barriers(model, slow):
     with reference_mode(slow):
         m = Multicore(machine(persistency=model).config, track_values=True,
