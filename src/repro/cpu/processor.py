@@ -52,14 +52,14 @@ _EPOCH_MODELS = (
     PersistencyModel.EP,
 )
 
-# Why a fast-forward session attempt fell back to the event-per-op path:
-# an injector is configured; ff_begin refused (a clock hold, or outside
-# run()); or the first drain step refused, because the head store is a
-# full miss, try_clean_store refused it, the BSP store quota is spent,
-# or the epoch-ID window is full.
+# Why a fast-mode drain step opened no fast-forward session, the first
+# that applies in _drain's order: an injector is configured; ff_begin
+# would refuse (a clock hold, or outside run()); the BSP store quota is
+# spent; the epoch-ID window is full; or the machine issued the store
+# itself, as a full miss or through the general classifier.
 _FF_FALLBACK_REASONS = ("faults", "held", "full_miss", "refused",
                         "bsp_limit", "window")
-# Multicore.try_clean_store's negative returns, by name (repro.system's
+# Multicore.drain_store's negative returns, by name (repro.system's
 # _REFUSED and _FULL_MISS; that module imports this one).
 _STORE_REFUSALS = {-1: "refused", -2: "full_miss"}
 
@@ -112,11 +112,12 @@ class Core:
         self._n_txns = 0
         self._n_wb_full = 0
         self._n_window_stalls = 0
-        # L1 load hits the op loop serves itself (fast mode only; the
-        # machine takes the count at run end), and the handles it needs:
-        # this core's L1, None in reference mode, where every load goes
-        # through the machine's general classifier.
+        # L1 load and same-epoch store hits the core serves itself (fast
+        # mode only; the machine takes the counts at run end), and the
+        # handles they need: this core's L1, None in reference mode,
+        # where every access goes through the general classifier.
         self._n_l1_hits = 0
+        self._n_store_hits = 0
         self._l1 = machine.l1s[core_id] if machine.engine.fast else None
         self._l1_lat = machine.config.l1_latency
         # line_of is a single mask op; cache the mask so the per-op path
@@ -126,20 +127,19 @@ class Core:
         self._issue_cycles = machine.config.issue_width_cycles
         self._wb_capacity = machine.config.write_buffer_entries
         self._track_values = machine.track_values
-        # Fast-forward drain sessions (_ff_try): fast mode only, and only
-        # for the epoch-tagged models whose drain chain dominates the
-        # event count.  _ff_active marks a session in progress so
-        # _issue_store virtualizes its issue-width continuation instead
-        # of scheduling it; _ff_issue_slot carries that (time, seq) pair
-        # back to the session loop.
-        self._ff_on = machine.engine.fast and self._uses_epochs
+        # Fast-forward drain sessions (_drain, _ff_run): fast mode only,
+        # and only for the epoch-tagged models whose drain chain
+        # dominates the event count.  _ff_active marks a session in
+        # progress so _issue_store virtualizes its issue-width
+        # continuation instead of scheduling it; _ff_issue_slot carries
+        # that (time, seq) pair back to the session loop.
         self._ff_active = False
         self._ff_issue_slot: Optional[Tuple[int, int]] = None
         # Session accounting, exposed for tests and diagnostics.  Plain
         # attributes that are never merged into a stat domain: reference
         # mode has no sessions, so folding these into digested stats
         # would break fast-vs-reference digest equality by construction.
-        # A session attempt that does no work falls back for one of the
+        # A drain step that opens no session falls back for one of the
         # reasons in _FF_FALLBACK_REASONS.
         self.ff_batches = 0
         self.ff_stores = 0
@@ -166,12 +166,12 @@ class Core:
 
     @property
     def ff_fallbacks(self) -> int:
-        """Session attempts that fell back, for any reason."""
+        """Drain steps that fell back, for any reason."""
         return sum(self.ff_fallback_reasons.values())
 
     def flush_hot_stats(self) -> None:
         """Merge the attribute-held hot counters into the stat domain,
-        and hand the L1 hits the op loop served to the machine
+        and hand the L1 hits the core served to the machine
         (:meth:`Multicore.merge_l1_hits`).
 
         Called by the machine at run end (and idempotent: counters reset
@@ -179,9 +179,10 @@ class Core:
         exactly what per-op ``bump`` calls would have produced.
         """
         stats = self.stats
-        if self._n_l1_hits:
-            self._machine.merge_l1_hits(self.core_id, self._n_l1_hits)
-            self._n_l1_hits = 0
+        if self._n_l1_hits or self._n_store_hits:
+            self._machine.merge_l1_hits(self.core_id, self._n_l1_hits,
+                                        self._n_store_hits)
+            self._n_l1_hits = self._n_store_hits = 0
         if self._n_loads:
             stats.bump("loads", self._n_loads)
             self._n_loads = 0
@@ -326,10 +327,10 @@ class Core:
                 eng._lent = time
             return
         # NOTE: the issue-width advance must stay a scheduled event.  A
-        # clock claim here (Engine.claim) is unsound: _issue_store can
-        # run mid-chain (resumed from _pop_store), and the enclosing
-        # caller may still schedule same-cycle work after it returns,
-        # which the claim would reorder.
+        # clock claim here (as Engine.finish makes) is unsound:
+        # _issue_store can run mid-chain (resumed from _pop_store), and
+        # the enclosing caller may still schedule same-cycle work after
+        # it returns, which the claim would reorder.
         eng.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
@@ -358,31 +359,33 @@ class Core:
             self._drain_barrier()
             return
         if not self._uses_epochs:
+            # NP, SP (persists synchronously) and BSP_WT (writes through
+            # asynchronously): untagged stores, all through the general
+            # classifier.
             line = op.addr & self._line_mask
-            values = ({op.addr - line: op.value} if self._track_values
-                      else None)
-            if self._model is _SP:
-                self._machine.store(
-                    self.core_id, line, values, None,
-                    on_done=self._drained, persist_sync=True,
-                )
-            elif self._model is _BSP_WT:
+            wt = self._model is _BSP_WT
+            if wt:
                 self._wt_outstanding += 1
-                self._machine.store(
-                    self.core_id, line, values, None,
-                    on_done=self._drained, wt_async=True,
-                    on_persist_ack=self._wt_acked,
-                )
-            else:
-                self._machine.store(
-                    self.core_id, line, values, None,
-                    on_done=self._drained,
-                )
+            self._machine.store(
+                self.core_id, line,
+                {op.addr - line: op.value} if self._track_values else None,
+                None, self._drained, persist_sync=self._model is _SP,
+                wt_async=wt, on_persist_ack=self._wt_acked if wt else None,
+            )
             return
 
-        # Epoch-tagged store path (EP / BEP / BSP).
-        if self._ff_on and self._ff_try():
-            return
+        # Epoch-tagged store path (EP / BEP / BSP).  In fast mode `why`
+        # names, before the step acts, why it may not open a session.
+        eng = self._engine
+        l1 = self._l1
+        why = None
+        if l1 is not None:
+            if self._machine.faults is not None:
+                # A session could shift a fault draw, which is keyed by
+                # per-event attempt counts.
+                why = "faults"
+            elif not eng._in_run or eng.advance_holds:
+                why = "held"   # Engine.ff_begin would refuse
         mgr = self._mgr
         current = mgr.current
         if (
@@ -393,11 +396,14 @@ class Core:
         ):
             # Bulk mode: the persistence engine closes the epoch after N
             # dynamic stores and checkpoints processor state (section 5.2).
+            why = why or "bsp_limit"
             self._hardware_barrier()
             current = None
         if current is None and not mgr.can_open_epoch():
             # All 2^3 epoch IDs are in flight (section 4.3): no store may
             # begin a new epoch until the oldest persists.
+            if l1 is not None:
+                self.ff_fallback_reasons[why or "window"] += 1
             self._n_window_stalls += 1
             oldest = mgr.oldest_unpersisted()
             oldest.on_persist(self._drain)
@@ -405,14 +411,55 @@ class Core:
                 oldest, online=True, mark_conflict=False
             )
             return
-        epoch = mgr.tag_store()
-        self._drain_epoch = epoch
-        line = op.addr & self._line_mask
-        self._machine.store(
-            self.core_id, line,
-            {op.addr - line: op.value} if self._track_values else None,
-            epoch, on_done=self._drained_epoch,
-        )
+        self._drain_epoch = epoch = mgr.tag_store()
+        addr = op.addr
+        line = addr & self._line_mask
+        entry = None if l1 is None else l1._sets[
+            (line >> l1._offset_bits) & l1._set_mask].get(line)
+        if entry is not None and entry.dirty and entry.epoch is epoch:
+            # A store to a line this epoch already dirtied raises no
+            # conflict, logs nothing and leaves the directory alone (a
+            # dirty L1 line's core owns it), so the core serves it: LRU,
+            # values, and a latency sample it hands over at run end.
+            l1._tick = tick = l1._tick + 1
+            entry._lru = tick
+            if self._track_values:
+                if entry.values is None:
+                    entry.values = {}
+                entry.values[addr - line] = op.value
+            self._n_store_hits += 1
+            lat = self._l1_lat
+        else:
+            values = ({addr - line: op.value} if self._track_values
+                      else None)
+            if l1 is None:
+                # Reference mode: every store takes the general path.
+                self._machine.store(self.core_id, line, values, epoch,
+                                    self._drained_epoch)
+                return
+            lat = self._machine.drain_store(self.core_id, line, entry, values,
+                                            epoch, self._drained_epoch)
+            if lat < 0:
+                # The machine issued it; _drained_epoch completes it.
+                self.ff_fallback_reasons[why or _STORE_REFUSALS[lat]] += 1
+                return
+        if why is not None:
+            self.ff_fallback_reasons[why] += 1
+            eng.finish(lat, self._drained_epoch)
+            return
+        # The step applied: open a session seeded with its completion.
+        eng.ff_begin()
+        self._ff_active = True
+        try:
+            stopped = self._ff_run(lat, epoch)
+        finally:
+            eng.ff_end()
+            self._ff_active = False
+        if stopped:
+            # The session stopped at a drain step the event-per-op path
+            # owns (an empty buffer, a marker, a spent BSP quota, a full
+            # window, a store the machine issues); take it now.
+            self._drain()
 
     # ------------------------------------------------------------------
     # Fast-forward drain sessions
@@ -431,54 +478,20 @@ class Core:
     # fast-forwarded stretch from a stepped one; the moment any
     # precondition fails the session re-materializes its outstanding
     # virtual events under their original sequence numbers and yields to
-    # the event-per-op path.
+    # the event-per-op path.  A session opens only behind a drain step
+    # that _drain has already applied.
 
-    def _ff_try(self) -> bool:
-        """Try to fast-forward the drain from the current buffer head.
+    def _ff_run(self, lat: int, epoch) -> bool:
+        """The session loop, seeded with the completion (``lat`` cycles
+        out, under ``epoch``) of the step :meth:`_drain` just applied.
 
-        Returns True when the session consumed the drain step (the
-        caller's _drain invocation is done); False to continue on the
-        event-per-op path with nothing changed.
-        """
-        if self._machine.faults is not None:
-            # Fault injection draws splitmix64 coordinates keyed by
-            # per-event attempt counts; fast-forwarding a faulty machine
-            # could shift a draw.  Conservative: never claim a window
-            # when an injector is configured.
-            self.ff_fallback_reasons["faults"] += 1
-            return False
-        eng = self._engine
-        if not eng.ff_begin():
-            self.ff_fallback_reasons["held"] += 1
-            return False
-        self._ff_active = True
-        try:
-            outcome = self._ff_run()
-        finally:
-            eng.ff_end()
-            self._ff_active = False
-        if outcome == 0:
-            return False
-        if outcome == 1:
-            # The session stopped at work the event-per-op path owns (a
-            # barrier marker, a window stall, a potential conflict); run
-            # it now, at the cycle the session advanced to.
-            self._drain()
-        return True
-
-    def _ff_run(self) -> int:
-        """The session loop.
-
-        Returns 0 when the first drain step refused (no observable side
-        effects beyond counting the reason in ``ff_fallback_reasons``;
-        the caller continues per-op), 1 when the session
-        advanced work and then reached a step the event-per-op path must
-        handle, or 2 when the run's until bound interrupted it.  For 1 and 2
-        every outstanding virtual event has been re-materialized into
-        the heap under its original sequence number.
+        Returns True when it stopped at a drain step the event-per-op
+        path must take, False when the run's until bound interrupted it;
+        either way every outstanding virtual event has been
+        re-materialized into the heap under its original sequence
+        number.
         """
         eng = self._engine
-        machine = self._machine
         mgr = self._mgr
         wb = self.wb
         is_bsp = self._model is _BSP
@@ -487,16 +500,25 @@ class Core:
         line_mask = self._line_mask
         track_values = self._track_values
         issue_cycles = self._issue_cycles
-        d_slot = None   # (time, seq, epoch): store completion in flight
+        l1 = self._l1
+        l1_sets = l1._sets
+        l1_offset = l1._offset_bits
+        l1_mask = l1._set_mask
+        l1_lat = self._l1_lat
+        seq = eng._seq
+        eng._seq = seq + 1
+        d_slot = (eng.now + lat, seq, epoch)   # the store in flight
         n_slot = None   # (time, seq): pending issue-width continuation
-        stores = 0
+        stores = 1
+        hits = 0
+        cut = False
         # Hoisted queue handles: the engine never replaces these
         # objects, so the bindings stay valid across any event the
         # session dispatches.
         queue = eng._queue
         ready = eng._ready
         until = eng._until
-        try_clean_store = machine.try_clean_store
+        try_clean_store = self._machine.try_clean_store
         wb_append = wb.append
         wb_popleft = wb.popleft
         wb_lines = self._wb_lines
@@ -506,8 +528,7 @@ class Core:
             if d_slot is None:
                 # -- drain step: claim the write-buffer head store -----
                 # Mirrors _drain's epoch-tagged path; any condition the
-                # event-per-op path owns ends the session (or refuses
-                # it, when nothing has been advanced yet).
+                # event-per-op path owns ends the session.
                 if not wb:
                     break
                 head = wb[0]
@@ -521,24 +542,33 @@ class Core:
                     and cur is not None
                     and cur.num_stores + cur.pending_stores >= bsp_limit
                 ):
-                    stop = "bsp_limit"
                     break
                 if cur is None:
                     if not mgr.can_open_epoch():
-                        stop = "window"
                         break
                     # Same epoch the per-op tag_store would open, at the
                     # same cycle with the same stats.
                     cur = mgr.current_or_new()
                 addr = head.addr
                 line = addr & line_mask
-                lat = try_clean_store(
-                    core_id, line,
-                    {addr - line: head.value} if track_values else None,
-                    cur)
-                if lat < 0:
-                    stop = _STORE_REFUSALS[lat]
-                    break
+                entry = l1_sets[(line >> l1_offset) & l1_mask].get(line)
+                if entry is not None and entry.dirty and entry.epoch is cur:
+                    # The core's own same-epoch hit, as in _drain.
+                    l1._tick = tick = l1._tick + 1
+                    entry._lru = tick
+                    if track_values:
+                        if entry.values is None:
+                            entry.values = {}
+                        entry.values[addr - line] = head.value
+                    hits += 1
+                    lat = l1_lat
+                else:
+                    lat = try_clean_store(
+                        core_id, line, entry,
+                        {addr - line: head.value} if track_values else None,
+                        cur)
+                    if lat < 0:
+                        break   # _drain has the machine issue it
                 cur.pending_stores += 1
                 seq = eng._seq
                 eng._seq = seq + 1
@@ -576,10 +606,8 @@ class Core:
                     f_time = h0
             if f_time >= 0:
                 if until is not None and f_time > until:
-                    self._ff_rematerialize(d_slot, n_slot)
-                    self.ff_batches += 1
-                    self.ff_stores += stores
-                    return 2
+                    cut = True
+                    break
                 # The dispatched event may claim any cycle before the
                 # earliest virtual event.
                 eng._lent = v_time
@@ -589,10 +617,8 @@ class Core:
                     self._ff_issue_slot = None
                 continue
             if until is not None and v_time > until:
-                self._ff_rematerialize(d_slot, n_slot)
-                self.ff_batches += 1
-                self.ff_stores += stores
-                return 2
+                cut = True
+                break
             # The comparison against fkey guarantees the ready deque is
             # empty whenever v_time > now, so this is the same heap-head
             # clock advance run() performs.
@@ -650,17 +676,11 @@ class Core:
             eng._seq = seq + 1
             n_slot = (eng.now + issue_cycles, seq)
 
-        if not stores:
-            # Drain-step refusal before any work: a clean refuse (no
-            # issue continuation can exist yet either).  The first step
-            # always finds a store at the buffer head (_drain checked),
-            # so one of the guards above set ``stop``.
-            self.ff_fallback_reasons[stop] += 1
-            return 0
-        self._ff_rematerialize(None, n_slot)
+        self._ff_rematerialize(d_slot, n_slot)
         self.ff_batches += 1
         self.ff_stores += stores
-        return 1
+        self._n_store_hits += hits
+        return not cut
 
     def _ff_rematerialize(self, d_slot, n_slot) -> None:
         """Push outstanding virtual events back into the heap under

@@ -30,23 +30,23 @@ Implementation notes -- the two-tier queue:
   whenever it is at the current cycle with an older sequence number.
   The clock only advances off the heap, so the ready deque can never
   hold entries from two different cycles.
-* :meth:`Engine.claim` is the clock claim: when an event due ``delay``
-  cycles out would be the very next event anyway, it advances the clock
-  there and the caller continues inline instead of round-tripping the
-  heap.  :meth:`Engine.horizon` holds the conditions: a claim is
-  granted exactly when it lands below the horizon.  A core's op loop
-  reads the horizon once and claims by comparison for every load hit,
-  forwarded load, compute burst, transaction marker and ignored
-  barrier; :meth:`Engine.finish` claims and then calls a completion
-  callback directly.  A fast-forward session holds the clock but lends
-  it up to its earliest virtual event, so the work it dispatches claims
-  too.
+* Clock claims: when an event due ``delay`` cycles out would be the
+  very next event anyway, the caller advances the clock there and
+  continues inline instead of round-tripping the heap.
+  :meth:`Engine.horizon` holds the conditions: a claim is granted
+  exactly when it lands below the horizon.  A core's op loop reads the
+  horizon once and claims by comparison for every load hit, forwarded
+  load, compute burst, transaction marker and ignored barrier;
+  :meth:`Engine.finish` compares against it and then calls a
+  completion callback directly.  A fast-forward session holds the
+  clock but lends it up to its earliest virtual event, so the work it
+  dispatches claims too.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
   (see :func:`reference_mode`).  It means exactly two things.  The
   engine runs its plain heap loop: every event, including
-  ``call_soon``, goes through the heap, :meth:`claim` always refuses
-  (so :meth:`finish` always schedules), and fast-forward sessions
-  always refuse.  And the machine classifies every request with its
+  ``call_soon``, goes through the heap, the horizon is always ``now``
+  (so :meth:`finish` always schedules), and no fast-forward session
+  opens.  And the machine classifies every request with its
   general classifier instead of the fused paths.  Everything else --
   counting, latency tables, the coherence directory, epoch tags, IDT
   edges -- runs the same way in both modes.  The determinism-digest
@@ -125,7 +125,7 @@ class Engine:
         self._in_run = False
         self._until: Optional[int] = None
         self._inline_depth = 0
-        # While positive, claim never moves the clock, except below a
+        # While positive, no claim moves the clock, except below a
         # session's lend (_lent).  Held by components that dispatch
         # several independent continuations synchronously from one
         # event (the epoch managers' waiter loops): an inline completion
@@ -217,40 +217,26 @@ class Engine:
             limit = until + 1
         return limit
 
-    def claim(self, delay: int) -> bool:
-        """Advance ``now`` by ``delay`` when nothing can observe the gap.
-
-        Returns True, with the clock moved, when an event scheduled
-        ``delay`` cycles out would be the very next event to fire: when
-        ``now + delay`` lies below :meth:`horizon`.  Otherwise returns
-        False and leaves the clock alone; the caller schedules its
-        continuation instead.  A caller that claims must then do
-        exactly what the scheduled event would have done, and call this
-        last: work it scheduled after a claim would run after the
-        claimed continuation, where the scheduled path runs it first.
-        """
-        time = self.now + delay
-        if time < self.horizon():
-            self.now = time
-            return True
-        return False
-
     def finish(self, delay: int, callback: Callable[[int], None]) -> None:
         """Complete ``callback(now + delay)``, inline when it is next.
 
-        Claims the clock (:meth:`claim`) and calls ``callback`` directly
-        while the inline depth is below its bound; otherwise schedules
-        it.  The same calling rule as :meth:`claim` applies: call this
-        last.
+        When ``now + delay`` lies below :meth:`horizon` (an event due
+        then would fire next) and the inline depth is below its bound,
+        the clock moves there and ``callback`` runs directly; otherwise
+        it is scheduled.  Call this last: work scheduled after an inline
+        completion would run after it, where the scheduled path runs it
+        first.
         """
-        if self._inline_depth < _MAX_INLINE_DEPTH and self.claim(delay):
+        time = self.now + delay
+        if self._inline_depth < _MAX_INLINE_DEPTH and time < self.horizon():
+            self.now = time
             self._inline_depth += 1
             try:
-                callback(self.now)
+                callback(time)
             finally:
                 self._inline_depth -= 1
             return
-        self.schedule(delay, callback, self.now + delay)
+        self.schedule(delay, callback, time)
 
     # ------------------------------------------------------------------
     # Execution
@@ -311,7 +297,7 @@ class Engine:
     # numbers from ``_seq``, the same counter real scheduling uses, so a
     # virtual event that has to be re-materialized into the heap
     # (session bail-out) lands exactly where its scheduled twin would
-    # have been.  The one session owner, ``Core._ff_run``, reads the
+    # have been.  The one session loop, ``Core._ff_run``, reads the
     # queue heads, takes sequence numbers and sets the lend inline.
 
     def ff_begin(self) -> bool:
@@ -319,7 +305,8 @@ class Engine:
 
         Refuses (returning False) outside a fast-mode :meth:`run` or
         while any component holds the clock -- which includes another
-        session, so sessions never nest.
+        session, so sessions never nest.  ``Core._drain`` reads both
+        conditions itself first, so its call always opens.
         """
         if not self._in_run or self.advance_holds:
             return False

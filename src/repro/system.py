@@ -49,9 +49,8 @@ from repro.sim.trace import Tracer
 
 _MAX_REQUEST_RETRIES = 1000
 
-# Negative returns of Multicore.try_clean_store: the store must take the
-# general classifier, or (stores from Multicore.store only) the fused
-# full-miss path.
+# Negative returns of Multicore.try_clean_store and drain_store: the
+# store must take the general classifier, or the fused full-miss path.
 _REFUSED = -1
 _FULL_MISS = -2
 
@@ -177,6 +176,8 @@ class Multicore:
                              faults=self.faults)
             for i in range(config.num_memory_controllers)
         ]
+        # A memory fill's arrival event calls its controller's read.
+        self._mc_reads = [mc.read for mc in self.mcs]
         self.l1s: List[SetAssociativeCache] = [
             SetAssociativeCache(
                 f"L1.{i}", config.l1_sets, config.l1_assoc,
@@ -299,14 +300,14 @@ class Multicore:
     # ------------------------------------------------------------------
     # The fused fast paths below collapse the conflict-free cases of
     # load/store into the entry call: no _Request allocation, no
-    # dispatcher hops, and no scheduled completion: a fused load returns
-    # its latency to the core, a fused store completes through
-    # Engine.finish.  (An L1 load hit never gets here in fast mode: the
-    # core serves it from its own L1 and hands its hit count over at run
-    # end, merge_l1_hits.)  Every state transition and every count
-    # matches the general path bit for bit -- the determinism-digest
-    # tests compare against the reference mode, which always takes the
-    # general path.
+    # dispatcher hops, and no scheduled completion: a fused load or
+    # store returns its latency to the core, which completes it.  (An L1
+    # load hit and a store to a line the core's ongoing epoch already
+    # dirtied never get here in fast mode: the core serves them from its
+    # own L1 and hands their counts over at run end, merge_l1_hits.)
+    # Every state transition and every count matches the general path
+    # bit for bit -- the determinism-digest tests compare against the
+    # reference mode, which always takes the general path.
 
     def load(self, core_id: int, line: int,
              on_done: Callable[[int], None]) -> int:
@@ -381,24 +382,10 @@ class Multicore:
         wt_async: bool = False,
         on_persist_ack: Optional[Callable[[int], None]] = None,
     ) -> None:
-        if (
-            self._fast
-            and epoch is not None
-            and not persist_sync
-            and not wt_async
-        ):
-            resolved = epoch.resolve()
-            lat = self.try_clean_store(core_id, line, values, resolved)
-            if lat >= 0:
-                self.engine.finish(lat, on_done)
-                return
-            if lat == _FULL_MISS:
-                # Write-allocate.  Stores do not bump the LLC miss
-                # counter (the general classifier does not either).
-                self._fused_miss(core_id, line,
-                                 (line >> self._bank_shift) % self._n_banks,
-                                 on_done, values, resolved)
-                return
+        """Issue a store through the general classifier (every store in
+        reference mode, and in fast mode the untagged ones and those
+        :meth:`drain_store` does not apply); ``on_done(time)`` fires
+        when it completes."""
         req = _Request(core_id, line, True, values, epoch, on_done)
         req.persist_sync = persist_sync
         req.wt_async = wt_async
@@ -406,78 +393,90 @@ class Multicore:
         req.issue_time = self.engine.now
         self._try_access(req)
 
+    def drain_store(self, core_id: int, line: int,
+                    entry: Optional[CacheEntry],
+                    values: Optional[Dict[int, object]], epoch: Epoch,
+                    on_done: Callable[[int], None]) -> int:
+        """Drain one epoch-tagged store of ``epoch``, the core's ongoing
+        epoch, in fast mode (the core serves a same-epoch hit itself;
+        ``entry`` is what its L1 probe found).
+
+        A conflict-free miss or upgrade (:meth:`try_clean_store`) is
+        applied and its latency returned; the core completes it.  Any
+        other store is issued here, on the fused full-miss path
+        (:data:`_FULL_MISS`; a store bumps no LLC miss count, as in the
+        general classifier) or the general classifier (:data:`_REFUSED`),
+        and that code returned; ``on_done(time)`` fires at completion.
+        """
+        lat = self.try_clean_store(core_id, line, entry, values, epoch)
+        if lat == _FULL_MISS:
+            self._fused_miss(core_id, line,
+                             (line >> self._bank_shift) % self._n_banks,
+                             on_done, values, epoch)
+        elif lat < 0:
+            self.store(core_id, line, values, epoch, on_done)
+        return lat
+
     def try_clean_store(self, core_id: int, line: int,
+                        entry: Optional[CacheEntry],
                         values: Optional[Dict[int, object]],
                         resolved: Epoch) -> int:
-        """Apply one epoch-tagged store if it is conflict-free and
-        return its latency; otherwise return :data:`_REFUSED` or
-        :data:`_FULL_MISS` with no observable side effect.
+        """Apply one epoch-tagged store if it is a conflict-free miss or
+        upgrade and return its latency; otherwise return
+        :data:`_REFUSED` or :data:`_FULL_MISS` with no observable side
+        effect.
 
-        The one conflict-free store path, shared by the fused
-        :meth:`store` and the core's fast-forward drain.  It applies
-        two shapes, state change for state change and count for count
-        as the general classifier would: the same-epoch dirty hit and
-        the clean miss/upgrade filled from a conflict-free LLC copy.
-        It records the latency sample but never schedules the
-        completion; the caller does.  ``_FULL_MISS`` marks an untagged
-        line that no other core holds and neither this L1 nor the LLC
-        caches; :meth:`store` fills it on the fused full-miss path.  The
+        The one conflict-free store applier, shared by
+        :meth:`drain_store` and the core's fast-forward session.  It
+        applies the clean miss/upgrade filled from a conflict-free LLC
+        copy as the general classifier would and records the latency
+        sample; the caller completes it.  ``_FULL_MISS`` marks an
+        untagged line that no other core holds and no cache has.  The
         epoch-tag probe doubles as the flush-in-window guard: a line
-        whose previous version belongs to any unpersisted epoch (closed,
-        flushing, or foreign) is still in the tag map, so the store is
-        refused and the general classifier re-derives the conflict from
-        the cache entries.  ``resolved`` must be the core's ongoing
-        epoch, already resolved.
+        whose previous version belongs to any unpersisted epoch is still
+        in the tag map, so the store is refused and the general
+        classifier re-derives the conflict.  ``entry`` is the core's L1
+        entry for ``line`` (None on a miss), just probed by the caller;
+        ``resolved`` must be the core's ongoing epoch.
         """
         l1 = self.l1s[core_id]
-        # Cache.lookup, inlined as in load.
-        entry = l1._sets[(line >> l1._offset_bits) & l1._set_mask].get(line)
-        if entry is not None and entry.dirty and entry.epoch is resolved:
-            # Same-epoch store to an M-state line: no logging (the line
-            # is already dirty under this epoch), no conflict checks,
-            # and the directory already records this core as the owner
-            # (a dirty L1 line's core is always its owner).
-            resolved.lines.add(line)
-            lat = self._l1_lat
-        else:
-            # Undo logging, an unpersisted version of the line anywhere
-            # (the tag map holds every one), a dirty copy in this L1 from
-            # another epoch, and another core's copy are the general
-            # classifier's business.  The dirty copy is always tagged in
-            # practice: a persisted epoch's flush cleans or invalidates
-            # its L1 lines.
-            directory = self.directory
-            if (
-                self._logging_on
-                or line in self._epoch_tags
-                or (entry is not None and entry.dirty)
-                or not directory.exclusive_ok(line, core_id)
-            ):
+        # Undo logging, an unpersisted version of the line anywhere (the
+        # tag map holds every one), a dirty copy in this L1 (tagged in
+        # practice: a persisted epoch's flush cleans or invalidates its
+        # L1 lines) and another core's copy are the general classifier's
+        # business.
+        directory = self.directory
+        if (
+            self._logging_on
+            or line in self._epoch_tags
+            or (entry is not None and entry.dirty)
+            or not directory.exclusive_ok(line, core_id)
+        ):
+            return _REFUSED
+        # An S-state L1 hit upgraded in place, or an L1 miss filled from
+        # the LLC (same end state as _try_store -> _fill_l1 for a
+        # clean-victim fill).
+        bank = (line >> self._bank_shift) % self._n_banks
+        if entry is None:
+            llc_entry = self.llc_banks[bank].lookup(line)
+            if llc_entry is None:
+                return _FULL_MISS
+            filled = l1.clean_fill(line)
+            if filled is None:
                 return _REFUSED
-            # An S-state L1 hit upgraded in place, or an L1 miss filled
-            # from the LLC (same end state as _try_store -> _fill_l1 for
-            # a clean-victim fill).
-            bank = (line >> self._bank_shift) % self._n_banks
-            if entry is None:
-                llc_entry = self.llc_banks[bank].lookup(line)
-                if llc_entry is None:
-                    return _FULL_MISS
-                filled = l1.clean_fill(line)
-                if filled is None:
-                    return _REFUSED
-                entry, victim_line = filled
-                if self.track_values:
-                    entry.values = self._fill_values(line, llc_entry)
-                if victim_line >= 0:
-                    directory.drop_core(victim_line, core_id)
-            directory.set_owner(line, core_id)
-            lat = self._base_lat[core_id][bank]
-            entry.dirty = True
-            entry.epoch = resolved
-            # The guard proved no prior unpersisted version, so the tag
-            # is a plain insert (no depth).
-            resolved.lines.add(line)
-            self._epoch_tags[line] = resolved
+            entry, victim_line = filled
+            if self.track_values:
+                entry.values = self._fill_values(line, llc_entry)
+            if victim_line >= 0:
+                directory.drop_core(victim_line, core_id)
+        directory.set_owner(line, core_id)
+        lat = self._base_lat[core_id][bank]
+        entry.dirty = True
+        entry.epoch = resolved
+        # The guard proved no prior unpersisted version, so the tag is a
+        # plain insert (no depth).
+        resolved.lines.add(line)
+        self._epoch_tags[line] = resolved
         resolved.all_lines.add(line)
         if self.track_values and values:
             if entry.values is None:
@@ -506,23 +505,14 @@ class Multicore:
         mc_id = self.amap.mc_of(line)
         bank_mc = self.mesh.b2mc[bank][mc_id]
         eng = self.engine
+        # The read reaches the controller after the L1->bank->MC legs;
+        # it consults and mutates controller state at that arrival.
         eng.schedule(
             self._fill_travel[core_id][bank] + bank_mc,
-            self._fused_miss_at_mc, mc_id, core_id, line, bank,
-            bank_mc + self.mesh.c2b[core_id][bank], on_done, eng.now,
-            values, epoch,
+            self._mc_reads[mc_id], line, self._fused_miss_done, core_id,
+            line, bank, bank_mc + self.mesh.c2b[core_id][bank], on_done,
+            eng.now, values, epoch,
         )
-
-    def _fused_miss_at_mc(self, mc_id: int, core_id: int, line: int,
-                          bank: int, delivery: int,
-                          on_done: Callable[[int], None], issue_time: int,
-                          values: Optional[Dict[int, object]],
-                          epoch: Optional[Epoch]) -> None:
-        # Same controller interaction as _mem_at_mc: the read consults
-        # and mutates MC state at the simulated arrival time.
-        self.mcs[mc_id].read(line, self._fused_miss_done, core_id, line,
-                             bank, delivery, on_done, issue_time, values,
-                             epoch)
 
     def _fused_miss_done(self, core_id: int, line: int, bank: int,
                          delivery: int, on_done: Callable[[int], None],
@@ -535,31 +525,37 @@ class Multicore:
         Mirrors :meth:`_mem_fill_done` plus the simple-victim tails of
         ``_make_room_llc`` / ``_fill_l1`` / ``_finish_store`` /
         ``_complete``.  Any fill-time hazard -- a race with another
-        core, a dirty LLC victim, a dirty L1 victim -- builds the
-        request object the scheduled path would have carried and
-        delegates to :meth:`_mem_fill_done`, which re-derives everything
-        from live state (``retries = 1`` matches the one classifier pass
-        the scheduled path took at issue)."""
+        core, a dirty L1 victim, an LLC set whose every way is dirty --
+        builds the request object the scheduled path would have carried
+        and delegates to :meth:`_mem_fill_done`, which re-derives
+        everything from live state (``retries = 1`` matches the one
+        classifier pass the scheduled path took at issue).  Only the
+        last check, the LLC's ``clean_fill``, changes anything, and only
+        when it passes."""
         bank_cache = self.llc_banks[bank]
         raced = bank_cache.lookup(line)
         l1 = self.l1s[core_id]
-        llc_victim = None
         l1_entry = None
         l1_victim = None
         simple = (
             self.directory.owner_of(line) is None
             and (raced is None or not raced.unpersisted)
         )
-        if simple and raced is None:
-            llc_victim = bank_cache.victim_for(line)
-            if llc_victim is not None and llc_victim.dirty:
-                simple = False
         if simple:
             l1_entry = l1.lookup(line)
             if l1_entry is None:
                 l1_victim = l1.victim_for(line)
                 if l1_victim is not None and l1_victim.dirty:
                     simple = False
+        llc_entry = raced
+        if simple and raced is None:
+            filled = bank_cache.clean_fill(line)
+            if filled is None:
+                simple = False
+            else:
+                llc_entry = filled[0]
+                if self.track_values:
+                    llc_entry.values = self._fill_values(line)
         if not simple:
             req = _Request(core_id, line, epoch is not None, values,
                            epoch, on_done)
@@ -567,14 +563,6 @@ class Multicore:
             req.retries = 1
             self._mem_fill_done(req, bank, delivery, time)
             return
-        if raced is None:
-            if llc_victim is not None:
-                bank_cache.remove(llc_victim.line)
-            llc_entry = bank_cache.insert(line)
-            if self.track_values:
-                llc_entry.values = self._fill_values(line)
-        else:
-            llc_entry = raced
         if l1_entry is None:
             if l1_victim is not None:
                 l1_entry = l1.swap_in(line, l1_victim)
@@ -1063,13 +1051,8 @@ class Multicore:
         bank_mc = self.mesh.b2mc[bank][mc_id]
         travel = self._fill_travel[req.core_id][bank] + bank_mc
         delivery = bank_mc + self.mesh.c2b[req.core_id][bank] + extra_lat
-        self.engine.schedule(travel, self._mem_at_mc,
-                                  mc_id, req, bank, delivery)
-
-    def _mem_at_mc(self, mc_id: int, req: _Request, bank: int,
-                   delivery: int) -> None:
-        self.mcs[mc_id].read(req.line, self._mem_fill_done,
-                             req, bank, delivery)
+        self.engine.schedule(travel, self._mc_reads[mc_id], line,
+                             self._mem_fill_done, req, bank, delivery)
 
     def _mem_fill_done(self, req: _Request, bank: int, delivery: int,
                        _time: int) -> None:
@@ -1279,13 +1262,16 @@ class Multicore:
     # ------------------------------------------------------------------
     # Run control
     # ------------------------------------------------------------------
-    def merge_l1_hits(self, core_id: int, hits: int) -> None:
-        """Account ``hits`` L1 load hits that ``core_id`` served from
-        its own L1 (fast mode; Core.flush_hot_stats calls this at run
-        end): one L1 ``hits`` count and one ``mem_latency`` sample of
-        ``l1_latency`` cycles each, exactly what the general
-        classifier's hit path records per load."""
-        self._l1_hit_counts[core_id] += hits
+    def merge_l1_hits(self, core_id: int, load_hits: int,
+                      store_hits: int) -> None:
+        """Account the L1 hits ``core_id`` served from its own L1 (fast
+        mode; Core.flush_hot_stats calls this at run end), exactly as
+        the general classifier records them per access: a load hit adds
+        one L1 ``hits`` count and one ``mem_latency`` sample of
+        ``l1_latency`` cycles, and a store to a line its ongoing epoch
+        already dirtied adds the sample only."""
+        self._l1_hit_counts[core_id] += load_hits
+        hits = load_hits + store_hits
         lat = self._l1_lat
         self._lat_sums[core_id] += hits * lat
         self._lat_counts[core_id] += hits
@@ -1444,6 +1430,12 @@ class Multicore:
         for mgr in self.managers:
             mgr.audit()
             for epoch in mgr.window:
+                # Every path that tags a line also records it as
+                # written, so a same-epoch store may skip both adds.
+                if not epoch.lines <= epoch.all_lines:
+                    raise AssertionError(
+                        f"{epoch} tracks lines missing from its all_lines"
+                    )
                 for line in epoch.lines:
                     entry, _ = self.locate_epoch_line(epoch, line)
                     if entry is None:

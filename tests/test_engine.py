@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import _MAX_INLINE_DEPTH, Engine, reference_mode
@@ -237,16 +239,30 @@ def test_slow_mode_routes_everything_through_heap(monkeypatch):
 
 
 def _claim_probe(engine, verdicts):
-    """A probe that claims ``delay`` cycles, checks the verdict against
-    the horizon (a claim is granted exactly when ``now + delay <
-    horizon()``) and records (label, granted, cycles moved)."""
+    """A probe that completes ``delay`` cycles out through ``finish``,
+    checks that the completion ran inline exactly when ``now + delay <
+    horizon()`` (the clock claim), and records (label, ran inline,
+    cycles moved).  A completion ``finish`` queued instead is withdrawn
+    at once, so it cannot bound a later probe."""
 
     def probe(label, delay):
         start = engine.now
         reachable = start + delay < engine.horizon()
-        granted = engine.claim(delay)
-        assert granted == reachable, label
-        verdicts.append((label, granted, engine.now - start))
+        ran = []
+        done = ran.append
+        engine.finish(delay, done)
+        inline = bool(ran)
+        assert inline == reachable, label
+        if inline:
+            assert ran == [start + delay] == [engine.now], label
+        elif delay == 0:
+            # Same-cycle work goes to the ready deque.
+            assert engine._ready.pop() == (engine._seq - 1, done, (start,))
+        else:
+            engine._queue.remove(
+                (start + delay, engine._seq - 1, done, (start + delay,)))
+            heapq.heapify(engine._queue)
+        verdicts.append((label, inline, engine.now - start))
 
     return probe
 

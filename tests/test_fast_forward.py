@@ -207,7 +207,8 @@ def test_foreign_tag_refuses_the_store():
     assert line in machine._epoch_tags
     epoch0 = machine.managers[0].current_or_new()
     tags_before = dict(machine._epoch_tags)
-    assert machine.try_clean_store(0, line, None, epoch0) == _REFUSED
+    entry = machine.l1s[0].lookup(line)
+    assert machine.try_clean_store(0, line, entry, None, epoch0) == _REFUSED
     assert machine._epoch_tags == tags_before
     assert not epoch0.lines
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.processor import Core
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
@@ -139,13 +140,13 @@ def test_load_hits_run_in_one_loop():
 
 
 def _counted_run(slow, programs, num_cores=1):
-    """Run ``programs`` on a machine whose ``load``, ``Engine.claim``
+    """Run ``programs`` on a machine whose ``load``, ``Engine.finish``
     and ``Engine.horizon`` count their calls; ``load`` also records who
     asked for which line.  Returns (machine, result, counts, loads)."""
     with reference_mode(slow):
         m = Multicore(machine(num_cores=num_cores).config, track_values=True,
                       track_persist_order=True)
-    counts = {"claim": 0, "horizon": 0}
+    counts = {"finish": 0, "horizon": 0}
     loads = []
 
     def counted(obj, name):
@@ -164,7 +165,7 @@ def _counted_run(slow, programs, num_cores=1):
         return load(core_id, line, on_done)
 
     m.load = recorded_load
-    counted(m.engine, "claim")
+    counted(m.engine, "finish")
     counted(m.engine, "horizon")
     return m, m.run(programs), counts, loads
 
@@ -177,8 +178,8 @@ def _latency_samples(result, core):
 
 def test_l1_load_hits_stay_in_the_core():
     # 10,000 loads over four lines: four cold misses, then hits the
-    # core serves from its own L1 without calling the machine or the
-    # clock claim; the hit count and latency samples it hands over at
+    # core serves from its own L1 without calling the machine or
+    # Engine.finish; the hit count and latency samples it hands over at
     # run end are the ones the reference classifier records per load.
     lines = [0x1000 + i * 64 for i in range(4)]
     p = Program()
@@ -186,7 +187,7 @@ def test_l1_load_hits_stay_in_the_core():
         p.load(lines[i % 4])
     fast, fast_result, counts, loads = _counted_run(False, [p])
     assert sorted(loads) == [(0, line) for line in lines]
-    assert counts["claim"] <= 5 and counts["horizon"] <= 10
+    assert counts["finish"] <= 5 and counts["horizon"] <= 10
     ref, ref_result, _, ref_loads = _counted_run(True, [p])
     assert len(ref_loads) == 10_000
     hits = fast_result.stats.domain("l1.0").get("hits")
@@ -284,4 +285,69 @@ def test_session_lends_the_clock_to_its_core():
     assert queued < 200
     ref, ref_result, ref_queued = _bsp_stream(slow=True)
     assert ref_queued > 4_000
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def _counted_stores(slow, program, model, monkeypatch):
+    """Run ``program`` on one core of a machine whose
+    ``Multicore.try_clean_store`` and ``Core._ff_run`` count their
+    calls; returns (machine, result, calls)."""
+    with reference_mode(slow):
+        m = Multicore(machine(persistency=model).config, track_values=True,
+                      track_persist_order=True)
+    calls = {"try_clean_store": 0, "_ff_run": 0}
+    try_clean_store = m.try_clean_store
+
+    def counted_try_clean_store(*args):
+        calls["try_clean_store"] += 1
+        return try_clean_store(*args)
+
+    ff_run = Core._ff_run
+
+    def counted_ff_run(core, *args):
+        calls["_ff_run"] += 1
+        return ff_run(core, *args)
+
+    m.try_clean_store = counted_try_clean_store
+    monkeypatch.setattr(Core, "_ff_run", counted_ff_run)
+    return m, m.run([program]), calls
+
+
+@pytest.mark.parametrize("model", [PersistencyModel.BEP,
+                                   PersistencyModel.BSP])
+def test_same_epoch_store_hits_stay_in_the_core(model, monkeypatch):
+    # One long epoch (no barrier, and BSP's quota is 10,000 stores):
+    # 10,000 stores over eight lines.  Each line's first store goes to
+    # the machine; every later one finds its line dirty under the core's
+    # ongoing epoch and the core serves it without calling the machine.
+    # The latency samples it hands over at run end are the ones the
+    # reference classifier records per store.
+    lines = [0x1000 + i * 64 for i in range(8)]
+    p = Program()
+    for i in range(10_000):
+        p.store(lines[i % 8], 8, value=i)
+    fast, fast_result, calls = _counted_stores(False, p, model, monkeypatch)
+    assert fast_result.finished
+    assert calls["try_clean_store"] <= len(lines)
+    assert fast.cores[0].ff_stores >= 9_900
+    ref, ref_result, _ = _counted_stores(True, p, model, monkeypatch)
+    assert _latency_samples(fast_result, 0) == _latency_samples(ref_result, 0)
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def test_a_full_miss_is_decided_once_without_a_session(monkeypatch):
+    # Every store misses to memory.  Each drain step asks the machine
+    # once, the machine issues the fill itself, and no session opens.
+    n = 200
+    p = Program()
+    for i in range(n):
+        p.store(0x10_0000 + i * 64, 8, value=i)
+    fast, fast_result, calls = _counted_stores(
+        False, p, PersistencyModel.BEP, monkeypatch)
+    assert fast_result.finished
+    assert calls == {"try_clean_store": n, "_ff_run": 0}
+    core = fast.cores[0]
+    assert core.ff_fallback_reasons["full_miss"] == core.ff_fallbacks == n
+    ref, ref_result, _ = _counted_stores(
+        True, p, PersistencyModel.BEP, monkeypatch)
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)

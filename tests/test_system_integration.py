@@ -210,6 +210,10 @@ def _drop_line_from_every_cache(m):
         bank.remove(0x1000)
 
 
+def _forget_written_line(m):
+    m.managers[0].window[0].all_lines.clear()
+
+
 def _plant_stale_epoch_tag(m):
     m._epoch_tags[0x9000] = m.managers[0].window[0]
 
@@ -236,13 +240,15 @@ def _drop_dirty_line_owner(m):
     (_clear_current_slot, "is not the current window tail"),
     (_close_current_behind_the_slot, "is not the ongoing window tail"),
     (_drop_line_from_every_cache, "no cache holds it"),
+    (_forget_written_line, "missing from its all_lines"),
     (_plant_stale_epoch_tag, "epoch-tag map out of sync"),
     (_add_sharer_beside_owner, "is not its sole sharer"),
     (_empty_directory_entry, "empty directory entry"),
     (_forget_l1_copy, "does not record it as a sharer"),
     (_drop_dirty_line_owner, "dirty but the directory's owner is None"),
 ], ids=["window_order", "ongoing_not_tail", "ongoing_not_current",
-        "stale_current_slot", "line_in_no_cache", "stale_epoch_tag",
+        "stale_current_slot", "line_in_no_cache", "tracked_not_written",
+        "stale_epoch_tag",
         "owner_not_sole_sharer", "empty_directory_entry",
         "l1_copy_not_a_sharer", "dirty_line_not_owned"])
 def test_audit_flags_planted_corruption(plant, message):
