@@ -3,14 +3,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow perfbench examples faults bench scale figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow perfbench benchmarks examples faults bench scale figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
-# the example scripts, the fault campaign and crash sweep jobs, and the
-# scaling check family (exits nonzero if any of its checks fails, or if
-# its record in BENCH_sweep.json drifts).
-ci: test test-reference perfbench examples faults
+# the paper-shape checks, the example scripts, the fault campaign and
+# crash sweep jobs, and the scaling check family (exits nonzero if any
+# of its checks fails, or if its record in BENCH_sweep.json drifts).
+ci: test test-reference perfbench benchmarks examples faults
 	$(PYTHON) -m repro bench --only scaling --output BENCH_sweep.json
 	git diff --exit-code BENCH_sweep.json
 
@@ -43,6 +43,12 @@ perfbench:
 			$(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds 0 || exit 1; \
 		done; \
 	done
+
+# CI's paper-shape job: the benchmarks/ suite's checks on Table 1 and
+# Figures 11-14 at tiny scale, each run once and untimed (the suite's
+# tests take pytest-benchmark's fixture; pyproject's `test` extra).
+benchmarks:
+	$(PYTHON) -m pytest -q benchmarks/ --benchmark-disable
 
 # Run every example script; each must exit 0.
 examples:

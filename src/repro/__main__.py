@@ -102,22 +102,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import main as experiments_main
-    argv = list(args.figures) + ["--seed", str(args.seed),
-                                 "--cache-dir", args.cache_dir]
-    if args.scale is not None:
-        argv += ["--scale", args.scale]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.refresh:
-        argv.append("--refresh")
-    if args.budget is not None:
-        argv += ["--budget", str(args.budget)]
-    if args.csv_dir is not None:
-        argv += ["--csv-dir", args.csv_dir]
-    return experiments_main(argv)
+    from repro.harness.experiments import build_figures
+    return build_figures(args)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -384,7 +370,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.harness.experiments import (
-        add_executor_args, non_negative_int, positive_int,
+        add_figure_args, non_negative_int, positive_int,
     )
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -406,14 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     fig_p = sub.add_parser("figures", help="regenerate paper figures")
-    fig_p.add_argument("figures", nargs="+")
-    fig_p.add_argument("--scale", default=None,
-                       choices=[s.value for s in Scale],
-                       help="machine scale (default: small)")
-    fig_p.add_argument("--seed", type=non_negative_int, default=1)
-    fig_p.add_argument("--csv-dir", default=None,
-                       help="write each figure's data as CSV here")
-    add_executor_args(fig_p)
+    add_figure_args(fig_p)
     fig_p.set_defaults(func=cmd_figures)
 
     from repro.harness.bench import DEFAULT_OUTPUT, FAMILIES, parse_cores

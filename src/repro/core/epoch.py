@@ -46,11 +46,6 @@ class EpochStatus(enum.Enum):
     PERSISTED = "persisted"
 
 
-# store_drained runs once per drained store; a module global read costs
-# a tenth of an enum-class attribute read on CPython 3.11.
-_CLOSED = EpochStatus.CLOSED
-
-
 class Epoch:
     """One epoch of one core."""
 
@@ -247,19 +242,21 @@ class EpochManager:
         return len(self.window) < self._max_inflight
 
     def tag_store(self) -> Epoch:
-        """Account one store entering the write buffer to the current epoch."""
+        """Tag one draining store with the ongoing epoch, opening one if
+        none is (``Core._drain`` does this inline)."""
         epoch = self.current_or_new()
         epoch.pending_stores += 1
         return epoch
 
     def store_drained(self, epoch: Epoch) -> None:
-        """A store of ``epoch`` completed at the L1."""
+        """A store of ``epoch`` completed at the L1 (``Core._drain``
+        retires its stores inline)."""
         epoch = epoch.resolve()
         epoch.pending_stores -= 1
         epoch.num_stores += 1
         if epoch.pending_stores < 0:
             raise RuntimeError(f"store accounting underflow on {epoch}")
-        if epoch.status is _CLOSED and epoch.pending_stores == 0:
+        if epoch.status is EpochStatus.CLOSED and epoch.pending_stores == 0:
             self._complete(epoch)
 
     def close_current(self) -> Optional[Epoch]:

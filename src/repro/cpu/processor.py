@@ -55,18 +55,22 @@ _EPOCH_MODELS = (
 # Why a fast-mode drain step opened no fast-forward session, the first
 # that applies in _drain's order: an injector is configured; ff_begin
 # would refuse (a clock hold, or outside run()); the BSP store quota is
-# spent; the epoch-ID window is full; or the machine issued the store
-# itself, as a full miss or through the general classifier.
+# spent; the epoch-ID window is full; or Multicore.try_clean_store
+# refused the store, which the machine then issues as a full miss or
+# through the general classifier.
 _FF_FALLBACK_REASONS = ("faults", "held", "full_miss", "refused",
                         "bsp_limit", "window")
-# Multicore.drain_store's negative returns, by name (repro.system's
-# _REFUSED and _FULL_MISS; that module imports this one).
-_STORE_REFUSALS = {-1: "refused", -2: "full_miss"}
+# Multicore.try_clean_store's negative returns, named here because the
+# drain branches on them (repro.system imports them): the store takes the
+# general classifier, or the fused full-miss path.
+_REFUSED = -1
+_FULL_MISS = -2
+_STORE_REFUSALS = {_REFUSED: "refused", _FULL_MISS: "full_miss"}
 
 # The op loop compares kinds, and the drain and barrier paths compare
-# persistency models, against module globals: on CPython 3.11 an
-# ``OpKind.LOAD`` attribute read through the enum class costs about ten
-# times a global read.
+# persistency models and epoch states, against module globals: on
+# CPython 3.11 an ``OpKind.LOAD`` attribute read through the enum class
+# costs about ten times a global read.
 _LOAD = OpKind.LOAD
 _STORE = OpKind.STORE
 _COMPUTE = OpKind.COMPUTE
@@ -76,10 +80,14 @@ _SP = PersistencyModel.SP
 _EP = PersistencyModel.EP
 _BSP = PersistencyModel.BSP
 _BSP_WT = PersistencyModel.BSP_WT
+_CLOSED = EpochStatus.CLOSED
 
 # The write buffer's barrier marker: one shared op, told apart from the
 # buffered store ops by identity.
 _MARKER = Op(OpKind.BARRIER)
+
+# The L1 sets a reference-mode drain probes: one empty set.
+_NO_SETS = ({},)
 
 
 class Core:
@@ -90,7 +98,6 @@ class Core:
         self.core_id = core_id
         self._machine = machine
         self._engine = machine.engine
-        self._config = machine.config
         self._it: Iterator[Op] = iter(ops)
         self.stats = machine.stats.domain(f"core{core_id}")
         self._model = machine.config.persistency
@@ -127,12 +134,15 @@ class Core:
         self._issue_cycles = machine.config.issue_width_cycles
         self._wb_capacity = machine.config.write_buffer_entries
         self._track_values = machine.track_values
-        # Fast-forward drain sessions (_drain, _ff_run): fast mode only,
-        # and only for the epoch-tagged models whose drain chain
-        # dominates the event count.  _ff_active marks a session in
-        # progress so _issue_store virtualizes its issue-width
-        # continuation instead of scheduling it; _ff_issue_slot carries
-        # that (time, seq) pair back to the session loop.
+        # The BSP store quota a drain step enforces (0: no quota).
+        self._bsp_quota = (machine.config.bsp_epoch_stores
+                           if self._model is _BSP else 0)
+        # Fast-forward drain sessions (_drain): fast mode only, and only
+        # for the epoch-tagged models whose drain chain dominates the
+        # event count.  _ff_active marks a session in progress so
+        # _issue_store virtualizes its issue-width continuation instead
+        # of scheduling it; _ff_issue_slot carries that (time, seq) pair
+        # back to the session.
         self._ff_active = False
         self._ff_issue_slot: Optional[Tuple[int, int]] = None
         # Session accounting, exposed for tests and diagnostics.  Plain
@@ -151,9 +161,10 @@ class Core:
         self._wb_stores = 0
         self._wb_lines: Dict[int, int] = {}
         self._draining = False
-        # Epoch of the single store the drain loop has in flight at the
-        # L1 (the drain is strictly one-at-a-time), so the completion
-        # callback is a prebound method instead of a per-store lambda.
+        # Epoch of the epoch-tagged store the drain last sent to the L1
+        # (the drain is strictly one-at-a-time), which its completion
+        # retires, so the completion callback is _drain itself instead
+        # of a per-store lambda.
         self._drain_epoch = None
         self._pending_push: Optional[Op] = None
         self._wt_outstanding = 0
@@ -326,11 +337,12 @@ class Core:
             if time < eng._lent:
                 eng._lent = time
             return
-        # NOTE: the issue-width advance must stay a scheduled event.  A
-        # clock claim here (as Engine.finish makes) is unsound:
-        # _issue_store can run mid-chain (resumed from _pop_store), and
+        # NOTE: the issue-width advance must stay a scheduled event, here
+        # and in the drain's parked push.  A clock claim (as
+        # Engine.finish makes) is unsound: both run mid-chain (from a
+        # load's completion, a write-through's ack, a drain step), and
         # the enclosing caller may still schedule same-cycle work after
-        # it returns, which the claim would reorder.
+        # they return, which the claim would reorder.
         eng.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
@@ -348,353 +360,312 @@ class Core:
     # ------------------------------------------------------------------
     # Write-buffer drain (epoch tagging happens here)
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        wb = self.wb
-        if not wb:
-            self._draining = False
-            self._check_done()
-            return
-        op = wb[0]
-        if op is _MARKER:
-            self._drain_barrier()
-            return
-        if not self._uses_epochs:
-            # NP, SP (persists synchronously) and BSP_WT (writes through
-            # asynchronously): untagged stores, all through the general
-            # classifier.
-            line = op.addr & self._line_mask
-            wt = self._model is _BSP_WT
-            if wt:
-                self._wt_outstanding += 1
-            self._machine.store(
-                self.core_id, line,
-                {op.addr - line: op.value} if self._track_values else None,
-                None, self._drained, persist_sync=self._model is _SP,
-                wt_async=wt, on_persist_ack=self._wt_acked if wt else None,
-            )
-            return
+    # The drain chain is the simulator's dominant event class: every
+    # store costs an L1 completion, and a store parked on a full buffer
+    # an issue-width continuation, each a heap round-trip.  In fast mode
+    # a drain step that applies at once may open a fast-forward
+    # *session*: _drain keeps stepping and holds the store's completion
+    # and the issue-width continuation as *virtual* events -- (time, seq)
+    # pairs in locals -- firing any interleaved queued event through
+    # Engine.ff_dispatch_one in exact (time, seq) order.  While it fires
+    # a queued event or runs the core's op loop it lends the clock up to
+    # its earliest virtual event, so loads, markers and ignored barriers
+    # between stores claim instead of queueing.  A session takes the
+    # same drain steps as the stepped drain, so an observer of stats,
+    # cycle counts or the NVRAM image cannot tell the two apart.  It ends
+    # at the first step that does not apply, or at the run's until
+    # bound, and pushes its outstanding virtual events into the heap
+    # under their original sequence numbers: the entries the stepped
+    # drain would have queued.
 
-        # Epoch-tagged store path (EP / BEP / BSP).  In fast mode `why`
-        # names, before the step acts, why it may not open a session.
+    def _drain(self, time: Optional[int] = None) -> None:
+        """Drain the write buffer, one step after another.
+
+        Every drain step's completion calls this with the cycle its
+        store completed at: the loop first retires that store (in its
+        epoch, when tagged), pops it and pushes the parked store into
+        the freed slot.  Called without a time (a store or marker
+        entered an idle buffer, a marker drained, a persisted epoch
+        freed an epoch ID), it only steps.
+
+        A step stops at an empty buffer or a marker, enforces the BSP
+        quota, sends an untagged store to the machine, enforces the
+        epoch-ID window, tags the store, serves a same-epoch hit from the
+        core's own L1 (fast mode), and has the machine apply any other
+        store (:meth:`Multicore.try_clean_store`, fast mode) or issue it
+        (:meth:`Multicore.store`).  A step that applies completes
+        through :meth:`Engine.finish`, or, in fast mode with no fallback
+        reason, opens a session (above).
+        """
+        wb = self.wb
+        wb_lines = self._wb_lines
+        mask = self._line_mask
         eng = self._engine
+        mgr = self._mgr
         l1 = self._l1
+        l1_lat = self._l1_lat
+        track = self._track_values
+        quota = self._bsp_quota
+        epoch = self._drain_epoch
+        # The L1 probe's handles, and in fast mode why a step may not
+        # open a session, before it acts.
         why = None
-        if l1 is not None:
+        if l1 is None:
+            # Reference mode: the probe finds nothing, so every store
+            # goes to the general classifier.
+            l1_sets = _NO_SETS
+            l1_shift = l1_mask = 0
+        else:
+            l1_sets = l1._sets
+            l1_shift = l1._offset_bits
+            l1_mask = l1._set_mask
             if self._machine.faults is not None:
                 # A session could shift a fault draw, which is keyed by
                 # per-event attempt counts.
                 why = "faults"
             elif not eng._in_run or eng.advance_holds:
                 why = "held"   # Engine.ff_begin would refuse
-        mgr = self._mgr
-        current = mgr.current
-        if (
-            self._model is _BSP
-            and current is not None
-            and current.num_stores + current.pending_stores
-            >= self._config.bsp_epoch_stores
-        ):
-            # Bulk mode: the persistence engine closes the epoch after N
-            # dynamic stores and checkpoints processor state (section 5.2).
-            why = why or "bsp_limit"
-            self._hardware_barrier()
-            current = None
-        if current is None and not mgr.can_open_epoch():
-            # All 2^3 epoch IDs are in flight (section 4.3): no store may
-            # begin a new epoch until the oldest persists.
-            if l1 is not None:
-                self.ff_fallback_reasons[why or "window"] += 1
-            self._n_window_stalls += 1
-            oldest = mgr.oldest_unpersisted()
-            oldest.on_persist(self._drain)
-            self._machine.arbiters[self.core_id].request_flush_upto(
-                oldest, online=True, mark_conflict=False
-            )
-            return
-        self._drain_epoch = epoch = mgr.tag_store()
-        addr = op.addr
-        line = addr & self._line_mask
-        entry = None if l1 is None else l1._sets[
-            (line >> l1._offset_bits) & l1._set_mask].get(line)
-        if entry is not None and entry.dirty and entry.epoch is epoch:
-            # A store to a line this epoch already dirtied raises no
-            # conflict, logs nothing and leaves the directory alone (a
-            # dirty L1 line's core owns it), so the core serves it: LRU,
-            # values, and a latency sample it hands over at run end.
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            if self._track_values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values[addr - line] = op.value
-            self._n_store_hits += 1
-            lat = self._l1_lat
-        else:
-            values = ({addr - line: op.value} if self._track_values
-                      else None)
-            if l1 is None:
-                # Reference mode: every store takes the general path.
-                self._machine.store(self.core_id, line, values, epoch,
-                                    self._drained_epoch)
-                return
-            lat = self._machine.drain_store(self.core_id, line, entry, values,
-                                            epoch, self._drained_epoch)
-            if lat < 0:
-                # The machine issued it; _drained_epoch completes it.
-                self.ff_fallback_reasons[why or _STORE_REFUSALS[lat]] += 1
-                return
-        if why is not None:
-            self.ff_fallback_reasons[why] += 1
-            eng.finish(lat, self._drained_epoch)
-            return
-        # The step applied: open a session seeded with its completion.
-        eng.ff_begin()
-        self._ff_active = True
-        try:
-            stopped = self._ff_run(lat, epoch)
-        finally:
-            eng.ff_end()
-            self._ff_active = False
-        if stopped:
-            # The session stopped at a drain step the event-per-op path
-            # owns (an empty buffer, a marker, a spent BSP quota, a full
-            # window, a store the machine issues); take it now.
-            self._drain()
-
-    # ------------------------------------------------------------------
-    # Fast-forward drain sessions
-    # ------------------------------------------------------------------
-    # The drain chain is the simulator's dominant event class: every
-    # store costs an issue-width continuation plus an L1 completion,
-    # each a heap round-trip.  A session replaces both with *virtual*
-    # events -- (time, seq) pairs held in locals -- and advances the
-    # clock analytically, firing any interleaved queued event through
-    # Engine.ff_dispatch_one in exact (time, seq) order.  While it
-    # dispatches an event or runs the core's op loop it lends the clock
-    # up to its earliest virtual event, so loads, markers and ignored
-    # barriers between stores claim instead of queueing.  Every
-    # state mutation mirrors the event-per-op path line for line, so an
-    # observer of stats, cycle counts, or the NVRAM image cannot tell a
-    # fast-forwarded stretch from a stepped one; the moment any
-    # precondition fails the session re-materializes its outstanding
-    # virtual events under their original sequence numbers and yields to
-    # the event-per-op path.  A session opens only behind a drain step
-    # that _drain has already applied.
-
-    def _ff_run(self, lat: int, epoch) -> bool:
-        """The session loop, seeded with the completion (``lat`` cycles
-        out, under ``epoch``) of the step :meth:`_drain` just applied.
-
-        Returns True when it stopped at a drain step the event-per-op
-        path must take, False when the run's until bound interrupted it;
-        either way every outstanding virtual event has been
-        re-materialized into the heap under its original sequence
-        number.
-        """
-        eng = self._engine
-        mgr = self._mgr
-        wb = self.wb
-        is_bsp = self._model is _BSP
-        bsp_limit = self._config.bsp_epoch_stores if is_bsp else 0
-        core_id = self.core_id
-        line_mask = self._line_mask
-        track_values = self._track_values
-        issue_cycles = self._issue_cycles
-        l1 = self._l1
-        l1_sets = l1._sets
-        l1_offset = l1._offset_bits
-        l1_mask = l1._set_mask
-        l1_lat = self._l1_lat
-        seq = eng._seq
-        eng._seq = seq + 1
-        d_slot = (eng.now + lat, seq, epoch)   # the store in flight
-        n_slot = None   # (time, seq): pending issue-width continuation
-        stores = 1
-        hits = 0
-        cut = False
-        # Hoisted queue handles: the engine never replaces these
-        # objects, so the bindings stay valid across any event the
-        # session dispatches.
-        queue = eng._queue
-        ready = eng._ready
-        until = eng._until
-        try_clean_store = self._machine.try_clean_store
-        wb_append = wb.append
-        wb_popleft = wb.popleft
-        wb_lines = self._wb_lines
-        closed_s = EpochStatus.CLOSED
-
+        session = False
         while True:
-            if d_slot is None:
-                # -- drain step: claim the write-buffer head store -----
-                # Mirrors _drain's epoch-tagged path; any condition the
-                # event-per-op path owns ends the session.
-                if not wb:
-                    break
-                head = wb[0]
-                if head is _MARKER:
-                    break
-                # A split (a conflict dispatched mid-session) replaces
-                # the current epoch, so re-read the slot every step.
-                cur = mgr.current
-                if (
-                    is_bsp
-                    and cur is not None
-                    and cur.num_stores + cur.pending_stores >= bsp_limit
-                ):
-                    break
-                if cur is None:
-                    if not mgr.can_open_epoch():
-                        break
-                    # Same epoch the per-op tag_store would open, at the
-                    # same cycle with the same stats.
-                    cur = mgr.current_or_new()
-                addr = head.addr
-                line = addr & line_mask
-                entry = l1_sets[(line >> l1_offset) & l1_mask].get(line)
-                if entry is not None and entry.dirty and entry.epoch is cur:
-                    # The core's own same-epoch hit, as in _drain.
-                    l1._tick = tick = l1._tick + 1
-                    entry._lru = tick
-                    if track_values:
-                        if entry.values is None:
-                            entry.values = {}
-                        entry.values[addr - line] = head.value
-                    hits += 1
-                    lat = l1_lat
+            if time is not None:
+                # -- retire the completed head store in its epoch
+                # (EpochManager.store_drained, inlined: follow split
+                # redirects, retire the pending store, complete a closed
+                # epoch that just emptied), pop it, and push the parked
+                # store into the freed slot.
+                if epoch is not None:
+                    while epoch.redirect is not None:
+                        epoch = epoch.redirect
+                    pending = epoch.pending_stores - 1
+                    epoch.pending_stores = pending
+                    epoch.num_stores += 1
+                    if pending <= 0:
+                        if pending < 0:
+                            raise RuntimeError(
+                                f"store accounting underflow on {epoch}")
+                        if epoch.status is _CLOSED:
+                            mgr._complete(epoch)
+                line = wb.popleft().addr & mask
+                count = wb_lines[line] - 1
+                if count:
+                    wb_lines[line] = count
                 else:
-                    lat = try_clean_store(
-                        core_id, line, entry,
-                        {addr - line: head.value} if track_values else None,
-                        cur)
-                    if lat < 0:
-                        break   # _drain has the machine issue it
-                cur.pending_stores += 1
-                seq = eng._seq
-                eng._seq = seq + 1
-                d_slot = (eng.now + lat, seq, cur)
-                stores += 1
-                continue
+                    del wb_lines[line]
+                op = self._pending_push
+                if op is None or self._wt_outstanding and (
+                        self._wb_stores + self._wt_outstanding
+                        > self._wb_capacity):
+                    # Nothing parked, or (BSP_WT) write-throughs in
+                    # flight still fill the buffer: _wt_acked pushes it.
+                    self._wb_stores -= 1
+                else:
+                    # _issue_store, inlined: the parked store takes the
+                    # slot the pop freed.
+                    self._pending_push = None
+                    wb.append(op)
+                    line = op.addr & mask
+                    wb_lines[line] = wb_lines.get(line, 0) + 1
+                    self._n_stores += 1
+                    if session:
+                        # The core's issue side is parked, so this is
+                        # the one issue event outstanding.
+                        n_seq = eng._seq
+                        eng._seq = n_seq + 1
+                        n_time = eng.now + self._issue_cycles
+                    else:
+                        eng.schedule(self._issue_cycles, self._next)
 
-            # -- fire the earliest of {queued event, completion, issue} --
-            t_d = d_slot[0]
-            s_d = d_slot[1]
-            if n_slot is not None and (
-                n_slot[0] < t_d or (n_slot[0] == t_d and n_slot[1] < s_d)
-            ):
-                v_time = n_slot[0]
-                v_seq = n_slot[1]
-                v_is_issue = True
-            else:
-                v_time = t_d
-                v_seq = s_d
-                v_is_issue = False
-            # Decide from the queue heads whether a foreign queued event
-            # precedes the virtual one without building key tuples.  A
-            # ready entry carries key (now, seq) and now <= v_time
-            # always holds, so when the clocks tie only the seq decides;
-            # for the until-bound both candidate times are <= now <=
-            # until, so f_time only matters for the heap case.
-            f_time = -1
-            if ready:
-                if eng.now < v_time or ready[0][0] < v_seq:
-                    f_time = eng.now
-            if f_time < 0 and queue:
-                head2 = queue[0]
-                h0 = head2[0]
-                if h0 < v_time or (h0 == v_time and head2[1] < v_seq):
-                    f_time = h0
-            if f_time >= 0:
-                if until is not None and f_time > until:
-                    cut = True
-                    break
-                # The dispatched event may claim any cycle before the
-                # earliest virtual event.
-                eng._lent = v_time
-                eng.ff_dispatch_one()
-                if self._ff_issue_slot is not None:
-                    n_slot = self._ff_issue_slot
-                    self._ff_issue_slot = None
-                continue
-            if until is not None and v_time > until:
-                cut = True
-                break
-            # The comparison against fkey guarantees the ready deque is
-            # empty whenever v_time > now, so this is the same heap-head
-            # clock advance run() performs.
-            eng.now = v_time
-            if v_is_issue:
-                n_slot = None
-                # The store completion is the one virtual event left;
-                # the op loop may claim any cycle before it.
-                eng._lent = t_d
-                self._next()
-                if self._ff_issue_slot is not None:
-                    n_slot = self._ff_issue_slot
-                    self._ff_issue_slot = None
-                continue
-            # Store completion: mirror _drained_epoch + _pop_store,
-            # with EpochManager.store_drained inlined (resolve split
-            # redirects, retire the pending store, complete a closed
-            # epoch that just emptied).
-            epoch = d_slot[2]
-            d_slot = None
-            while epoch.redirect is not None:
-                epoch = epoch.redirect
-            pending = epoch.pending_stores - 1
-            epoch.pending_stores = pending
-            epoch.num_stores += 1
-            if pending <= 0:
-                if pending < 0:
-                    raise RuntimeError(
-                        f"store accounting underflow on {epoch}"
+            # -- the next step: an empty buffer stops it as a marker does
+            op = wb[0] if wb else _MARKER
+            if op is _MARKER:
+                if session:
+                    self._end_session(n_time, n_seq, stores)
+                if wb:
+                    self._drain_barrier()
+                else:
+                    self._draining = False
+                    self._check_done()
+                return
+            # A split (a conflict dispatched mid-session) replaces the
+            # ongoing epoch, so each step reads it afresh.
+            cur = mgr.current
+            if (quota and cur is not None
+                    and cur.num_stores + cur.pending_stores >= quota):
+                # Bulk mode: the persistence engine closes the epoch after
+                # N dynamic stores and checkpoints processor state
+                # (section 5.2).
+                if session:
+                    self._end_session(n_time, n_seq, stores)
+                    session = False
+                why = why or "bsp_limit"
+                self._hardware_barrier()
+                cur = None
+            if cur is None:
+                if not self._uses_epochs:
+                    # NP, SP (persists synchronously) and BSP_WT (writes
+                    # through asynchronously) never open an epoch: their
+                    # stores go untagged to the general classifier.
+                    line = op.addr & mask
+                    wt = self._model is _BSP_WT
+                    if wt:
+                        self._wt_outstanding += 1
+                    self._machine.store(
+                        self.core_id, line,
+                        {op.addr - line: op.value} if track else None,
+                        None, self._drain, persist_sync=self._model is _SP,
+                        wt_async=wt,
+                        on_persist_ack=self._wt_acked if wt else None,
                     )
-                if epoch.status is closed_s:
-                    mgr._complete(epoch)
-            line = wb_popleft().addr & line_mask
-            count = wb_lines[line] - 1
-            if count:
-                wb_lines[line] = count
+                    return
+                if not mgr.can_open_epoch():
+                    # All 2^3 epoch IDs are in flight (section 4.3): no
+                    # store may begin a new epoch until the oldest
+                    # persists.
+                    if session:
+                        self._end_session(n_time, n_seq, stores)
+                    if l1 is not None:
+                        self.ff_fallback_reasons[why or "window"] += 1
+                    self._n_window_stalls += 1
+                    oldest = mgr.oldest_unpersisted()
+                    oldest.on_persist(self._drain)
+                    self._machine.arbiters[self.core_id].request_flush_upto(
+                        oldest, online=True, mark_conflict=False
+                    )
+                    return
+                cur = mgr.current_or_new()
+            # Tag the store with the epoch current as it completes.
+            cur.pending_stores += 1
+            addr = op.addr
+            line = addr & mask
+            entry = l1_sets[(line >> l1_shift) & l1_mask].get(line)
+            if entry is not None and entry.dirty and entry.epoch is cur:
+                # A store to a line this epoch already dirtied raises no
+                # conflict, logs nothing and leaves the directory alone
+                # (a dirty L1 line's core owns it), so the core serves
+                # it: LRU, values, and a latency sample it hands over at
+                # run end.
+                l1._tick = tick = l1._tick + 1
+                entry._lru = tick
+                if track:
+                    if entry.values is None:
+                        entry.values = {}
+                    entry.values[addr - line] = op.value
+                self._n_store_hits += 1
+                lat = l1_lat
             else:
-                del wb_lines[line]
-            op = self._pending_push
-            if op is None:
-                self._wb_stores -= 1
-                continue
-            # _resume_pending_push and _issue_store, inlined: the pop
-            # above freed the slot the parked store takes (sessions never
-            # run beside write-throughs), so the buffer's store count is
-            # unchanged, and the issue-width continuation becomes the
-            # virtual issue event.  The core's issue side is parked, so
-            # no other issue event is outstanding.
-            self._pending_push = None
-            wb_append(op)
-            line = op.addr & line_mask
-            wb_lines[line] = wb_lines.get(line, 0) + 1
-            self._n_stores += 1
+                values = {addr - line: op.value} if track else None
+                if l1 is None:
+                    # Reference mode: the general classifier takes every
+                    # store.
+                    lat = _REFUSED
+                else:
+                    lat = self._machine.try_clean_store(
+                        self.core_id, line, entry, values, cur)
+                if lat < 0:
+                    # The machine issues the store it refused, once the
+                    # session (if any) has ended.
+                    if session:
+                        self._end_session(n_time, n_seq, stores)
+                    if l1 is not None:
+                        self.ff_fallback_reasons[
+                            why or _STORE_REFUSALS[lat]] += 1
+                    self._drain_epoch = cur
+                    self._machine.store(self.core_id, line, values, cur,
+                                        self._drain, lat)
+                    return
+            if not session:
+                if why is not None:
+                    self.ff_fallback_reasons[why] += 1
+                    self._drain_epoch = cur
+                    eng.finish(lat, self._drain)
+                    return
+                # The step applied: open a session with its completion.
+                # The engine never replaces its queue objects, so these
+                # bindings stay valid across any event the session fires.
+                eng.ff_begin()
+                self._ff_active = session = True
+                stores = 0
+                n_time = n_seq = -1   # no issue event outstanding
+                queue = eng._queue
+                ready = eng._ready
+                until = eng._until
+            stores += 1
             seq = eng._seq
             eng._seq = seq + 1
-            n_slot = (eng.now + issue_cycles, seq)
+            t_d = eng.now + lat
 
-        self._ff_rematerialize(d_slot, n_slot)
+            # -- fire the earliest of {queued event, issue event} until
+            # the store's completion is next
+            while True:
+                if -1 < n_time < t_d or (n_time == t_d and n_seq < seq):
+                    v_time = n_time
+                    v_seq = n_seq
+                else:
+                    v_time = t_d
+                    v_seq = seq
+                # Decide from the queue heads whether a queued event
+                # precedes the virtual one without building key tuples.
+                # A ready entry carries key (now, seq) and now <= v_time
+                # always holds, so when the clocks tie only the seq
+                # decides; for the until bound both candidate times are
+                # <= now <= until, so f_time only matters for the heap.
+                f_time = -1
+                if ready:
+                    if eng.now < v_time or ready[0][0] < v_seq:
+                        f_time = eng.now
+                if f_time < 0 and queue:
+                    head = queue[0]
+                    h0 = head[0]
+                    if h0 < v_time or (h0 == v_time and head[1] < v_seq):
+                        f_time = h0
+                if f_time >= 0:
+                    if until is not None and f_time > until:
+                        self._end_session(n_time, n_seq, stores,
+                                          (t_d, seq, cur))
+                        return
+                    # The queued event may claim any cycle before the
+                    # earliest virtual event.
+                    eng._lent = v_time
+                    eng.ff_dispatch_one()
+                else:
+                    if until is not None and v_time > until:
+                        self._end_session(n_time, n_seq, stores,
+                                          (t_d, seq, cur))
+                        return
+                    # No queued event precedes v_time, so the ready
+                    # deque is empty whenever v_time > now: the same
+                    # heap-head clock advance run() performs.
+                    eng.now = v_time
+                    if v_seq == seq:
+                        break
+                    n_time = -1
+                    # The completion is the one virtual event left; the
+                    # op loop may claim any cycle before it.
+                    eng._lent = t_d
+                    self._next()
+                if self._ff_issue_slot is not None:
+                    n_time, n_seq = self._ff_issue_slot
+                    self._ff_issue_slot = None
+            time = t_d
+            epoch = cur
+
+    def _end_session(self, n_time: int, n_seq: int, stores: int,
+                     completion: Optional[tuple] = None) -> None:
+        """End the core's session after ``stores`` stores: push its
+        outstanding issue event (``n_time`` >= 0) and, cut at the run's
+        until bound, its store's ``completion`` ``(time, seq, epoch)``
+        into the heap under their original sequence numbers, then
+        withdraw its hold and lend."""
+        eng = self._engine
+        if n_time >= 0:
+            heapq.heappush(eng._queue, (n_time, n_seq, self._next, ()))
+        if completion is not None:
+            t_d, seq, self._drain_epoch = completion
+            heapq.heappush(eng._queue, (t_d, seq, self._drain, (t_d,)))
+        eng.ff_end()
+        self._ff_active = False
         self.ff_batches += 1
         self.ff_stores += stores
-        self._n_store_hits += hits
-        return not cut
-
-    def _ff_rematerialize(self, d_slot, n_slot) -> None:
-        """Push outstanding virtual events back into the heap under
-        their original sequence numbers, recreating exactly the entries
-        the scheduled path would have queued."""
-        eng = self._engine
-        if n_slot is not None:
-            heapq.heappush(eng._queue, (n_slot[0], n_slot[1], self._next, ()))
-        if d_slot is not None:
-            self._drain_epoch = d_slot[2]
-            heapq.heappush(
-                eng._queue,
-                (d_slot[0], d_slot[1], self._drained_epoch, (d_slot[0],)),
-            )
 
     def _drain_barrier(self) -> None:
         self.wb.popleft()
@@ -717,39 +688,16 @@ class Core:
             self.stats.bump("hw_barriers")
             self._ckpt.capture(closed)
 
-    # -- drain completions ------------------------------------------------
-    def _drained_epoch(self, _time: int) -> None:
-        epoch, self._drain_epoch = self._drain_epoch, None
-        self._mgr.store_drained(epoch)
-        self._pop_store()
-
-    def _drained(self, _time: int) -> None:
-        self._pop_store()
-
-    def _pop_store(self) -> None:
-        line = self.wb.popleft().addr & self._line_mask
-        self._wb_stores -= 1
-        count = self._wb_lines[line] - 1
-        if count:
-            self._wb_lines[line] = count
-        else:
-            del self._wb_lines[line]
-        if self._pending_push is not None:
-            self._resume_pending_push()
-        self._drain()
-
     def _wt_acked(self, _time: int) -> None:
+        """A BSP_WT write-through persisted: its slot frees, and a parked
+        store takes it."""
         self._wt_outstanding -= 1
-        self._resume_pending_push()
+        op = self._pending_push
+        if (op is not None and self._wb_stores + self._wt_outstanding
+                < self._wb_capacity):
+            self._pending_push = None
+            self._issue_store(op)
         self._check_done()
-
-    def _resume_pending_push(self) -> None:
-        if self._pending_push is None:
-            return
-        if self._wb_stores + self._wt_outstanding >= self._wb_capacity:
-            return
-        op, self._pending_push = self._pending_push, None
-        self._issue_store(op)
 
     # ------------------------------------------------------------------
     def _check_done(self) -> None:

@@ -533,38 +533,10 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def add_executor_args(parser: argparse.ArgumentParser) -> None:
-    """The sweep-executor knobs, shared with ``python -m repro``."""
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel worker processes (default: all cores; 1 = "
-             "in-process serial execution)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--refresh", action="store_true",
-        help="recompute every run and overwrite cached results",
-    )
-    parser.add_argument(
-        "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--budget", type=_budget_seconds, default=None, metavar="SECONDS",
-        help="wall-clock allowance: stop dispatching new runs once "
-             "exhausted; completed results persist and rerunning the "
-             "same command resumes from the remainder (0 = print the "
-             "plan, run nothing)",
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's figures."
-    )
+def add_figure_args(parser: argparse.ArgumentParser) -> None:
+    """The figure-build arguments, shared by this module's :func:`main`
+    and ``python -m repro figures``; :func:`build_figures` takes the
+    namespace they parse into."""
     parser.add_argument(
         "figures", nargs="+",
         choices=list(_ALL_FIGURES) + ["all"],
@@ -577,12 +549,46 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write each figure's data as CSV here")
     parser.add_argument("--chart", action="store_true",
                         help="render terminal bar charts too")
-    add_executor_args(parser)
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="parallel worker processes (default: all cores; 1 = "
+             "in-process serial execution)",
+    )
+    parser.add_argument(
+        "--refresh", action="store_true",
+        help="recompute every run and overwrite cached results",
+    )
+    parser.add_argument(
+        "--cache-dir", default=str(DEFAULT_CACHE_DIR),
+        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
+    )
+    # A budget plans through the result cache.
+    uncached = parser.add_mutually_exclusive_group()
+    uncached.add_argument(
+        "--no-cache", action="store_true",
+        help="neither read nor write the result cache",
+    )
+    uncached.add_argument(
+        "--budget", type=_budget_seconds, default=None, metavar="SECONDS",
+        help="wall-clock allowance: stop dispatching new runs once "
+             "exhausted; completed results persist and rerunning the "
+             "same command resumes from the remainder (0 = print the "
+             "plan, run nothing; needs the cache)",
+    )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate the paper's figures."
+    )
+    add_figure_args(parser)
+    return build_figures(parser.parse_args(argv))
+
+
+def build_figures(args: argparse.Namespace) -> int:
+    """Build the figures ``args`` (parsed by :func:`add_figure_args`)
+    asks for, print them, and return the exit code."""
     scale = Scale(args.scale)
-    if args.no_cache and args.budget is not None:
-        parser.error("--budget plans through the result cache; drop "
-                     "--no-cache")
     wanted = set(args.figures)
     if "all" in wanted:
         wanted = set(_ALL_FIGURES)

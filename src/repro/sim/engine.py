@@ -297,8 +297,9 @@ class Engine:
     # numbers from ``_seq``, the same counter real scheduling uses, so a
     # virtual event that has to be re-materialized into the heap
     # (session bail-out) lands exactly where its scheduled twin would
-    # have been.  The one session loop, ``Core._ff_run``, reads the
-    # queue heads, takes sequence numbers and sets the lend inline.
+    # have been.  The one session loop, the core's write-buffer drain
+    # (``Core._drain``), reads the queue heads, takes sequence numbers
+    # and sets the lend inline.
 
     def ff_begin(self) -> bool:
         """Open a fast-forward session.

@@ -35,7 +35,7 @@ from repro.core.checkpoint import CheckpointEngine
 from repro.core.epoch import BY_KEY, Epoch, EpochManager
 from repro.core.idt import IDTracker
 from repro.core.undo_log import UndoLog
-from repro.cpu.processor import Core
+from repro.cpu.processor import _FULL_MISS, _REFUSED, Core
 from repro.mem.address import AddressMap
 from repro.mem.cache import CacheEntry, SetAssociativeCache
 from repro.mem.coherence import Directory
@@ -48,11 +48,6 @@ from repro.sim.stats import HandshakeStats, Stats
 from repro.sim.trace import Tracer
 
 _MAX_REQUEST_RETRIES = 1000
-
-# Negative returns of Multicore.try_clean_store and drain_store: the
-# store must take the general classifier, or the fused full-miss path.
-_REFUSED = -1
-_FULL_MISS = -2
 
 
 class SimulationError(RuntimeError):
@@ -378,44 +373,31 @@ class Multicore:
         values: Optional[Dict[int, object]],
         epoch: Optional[Epoch],
         on_done: Callable[[int], None],
+        refusal: int = _REFUSED,
         persist_sync: bool = False,
         wt_async: bool = False,
         on_persist_ack: Optional[Callable[[int], None]] = None,
     ) -> None:
-        """Issue a store through the general classifier (every store in
-        reference mode, and in fast mode the untagged ones and those
-        :meth:`drain_store` does not apply); ``on_done(time)`` fires
-        when it completes."""
+        """Issue a store; ``on_done(time)`` fires when it completes.
+
+        The core sends every store here in reference mode, and in fast
+        mode the untagged ones and the epoch-tagged ones
+        :meth:`try_clean_store` refused, with its code as ``refusal``:
+        :data:`_FULL_MISS` takes the fused full-miss path (a store bumps
+        no LLC miss count, as in the general classifier), anything else
+        the general classifier.
+        """
+        if refusal == _FULL_MISS:
+            self._fused_miss(core_id, line,
+                             (line >> self._bank_shift) % self._n_banks,
+                             on_done, values, epoch)
+            return
         req = _Request(core_id, line, True, values, epoch, on_done)
         req.persist_sync = persist_sync
         req.wt_async = wt_async
         req.on_persist_ack = on_persist_ack
         req.issue_time = self.engine.now
         self._try_access(req)
-
-    def drain_store(self, core_id: int, line: int,
-                    entry: Optional[CacheEntry],
-                    values: Optional[Dict[int, object]], epoch: Epoch,
-                    on_done: Callable[[int], None]) -> int:
-        """Drain one epoch-tagged store of ``epoch``, the core's ongoing
-        epoch, in fast mode (the core serves a same-epoch hit itself;
-        ``entry`` is what its L1 probe found).
-
-        A conflict-free miss or upgrade (:meth:`try_clean_store`) is
-        applied and its latency returned; the core completes it.  Any
-        other store is issued here, on the fused full-miss path
-        (:data:`_FULL_MISS`; a store bumps no LLC miss count, as in the
-        general classifier) or the general classifier (:data:`_REFUSED`),
-        and that code returned; ``on_done(time)`` fires at completion.
-        """
-        lat = self.try_clean_store(core_id, line, entry, values, epoch)
-        if lat == _FULL_MISS:
-            self._fused_miss(core_id, line,
-                             (line >> self._bank_shift) % self._n_banks,
-                             on_done, values, epoch)
-        elif lat < 0:
-            self.store(core_id, line, values, epoch, on_done)
-        return lat
 
     def try_clean_store(self, core_id: int, line: int,
                         entry: Optional[CacheEntry],
@@ -424,13 +406,13 @@ class Multicore:
         """Apply one epoch-tagged store if it is a conflict-free miss or
         upgrade and return its latency; otherwise return
         :data:`_REFUSED` or :data:`_FULL_MISS` with no observable side
-        effect.
+        effect, and the core issues the store through :meth:`store`.
 
-        The one conflict-free store applier, shared by
-        :meth:`drain_store` and the core's fast-forward session.  It
-        applies the clean miss/upgrade filled from a conflict-free LLC
-        copy as the general classifier would and records the latency
-        sample; the caller completes it.  ``_FULL_MISS`` marks an
+        The one conflict-free store applier, called once per drain step
+        the core does not serve itself (fast mode).  It applies the
+        clean miss/upgrade filled from a conflict-free LLC copy as the
+        general classifier would and records the latency sample; the
+        caller completes it.  ``_FULL_MISS`` marks an
         untagged line that no other core holds and no cache has.  The
         epoch-tag probe doubles as the flush-in-window guard: a line
         whose previous version belongs to any unpersisted epoch is still

@@ -84,6 +84,25 @@ def test_figures_accepts_executor_flags(tmp_path, capsys):
     assert rc == 0
 
 
+def test_figures_chart_renders_bars(tmp_path, capsys):
+    # --chart belongs to the figure build, so both entry points take it.
+    rc = main(["figures", "fig11", "--scale", "tiny", "--chart",
+               "--jobs", "1", "--cache-dir", str(tmp_path / "cache")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "Figure 11" in out
+    assert "█" in out
+
+
+def test_figures_rejects_an_unknown_figure_under_its_own_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro figures ")
+    assert "argument figures: invalid choice: 'bogus'" in err
+
+
 def test_bench_subcommand_registered():
     parser = build_parser()
     args = parser.parse_args(["bench", "--only", "crash"])

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cpu.processor import Core
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
+from repro.workloads.micro import make_benchmark
 
 
 def machine(**overrides):
@@ -288,34 +288,36 @@ def test_session_lends_the_clock_to_its_core():
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
 
 
-def _counted_stores(slow, program, model, monkeypatch):
-    """Run ``program`` on one core of a machine whose
-    ``Multicore.try_clean_store`` and ``Core._ff_run`` count their
-    calls; returns (machine, result, calls)."""
+def _counted_stores(slow, programs, **overrides):
+    """Run ``programs`` on a machine whose ``Multicore.try_clean_store``
+    counts its calls and whose ``merge_l1_hits`` counts the same-epoch
+    store hits its cores served; returns (machine, result, calls,
+    store hits)."""
     with reference_mode(slow):
-        m = Multicore(machine(persistency=model).config, track_values=True,
+        m = Multicore(machine(**overrides).config, track_values=True,
                       track_persist_order=True)
-    calls = {"try_clean_store": 0, "_ff_run": 0}
+    calls = [0]
+    hits = [0]
     try_clean_store = m.try_clean_store
+    merge_l1_hits = m.merge_l1_hits
 
     def counted_try_clean_store(*args):
-        calls["try_clean_store"] += 1
+        calls[0] += 1
         return try_clean_store(*args)
 
-    ff_run = Core._ff_run
-
-    def counted_ff_run(core, *args):
-        calls["_ff_run"] += 1
-        return ff_run(core, *args)
+    def counted_merge_l1_hits(core_id, load_hits, store_hits):
+        hits[0] += store_hits
+        merge_l1_hits(core_id, load_hits, store_hits)
 
     m.try_clean_store = counted_try_clean_store
-    monkeypatch.setattr(Core, "_ff_run", counted_ff_run)
-    return m, m.run([program]), calls
+    m.merge_l1_hits = counted_merge_l1_hits
+    result = m.run(programs)
+    return m, result, calls[0], hits[0]
 
 
 @pytest.mark.parametrize("model", [PersistencyModel.BEP,
                                    PersistencyModel.BSP])
-def test_same_epoch_store_hits_stay_in_the_core(model, monkeypatch):
+def test_same_epoch_store_hits_stay_in_the_core(model):
     # One long epoch (no barrier, and BSP's quota is 10,000 stores):
     # 10,000 stores over eight lines.  Each line's first store goes to
     # the machine; every later one finds its line dirty under the core's
@@ -326,28 +328,50 @@ def test_same_epoch_store_hits_stay_in_the_core(model, monkeypatch):
     p = Program()
     for i in range(10_000):
         p.store(lines[i % 8], 8, value=i)
-    fast, fast_result, calls = _counted_stores(False, p, model, monkeypatch)
+    fast, fast_result, calls, _ = _counted_stores(False, [p],
+                                                  persistency=model)
     assert fast_result.finished
-    assert calls["try_clean_store"] <= len(lines)
+    assert calls <= len(lines)
     assert fast.cores[0].ff_stores >= 9_900
-    ref, ref_result, _ = _counted_stores(True, p, model, monkeypatch)
+    ref, ref_result, _, _ = _counted_stores(True, [p], persistency=model)
     assert _latency_samples(fast_result, 0) == _latency_samples(ref_result, 0)
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
 
 
-def test_a_full_miss_is_decided_once_without_a_session(monkeypatch):
+def test_a_full_miss_is_decided_once_without_a_session():
     # Every store misses to memory.  Each drain step asks the machine
     # once, the machine issues the fill itself, and no session opens.
     n = 200
     p = Program()
     for i in range(n):
         p.store(0x10_0000 + i * 64, 8, value=i)
-    fast, fast_result, calls = _counted_stores(
-        False, p, PersistencyModel.BEP, monkeypatch)
+    fast, fast_result, calls, _ = _counted_stores(False, [p])
     assert fast_result.finished
-    assert calls == {"try_clean_store": n, "_ff_run": 0}
     core = fast.cores[0]
+    assert (calls, core.ff_batches) == (n, 0)
     assert core.ff_fallback_reasons["full_miss"] == core.ff_fallbacks == n
-    ref, ref_result, _ = _counted_stores(
-        True, p, PersistencyModel.BEP, monkeypatch)
+    ref, ref_result, _, _ = _counted_stores(True, [p])
+    assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
+
+
+def test_a_store_refused_in_a_session_is_not_asked_again():
+    # Four cores contend for pingpong's mailbox lines, so sessions end at
+    # stores the machine refuses (their line is still tagged by an
+    # unpersisted epoch).  The drain issues each such store once the
+    # session has ended, without asking the machine a second time: every
+    # epoch-tagged store the core does not serve itself costs exactly
+    # one try_clean_store call.
+    config = machine(num_cores=4).config
+    programs = [
+        list(make_benchmark("pingpong", thread_id=tid, seed=1,
+                            line_size=config.line_size).ops(10))
+        for tid in range(4)
+    ]
+    fast, fast_result, calls, hits = _counted_stores(False, programs,
+                                                     num_cores=4)
+    assert fast_result.finished
+    assert sum(c.ff_batches for c in fast.cores) > 0
+    assert sum(c.ff_fallback_reasons["refused"] for c in fast.cores) > 0
+    assert calls == fast_result.stats.total("stores") - hits
+    ref, ref_result, _, _ = _counted_stores(True, programs, num_cores=4)
     assert state_digest(fast, fast_result) == state_digest(ref, ref_result)
