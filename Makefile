@@ -8,10 +8,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
 # the same suite in reference mode, the perfbench job's digest checks,
 # the paper-shape checks, the example scripts, the fault campaign and
-# crash sweep jobs, and the scaling check family (exits nonzero if any
-# of its checks fails, or if its record in BENCH_sweep.json drifts).
+# crash sweep jobs, and the scaling and figures check families (each
+# exits nonzero if any of its checks fails, or if its record in
+# BENCH_sweep.json drifts).
 ci: test test-reference perfbench benchmarks examples faults
 	$(PYTHON) -m repro bench --only scaling --output BENCH_sweep.json
+	git diff --exit-code BENCH_sweep.json
+	$(PYTHON) -m repro bench --only figures --output BENCH_sweep.json
 	git diff --exit-code BENCH_sweep.json
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
@@ -78,7 +81,7 @@ faults:
 	$(PYTHON) -m repro bench --only crash --output BENCH_sweep.json
 	git diff --exit-code BENCH_sweep.json
 
-# Run every bench check family (scaling, crash) and refresh
+# Run every bench check family (scaling, crash, figures) and refresh
 # BENCH_sweep.json; exits nonzero if any check fails.  Host time is
 # measured by perfbench/ (see perfbench/README.md).
 bench:

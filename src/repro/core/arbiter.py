@@ -119,7 +119,6 @@ class Arbiter:
         if head.seq > self._flush_horizon or not self._flushable(head):
             return
         online = head.seq <= self._online_horizon
-        head.flush_started = True
         self._stats.bump("flushes_online" if online else "flushes_offline")
         if self._machine.tracer:
             self._machine.tracer.record(
@@ -132,22 +131,14 @@ class Arbiter:
     def _flushable(self, candidate: Epoch) -> bool:
         """True when ``candidate`` can start flushing right now.
 
-        Registers the re-pump callbacks (barrier completion, IDT source
-        persists) and propagates online demand through IDT edges as a
-        side effect.
+        Registers the re-pump callbacks (IDT source persists) and
+        propagates online demand through IDT edges as a side effect.
         """
         if candidate.ongoing:
-            # The horizon can only cover an ongoing epoch transiently
-            # (e.g. requests raced with a split); wait for its barrier.
-            # The completion callback is the wake-up -- duplicate
-            # requests no longer pump unconditionally.
-            candidate.on_complete(self.pump)
-            return False
-        if not candidate.complete:
-            # EpochCMP not yet received: stores still draining from
-            # the write buffer.  FIFO drain guarantees completion soon.
-            candidate.on_complete(self.pump)
-            return False
+            # Every request names a complete epoch (a conflict splits an
+            # ongoing source first), and epochs complete in program
+            # order, so the horizon never covers an ongoing head.
+            raise RuntimeError(f"flush requested for ongoing {candidate}")
         online = candidate.seq <= self._online_horizon
         blocked = False
         for source in (sorted(candidate.idt_sources, key=BY_KEY)
@@ -177,8 +168,8 @@ class Arbiter:
         self.pump()
 
     # ------------------------------------------------------------------
-    def drain_all(self, online: bool = False) -> None:
-        """Request a flush of every currently unpersisted epoch.
+    def drain_all(self) -> None:
+        """Request an offline flush of every currently unpersisted epoch.
 
         Used by the machine's end-of-run drain to obtain the durable
         completion time, and by tests.
@@ -188,6 +179,6 @@ class Arbiter:
         # the barrier is empty and has no work.
         for epoch in reversed(self._manager.window):
             if not epoch.ongoing:
-                self.request_flush_upto(epoch, online=online,
+                self.request_flush_upto(epoch, online=False,
                                         mark_conflict=False)
                 return

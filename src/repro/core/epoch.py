@@ -3,14 +3,14 @@
 An epoch is the group of stores between two persist barriers.  Its
 lifecycle::
 
-    ONGOING --barrier--> CLOSED --last store drains--> COMPLETE
+    ONGOING --barrier or split--> COMPLETE
             --all lines durable + deps persisted--> PERSISTED
 
-``CLOSED`` is the window where the barrier has executed but stores of the
-epoch are still draining from the core's write buffer; hardware-wise the
-L1 has not yet seen every line of the epoch (no EpochCMP yet), so a flush
-cannot finish.  Because the write buffer is FIFO, epochs always reach
-``COMPLETE`` in program order.
+A store belongs to the epoch current when it completes at the L1
+(Condit et al.'s rule).  Barriers drain through the core's FIFO write
+buffer as markers behind their stores, so a closed epoch is a complete
+one (EpochCMP), and epochs complete in program order (see
+:mod:`repro.cpu.processor`).
 
 The per-core :class:`EpochManager` owns the ordered list of unpersisted
 epochs, enforces the hardware in-flight limit (3-bit epoch IDs => 8
@@ -18,7 +18,8 @@ in-flight epochs, Table/section 4.3), and implements *epoch splitting*,
 the paper's deadlock-avoidance move (section 3.3): when a request from
 another thread hits a line written by the *ongoing* epoch, the ongoing
 epoch is divided into a completed prefix (which can now be a safe IDT
-source or be flushed) and a fresh ongoing remainder.
+source or be flushed) and a fresh ongoing remainder.  A store in flight
+at the split has not completed, so it lands in the remainder.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ BY_KEY = attrgetter("key")
 
 class EpochStatus(enum.Enum):
     ONGOING = "ongoing"
-    CLOSED = "closed"
     COMPLETE = "complete"
     PERSISTED = "persisted"
 
@@ -56,7 +56,6 @@ class Epoch:
         "status",
         "lines",
         "all_lines",
-        "pending_stores",
         "num_stores",
         "inflight_writes",
         "outstanding_log_writes",
@@ -65,20 +64,14 @@ class Epoch:
         "idt_dependents",
         "all_sources",
         "persist_waiters",
-        "complete_waiters",
         "conflict_flush",
-        "flush_started",
         "flush_active",
         "split_from",
-        "redirect",
-        "created_at",
-        "closed_at",
-        "persisted_at",
         "persisted",
         "manager",
     )
 
-    def __init__(self, core_id: int, seq: int, created_at: int,
+    def __init__(self, core_id: int, seq: int,
                  manager: "EpochManager") -> None:
         self.core_id = core_id
         self.seq = seq
@@ -98,8 +91,7 @@ class Epoch:
         self.lines: Set[int] = set()
         # Every line this epoch ever wrote (for the recovery checker).
         self.all_lines: Set[int] = set()
-        # Stores tagged to this epoch still sitting in the write buffer.
-        self.pending_stores = 0
+        # Stores of this epoch that retired from the write buffer.
         self.num_stores = 0
         # NVRAM writes of this epoch's lines issued but not yet acked.
         self.inflight_writes = 0
@@ -114,27 +106,18 @@ class Epoch:
         self.all_sources: Set[tuple] = set()
         # Callbacks.
         self.persist_waiters: List[Callable[[], None]] = []
-        self.complete_waiters: List[Callable[[], None]] = []
         # Accounting for Figure 12: was this epoch's flush forced online?
         self.conflict_flush = False
-        self.flush_started = False
         # True while the Figure 8 handshake for this epoch is in flight;
         # the epoch may not be declared persisted until PersistCMP.
         self.flush_active = False
         self.split_from: Optional[int] = None
-        # When a split occurs while a store is in flight, that store is
-        # "not yet completed" and belongs to the remainder epoch (section
-        # 3.3); the redirect pointer routes its completion there.
-        self.redirect: Optional["Epoch"] = None
-        self.created_at = created_at
-        self.closed_at: Optional[int] = None
-        self.persisted_at: Optional[int] = None
         self.manager = manager
 
     # ------------------------------------------------------------------
     @property
     def complete(self) -> bool:
-        return self.status in (EpochStatus.COMPLETE, EpochStatus.PERSISTED)
+        return self.status is not EpochStatus.ONGOING
 
     @property
     def ongoing(self) -> bool:
@@ -150,27 +133,12 @@ class Epoch:
             and self.outstanding_checkpoint_writes == 0
         )
 
-    def resolve(self) -> "Epoch":
-        """The epoch an in-flight store tagged to this epoch now belongs
-        to, following split redirects."""
-        epoch = self
-        while epoch.redirect is not None:
-            epoch = epoch.redirect
-        return epoch
-
     def on_persist(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` when the epoch persists (immediately if done)."""
         if self.persisted:
             callback()
         else:
             self.persist_waiters.append(callback)
-
-    def on_complete(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` when the epoch completes (immediately if so)."""
-        if self.complete:
-            callback()
-        else:
-            self.complete_waiters.append(callback)
 
     def __repr__(self) -> str:
         return (
@@ -201,7 +169,6 @@ class EpochManager:
         # The ongoing epoch (always the window tail), or None when the
         # last barrier closed it and no store has opened a new one.
         self.current: Optional[Epoch] = None
-        self.total_epochs = 0
         # Epochs that have persisted, kept for the recovery checker when
         # epoch logging is enabled.
         self.retired: List[Epoch] = []
@@ -222,11 +189,10 @@ class EpochManager:
     # Epoch creation / closing
     # ------------------------------------------------------------------
     def _new_epoch(self) -> Epoch:
-        epoch = Epoch(self.core_id, self._next_seq, self._engine.now, self)
+        epoch = Epoch(self.core_id, self._next_seq, self)
         self._next_seq += 1
         self.window.append(epoch)
         self.current = epoch
-        self.total_epochs += 1
         self._stats.bump("epochs")
         return epoch
 
@@ -241,55 +207,28 @@ class EpochManager:
         """True when the 3-bit epoch-ID window has a free slot."""
         return len(self.window) < self._max_inflight
 
-    def tag_store(self) -> Epoch:
-        """Tag one draining store with the ongoing epoch, opening one if
-        none is (``Core._drain`` does this inline)."""
-        epoch = self.current_or_new()
-        epoch.pending_stores += 1
-        return epoch
-
-    def store_drained(self, epoch: Epoch) -> None:
-        """A store of ``epoch`` completed at the L1 (``Core._drain``
-        retires its stores inline)."""
-        epoch = epoch.resolve()
-        epoch.pending_stores -= 1
-        epoch.num_stores += 1
-        if epoch.pending_stores < 0:
-            raise RuntimeError(f"store accounting underflow on {epoch}")
-        if epoch.status is EpochStatus.CLOSED and epoch.pending_stores == 0:
-            self._complete(epoch)
-
     def close_current(self) -> Optional[Epoch]:
         """Execute a persist barrier: close the ongoing epoch.
 
-        Returns the closed epoch, or None when there was nothing to close
-        (consecutive barriers collapse, as they carry no ordering beyond
-        the first).
+        Returns the closed epoch, now complete, or None when there was
+        nothing to close (consecutive barriers collapse, as they carry
+        no ordering beyond the first).
         """
         epoch = self.current
-        if epoch is None:
-            return None
-        if epoch.pending_stores == 0 and epoch.num_stores == 0:
+        if epoch is None or not epoch.num_stores:
             # Nothing was stored in this epoch: the barrier is a no-op.
             return None
-        epoch.status = EpochStatus.CLOSED
-        epoch.closed_at = self._engine.now
         self.current = None
-        if epoch.pending_stores == 0:
-            self._complete(epoch)
+        self._complete(epoch)
         return epoch
 
     def _complete(self, epoch: Epoch) -> None:
         epoch.status = EpochStatus.COMPLETE
-        waiters, epoch.complete_waiters = epoch.complete_waiters, []
-        # Hold the clock across the fan-out: an inline completion inside
-        # one waiter must not warp ``now`` for the continuations that
-        # follow it in this same event.
+        # Hold the clock across the hooks: an inline completion inside
+        # the first must not warp ``now`` for the second.
         engine = self._engine
         engine.advance_holds += 1
         try:
-            for callback in waiters:
-                callback()
             self.completion_hook(epoch)
             # An epoch that drained all its lines before completing
             # (natural evictions) may be able to persist right away.
@@ -300,33 +239,22 @@ class EpochManager:
     # ------------------------------------------------------------------
     # Splitting (deadlock avoidance, section 3.3)
     # ------------------------------------------------------------------
-    def split_current(self) -> Optional[Epoch]:
-        """Split the ongoing epoch; see :meth:`split_epoch`."""
-        return self.split_epoch(self.current)
-
     def split_epoch(self, epoch: Optional[Epoch]) -> Optional[Epoch]:
         """Split an ongoing epoch at the current point.
 
-        The prefix (all operations completed so far) becomes a CLOSED
+        The prefix (all operations completed so far) becomes a complete
         epoch that can safely serve as an IDT source or be flushed; a
-        fresh ongoing epoch takes over the remainder.
+        fresh ongoing epoch takes over the remainder.  A store in flight
+        has not completed, so it belongs to the remainder, which is now
+        current: that is what makes the prefix complete at once and keeps
+        the dependence graph acyclic (section 3.3).
         Returns the prefix epoch, or None when there is nothing to split.
         """
         if epoch is None or not epoch.ongoing:
             return None
-        epoch.status = EpochStatus.CLOSED
-        epoch.closed_at = self._engine.now
         self._stats.bump("epoch_splits")
         successor = self._new_epoch()
         successor.split_from = epoch.seq
-        if epoch.pending_stores:
-            # In-flight stores have not completed at the time of the
-            # split, so they are part of the *remainder* epoch -- this is
-            # what makes the prefix immediately completable and therefore
-            # keeps the dependence graph acyclic (section 3.3).
-            successor.pending_stores = epoch.pending_stores
-            epoch.pending_stores = 0
-            epoch.redirect = successor
         self._complete(epoch)
         return epoch
 
@@ -374,7 +302,6 @@ class EpochManager:
         window.pop(0)
         epoch.status = EpochStatus.PERSISTED
         epoch.persisted = True
-        epoch.persisted_at = self._engine.now
         self._stats.bump("epochs_persisted")
         if epoch.conflict_flush:
             self._stats.bump("epochs_conflict_flushed")

@@ -422,7 +422,7 @@ class FlushOperation:
         now = engine.now
         epoch = self._epoch
         machine = self._machine
-        untag = machine._untag_line
+        lines = epoch.lines
         stats = self._stats
         invalidate = self._invalidate
         # locate_epoch_line inlined: the walker runs once per flushed
@@ -437,11 +437,12 @@ class FlushOperation:
                 break
             pos += 1
             line = entry[1]
-            # _untag_line doubles as the membership test: False means
-            # the line already left the epoch (evicted and persisted via
-            # the eviction path while this flush was queued).
-            if not untag(epoch, line):
+            # A line no longer in the epoch's set already left it
+            # (evicted and persisted via the eviction path while this
+            # flush was queued).
+            if line not in lines:
                 continue
+            lines.remove(line)
             centry = l1.lookup(line) if entry[4] else None
             if centry is not None and centry.dirty and centry.epoch is epoch:
                 level_core = core

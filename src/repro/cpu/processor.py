@@ -16,7 +16,9 @@ granularity:
   when its barrier marker reaches the head of the buffer, at which point
   none of its stores can still be in flight: closed epochs are complete
   epochs, which is what makes the split-based deadlock-avoidance
-  argument of section 3.3 sound.
+  argument of section 3.3 sound.  With one store in flight at a time, a
+  store is applied to and retired in its core's current epoch (a split
+  makes the remainder current).
 
 The core also implements the persistency models' visibility rules:
 
@@ -38,7 +40,6 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.core.epoch import EpochStatus
 from repro.sim.config import PersistencyModel
 from repro.workloads.base import Op, OpKind
 
@@ -68,9 +69,8 @@ _FULL_MISS = -2
 _STORE_REFUSALS = {_REFUSED: "refused", _FULL_MISS: "full_miss"}
 
 # The op loop compares kinds, and the drain and barrier paths compare
-# persistency models and epoch states, against module globals: on
-# CPython 3.11 an ``OpKind.LOAD`` attribute read through the enum class
-# costs about ten times a global read.
+# persistency models, against module globals: on CPython 3.11 an
+# ``OpKind.LOAD`` read through the enum class costs ten times a global.
 _LOAD = OpKind.LOAD
 _STORE = OpKind.STORE
 _COMPUTE = OpKind.COMPUTE
@@ -80,7 +80,6 @@ _SP = PersistencyModel.SP
 _EP = PersistencyModel.EP
 _BSP = PersistencyModel.BSP
 _BSP_WT = PersistencyModel.BSP_WT
-_CLOSED = EpochStatus.CLOSED
 
 # The write buffer's barrier marker: one shared op, told apart from the
 # buffered store ops by identity.
@@ -161,11 +160,6 @@ class Core:
         self._wb_stores = 0
         self._wb_lines: Dict[int, int] = {}
         self._draining = False
-        # Epoch of the epoch-tagged store the drain last sent to the L1
-        # (the drain is strictly one-at-a-time), which its completion
-        # retires, so the completion callback is _drain itself instead
-        # of a per-store lambda.
-        self._drain_epoch = None
         self._pending_push: Optional[Op] = None
         self._wt_outstanding = 0
         self.done = False
@@ -382,9 +376,9 @@ class Core:
         """Drain the write buffer, one step after another.
 
         Every drain step's completion calls this with the cycle its
-        store completed at: the loop first retires that store (in its
-        epoch, when tagged), pops it and pushes the parked store into
-        the freed slot.  Called without a time (a store or marker
+        store completed at: the loop first retires that store (in the
+        ongoing epoch, when tagged), pops it and pushes the parked store
+        into the freed slot.  Called without a time (a store or marker
         entered an idle buffer, a marker drained, a persisted epoch
         freed an epoch ID), it only steps.
 
@@ -406,7 +400,7 @@ class Core:
         l1_lat = self._l1_lat
         track = self._track_values
         quota = self._bsp_quota
-        epoch = self._drain_epoch
+        tagged = self._uses_epochs
         # The L1 probe's handles, and in fast mode why a step may not
         # open a session, before it acts.
         why = None
@@ -428,23 +422,12 @@ class Core:
         session = False
         while True:
             if time is not None:
-                # -- retire the completed head store in its epoch
-                # (EpochManager.store_drained, inlined: follow split
-                # redirects, retire the pending store, complete a closed
-                # epoch that just emptied), pop it, and push the parked
-                # store into the freed slot.
-                if epoch is not None:
-                    while epoch.redirect is not None:
-                        epoch = epoch.redirect
-                    pending = epoch.pending_stores - 1
-                    epoch.pending_stores = pending
-                    epoch.num_stores += 1
-                    if pending <= 0:
-                        if pending < 0:
-                            raise RuntimeError(
-                                f"store accounting underflow on {epoch}")
-                        if epoch.status is _CLOSED:
-                            mgr._complete(epoch)
+                # -- retire the completed head store in the ongoing epoch
+                # (the remainder, if a split came while it was in
+                # flight), pop it, and push the parked store into the
+                # freed slot.
+                if tagged:
+                    mgr.current.num_stores += 1
                 line = wb.popleft().addr & mask
                 count = wb_lines[line] - 1
                 if count:
@@ -489,8 +472,7 @@ class Core:
             # A split (a conflict dispatched mid-session) replaces the
             # ongoing epoch, so each step reads it afresh.
             cur = mgr.current
-            if (quota and cur is not None
-                    and cur.num_stores + cur.pending_stores >= quota):
+            if quota and cur is not None and cur.num_stores >= quota:
                 # Bulk mode: the persistence engine closes the epoch after
                 # N dynamic stores and checkpoints processor state
                 # (section 5.2).
@@ -501,7 +483,7 @@ class Core:
                 self._hardware_barrier()
                 cur = None
             if cur is None:
-                if not self._uses_epochs:
+                if not tagged:
                     # NP, SP (persists synchronously) and BSP_WT (writes
                     # through asynchronously) never open an epoch: their
                     # stores go untagged to the general classifier.
@@ -533,8 +515,7 @@ class Core:
                     )
                     return
                 cur = mgr.current_or_new()
-            # Tag the store with the epoch current as it completes.
-            cur.pending_stores += 1
+            # The store belongs to the epoch current as it completes.
             addr = op.addr
             line = addr & mask
             entry = l1_sets[(line >> l1_shift) & l1_mask].get(line)
@@ -569,14 +550,12 @@ class Core:
                     if l1 is not None:
                         self.ff_fallback_reasons[
                             why or _STORE_REFUSALS[lat]] += 1
-                    self._drain_epoch = cur
                     self._machine.store(self.core_id, line, values, cur,
                                         self._drain, lat)
                     return
             if not session:
                 if why is not None:
                     self.ff_fallback_reasons[why] += 1
-                    self._drain_epoch = cur
                     eng.finish(lat, self._drain)
                     return
                 # The step applied: open a session with its completion.
@@ -621,7 +600,7 @@ class Core:
                 if f_time >= 0:
                     if until is not None and f_time > until:
                         self._end_session(n_time, n_seq, stores,
-                                          (t_d, seq, cur))
+                                          (t_d, seq))
                         return
                     # The queued event may claim any cycle before the
                     # earliest virtual event.
@@ -630,7 +609,7 @@ class Core:
                 else:
                     if until is not None and v_time > until:
                         self._end_session(n_time, n_seq, stores,
-                                          (t_d, seq, cur))
+                                          (t_d, seq))
                         return
                     # No queued event precedes v_time, so the ready
                     # deque is empty whenever v_time > now: the same
@@ -647,20 +626,19 @@ class Core:
                     n_time, n_seq = self._ff_issue_slot
                     self._ff_issue_slot = None
             time = t_d
-            epoch = cur
 
     def _end_session(self, n_time: int, n_seq: int, stores: int,
                      completion: Optional[tuple] = None) -> None:
         """End the core's session after ``stores`` stores: push its
         outstanding issue event (``n_time`` >= 0) and, cut at the run's
-        until bound, its store's ``completion`` ``(time, seq, epoch)``
+        until bound, its store's ``completion`` ``(time, seq)``
         into the heap under their original sequence numbers, then
         withdraw its hold and lend."""
         eng = self._engine
         if n_time >= 0:
             heapq.heappush(eng._queue, (n_time, n_seq, self._next, ()))
         if completion is not None:
-            t_d, seq, self._drain_epoch = completion
+            t_d, seq = completion
             heapq.heappush(eng._queue, (t_d, seq, self._drain, (t_d,)))
         eng.ff_end()
         self._ff_active = False

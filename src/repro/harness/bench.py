@@ -17,6 +17,10 @@ entry is the family's verdict.
   both engines, each cross-checked against the truncate-and-recheck
   oracle, the reorder-fault checker self-test, and a faulted pingpong
   run that must complete through the BankAck retry path.
+* ``figures`` -- the exact :class:`~repro.harness.executor.RunSummary`
+  of every deduplicated spec of the tiny figure build, so a change that
+  moves a paper-facing number in both engine modes alike shows up in
+  the record.
 
 ``python -m repro bench`` runs every family (``--only`` picks one),
 writes ``BENCH_sweep.json``, and exits nonzero when any family it ran
@@ -33,7 +37,9 @@ import math
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.harness.executor import run_specs
 from repro.harness.report import all_to_all_counters, scaling_table
+from repro.harness.runner import Scale
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
@@ -524,12 +530,37 @@ def run_scaling_bench(seed: int = 1,
 
 
 # ----------------------------------------------------------------------
+# ``figures``: every run of the tiny figure build
+# ----------------------------------------------------------------------
+def run_figures_bench(seed: int = 1) -> dict:
+    """The ``figures`` family: every deduplicated spec of ``figures all
+    --scale tiny``, run uncached on every CPU, its exact summary keyed by
+    :meth:`~repro.harness.executor.RunSpec.describe`.  Every field is
+    simulated state, so any moved cycle, conflict or NVRAM write shows
+    up as a diff."""
+    from repro.harness.experiments import figure_plan_specs
+
+    specs = list(dict.fromkeys(
+        spec for specs in figure_plan_specs(Scale.TINY, seed).values()
+        for spec in specs))
+    summaries = run_specs(specs)
+    runs = {spec.describe(): summary.to_dict()
+            for spec, summary in zip(specs, summaries)}
+    finished = sum(summary.finished for summary in summaries)
+    print(f"[bench] figures: {finished}/{len(specs)} tiny-scale runs "
+          f"finished")
+    return {"scale": Scale.TINY.value, "runs": runs,
+            "ok": len(runs) == finished == len(specs)}
+
+
+# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
 # name -> family(seed, cores) -> record with an ``ok`` verdict.
 FAMILIES: Dict[str, Callable[[int, Tuple[int, ...]], dict]] = {
     "scaling": lambda seed, cores: run_scaling_bench(seed, cores),
     "crash": lambda seed, cores: run_crash_sweep_bench(seed),
+    "figures": lambda seed, cores: run_figures_bench(seed),
 }
 
 

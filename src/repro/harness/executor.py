@@ -35,7 +35,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.runner import (
@@ -176,9 +176,23 @@ class RunSpec:
         return out
 
     def describe(self) -> str:
+        """One line naming the run: kind, workload, design, model, scale
+        and seed, then every other field that differs from its default
+        as ``name=value``, so two distinct specs never share a line."""
         model = (self.model or PersistencyModel.BEP).value
-        return (f"{self.kind}:{self.workload}/{self.design.value}"
-                f"/{model}@{self.scale.value} seed={self.seed}")
+        parts = [f"{self.kind}:{self.workload}/{self.design.value}"
+                 f"/{model}@{self.scale.value} seed={self.seed}"]
+        base = RunSpec(self.kind, self.workload, self.design, self.scale,
+                       self.seed, self.model)
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if value == getattr(base, fld.name):
+                continue
+            if isinstance(value, tuple):   # overrides, workload_args
+                parts.extend(f"{name}={item}" for name, item in value)
+            else:
+                parts.append(f"{fld.name}={getattr(value, 'value', value)}")
+        return " ".join(parts)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ Implementation notes -- the two-tier queue:
   (so :meth:`finish` always schedules), and no fast-forward session
   opens.  And the machine classifies every request with its
   general classifier instead of the fused paths.  Everything else --
-  counting, latency tables, the coherence directory, epoch tags, IDT
-  edges -- runs the same way in both modes.  The determinism-digest
+  counting, latency tables, the coherence directory, the epochs' line
+  sets, IDT edges -- runs the same way in both modes.  The determinism-digest
   tests assert that both modes fire callbacks in bit-identical order
   across every persistency model.
 """

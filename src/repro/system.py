@@ -148,7 +148,7 @@ class Multicore:
         # Reference mode (REPRO_SLOW_ENGINE=1, see repro.sim.engine)
         # classifies every request with the general classifier below
         # instead of the fused paths.  Counting, latency tables, the
-        # directory and epoch tags are the same in both modes.
+        # directory and the epochs' line sets are the same in both modes.
         self._fast = self.engine.fast
         self.stats = Stats()
         self.track_values = track_values
@@ -251,20 +251,6 @@ class Multicore:
         self._fill_travel = _LazyRows(config.num_cores, lambda core: tuple(
             round_trip + lat for lat in self.mesh.c2b[core]
         ))
-        # Per-line epoch tags: line -> the epoch holding the *newest*
-        # unpersisted dirty version of the line, maintained on store
-        # (_tag_line, try_clean_store) and persist (_untag_line).
-        # Membership alone answers "does any window epoch hold an
-        # unpersisted version of this line?" in one dict probe -- the
-        # conflict guard of the fused store path.  At most two
-        # unpersisted versions of a line can coexist (the IDT case: the
-        # older one written back to the LLC, the newer in the
-        # requester's L1), and the older version always leaves the
-        # dirty domain first, so a single newest-pointer plus a sparse
-        # depth count is exact; audit() cross-checks the map against
-        # the window line sets.
-        self._epoch_tags: Dict[int, Epoch] = {}
-        self._tag_depth: Dict[int, int] = {}
         # Per-request accounting hoists: L1 hit counts, LLC access
         # counts, flush counts and memory-latency samples accumulate in
         # plain attributes and merge into the stat domains once, at run
@@ -402,7 +388,7 @@ class Multicore:
     def try_clean_store(self, core_id: int, line: int,
                         entry: Optional[CacheEntry],
                         values: Optional[Dict[int, object]],
-                        resolved: Epoch) -> int:
+                        epoch: Epoch) -> int:
         """Apply one epoch-tagged store if it is a conflict-free miss or
         upgrade and return its latency; otherwise return
         :data:`_REFUSED` or :data:`_FULL_MISS` with no observable side
@@ -412,35 +398,36 @@ class Multicore:
         the core does not serve itself (fast mode).  It applies the
         clean miss/upgrade filled from a conflict-free LLC copy as the
         general classifier would and records the latency sample; the
-        caller completes it.  ``_FULL_MISS`` marks an
-        untagged line that no other core holds and no cache has.  The
-        epoch-tag probe doubles as the flush-in-window guard: a line
-        whose previous version belongs to any unpersisted epoch is still
-        in the tag map, so the store is refused and the general
-        classifier re-derives the conflict.  ``entry`` is the core's L1
-        entry for ``line`` (None on a miss), just probed by the caller;
-        ``resolved`` must be the core's ongoing epoch.
+        caller completes it.  ``_FULL_MISS`` marks a line that no
+        other core holds and no cache has.  The cache-state guard doubles
+        as the flush-in-window guard: an unpersisted version of the line
+        sits dirty in an L1 (this core's, or another core's that owns
+        it) or in the LLC, so the store is refused wherever one is, and
+        the general classifier re-derives the conflict.  ``entry`` is
+        the core's L1 entry for ``line`` (None on a miss), just probed
+        by the caller; ``epoch`` must be the core's ongoing epoch.
         """
         l1 = self.l1s[core_id]
-        # Undo logging, an unpersisted version of the line anywhere (the
-        # tag map holds every one), a dirty copy in this L1 (tagged in
-        # practice: a persisted epoch's flush cleans or invalidates its
-        # L1 lines) and another core's copy are the general classifier's
-        # business.
+        # Undo logging, a dirty copy in this L1 (tagged in practice: a
+        # persisted epoch's flush cleans or invalidates its L1 lines),
+        # another core's copy (a dirty one makes that core the owner)
+        # and an unpersisted version in the LLC are the general
+        # classifier's business.
         directory = self.directory
         if (
             self._logging_on
-            or line in self._epoch_tags
             or (entry is not None and entry.dirty)
             or not directory.exclusive_ok(line, core_id)
         ):
             return _REFUSED
+        bank = (line >> self._bank_shift) % self._n_banks
+        llc_entry = self.llc_banks[bank].lookup(line)
+        if llc_entry is not None and llc_entry.unpersisted:
+            return _REFUSED
         # An S-state L1 hit upgraded in place, or an L1 miss filled from
         # the LLC (same end state as _try_store -> _fill_l1 for a
         # clean-victim fill).
-        bank = (line >> self._bank_shift) % self._n_banks
         if entry is None:
-            llc_entry = self.llc_banks[bank].lookup(line)
             if llc_entry is None:
                 return _FULL_MISS
             filled = l1.clean_fill(line)
@@ -454,12 +441,9 @@ class Multicore:
         directory.set_owner(line, core_id)
         lat = self._base_lat[core_id][bank]
         entry.dirty = True
-        entry.epoch = resolved
-        # The guard proved no prior unpersisted version, so the tag is a
-        # plain insert (no depth).
-        resolved.lines.add(line)
-        self._epoch_tags[line] = resolved
-        resolved.all_lines.add(line)
+        entry.epoch = epoch
+        epoch.lines.add(line)
+        epoch.all_lines.add(line)
         if self.track_values and values:
             if entry.values is None:
                 entry.values = {}
@@ -555,11 +539,12 @@ class Multicore:
                 l1_entry.values = self._fill_values(line, llc_entry)
         if epoch is not None:
             self._grant_m(line, core_id)
-            resolved = epoch.resolve()
+            # A split while the fill was out made the remainder current.
+            epoch = self.managers[core_id].current
             l1_entry.dirty = True
-            l1_entry.epoch = resolved
-            self._tag_line(resolved, line)
-            resolved.all_lines.add(line)
+            l1_entry.epoch = epoch
+            epoch.lines.add(line)
+            epoch.all_lines.add(line)
             if self.track_values and values:
                 if l1_entry.values is None:
                     l1_entry.values = {}
@@ -586,9 +571,9 @@ class Multicore:
             )
         if req.is_store:
             if req.epoch is not None:
-                # A split may have moved this in-flight store into the
-                # remainder epoch (section 3.3).
-                req.epoch = req.epoch.resolve()
+                # A split may have made a remainder epoch current while
+                # this store was in flight (section 3.3).
+                req.epoch = self.managers[req.core_id].current
             self._try_store(req)
         else:
             self._try_load(req)
@@ -750,14 +735,14 @@ class Multicore:
 
     def _finish_store(self, req: _Request, entry: CacheEntry,
                       latency: int) -> None:
+        line = req.line
+        core_id = req.core_id
         epoch = req.epoch
         if epoch is not None:
             # The epoch may have been split while this store was away at
             # the memory controller; an uncompleted store always lands in
             # the live remainder epoch.
-            epoch = req.epoch = epoch.resolve()
-        line = req.line
-        core_id = req.core_id
+            epoch = req.epoch = self.managers[core_id].current
         if (
             self._logging_on
             and epoch is not None
@@ -773,7 +758,7 @@ class Multicore:
         if epoch is not None:
             entry.dirty = True
             entry.epoch = epoch
-            self._tag_line(epoch, line)
+            epoch.lines.add(line)
             epoch.all_lines.add(line)
         elif req.persist_sync or req.wt_async:
             # SP / write-through BSP: the value goes straight to NVRAM;
@@ -1079,53 +1064,6 @@ class Multicore:
                 self.l1s[sharer].remove(line)
 
     # ------------------------------------------------------------------
-    # Per-line epoch tags
-    # ------------------------------------------------------------------
-    def _tag_line(self, epoch: Epoch, line: int) -> None:
-        """Add ``line`` to ``epoch``'s unpersisted set, tagging the line.
-
-        Every mutation of an ``Epoch.lines`` set goes through here,
-        :meth:`_untag_line` or :meth:`try_clean_store`, so the tag map
-        stays exact.  A
-        line already tagged by another epoch gains a depth count: the
-        IDT case where the older version was written back to the LLC
-        while the newer lives in the requester's L1.  The tag always
-        points at the newest version's epoch.
-        """
-        lines = epoch.lines
-        if line in lines:
-            return
-        lines.add(line)
-        tags = self._epoch_tags
-        if line in tags:
-            self._tag_depth[line] = self._tag_depth.get(line, 1) + 1
-        tags[line] = epoch
-
-    def _untag_line(self, epoch: Epoch, line: int) -> bool:
-        """Remove ``line`` from ``epoch``'s unpersisted set.
-
-        Returns False (leaving the tag map untouched) when the epoch no
-        longer tracked the line -- the flush walker's "already in
-        flight" case.  With stacked versions only the depth drops: the
-        older version always leaves the dirty domain first (its flush is
-        what the newer version's IDT edge waits for; evictions and
-        writeback collisions are gated the same way), so the tag keeps
-        pointing at the newest epoch and never needs a rescan.
-        """
-        lines = epoch.lines
-        if line not in lines:
-            return False
-        lines.remove(line)
-        depth = self._tag_depth.get(line)
-        if depth is None:
-            del self._epoch_tags[line]
-        elif depth == 2:
-            del self._tag_depth[line]
-        else:
-            self._tag_depth[line] = depth - 1
-        return True
-
-    # ------------------------------------------------------------------
     # Persistence primitives
     # ------------------------------------------------------------------
     def locate_epoch_line(
@@ -1203,7 +1141,7 @@ class Multicore:
         """
         line = entry.line
         if epoch is not None:
-            self._untag_line(epoch, line)
+            epoch.lines.discard(line)
             epoch.inflight_writes += 1
         values = dict(entry.values) if entry.values is not None else None
         self.llc_banks[self.amap.bank_of(line)].remove(line)
@@ -1305,8 +1243,7 @@ class Multicore:
             # exists only because a load recorded an IDT dependence) has
             # nothing to persist and does not count against durability.
             drained = all(
-                epoch.ongoing and epoch.num_stores == 0
-                and epoch.pending_stores == 0 and epoch.empty
+                epoch.ongoing and epoch.num_stores == 0 and epoch.empty
                 for mgr in self.managers
                 for epoch in mgr.window
             )
@@ -1424,7 +1361,7 @@ class Multicore:
                         raise AssertionError(
                             f"{epoch} tracks 0x{line:x} but no cache holds it"
                         )
-                if epoch.inflight_writes < 0 or epoch.pending_stores < 0:
+                if epoch.inflight_writes < 0:
                     raise AssertionError(f"negative accounting on {epoch}")
         for core_id, l1 in enumerate(self.l1s):
             for entry in l1.dirty_entries():
@@ -1447,38 +1384,6 @@ class Multicore:
                             f"LLC dirty 0x{entry.line:x} missing from "
                             f"{entry.epoch}"
                         )
-        # The epoch-tag map must be exactly the union of the window
-        # epochs' line sets, with the depth dict matching every line's
-        # version multiplicity and each tag naming an epoch that
-        # actually holds the line.
-        counts: Dict[int, int] = {}
-        holders: Dict[int, List[Epoch]] = {}
-        for mgr in self.managers:
-            for epoch in mgr.window:
-                for line in epoch.lines:
-                    counts[line] = counts.get(line, 0) + 1
-                    holders.setdefault(line, []).append(epoch)
-        if counts.keys() != self._epoch_tags.keys():
-            stale = self._epoch_tags.keys() - counts.keys()
-            missing = counts.keys() - self._epoch_tags.keys()
-            raise AssertionError(
-                f"epoch-tag map out of sync: stale="
-                f"{[hex(l) for l in stale]} missing="
-                f"{[hex(l) for l in missing]}"
-            )
-        for line, n in counts.items():
-            if self._epoch_tags[line] not in holders[line]:
-                raise AssertionError(
-                    f"tag for 0x{line:x} names an epoch not holding it"
-                )
-            depth = self._tag_depth.get(line)
-            if (depth or 1) != n:
-                raise AssertionError(
-                    f"0x{line:x} has {n} versions but depth {depth}"
-                )
-        for line in self._tag_depth:
-            if line not in counts:
-                raise AssertionError(f"stale depth entry for 0x{line:x}")
         # The directory records every L1 copy (a stale sharer record,
         # left by an invalidation, is harmless), and a dirty L1 line's
         # core owns it.

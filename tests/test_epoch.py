@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.epoch import Epoch, EpochManager, EpochStatus
+from repro.core.epoch import EpochManager, EpochStatus
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
 
@@ -12,22 +12,21 @@ def make_manager(max_inflight=8):
     return engine, EpochManager(0, engine, StatDomain("core0"), max_inflight)
 
 
+def retire_store(mgr):
+    """One store retiring from the write buffer: ``Core._drain`` counts
+    it in the ongoing epoch, which the store opened if none was."""
+    epoch = mgr.current_or_new()
+    epoch.num_stores += 1
+    return epoch
+
+
 def test_current_created_lazily():
     _, mgr = make_manager()
     assert mgr.current is None
     epoch = mgr.current_or_new()
     assert mgr.current is epoch
     assert epoch.status is EpochStatus.ONGOING
-    assert mgr.total_epochs == 1
-
-
-def test_tag_store_counts_pending():
-    _, mgr = make_manager()
-    epoch = mgr.tag_store()
-    assert epoch.pending_stores == 1
-    mgr.store_drained(epoch)
-    assert epoch.pending_stores == 0
-    assert epoch.num_stores == 1
+    assert mgr._stats.get("epochs") == 1
 
 
 def test_close_with_no_stores_is_noop():
@@ -39,87 +38,45 @@ def test_close_with_no_stores_is_noop():
 
 def test_close_completes_drained_epoch():
     _, mgr = make_manager()
-    epoch = mgr.tag_store()
-    mgr.store_drained(epoch)
+    epoch = retire_store(mgr)
     closed = mgr.close_current()
     assert closed is epoch
     assert epoch.status is EpochStatus.COMPLETE
     assert mgr.current is None
 
 
-def test_close_waits_for_pending_stores():
-    _, mgr = make_manager()
-    epoch = mgr.tag_store()
-    mgr.close_current()
-    assert epoch.status is EpochStatus.CLOSED
-    mgr.store_drained(epoch)
-    assert epoch.status is EpochStatus.COMPLETE
-
-
 def test_completion_callbacks_fire_once():
     _, mgr = make_manager()
-    fired = []
-    epoch = mgr.tag_store()
-    epoch.on_complete(lambda: fired.append("cb"))
+    completed, checked = [], []
+    mgr.completion_hook = completed.append
+    mgr.persist_check = checked.append
+    epoch = retire_store(mgr)
     mgr.close_current()
-    mgr.store_drained(epoch)
-    assert fired == ["cb"]
-    epoch.on_complete(lambda: fired.append("late"))
-    assert fired == ["cb", "late"]  # immediate when already complete
+    assert completed == checked == [epoch]
+    # A complete epoch neither closes nor splits again.
+    assert mgr.close_current() is None
+    assert mgr.split_epoch(epoch) is None
+    assert completed == checked == [epoch]
 
 
 def test_window_limit():
     _, mgr = make_manager(max_inflight=2)
-    e0 = mgr.tag_store()
-    mgr.store_drained(e0)
+    retire_store(mgr)
     mgr.close_current()
-    mgr.tag_store()
+    retire_store(mgr)
     assert not mgr.can_open_epoch()
-
-
-def test_split_moves_pending_stores_to_remainder():
-    _, mgr = make_manager()
-    epoch = mgr.tag_store()
-    epoch.lines.add(0x1000)
-    prefix = mgr.split_current()
-    assert prefix is epoch
-    # The in-flight store belongs to the remainder (section 3.3), so the
-    # prefix completes immediately.
-    assert prefix.status is EpochStatus.COMPLETE
-    assert prefix.pending_stores == 0
-    remainder = mgr.current
-    assert remainder is not None
-    assert remainder.pending_stores == 1
-    assert remainder.split_from == prefix.seq
-    # The redirect routes the in-flight store's completion.
-    assert prefix.resolve() is remainder
-    mgr.store_drained(prefix)
-    assert remainder.pending_stores == 0
 
 
 def test_split_without_ongoing_epoch_returns_none():
     _, mgr = make_manager()
-    assert mgr.split_current() is None
-
-
-def test_redirect_chains_resolve():
-    _, mgr = make_manager()
-    e0 = mgr.tag_store()
-    mgr.split_current()
-    e1 = mgr.current
-    mgr.split_current()
-    e2 = mgr.current
-    assert e0.resolve() is e2
-    assert e1.resolve() is e2
+    assert mgr.split_epoch(mgr.current) is None
 
 
 def test_persist_requires_window_head():
     _, mgr = make_manager()
-    e0 = mgr.tag_store()
-    mgr.store_drained(e0)
+    retire_store(mgr)
     mgr.close_current()
-    e1 = mgr.tag_store()
-    mgr.store_drained(e1)
+    e1 = retire_store(mgr)
     mgr.close_current()
     with pytest.raises(RuntimeError):
         mgr.mark_persisted(e1)  # e0 must persist first
@@ -128,8 +85,7 @@ def test_persist_requires_window_head():
 def test_persist_pops_window_and_fires_waiters():
     _, mgr = make_manager()
     fired = []
-    e0 = mgr.tag_store()
-    mgr.store_drained(e0)
+    e0 = retire_store(mgr)
     mgr.close_current()
     e0.on_persist(lambda: fired.append("p"))
     mgr.mark_persisted(e0)
@@ -142,8 +98,7 @@ def test_persist_pops_window_and_fires_waiters():
 
 def test_persist_rejects_epoch_with_work_left():
     _, mgr = make_manager()
-    e0 = mgr.tag_store()
-    mgr.store_drained(e0)
+    e0 = retire_store(mgr)
     mgr.close_current()
     e0.lines.add(0x40)
     with pytest.raises(RuntimeError):
@@ -153,10 +108,9 @@ def test_persist_rejects_epoch_with_work_left():
 def test_persist_clears_idt_edges_and_notifies_dependents():
     engine_a, mgr_a = make_manager()
     mgr_b = EpochManager(1, engine_a, StatDomain("core1"), 8)
-    source = mgr_a.tag_store()
-    mgr_a.store_drained(source)
+    source = retire_store(mgr_a)
     mgr_a.close_current()
-    dependent = mgr_b.tag_store()
+    dependent = retire_store(mgr_b)
     source.idt_dependents.add(dependent)
     dependent.idt_sources.add(source)
     checked = []
@@ -169,10 +123,9 @@ def test_persist_clears_idt_edges_and_notifies_dependents():
 def test_deps_persisted_gates_on_sources():
     engine, mgr_a = make_manager()
     mgr_b = EpochManager(1, engine, StatDomain("core1"), 8)
-    e = mgr_a.tag_store()
-    mgr_a.store_drained(e)
+    e = retire_store(mgr_a)
     mgr_a.close_current()
-    src = mgr_b.tag_store()
+    src = retire_store(mgr_b)
     e.idt_sources.add(src)
     assert not mgr_a.deps_persisted(e)
     e.idt_sources.clear()
@@ -183,16 +136,14 @@ def test_completion_hook_fires():
     _, mgr = make_manager()
     seen = []
     mgr.completion_hook = seen.append
-    e = mgr.tag_store()
-    mgr.store_drained(e)
+    e = retire_store(mgr)
     mgr.close_current()
     assert seen == [e]
 
 
 def test_audit_passes_on_sane_state():
     _, mgr = make_manager()
-    e = mgr.tag_store()
-    mgr.store_drained(e)
+    retire_store(mgr)
     mgr.close_current()
-    mgr.tag_store()
+    retire_store(mgr)
     mgr.audit()

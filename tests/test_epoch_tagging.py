@@ -10,6 +10,8 @@ repro/cpu/processor.py).
 """
 
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.digest import state_digest
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
 
@@ -67,9 +69,8 @@ def test_epoch_completes_only_after_last_store_drains():
     original_hook = mgr.completion_hook
 
     def hook(epoch):
-        # At completion, no store of this epoch may still be pending.
-        assert epoch.pending_stores == 0
-        seen.append(epoch.seq)
+        # At completion every store of this epoch has retired into it.
+        seen.append((epoch.seq, epoch.num_stores))
         original_hook(epoch)
 
     mgr.completion_hook = hook
@@ -80,7 +81,7 @@ def test_epoch_completes_only_after_last_store_drains():
     p.store(0x5000, 8)
     p.barrier()
     m.run([p])
-    assert seen == [0, 1]
+    assert seen == [(0, 16), (1, 1)]
 
 
 def test_bsp_hardware_epoch_sizes_counted_at_drain():
@@ -112,3 +113,55 @@ def test_loads_do_not_affect_epoch_membership():
     m.run([p])
     counts = epoch_store_counts(m)
     assert counts == {(0, 0): 2}
+
+
+_X, _Y = 0x1000, 0x2000
+
+
+def _split_with_a_store_in_flight(reference):
+    """Core 0 stores X, then Y, which misses to the memory controller;
+    core 1's load of X meanwhile splits core 0's ongoing epoch (LB++
+    records the IDT edge on the completed prefix).  Returns the machine,
+    its result, and what the prefix held and which store headed core
+    0's write buffer when the split came."""
+    config = MachineConfig.tiny(
+        barrier_design=BarrierDesign.LB_PP,
+        persistency=PersistencyModel.BEP,
+        num_cores=2,
+    )
+    with reference_mode(reference):
+        m = Multicore(config, keep_epoch_log=True)
+    mgr = m.managers[0]
+    at_split = []
+    split_epoch = mgr.split_epoch
+
+    def split(epoch):
+        at_split.append((m.cores[0].wb[0].addr, set(epoch.all_lines),
+                         set(epoch.lines), epoch.num_stores))
+        return split_epoch(epoch)
+
+    mgr.split_epoch = split
+    result = m.run([Program().store(_X).store(_Y).barrier(),
+                    Program().compute(300).load(_X)])
+    return m, result, at_split
+
+
+def test_store_in_flight_at_a_split_lands_in_the_remainder():
+    """Section 3.3: a store in flight when its epoch splits has not
+    completed, so it belongs to the remainder, and the prefix keeps
+    exactly what it held at the split.  Both engine modes, one digest."""
+    digests = []
+    for reference in (False, True):
+        m, result, at_split = _split_with_a_store_in_flight(reference)
+        assert result.finished
+        # One split, with X retired into the prefix and Y still heading
+        # the write buffer, applied to no epoch yet.
+        assert at_split == [(_Y, {_X}, {_X}, 1)]
+        prefix, remainder = m.managers[0].retired
+        assert remainder.split_from == prefix.seq
+        assert (prefix.all_lines, prefix.num_stores) == ({_X}, 1)
+        assert (remainder.all_lines, remainder.num_stores) == ({_Y}, 1)
+        # The load's IDT edge sits on the prefix.
+        assert m.managers[1].current.all_sources == {prefix.key}
+        digests.append(state_digest(m, result))
+    assert digests[0] == digests[1]

@@ -11,9 +11,9 @@ three sides:
   across seeds and core counts, plus the miss- and flush-heavy
   ``flushbound`` and ``sps`` micros, fast vs reference digests;
 * the guard predicates, one by one -- a conflict in the window, a line
-  still tagged by an unpersisted (flushing) epoch, and a configured
-  fault injector must each force the session to refuse or fall back,
-  without perturbing the outcome;
+  whose older version an unpersisted epoch still holds in some cache,
+  and a configured fault injector must each force the session to
+  refuse or fall back, without perturbing the outcome;
 * the counters -- fast-forward diagnostics are plain attributes, never
   digest inputs, so a fast run and a reference run of the same program
   still digest identically even though only one of them fast-forwards.
@@ -26,6 +26,7 @@ from repro.sim.digest import run_digest, state_digest
 from repro.sim.engine import reference_mode
 from repro.sim.faults import FaultConfig
 from repro.system import _REFUSED, Multicore
+from repro.workloads.base import Program
 from repro.workloads.micro import make_benchmark
 
 
@@ -181,12 +182,29 @@ def test_faults_configured_refuses_every_session():
     )
 
 
-def test_foreign_tag_refuses_the_store():
-    # The epoch-tag probe is the conflict *and* flush-in-window guard: a
-    # line whose previous version belongs to any unpersisted epoch is
-    # still in the tag map, so try_clean_store must refuse it and leave
-    # no trace.  Stage it directly: core 1 dirties a line under its epoch,
-    # then core 0's session asks for the same line.
+def _line_state(machine, line):
+    """Everything ``try_clean_store`` could change about ``line``."""
+    def cached(cache):
+        entry = cache.lookup(line)
+        return None if entry is None else (entry.dirty, entry.epoch,
+                                           entry._lru)
+    ent = machine.directory.peek(line)
+    return (
+        [cached(cache) for cache in machine.l1s + machine.llc_banks],
+        None if ent is None else (ent.owner, set(ent.sharers)),
+        [(epoch.key, set(epoch.lines), set(epoch.all_lines))
+         for mgr in machine.managers for epoch in mgr.window],
+        list(machine._lat_counts),
+    )
+
+
+def test_cache_state_guard_refuses_a_foreign_dirty_line():
+    # The cache-state guard is the conflict *and* flush-in-window guard:
+    # a line whose previous version belongs to an unpersisted epoch sits
+    # dirty in some cache, so try_clean_store must refuse it and leave no
+    # trace.  Stage it directly: core 1 dirties a line under its epoch,
+    # which makes core 1 the line's owner, then core 0's drain asks for
+    # the same line.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=BarrierDesign.LB_PP,
@@ -204,13 +222,55 @@ def test_foreign_tag_refuses_the_store():
     )
     machine.engine.run()
     assert done, "staging store never completed"
-    assert line in machine._epoch_tags
+    assert line in machine.managers[1].current.lines
     epoch0 = machine.managers[0].current_or_new()
-    tags_before = dict(machine._epoch_tags)
+    before = _line_state(machine, line)
     entry = machine.l1s[0].lookup(line)
     assert machine.try_clean_store(0, line, entry, None, epoch0) == _REFUSED
-    assert machine._epoch_tags == tags_before
+    assert _line_state(machine, line) == before
     assert not epoch0.lines
+    machine.audit()
+
+
+@pytest.mark.parametrize("l1_copy", [True, False],
+                         ids=["s_copy_upgrade", "l1_miss"])
+def test_cache_state_guard_refuses_an_older_version_in_the_llc(l1_copy):
+    # The one place an unpersisted version hides from the L1 checks.
+    # Core 1's load wrote core 0's dirty line back to the LLC (the IDT
+    # case: core 0 keeps a clean copy), then core 1 evicted its clean
+    # copy, and without ``l1_copy`` core 0 evicted its own.  The
+    # directory lets core 0 take the line exclusively, so only the LLC
+    # copy, still dirty under core 0's closed and unpersisted epoch,
+    # refuses core 0's next store: the general classifier owes it an
+    # intra-thread conflict.
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BEP,
+        barrier_design=BarrierDesign.LB_IDT,
+        num_cores=2,
+    )
+    with reference_mode(False):
+        machine = Multicore(config)
+    line = 0x1000
+    machine.run([Program().store(line).barrier(),
+                 Program().compute(2000).load(line)], drain=False)
+    older = machine.managers[0].window[0]
+    assert older.complete and not older.persisted
+    for core in (1,) if l1_copy else (1, 0):
+        machine.l1s[core].remove(line)
+        machine.directory.drop_core(line, core)
+    llc_entry = machine.llc_banks[machine.amap.bank_of(line)].lookup(line)
+    assert llc_entry.unpersisted and llc_entry.epoch is older
+    assert machine.directory.exclusive_ok(line, 0)
+    entry = machine.l1s[0].lookup(line)
+    assert (entry is not None) is l1_copy
+    assert entry is None or not entry.dirty
+    machine.audit()
+    epoch = machine.managers[0].current_or_new()
+    assert epoch is not older
+    before = _line_state(machine, line)
+    assert machine.try_clean_store(0, line, entry, None, epoch) == _REFUSED
+    assert _line_state(machine, line) == before
+    machine.audit()
 
 
 def test_contended_run_falls_back_and_recovers():

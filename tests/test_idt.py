@@ -6,6 +6,7 @@ from repro.core.epoch import EpochManager
 from repro.core.idt import IDTracker
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
+from tests.test_epoch import retire_store
 
 
 def make_world(registers=4):
@@ -19,8 +20,7 @@ def make_world(registers=4):
 
 
 def new_epoch(mgr):
-    epoch = mgr.tag_store()
-    mgr.store_drained(epoch)
+    epoch = retire_store(mgr)
     mgr.close_current()
     return epoch
 
@@ -134,8 +134,7 @@ def test_register_count_validation():
 def test_edge_on_ongoing_source_lands_on_split_prefix():
     managers, tracker = make_world()
     src_mgr = managers[0]
-    ongoing = src_mgr.tag_store()
-    src_mgr.store_drained(ongoing)  # drained but never closed: ongoing
+    ongoing = retire_store(src_mgr)  # drained but never closed: ongoing
     assert ongoing.ongoing
 
     prefix = src_mgr.split_epoch(ongoing)
@@ -160,8 +159,7 @@ def test_split_prefix_persists_while_remainder_runs():
     still accumulating stores."""
     managers, tracker = make_world()
     src_mgr = managers[0]
-    ongoing = src_mgr.tag_store()
-    src_mgr.store_drained(ongoing)
+    ongoing = retire_store(src_mgr)
     prefix = src_mgr.split_epoch(ongoing)
 
     dep = managers[1].current_or_new()

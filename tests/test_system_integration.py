@@ -201,7 +201,7 @@ def _clear_current_slot(m):
 
 
 def _close_current_behind_the_slot(m):
-    m.managers[0].current.status = EpochStatus.CLOSED
+    m.managers[0].current.status = EpochStatus.COMPLETE
 
 
 def _drop_line_from_every_cache(m):
@@ -212,10 +212,6 @@ def _drop_line_from_every_cache(m):
 
 def _forget_written_line(m):
     m.managers[0].window[0].all_lines.clear()
-
-
-def _plant_stale_epoch_tag(m):
-    m._epoch_tags[0x9000] = m.managers[0].window[0]
 
 
 def _add_sharer_beside_owner(m):
@@ -241,14 +237,12 @@ def _drop_dirty_line_owner(m):
     (_close_current_behind_the_slot, "is not the ongoing window tail"),
     (_drop_line_from_every_cache, "no cache holds it"),
     (_forget_written_line, "missing from its all_lines"),
-    (_plant_stale_epoch_tag, "epoch-tag map out of sync"),
     (_add_sharer_beside_owner, "is not its sole sharer"),
     (_empty_directory_entry, "empty directory entry"),
     (_forget_l1_copy, "does not record it as a sharer"),
     (_drop_dirty_line_owner, "dirty but the directory's owner is None"),
 ], ids=["window_order", "ongoing_not_tail", "ongoing_not_current",
         "stale_current_slot", "line_in_no_cache", "tracked_not_written",
-        "stale_epoch_tag",
         "owner_not_sole_sharer", "empty_directory_entry",
         "l1_copy_not_a_sharer", "dirty_line_not_owned"])
 def test_audit_flags_planted_corruption(plant, message):
