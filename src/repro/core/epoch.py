@@ -66,7 +66,6 @@ class Epoch:
         "persist_waiters",
         "conflict_flush",
         "flush_active",
-        "split_from",
         "persisted",
         "manager",
     )
@@ -111,7 +110,6 @@ class Epoch:
         # True while the Figure 8 handshake for this epoch is in flight;
         # the epoch may not be declared persisted until PersistCMP.
         self.flush_active = False
-        self.split_from: Optional[int] = None
         self.manager = manager
 
     # ------------------------------------------------------------------
@@ -253,8 +251,7 @@ class EpochManager:
         if epoch is None or not epoch.ongoing:
             return None
         self._stats.bump("epoch_splits")
-        successor = self._new_epoch()
-        successor.split_from = epoch.seq
+        self._new_epoch()
         self._complete(epoch)
         return epoch
 

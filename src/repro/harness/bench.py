@@ -18,9 +18,9 @@ entry is the family's verdict.
   oracle, the reorder-fault checker self-test, and a faulted pingpong
   run that must complete through the BankAck retry path.
 * ``figures`` -- the exact :class:`~repro.harness.executor.RunSummary`
-  of every deduplicated spec of the tiny figure build, so a change that
-  moves a paper-facing number in both engine modes alike shows up in
-  the record.
+  of every deduplicated spec of the tiny figure build and of a
+  five-run small-scale probe, so a change that moves a paper-facing
+  number in both engine modes alike shows up in the record.
 
 ``python -m repro bench`` runs every family (``--only`` picks one),
 writes ``BENCH_sweep.json``, and exits nonzero when any family it ran
@@ -37,9 +37,9 @@ import math
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.executor import run_specs
+from repro.harness.executor import RunSpec, run_specs
 from repro.harness.report import all_to_all_counters, scaling_table
-from repro.harness.runner import Scale
+from repro.harness.runner import BSP_EPOCH_SIZES, Scale
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import state_digest
 from repro.sim.engine import reference_mode
@@ -530,27 +530,46 @@ def run_scaling_bench(seed: int = 1,
 
 
 # ----------------------------------------------------------------------
-# ``figures``: every run of the tiny figure build
+# ``figures``: every run of the tiny figure build, and a small-scale probe
 # ----------------------------------------------------------------------
+def _small_probe_specs(seed: int) -> List[RunSpec]:
+    """Five small-scale figure runs that moved at three commits where
+    every tiny run but one stayed put: hash under LB, LB+PF and LB+IDT
+    (Figures 11 and 12), and ssca2 under LB with the smallest Figure 13
+    epochs and under NP (the 8-thread app generator)."""
+    return [
+        *(RunSpec.bep("hash", design, Scale.SMALL, seed=seed)
+          for design in (BarrierDesign.LB, BarrierDesign.LB_PF,
+                         BarrierDesign.LB_IDT)),
+        RunSpec.bsp("ssca2", BarrierDesign.LB, Scale.SMALL, seed=seed,
+                    epoch_stores=BSP_EPOCH_SIZES[Scale.SMALL][0]),
+        RunSpec.bsp("ssca2", BarrierDesign.LB, Scale.SMALL, seed=seed,
+                    model=PersistencyModel.NP),
+    ]
+
+
 def run_figures_bench(seed: int = 1) -> dict:
     """The ``figures`` family: every deduplicated spec of ``figures all
-    --scale tiny``, run uncached on every CPU, its exact summary keyed by
+    --scale tiny`` plus a small-scale probe, run uncached on every CPU,
+    each exact summary keyed by
     :meth:`~repro.harness.executor.RunSpec.describe`.  Every field is
     simulated state, so any moved cycle, conflict or NVRAM write shows
     up as a diff."""
     from repro.harness.experiments import figure_plan_specs
 
-    specs = list(dict.fromkeys(
+    tiny = list(dict.fromkeys(
         spec for specs in figure_plan_specs(Scale.TINY, seed).values()
         for spec in specs))
-    summaries = run_specs(specs)
-    runs = {spec.describe(): summary.to_dict()
-            for spec, summary in zip(specs, summaries)}
+    small = _small_probe_specs(seed)
+    summaries = run_specs(tiny + small)
+    records = [(spec.describe(), summary.to_dict())
+               for spec, summary in zip(tiny + small, summaries)]
     finished = sum(summary.finished for summary in summaries)
-    print(f"[bench] figures: {finished}/{len(specs)} tiny-scale runs "
-          f"finished")
-    return {"scale": Scale.TINY.value, "runs": runs,
-            "ok": len(runs) == finished == len(specs)}
+    print(f"[bench] figures: {finished}/{len(summaries)} runs finished "
+          f"({len(tiny)} tiny-scale, {len(small)} small-scale)")
+    return {"scale": Scale.TINY.value, "runs": dict(records[:len(tiny)]),
+            "small_probe": dict(records[len(tiny):]),
+            "ok": len(dict(records)) == finished == len(summaries)}
 
 
 # ----------------------------------------------------------------------

@@ -425,27 +425,41 @@ def contended(scale: Scale = Scale.SMALL, seed: int = 1,
 _ALL_FIGURES = ("fig11", "fig12", "fig13", "fig14", "flushmode",
                 "writethrough", "contended")
 
-# tag -> plan function with the uniform (scale, seed) signature.  The
-# planner enumerates a build's runs through this table; fig11 and fig12
-# share one sweep, so they map to the same plan (the planner dedups the
-# specs and tags them with both consumers).
-_FIGURE_PLANS: Dict[str, Callable[[Scale, int], _Plan]] = {
+# tag -> plan function, called as ``plan(scale, seed, <length>=n)``
+# with the run-length keyword the figure's runs take: ``transactions``
+# per thread for the BEP microbenchmark runs, ``mem_ops`` per thread for
+# the BSP app runs.  The planner enumerates a build's runs through these
+# tables; fig11 and fig12 share one sweep, so they map to the same plan
+# (the planner dedups the specs and tags them with both consumers).
+_BEP_PLANS: Dict[str, Callable[..., _Plan]] = {
     "fig11": bep_sweep_plan,
     "fig12": bep_sweep_plan,
+    "flushmode": flush_mode_plan,
+    "contended": contended_plan,
+}
+_BSP_PLANS: Dict[str, Callable[..., _Plan]] = {
     "fig13": fig13_plan,
     "fig14": fig14_plan,
-    "flushmode": flush_mode_plan,
     "writethrough": writethrough_plan,
-    "contended": contended_plan,
 }
 
 
 def figure_plan_specs(scale: Scale, seed: int = 1,
                       figures: Optional[Sequence[str]] = None,
+                      transactions: Optional[int] = None,
+                      mem_ops: Optional[int] = None,
                       ) -> Dict[str, List[RunSpec]]:
-    """``{figure tag: spec list}`` for the planner."""
+    """``{figure tag: spec list}`` for the planner; ``transactions`` and
+    ``mem_ops`` override the scale's run lengths (None keeps them)."""
     tags = list(figures) if figures is not None else list(_ALL_FIGURES)
-    return {tag: _FIGURE_PLANS[tag](scale, seed)[0] for tag in tags}
+    specs: Dict[str, List[RunSpec]] = {}
+    for tag in tags:
+        if tag in _BEP_PLANS:
+            plan = _BEP_PLANS[tag](scale, seed, transactions=transactions)
+        else:
+            plan = _BSP_PLANS[tag](scale, seed, mem_ops=mem_ops)
+        specs[tag] = plan[0]
+    return specs
 
 
 @dataclass(frozen=True)
@@ -545,6 +559,16 @@ def add_figure_args(parser: argparse.ArgumentParser) -> None:
                         choices=[s.value for s in Scale],
                         help="machine scale (default: small)")
     parser.add_argument("--seed", type=non_negative_int, default=1)
+    parser.add_argument(
+        "--transactions", type=positive_int, default=None,
+        help="transactions per thread of every BEP run (fig11, fig12, "
+             "flushmode, contended; default: the scale's)",
+    )
+    parser.add_argument(
+        "--mem-ops", type=positive_int, default=None,
+        help="memory ops per thread of every BSP app run (fig13, fig14, "
+             "writethrough; default: the scale's)",
+    )
     parser.add_argument("--csv-dir", default=None,
                         help="write each figure's data as CSV here")
     parser.add_argument("--chart", action="store_true",
@@ -596,6 +620,8 @@ def build_figures(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     jobs = args.jobs
     refresh = args.refresh
+    transactions = args.transactions
+    mem_ops = args.mem_ops
 
     def emit(tag: str, table, precision: int = 3) -> None:
         print(table.render(precision=precision))
@@ -615,8 +641,10 @@ def build_figures(args: argparse.Namespace) -> int:
         # baselines are planned once).  Figure assembly below then reads
         # from the warm cache.
         ordered = [tag for tag in _ALL_FIGURES if tag in wanted]
-        plan = build_plan(figure_plan_specs(scale, args.seed, ordered),
-                          cache, refresh=refresh)
+        plan = build_plan(
+            figure_plan_specs(scale, args.seed, ordered,
+                              transactions=transactions, mem_ops=mem_ops),
+            cache, refresh=refresh)
         pending = [entry.spec for entry in plan if not entry.cached]
         if pending:
             print(plan_table(plan).render(precision=0))
@@ -636,32 +664,34 @@ def build_figures(args: argparse.Namespace) -> int:
                   f"({args.cache_dir})]", file=sys.stderr)
             return 0
     if wanted & {"fig11", "fig12"}:
-        sweep = run_bep_sweep(scale, args.seed, jobs=jobs, cache=cache,
-                              refresh=refresh)
+        sweep = run_bep_sweep(scale, args.seed, transactions, jobs=jobs,
+                              cache=cache, refresh=refresh)
         if "fig11" in wanted:
             emit("fig11", fig11(scale, args.seed, sweep=sweep))
         if "fig12" in wanted:
             emit("fig12", fig12(scale, args.seed, sweep=sweep), precision=1)
     if "fig13" in wanted:
-        emit("fig13", fig13(scale, args.seed, jobs=jobs, cache=cache,
-                            refresh=refresh), precision=2)
+        emit("fig13", fig13(scale, args.seed, mem_ops, jobs=jobs,
+                            cache=cache, refresh=refresh), precision=2)
     if "fig14" in wanted:
-        table, inter_share = fig14(scale, args.seed, jobs=jobs, cache=cache,
-                                   refresh=refresh)
+        table, inter_share = fig14(scale, args.seed, mem_ops, jobs=jobs,
+                                   cache=cache, refresh=refresh)
         emit("fig14", table, precision=2)
         print(f"inter-thread share of conflicts: {inter_share:.0f}%"
               " (paper: 86%)\n")
     if "flushmode" in wanted:
         emit("ablation_flush_mode",
-             ablation_flush_mode(scale, args.seed, jobs=jobs, cache=cache,
-                                 refresh=refresh))
+             ablation_flush_mode(scale, args.seed, transactions, jobs=jobs,
+                                 cache=cache, refresh=refresh))
     if "writethrough" in wanted:
         emit("ablation_writethrough",
-             ablation_writethrough(scale, args.seed, jobs=jobs, cache=cache,
-                                   refresh=refresh), precision=2)
+             ablation_writethrough(scale, args.seed, mem_ops, jobs=jobs,
+                                   cache=cache, refresh=refresh),
+             precision=2)
     if "contended" in wanted:
-        conflicts, speedups = contended(scale, args.seed, jobs=jobs,
-                                        cache=cache, refresh=refresh)
+        conflicts, speedups = contended(scale, args.seed, transactions,
+                                        jobs=jobs, cache=cache,
+                                        refresh=refresh)
         emit("contended_conflicts", conflicts, precision=1)
         emit("contended_speedup", speedups)
     elapsed = time.time() - start

@@ -4,7 +4,7 @@ Each thread interleaves compute with memory operations drawn from two
 regions:
 
 * a per-thread private region with a hot/cold split (``hot_bias`` of
-  accesses hit the hottest ``hot_fraction`` of lines), and
+  accesses hit the ``hot_lines`` hottest lines), and
 * a global shared pool.  To model read-write sharing realistically, a
   shared *store* publishes the line to a small recently-written window;
   shared *loads* preferentially consume lines from that window, which is
@@ -23,7 +23,11 @@ from collections import deque
 from typing import Deque, Iterator, List, Optional
 
 from repro.workloads.apps.profiles import APP_PROFILES, AppProfile
-from repro.workloads.base import Op, compute, load, store
+from repro.workloads.base import Op, OpKind
+
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_COMPUTE = OpKind.COMPUTE
 
 _PRIVATE_BASE = 0x4000_0000
 _PRIVATE_STRIDE = 0x0200_0000
@@ -38,12 +42,15 @@ class _SharedPool:
         self.line_size = line_size
         self.recently_written: Deque[int] = deque(maxlen=window)
 
-    def addr_of(self, index: int) -> int:
-        return _SHARED_BASE + index * self.line_size
-
 
 class AppWorkload:
-    """One thread of a synthetic application."""
+    """One thread of a synthetic application.
+
+    The op stream is generated lazily, one op per ``next``: the shared
+    pool's recently-written window couples the threads through the
+    order in which the simulated cores pull their ops, so no thread's
+    stream can be drawn ahead of the run.
+    """
 
     def __init__(
         self,
@@ -59,49 +66,80 @@ class AppWorkload:
         self.rng = random.Random((seed << 16) ^ (thread_id << 4) ^ 0x5BD1)
         self.line_size = line_size
         self._private_base = _PRIVATE_BASE + thread_id * _PRIVATE_STRIDE
-        self._hot_lines = profile.hot_lines
-
-    # ------------------------------------------------------------------
-    def _private_addr(self) -> int:
-        p = self.profile
-        if self.rng.random() < p.hot_bias:
-            index = self.rng.randrange(self._hot_lines)
-        else:
-            index = self.rng.randrange(p.working_set_lines)
-        return self._private_base + index * self.line_size
-
-    def _shared_access(self, is_store: bool) -> int:
-        pool = self.pool
-        if is_store:
-            index = self.rng.randrange(pool.lines)
-            pool.recently_written.append(index)
-            return pool.addr_of(index)
-        # Consumers read recently produced lines half of the time.
-        if pool.recently_written and self.rng.random() < 0.5:
-            index = self.rng.choice(pool.recently_written)
-        else:
-            index = self.rng.randrange(pool.lines)
-        return pool.addr_of(index)
 
     # ------------------------------------------------------------------
     def ops(self, num_mem_ops: int) -> Iterator[Op]:
+        # Every ``rng.randrange(n)`` and ``rng.choice(seq)`` of the loop
+        # is inlined as the rejection loop CPython's ``Random._randbelow``
+        # runs (``r = getrandbits(n.bit_length())`` until ``r < n``): the
+        # same numbers and generator state at one C call per pass instead
+        # of three Python frames per draw.  The profile's fields are
+        # hoisted too.
         p = self.profile
-        rng = self.rng
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
+        # Geometric-ish compute spacing around the mean, cheaply: a
+        # uniform draw below ``spacings``.  A compute op carries nothing
+        # but its cycles, so the thread shares one per spacing.
+        spacings = 2 * p.compute_per_op + 1 if p.compute_per_op else 0
+        spacing_bits = spacings.bit_length()
+        spacing_ops = [Op(_COMPUTE, cycles=c) for c in range(spacings)]
+        shared_fraction = p.shared_fraction
+        shared_write_fraction = p.shared_write_fraction
+        store_fraction = p.store_fraction
+        hot_bias = p.hot_bias
+        hot_lines = p.hot_lines
+        hot_bits = hot_lines.bit_length()
+        working_set = p.working_set_lines
+        working_set_bits = working_set.bit_length()
+        pool = self.pool
+        recent = pool.recently_written
+        shared_lines = pool.lines
+        shared_bits = shared_lines.bit_length()
+        shared_line_size = pool.line_size
+        private_base = self._private_base
+        line_size = self.line_size
+        # Every store of this thread carries the same value.
+        value = ("w", self.thread_id)
         for _ in range(num_mem_ops):
-            if p.compute_per_op:
-                # Geometric-ish spacing around the mean, cheaply.
-                yield compute(rng.randrange(2 * p.compute_per_op + 1))
-            shared = rng.random() < p.shared_fraction
-            if shared:
-                is_store = rng.random() < p.shared_write_fraction
-                addr = self._shared_access(is_store)
+            if spacings:
+                r = getrandbits(spacing_bits)
+                while r >= spacings:
+                    r = getrandbits(spacing_bits)
+                yield spacing_ops[r]
+            if random() < shared_fraction:
+                is_store = random() < shared_write_fraction
+                if not is_store and recent and random() < 0.5:
+                    # Consumers read recently produced lines half of
+                    # the time.
+                    n = len(recent)
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    index = recent[r]
+                else:
+                    index = getrandbits(shared_bits)
+                    while index >= shared_lines:
+                        index = getrandbits(shared_bits)
+                    if is_store:
+                        recent.append(index)
+                addr = _SHARED_BASE + index * shared_line_size
             else:
-                is_store = rng.random() < p.store_fraction
-                addr = self._private_addr()
+                is_store = random() < store_fraction
+                if random() < hot_bias:
+                    index = getrandbits(hot_bits)
+                    while index >= hot_lines:
+                        index = getrandbits(hot_bits)
+                else:
+                    index = getrandbits(working_set_bits)
+                    while index >= working_set:
+                        index = getrandbits(working_set_bits)
+                addr = private_base + index * line_size
             if is_store:
-                yield store(addr, 8, value=("w", self.thread_id))
+                yield Op(_STORE, addr, 8, value)
             else:
-                yield load(addr, 8)
+                yield Op(_LOAD, addr, 8)
 
 
 def app_programs(

@@ -38,6 +38,9 @@ from typing import Iterator, List
 from repro.workloads.base import Op, barrier, compute
 from repro.workloads.micro.common import ENTRY_SIZE, MicroBenchmark, register
 
+# Field-free, so every PUT shares it.
+_BARRIER = barrier()
+
 
 @register
 class ServingWorkload(MicroBenchmark):
@@ -125,7 +128,7 @@ class ServingWorkload(MicroBenchmark):
             yield self.store_field(
                 index_addr, ("idx", self.thread_id, self._txn_counter, slot)
             )
-            yield barrier()
+            yield _BARRIER
         else:
             # GET: follow the index slot to the entry body.
             yield self.load_field(index_addr)

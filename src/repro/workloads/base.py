@@ -35,9 +35,10 @@ class Op:
     """One memory operation.  Treat instances as immutable.
 
     Generators share instances: the barrier and transaction-marker ops
-    of :mod:`repro.workloads.micro`, and every load ``hotset`` emits,
-    are one object each, yielded again and again.  A consumer that
-    mutated an op would rewrite every later occurrence.
+    of :mod:`repro.workloads.micro` and ``serving``, every load
+    ``hotset`` emits and every compute op of an app thread are one
+    object each, yielded again and again.  A consumer that mutated an
+    op would rewrite every later occurrence.
 
     A hand-rolled slots class rather than a frozen dataclass: million-
     transaction programs construct tens of millions of these, and the

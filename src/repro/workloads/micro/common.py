@@ -15,13 +15,14 @@ Figure 10, followed by a TXN_MARK and ``think_cycles`` of compute.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.workloads.base import (
     Op,
     OpKind,
     barrier,
     compute,
+    span_ops,
     txn_mark,
 )
 from repro.workloads.heap import PersistentHeap
@@ -77,26 +78,24 @@ class MicroBenchmark:
     # These helpers sit on the million-transaction lazy-generation path,
     # so they build ``Op`` directly instead of going through the
     # ``base.store``/``base.load`` convenience wrappers (one call frame
-    # per op adds up at tens of millions of ops).
+    # per op adds up at tens of millions of ops).  A line-aligned span
+    # of whole lines (every 512-byte entry) is one list comprehension;
+    # any other span takes the per-chunk loop of ``span_ops``.
     def store_obj(self, addr: int, size: int,
-                  value: Optional[object] = None) -> Iterator[Op]:
+                  value: Optional[object] = None) -> Iterable[Op]:
         """Stores covering ``size`` bytes starting at ``addr``."""
-        end = addr + size
-        cursor = addr
-        while cursor < end:
-            line_end = (cursor & ~(self.line_size - 1)) + self.line_size
-            chunk = min(end, line_end) - cursor
-            yield Op(_STORE, cursor, chunk, value)
-            cursor += chunk
+        line_size = self.line_size
+        if (addr | size) & (line_size - 1):
+            return span_ops(_STORE, addr, size, line_size, value)
+        return [Op(_STORE, line, line_size, value)
+                for line in range(addr, addr + size, line_size)]
 
-    def load_obj(self, addr: int, size: int) -> Iterator[Op]:
-        end = addr + size
-        cursor = addr
-        while cursor < end:
-            line_end = (cursor & ~(self.line_size - 1)) + self.line_size
-            chunk = min(end, line_end) - cursor
-            yield Op(_LOAD, cursor, chunk)
-            cursor += chunk
+    def load_obj(self, addr: int, size: int) -> Iterable[Op]:
+        line_size = self.line_size
+        if (addr | size) & (line_size - 1):
+            return span_ops(_LOAD, addr, size, line_size)
+        return [Op(_LOAD, line, line_size)
+                for line in range(addr, addr + size, line_size)]
 
     def store_field(self, addr: int,
                     value: Optional[object] = None) -> Op:

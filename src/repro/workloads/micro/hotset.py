@@ -24,12 +24,15 @@ default -- the point is a dense, hit-dominated op stream.
 
 Loads carry no value and only name hot lines, so the workload builds one
 load ``Op`` per hot line, yields those from ``setup``, and picks among
-them with ``rng.choice`` in every transaction.  On perfbench's hotset
-input (2-CPU Linux container) a fresh op per load took 0.32 s of set-up
-and 41 MB of peak RSS; shared ops take 0.12 s and 26 MB.
-``rng.choice(seq)`` is ``seq[rng._randbelow(len(seq))]``, the draw
-``rng.randrange(len(seq))`` makes, so the op stream is the one
-``tests/test_perfbench_pins.py`` pins.
+them in every transaction (a fresh op per load took 41 MB of peak RSS on
+perfbench's hotset input, shared ops take 26 MB).  Each pick, and each
+store's line, is ``rng.choice`` inlined: the rejection loop CPython's
+``Random._randbelow`` runs, on a hoisted ``rng.getrandbits``.  It
+returns the same index and leaves the generator in the same state at one
+C call per pass instead of three Python frames per draw.  Set-up
+generates the whole program, 68 draws per transaction: it took 0.12 s
+through ``rng.choice`` and takes 0.057 s inlined (2-CPU Linux
+container; "Workload generation" in ``docs/simulation-model.md``).
 
 ``hotset`` is registered with the factory (``make_benchmark``) but is
 deliberately *not* part of ``BEP_BENCHMARKS``: the paper's figure sweeps
@@ -91,13 +94,25 @@ class HotSetWorkload(MicroBenchmark):
         yield from self._hot_loads
 
     def transaction(self) -> Iterator[Op]:
-        choice = self.rng.choice
+        getrandbits = self.rng.getrandbits
         hot_loads = self._hot_loads
+        loads = len(hot_loads)
+        load_bits = loads.bit_length()
         store_set = self._store_set
+        stores = len(store_set)
+        store_bits = stores.bit_length()
+        store_every = self.store_every
         for i in range(1, self.loads_per_txn + 1):
-            yield choice(hot_loads)
-            if self.store_every and i % self.store_every == 0:
-                yield Op(_STORE, choice(store_set), 8,
+            # rng.choice(hot_loads), inlined (module docstring).
+            r = getrandbits(load_bits)
+            while r >= loads:
+                r = getrandbits(load_bits)
+            yield hot_loads[r]
+            if store_every and i % store_every == 0:
+                r = getrandbits(store_bits)
+                while r >= stores:
+                    r = getrandbits(store_bits)
+                yield Op(_STORE, store_set[r], 8,
                          ("hot", self.thread_id, self._txn_counter, i))
         if (
             self.barrier_every

@@ -124,6 +124,44 @@ def test_figures_budget_flag_forwarded(tmp_path, capsys):
     assert len(ResultCache(cache_dir)) == 0
 
 
+def _spy_on_run_specs(monkeypatch):
+    """Record every spec the figure build hands to ``run_specs``."""
+    from repro.harness import experiments
+
+    seen = []
+    run_specs = experiments.run_specs
+
+    def spy(specs, **kwargs):
+        seen.extend(specs)
+        return run_specs(specs, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_specs", spy)
+    return seen
+
+
+def test_figures_length_flags_reach_every_planned_spec(tmp_path, monkeypatch,
+                                                      capsys):
+    planned = _spy_on_run_specs(monkeypatch)
+    rc = main(["figures", "all", "--scale", "tiny", "--transactions", "7",
+               "--mem-ops", "300", "--cache-dir", str(tmp_path / "cache"),
+               "--budget", "0"])
+    assert rc == 0
+    assert "115 to run" in capsys.readouterr().out
+    assert len(planned) == 115
+    assert {spec.transactions for spec in planned
+            if spec.kind == "bep"} == {7}
+    assert {spec.mem_ops for spec in planned if spec.kind == "bsp"} == {300}
+
+
+def test_figures_length_flags_reach_an_uncached_build(monkeypatch, capsys):
+    ran = _spy_on_run_specs(monkeypatch)
+    rc = main(["figures", "fig12", "--scale", "tiny", "--transactions", "3",
+               "--no-cache", "--jobs", "1"])
+    assert rc == 0
+    assert "Figure 12" in capsys.readouterr().out
+    assert ran and {spec.transactions for spec in ran} == {3}
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "soon"])
 def test_budget_rejects_values_that_never_finish(value, capsys):
     # A negative budget never runs anything and an infinite or NaN one

@@ -158,7 +158,8 @@ def test_store_in_flight_at_a_split_lands_in_the_remainder():
         # the write buffer, applied to no epoch yet.
         assert at_split == [(_Y, {_X}, {_X}, 1)]
         prefix, remainder = m.managers[0].retired
-        assert remainder.split_from == prefix.seq
+        assert remainder.seq == prefix.seq + 1
+        assert result.stats.total("epoch_splits") == 1
         assert (prefix.all_lines, prefix.num_stores) == ({_X}, 1)
         assert (remainder.all_lines, remainder.num_stores) == ({_Y}, 1)
         # The load's IDT edge sits on the prefix.

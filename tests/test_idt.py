@@ -148,7 +148,8 @@ def test_edge_on_ongoing_source_lands_on_split_prefix():
 
     remainder = src_mgr.current
     assert remainder is not None and remainder.ongoing
-    assert remainder.split_from == prefix.seq
+    assert remainder.seq == prefix.seq + 1
+    assert src_mgr._stats.get("epoch_splits") == 1
     src_mgr.audit()
     managers[1].audit()
 

@@ -1,5 +1,7 @@
 """Tests for the op model and program builders."""
 
+import random
+
 import pytest
 
 from repro.workloads.base import (
@@ -88,3 +90,30 @@ def test_op_equality_and_repr():
     assert a == b and hash(a) == hash(b)
     assert a != load(0x2000)
     assert "LOAD" in repr(a).upper() or "load" in repr(a)
+
+
+def _inlined_draw(getrandbits, n):
+    """The draw the per-op generators inline for ``rng.randrange(n)``
+    and ``rng.choice(seq)`` (with ``n = len(seq)``)."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 96, 1000, 4096,
+                               2**31 + 1])
+def test_inlined_draw_is_randrange_and_choice(n):
+    # The generators' op streams stay the pinned ones only if the
+    # inlined loop returns what Random.randrange and Random.choice
+    # return and consumes the generator exactly as they do.
+    seq = range(10, 10 + n)
+    for seed in (0, 1, 7, 1009):
+        reference = random.Random(seed)
+        inlined = random.Random(seed)
+        getrandbits = inlined.getrandbits
+        for _ in range(200):
+            assert _inlined_draw(getrandbits, n) == reference.randrange(n)
+            assert seq[_inlined_draw(getrandbits, n)] == reference.choice(seq)
+        assert inlined.getstate() == reference.getstate()
