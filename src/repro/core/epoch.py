@@ -222,17 +222,13 @@ class EpochManager:
 
     def _complete(self, epoch: Epoch) -> None:
         epoch.status = EpochStatus.COMPLETE
-        # Hold the clock across the hooks: an inline completion inside
-        # the first must not warp ``now`` for the second.
-        engine = self._engine
-        engine.advance_holds += 1
-        try:
-            self.completion_hook(epoch)
-            # An epoch that drained all its lines before completing
-            # (natural evictions) may be able to persist right away.
-            self.persist_check(epoch)
-        finally:
-            engine.advance_holds -= 1
+        # No clock hold: only a core claims the clock, and a core's op
+        # loop runs from here only as a persist waiter, under
+        # mark_persisted's own hold.
+        self.completion_hook(epoch)
+        # An epoch that drained all its lines before completing
+        # (natural evictions) may be able to persist right away.
+        self.persist_check(epoch)
 
     # ------------------------------------------------------------------
     # Splitting (deadlock avoidance, section 3.3)
@@ -319,10 +315,10 @@ class EpochManager:
         else:
             dependents = ()
         waiters, epoch.persist_waiters = epoch.persist_waiters, []
-        # Hold the clock across the fan-out (see EpochManager._complete):
-        # waking a parked core can complete its next request inline, and
-        # that inline completion must not advance ``now`` while further
-        # waiters/dependents of this persist still have to run.
+        # Hold the clock across the fan-out: a waiter can run a parked
+        # core's op loop (Core._next), whose claims must not advance
+        # ``now`` while further waiters/dependents of this persist still
+        # have to run.
         engine = self._engine
         engine.advance_holds += 1
         try:

@@ -167,7 +167,7 @@ class Core:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._engine.call_soon(self._next)
+        self._engine.schedule(0, self._next)
 
     @property
     def ff_fallbacks(self) -> int:
@@ -313,7 +313,7 @@ class Core:
         eng = self._engine
         if not self._draining:
             self._draining = True
-            eng.call_soon(self._drain)
+            eng.schedule(0, self._drain)
         self._wb_stores += 1
         line = op.addr & self._line_mask
         self._wb_lines[line] = self._wb_lines.get(line, 0) + 1
@@ -321,7 +321,7 @@ class Core:
         if self._ff_active:
             # Inside a fast-forward session the issue-width advance
             # becomes the session's virtual issue event; the session
-            # merges it against the queues by (time, seq), which is the
+            # merges it against the heap by (time, seq), which is the
             # scheduled path's ordering by construction.  The session's
             # lend must not reach past it.
             seq = eng._seq
@@ -332,11 +332,11 @@ class Core:
                 eng._lent = time
             return
         # NOTE: the issue-width advance must stay a scheduled event, here
-        # and in the drain's parked push.  A clock claim (as
-        # Engine.finish makes) is unsound: both run mid-chain (from a
-        # load's completion, a write-through's ack, a drain step), and
-        # the enclosing caller may still schedule same-cycle work after
-        # they return, which the claim would reorder.
+        # and in the drain's parked push.  A clock claim is unsound: both
+        # run mid-chain (from a load's completion, a write-through's ack,
+        # a drain step), and the enclosing caller may still schedule
+        # same-cycle work after they return, which the claim would
+        # reorder.
         eng.schedule(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
@@ -345,9 +345,9 @@ class Core:
         self.wb.append(_MARKER)
         if not self._draining:
             self._draining = True
-            self._engine.call_soon(self._drain)
+            self._engine.schedule(0, self._drain)
         if self._model is not _EP:
-            self._engine.call_soon(self._next)
+            self._engine.schedule(0, self._next)
         # For EP the core parks here; the marker's drain handler resumes
         # it once the epoch persists (rule E2 of section 2.1).
 
@@ -387,9 +387,9 @@ class Core:
         epoch-ID window, tags the store, serves a same-epoch hit from the
         core's own L1 (fast mode), and has the machine apply any other
         store (:meth:`Multicore.try_clean_store`, fast mode) or issue it
-        (:meth:`Multicore.store`).  A step that applies completes
-        through :meth:`Engine.finish`, or, in fast mode with no fallback
-        reason, opens a session (above).
+        (:meth:`Multicore.store`).  A step that applies schedules its
+        completion, or, in fast mode with no fallback reason, opens a
+        session (above).
         """
         wb = self.wb
         wb_lines = self._wb_lines
@@ -556,17 +556,16 @@ class Core:
             if not session:
                 if why is not None:
                     self.ff_fallback_reasons[why] += 1
-                    eng.finish(lat, self._drain)
+                    eng.schedule(lat, self._drain, eng.now + lat)
                     return
                 # The step applied: open a session with its completion.
-                # The engine never replaces its queue objects, so these
-                # bindings stay valid across any event the session fires.
+                # The engine never replaces its heap, so this binding
+                # stays valid across any event the session fires.
                 eng.ff_begin()
                 self._ff_active = session = True
                 stores = 0
                 n_time = n_seq = -1   # no issue event outstanding
                 queue = eng._queue
-                ready = eng._ready
                 until = eng._until
             stores += 1
             seq = eng._seq
@@ -582,23 +581,13 @@ class Core:
                 else:
                     v_time = t_d
                     v_seq = seq
-                # Decide from the queue heads whether a queued event
+                # Decide from the heap head whether a queued event
                 # precedes the virtual one without building key tuples.
-                # A ready entry carries key (now, seq) and now <= v_time
-                # always holds, so when the clocks tie only the seq
-                # decides; for the until bound both candidate times are
-                # <= now <= until, so f_time only matters for the heap.
-                f_time = -1
-                if ready:
-                    if eng.now < v_time or ready[0][0] < v_seq:
-                        f_time = eng.now
-                if f_time < 0 and queue:
-                    head = queue[0]
-                    h0 = head[0]
-                    if h0 < v_time or (h0 == v_time and head[1] < v_seq):
-                        f_time = h0
-                if f_time >= 0:
-                    if until is not None and f_time > until:
+                head = queue[0] if queue else None
+                if head is not None and (
+                        head[0] < v_time
+                        or (head[0] == v_time and head[1] < v_seq)):
+                    if until is not None and head[0] > until:
                         self._end_session(n_time, n_seq, stores,
                                           (t_d, seq))
                         return
@@ -611,8 +600,7 @@ class Core:
                         self._end_session(n_time, n_seq, stores,
                                           (t_d, seq))
                         return
-                    # No queued event precedes v_time, so the ready
-                    # deque is empty whenever v_time > now: the same
+                    # No queued event precedes v_time: the same
                     # heap-head clock advance run() performs.
                     eng.now = v_time
                     if v_seq == seq:
@@ -650,14 +638,14 @@ class Core:
         closed = self._mgr.close_current()
         if self._model is _EP:
             if closed is None:
-                self._engine.call_soon(self._next)
+                self._engine.schedule(0, self._next)
             else:
                 self.stats.bump("ep_barrier_stalls")
                 closed.on_persist(self._next)
                 self._machine.arbiters[self.core_id].request_flush_upto(
                     closed, online=True, mark_conflict=False
                 )
-        self._engine.call_soon(self._drain)
+        self._engine.schedule(0, self._drain)
 
     def _hardware_barrier(self) -> None:
         """BSP bulk mode: hardware-inserted barrier + register checkpoint."""

@@ -61,11 +61,22 @@ def _np_baseline_spec(app: str, scale: Scale, seed: int,
     )
 
 
+# A figure build's run summaries, by spec.
+_Summaries = Mapping[RunSpec, RunSummary]
+
+
 def _run_plan(plan: _Plan, jobs: Optional[int], cache: Optional[ResultCache],
-              refresh: bool) -> Dict[tuple, RunSummary]:
+              refresh: bool,
+              summaries: Optional[_Summaries] = None,
+              ) -> Dict[tuple, RunSummary]:
+    """``{figure key: summary}``, taken from ``summaries`` when given
+    (:func:`build_figures` runs every figure's specs at once), else
+    run."""
     specs, keys = plan
-    summaries = run_specs(specs, jobs=jobs, cache=cache, refresh=refresh)
-    return dict(zip(keys, summaries))
+    if summaries is None:
+        return dict(zip(keys, run_specs(specs, jobs=jobs, cache=cache,
+                                        refresh=refresh)))
+    return {key: summaries[spec] for spec, key in zip(specs, keys)}
 
 
 # ----------------------------------------------------------------------
@@ -93,11 +104,12 @@ def run_bep_sweep(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     refresh: bool = False,
+    summaries: Optional[_Summaries] = None,
 ) -> Dict[str, Dict[str, Tuple[float, float]]]:
     """benchmark -> design -> (throughput, conflict_pct)."""
     by_key = _run_plan(
         bep_sweep_plan(scale, seed, transactions, benchmarks),
-        jobs, cache, refresh,
+        jobs, cache, refresh, summaries,
     )
     results: Dict[str, Dict[str, Tuple[float, float]]] = {}
     for (bench, design), summary in by_key.items():
@@ -176,7 +188,8 @@ def fig13(scale: Scale = Scale.SMALL, seed: int = 1,
           apps: Optional[List[str]] = None,
           jobs: Optional[int] = None,
           cache: Optional[ResultCache] = None,
-          refresh: bool = False) -> FigureTable:
+          refresh: bool = False,
+          summaries: Optional[_Summaries] = None) -> FigureTable:
     """Figure 13: BSP execution time vs epoch size, normalized to NP.
 
     Time-to-durability is used on both sides of the ratio so that the
@@ -186,7 +199,8 @@ def fig13(scale: Scale = Scale.SMALL, seed: int = 1,
     """
     sizes = BSP_EPOCH_SIZES[scale]
     by_key = _run_plan(
-        fig13_plan(scale, seed, mem_ops, apps), jobs, cache, refresh
+        fig13_plan(scale, seed, mem_ops, apps), jobs, cache, refresh,
+        summaries,
     )
     table = FigureTable(
         "Figure 13: execution time normalized to NP (epoch-size sweep, "
@@ -241,7 +255,8 @@ def fig14(scale: Scale = Scale.SMALL, seed: int = 1,
           apps: Optional[List[str]] = None,
           jobs: Optional[int] = None,
           cache: Optional[ResultCache] = None,
-          refresh: bool = False) -> Tuple[FigureTable, float]:
+          refresh: bool = False,
+          summaries: Optional[_Summaries] = None) -> Tuple[FigureTable, float]:
     """Figure 14: BSP execution time normalized to NP, per design.
 
     Also returns the inter-thread share of conflicts (the paper reports
@@ -251,7 +266,7 @@ def fig14(scale: Scale = Scale.SMALL, seed: int = 1,
         epoch_stores = default_bsp_epoch_size(scale)
     by_key = _run_plan(
         fig14_plan(scale, seed, mem_ops, epoch_stores, apps),
-        jobs, cache, refresh,
+        jobs, cache, refresh, summaries,
     )
     table = FigureTable(
         "Figure 14: execution time normalized to NP (designs, "
@@ -295,11 +310,13 @@ def ablation_flush_mode(scale: Scale = Scale.SMALL, seed: int = 1,
                         transactions: Optional[int] = None,
                         jobs: Optional[int] = None,
                         cache: Optional[ResultCache] = None,
-                        refresh: bool = False) -> FigureTable:
+                        refresh: bool = False,
+                        summaries: Optional[_Summaries] = None) -> FigureTable:
     """Section 7: non-invalidating (clwb) vs invalidating (clflush)
     flushes; the paper reports clwb ~30% faster."""
     by_key = _run_plan(
-        flush_mode_plan(scale, seed, transactions), jobs, cache, refresh
+        flush_mode_plan(scale, seed, transactions), jobs, cache, refresh,
+        summaries,
     )
     table = FigureTable(
         "Ablation: clwb vs clflush flushes (throughput, normalized to "
@@ -334,10 +351,13 @@ def ablation_writethrough(scale: Scale = Scale.SMALL, seed: int = 1,
                           apps: Optional[List[str]] = None,
                           jobs: Optional[int] = None,
                           cache: Optional[ResultCache] = None,
-                          refresh: bool = False) -> FigureTable:
+                          refresh: bool = False,
+                          summaries: Optional[_Summaries] = None,
+                          ) -> FigureTable:
     """Section 7.2: naive write-through BSP, ~8x over NP in the paper."""
     by_key = _run_plan(
-        writethrough_plan(scale, seed, mem_ops, apps), jobs, cache, refresh
+        writethrough_plan(scale, seed, mem_ops, apps), jobs, cache, refresh,
+        summaries,
     )
     table = FigureTable(
         "Ablation: naive write-through BSP (execution time normalized "
@@ -388,7 +408,9 @@ def contended(scale: Scale = Scale.SMALL, seed: int = 1,
               transactions: Optional[int] = None,
               jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
-              refresh: bool = False) -> Tuple[FigureTable, FigureTable]:
+              refresh: bool = False,
+              summaries: Optional[_Summaries] = None,
+              ) -> Tuple[FigureTable, FigureTable]:
     """Contended pingpong: conflict share and LB++ speedup per cell.
 
     Returns two tables (the units differ): the percentage of epochs
@@ -396,7 +418,8 @@ def contended(scale: Scale = Scale.SMALL, seed: int = 1,
     ratio -- the proactive-flush win should grow with contention.
     """
     by_key = _run_plan(
-        contended_plan(scale, seed, transactions), jobs, cache, refresh
+        contended_plan(scale, seed, transactions), jobs, cache, refresh,
+        summaries,
     )
     conflicts = FigureTable(
         "Contended pingpong: % conflicting epochs "
@@ -472,14 +495,14 @@ class PlanEntry:
 
 
 def build_plan(figure_specs: Mapping[str, Sequence[RunSpec]],
-               cache: ResultCache,
+               cache: Optional[ResultCache],
                refresh: bool = False) -> List[PlanEntry]:
     """Probe the requested figures' runs against the cache in one pass.
 
     The plan holds the deduplicated union of ``figure_specs`` in
     first-seen order, each entry tagged with every figure that consumes
-    it (the shared NP baselines appear once).  With ``refresh`` every
-    entry is pending regardless of the probe.
+    it (the shared NP baselines appear once).  With ``refresh``, or
+    with no cache, every entry is pending.
     """
     consumers: Dict[RunSpec, List[str]] = {}
     for tag, specs in figure_specs.items():
@@ -489,7 +512,8 @@ def build_plan(figure_specs: Mapping[str, Sequence[RunSpec]],
                 tags.append(tag)
     return [
         PlanEntry(spec, tuple(tags),
-                  not refresh and cache.contains_key(cache.key_for(spec)))
+                  cache is not None and not refresh
+                  and cache.contains_key(cache.key_for(spec)))
         for spec, tags in consumers.items()
     ]
 
@@ -635,63 +659,67 @@ def build_figures(args: argparse.Namespace) -> int:
         print()
 
     start = time.time()
+    # Plan first: the deduplicated union of the requested figures' runs,
+    # so a spec several figures share (the NP baselines, fig13's
+    # largest-epoch LB run, fig11's LB++ runs) runs once, cached or not.
+    # With a cache, the plan probes it in one pass and only the delta
+    # executes.
+    ordered = [tag for tag in _ALL_FIGURES if tag in wanted]
+    plan = build_plan(
+        figure_plan_specs(scale, args.seed, ordered,
+                          transactions=transactions, mem_ops=mem_ops),
+        cache, refresh=refresh)
     if cache is not None:
-        # Plan first: probe the requested figures' runs against the
-        # cache in one pass and execute only the delta (shared
-        # baselines are planned once).  Figure assembly below then reads
-        # from the warm cache.
-        ordered = [tag for tag in _ALL_FIGURES if tag in wanted]
-        plan = build_plan(
-            figure_plan_specs(scale, args.seed, ordered,
-                              transactions=transactions, mem_ops=mem_ops),
-            cache, refresh=refresh)
-        pending = [entry.spec for entry in plan if not entry.cached]
-        if pending:
+        if not all(entry.cached for entry in plan):
             print(plan_table(plan).render(precision=0))
         print(plan_summary(plan))
-        deadline = (time.monotonic() + args.budget
-                    if args.budget is not None else None)
-        done = run_specs(pending, jobs=jobs, cache=cache, refresh=True,
-                         deadline=deadline)
-        refresh = False
-        remaining = done.count(None)
-        if remaining:
-            print(f"[plan] budget exhausted after "
-                  f"{time.time() - start:.1f}s: "
-                  f"{len(pending) - remaining} executed, {remaining} "
-                  "remaining; rerun the same command to resume")
-            print(f"[cache: {cache.hits} hits, {cache.misses} misses "
-                  f"({args.cache_dir})]", file=sys.stderr)
-            return 0
+    deadline = (time.monotonic() + args.budget
+                if args.budget is not None else None)
+    specs = [entry.spec for entry in plan]
+    ran = run_specs(specs, jobs=jobs, cache=cache, refresh=refresh,
+                    deadline=deadline)
+    remaining = ran.count(None)
+    if remaining:
+        # A budget needs the cache; every spec it did not read ran or
+        # remains.
+        executed = len(specs) - remaining - cache.hits
+        print(f"[plan] budget exhausted after "
+              f"{time.time() - start:.1f}s: "
+              f"{executed} executed, {remaining} "
+              "remaining; rerun the same command to resume")
+        print(f"[cache: {cache.hits} hits, {cache.misses} misses "
+              f"({args.cache_dir})]", file=sys.stderr)
+        return 0
+    # Every figure is assembled from those summaries.
+    summaries = dict(zip(specs, ran))
     if wanted & {"fig11", "fig12"}:
-        sweep = run_bep_sweep(scale, args.seed, transactions, jobs=jobs,
-                              cache=cache, refresh=refresh)
+        sweep = run_bep_sweep(scale, args.seed, transactions,
+                              summaries=summaries)
         if "fig11" in wanted:
             emit("fig11", fig11(scale, args.seed, sweep=sweep))
         if "fig12" in wanted:
             emit("fig12", fig12(scale, args.seed, sweep=sweep), precision=1)
     if "fig13" in wanted:
-        emit("fig13", fig13(scale, args.seed, mem_ops, jobs=jobs,
-                            cache=cache, refresh=refresh), precision=2)
+        emit("fig13", fig13(scale, args.seed, mem_ops, summaries=summaries),
+             precision=2)
     if "fig14" in wanted:
-        table, inter_share = fig14(scale, args.seed, mem_ops, jobs=jobs,
-                                   cache=cache, refresh=refresh)
+        table, inter_share = fig14(scale, args.seed, mem_ops,
+                                   summaries=summaries)
         emit("fig14", table, precision=2)
         print(f"inter-thread share of conflicts: {inter_share:.0f}%"
               " (paper: 86%)\n")
     if "flushmode" in wanted:
         emit("ablation_flush_mode",
-             ablation_flush_mode(scale, args.seed, transactions, jobs=jobs,
-                                 cache=cache, refresh=refresh))
+             ablation_flush_mode(scale, args.seed, transactions,
+                                 summaries=summaries))
     if "writethrough" in wanted:
         emit("ablation_writethrough",
-             ablation_writethrough(scale, args.seed, mem_ops, jobs=jobs,
-                                   cache=cache, refresh=refresh),
+             ablation_writethrough(scale, args.seed, mem_ops,
+                                   summaries=summaries),
              precision=2)
     if "contended" in wanted:
         conflicts, speedups = contended(scale, args.seed, transactions,
-                                        jobs=jobs, cache=cache,
-                                        refresh=refresh)
+                                        summaries=summaries)
         emit("contended_conflicts", conflicts, precision=1)
         emit("contended_speedup", speedups)
     elapsed = time.time() - start

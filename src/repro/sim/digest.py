@@ -1,9 +1,9 @@
 """Determinism digest: a stable fingerprint of one finished run.
 
-The engine's fast paths (same-cycle ready queue, inline completion) must
-be *observationally identical* to the pure-heap reference mode selected
-by ``REPRO_SLOW_ENGINE=1``: same cycle counts, same stats, same NVRAM
-image, same persist order.  :func:`state_digest` reduces a finished run
+The fast mode's shortcuts (a core's clock claims and drain sessions,
+the machine's fused request paths) must be *observationally identical*
+to the reference mode selected by ``REPRO_SLOW_ENGINE=1``: same cycle
+counts, same stats, same NVRAM image, same persist order.  :func:`state_digest` reduces a finished run
 to one SHA-256 hex string over a canonical JSON encoding of exactly that
 observable state, so "the fast path changed nothing" becomes a single
 string comparison -- asserted per persistency model by the determinism

@@ -13,45 +13,31 @@ and return.  Blocking behaviour (a core stalled on an online persist) is
 expressed by simply not scheduling the continuation until the unblocking
 event fires.
 
-Implementation notes -- the two-tier queue:
+Implementation notes:
 
-* The dominant event class by far is the zero-delay continuation: every
-  op transition in :mod:`repro.cpu.processor` re-schedules itself for
-  the *current* cycle.  Routing those through a binary heap costs two
-  O(log n) operations per transition.  Instead, same-cycle work goes
-  into a plain FIFO *ready deque* of ``(seq, callback, args)`` entries
-  that is drained before the heap is consulted.
-* Timed events live in a min-heap of ``(time, seq, callback, args)``
-  tuples; the unique ``seq`` means tuple comparison never reaches the
-  callback.
-* The drain preserves the exact ``(time, seq)`` firing order: every
-  ready entry carries key ``(now, seq)``, the deque is FIFO in ``seq``,
-  and the heap head (whose time is always ``>= now``) is fired first
-  whenever it is at the current cycle with an older sequence number.
-  The clock only advances off the heap, so the ready deque can never
-  hold entries from two different cycles.
+* Events live in one min-heap of ``(time, seq, callback, args)`` tuples;
+  the unique ``seq`` means tuple comparison never reaches the callback.
 * Clock claims: when an event due ``delay`` cycles out would be the
   very next event anyway, the caller advances the clock there and
   continues inline instead of round-tripping the heap.
   :meth:`Engine.horizon` holds the conditions: a claim is granted
-  exactly when it lands below the horizon.  A core's op loop reads the
-  horizon once and claims by comparison for every load hit, forwarded
-  load, compute burst, transaction marker and ignored barrier;
-  :meth:`Engine.finish` compares against it and then calls a
-  completion callback directly.  A fast-forward session holds the
-  clock but lends it up to its earliest virtual event, so the work it
-  dispatches claims too.
+  exactly when it lands below the horizon.  The core is the one
+  claimer.  Its op loop reads the horizon once and claims by
+  comparison for every load hit, forwarded load, compute burst,
+  transaction marker and ignored barrier; its write-buffer drain's
+  fast-forward session holds the clock but lends it up to its earliest
+  virtual event, so the work it dispatches claims too.  Every other
+  completion is scheduled.
 * ``REPRO_SLOW_ENGINE=1`` in the environment selects *reference mode*
-  (see :func:`reference_mode`).  It means exactly two things.  The
-  engine runs its plain heap loop: every event, including
-  ``call_soon``, goes through the heap, the horizon is always ``now``
-  (so :meth:`finish` always schedules), and no fast-forward session
-  opens.  And the machine classifies every request with its
-  general classifier instead of the fused paths.  Everything else --
-  counting, latency tables, the coherence directory, the epochs' line
-  sets, IDT edges -- runs the same way in both modes.  The determinism-digest
-  tests assert that both modes fire callbacks in bit-identical order
-  across every persistency model.
+  (see :func:`reference_mode`).  It means exactly two things.  Nothing
+  claims the clock: the horizon is always ``now``, so the core's op loop
+  schedules every continuation, and no fast-forward session opens.
+  And the machine classifies every request with its general classifier
+  instead of the fused paths.  Everything else -- counting, latency
+  tables, the coherence directory, the epochs' line sets, IDT edges --
+  runs the same way in both modes.  The determinism-digest tests assert
+  that both modes fire callbacks in bit-identical order across every
+  persistency model.
 """
 
 from __future__ import annotations
@@ -59,19 +45,10 @@ from __future__ import annotations
 import heapq
 import os
 import sys
-from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 _MODE_VAR = "REPRO_SLOW_ENGINE"
-
-# Bound on nested inline completions (Engine.finish): a streak of
-# completions that each claim the clock re-enters the caller recursively
-# (store completion -> next drain step -> hit -> completion ...); past
-# this depth the completion falls back to the scheduler so the Python
-# stack stays shallow.  A core's op loop claims without recursing, so it
-# needs no bound.
-_MAX_INLINE_DEPTH = 32
 
 # The horizon when nothing bounds a claim: past every reachable cycle.
 _UNBOUNDED = sys.maxsize
@@ -86,8 +63,8 @@ def reference_mode(slow: bool = True) -> Iterator[None]:
     """Build engines in reference mode (or, with ``slow=False``, in
     fast mode) within the block.
 
-    Reference mode means two things: the engine's plain heap loop and
-    the machine's general request classifier (module docstring).  An
+    Reference mode means two things: no clock claims and the machine's
+    general request classifier (module docstring).  An
     :class:`Engine` reads ``REPRO_SLOW_ENGINE`` once, at
     construction, and every component reads the mode from its machine's
     engine, so toggling the variable around machine construction is all
@@ -117,25 +94,22 @@ class Engine:
 
     def __init__(self) -> None:
         self._queue: List[Tuple[int, int, Callable[..., None], tuple]] = []
-        self._ready: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
         self._seq = 0
         self.now: int = 0
         # True while run() is executing in fast mode; gates clock
         # claims and fast-forward sessions.
         self._in_run = False
         self._until: Optional[int] = None
-        self._inline_depth = 0
         # While positive, no claim moves the clock, except below a
-        # session's lend (_lent).  Held by components that dispatch
-        # several independent continuations synchronously from one
-        # event (the epoch managers' waiter loops): an inline completion
-        # inside the first continuation must not advance ``now`` under
-        # the feet of the rest.
+        # session's lend (_lent).  Held by a fast-forward session and by
+        # an epoch's persist fan-out (EpochManager.mark_persisted): a
+        # woken core's op loop inside the first waiter must not advance
+        # ``now`` under the feet of the rest.
         self.advance_holds = 0
         # The cycle a fast-forward session lends the clock up to
         # (exclusive) while it dispatches work; -1 when nothing is lent.
         self._lent = -1
-        # REPRO_SLOW_ENGINE=1 selects the pure-heap reference mode.
+        # REPRO_SLOW_ENGINE=1 selects reference mode: no claims.
         self.fast = not _slow_engine_requested()
 
     # ------------------------------------------------------------------
@@ -151,45 +125,28 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if delay or not self.fast:
-            heapq.heappush(self._queue,
-                           (self.now + delay, self._seq, callback, args))
-        else:
-            self._ready.append((self._seq, callback, args))
-        self._seq += 1
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
-        """Queue ``callback(*args)`` for later in the current cycle.
-
-        Equivalent to ``schedule(0, callback, *args)``, minus the delay
-        checks: the hot-path API for the per-op state transitions of
-        :mod:`repro.cpu.processor`.
-        """
-        if self.fast:
-            self._ready.append((self._seq, callback, args))
-        else:
-            heapq.heappush(self._queue, (self.now, self._seq, callback, args))
+        heapq.heappush(self._queue,
+                       (self.now + delay, self._seq, callback, args))
         self._seq += 1
 
     def horizon(self) -> int:
         """The first cycle a clock claim cannot reach.
 
         A claim to cycle ``t`` is granted exactly when ``t <
-        horizon()``.  Five conditions set it: the active fast-mode
-        ``run()`` must be the caller's context, no same-cycle work may
-        be ready, no component may hold the clock (``advance_holds``;
-        a session's lend is the exception, below), nothing in the heap
-        may be due at or before ``t``, and ``t`` may not cross the
-        run's ``until`` bound.  When one of the first three fails the
-        horizon is ``now``: nothing, not even a zero-cycle claim, is
-        reachable.
+        horizon()``.  Four conditions set it: the active fast-mode
+        ``run()`` must be the caller's context, no component may hold
+        the clock (``advance_holds``; a session's lend is the exception,
+        below), nothing in the heap may be due at or before ``t``, and
+        ``t`` may not cross the run's ``until`` bound.  When one of the
+        first two fails the horizon is ``now``: nothing, not even a
+        zero-cycle claim, is reachable.
 
         The hold matters for soundness: a synchronous fan-out (an epoch
         waking several parked waiters in one event) is invisible to the
-        queues, so without the hold the first waiter could warp ``now``
+        heap, so without the hold the first waiter could warp ``now``
         and the remaining waiters would observe the wrong cycle.  A
         fast-forward session's hold is the one exception: its own
-        events are virtual, outside the queues, and it lends the clock
+        events are virtual, outside the heap, and it lends the clock
         up to the earliest of them (``_lent``).  Under exactly one hold
         the horizon is at most the lent cycle -- a tie loses, because
         the virtual event holds the older sequence number -- and under
@@ -201,7 +158,7 @@ class Engine:
         against it.
         """
         holds = self.advance_holds
-        if not self._in_run or self._ready or holds > 1:
+        if not self._in_run or holds > 1:
             return self.now
         if holds:
             limit = self._lent
@@ -217,27 +174,6 @@ class Engine:
             limit = until + 1
         return limit
 
-    def finish(self, delay: int, callback: Callable[[int], None]) -> None:
-        """Complete ``callback(now + delay)``, inline when it is next.
-
-        When ``now + delay`` lies below :meth:`horizon` (an event due
-        then would fire next) and the inline depth is below its bound,
-        the clock moves there and ``callback`` runs directly; otherwise
-        it is scheduled.  Call this last: work scheduled after an inline
-        completion would run after it, where the scheduled path runs it
-        first.
-        """
-        time = self.now + delay
-        if self._inline_depth < _MAX_INLINE_DEPTH and time < self.horizon():
-            self.now = time
-            self._inline_depth += 1
-            try:
-                callback(time)
-            finally:
-                self._inline_depth -= 1
-            return
-        self.schedule(delay, callback, time)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -245,28 +181,11 @@ class Engine:
         """Drain the event queue, or stop with the clock at ``until``
         once the next event lies past it."""
         queue = self._queue
-        ready = self._ready
         pop = heapq.heappop
-        popleft = ready.popleft
         self._in_run = self.fast
         self._until = until
         try:
-            while True:
-                if ready:
-                    # The heap head (time >= now) fires first only when
-                    # it is at the current cycle with an older sequence
-                    # number than the ready head's.
-                    if queue:
-                        head = queue[0]
-                        if head[0] <= self.now and head[1] < ready[0][0]:
-                            pop(queue)
-                            head[2](*head[3])
-                            continue
-                    item = popleft()
-                    item[1](*item[2])
-                    continue
-                if not queue:
-                    break
+            while queue:
                 head = queue[0]
                 time = head[0]
                 if until is not None and time > until:
@@ -287,8 +206,8 @@ class Engine:
     # A fast-forward session lets one component (the core's write-buffer
     # drain) advance a stretch of its own future work analytically while
     # interleaved foreign events still fire in exact (time, seq) order.
-    # The session's own *virtual* events live outside the queues as
-    # (time, seq) keys that the caller merges against the queue heads.
+    # The session's own *virtual* events live outside the heap as
+    # (time, seq) keys that the caller merges against the heap head.
     # The session holds the clock (``advance_holds``), so no claim can
     # jump past a virtual event it cannot see; while it dispatches a
     # queued event or runs its core's op loop it lends the clock up to
@@ -298,7 +217,7 @@ class Engine:
     # virtual event that has to be re-materialized into the heap
     # (session bail-out) lands exactly where its scheduled twin would
     # have been.  The one session loop, the core's write-buffer drain
-    # (``Core._drain``), reads the queue heads, takes sequence numbers
+    # (``Core._drain``), reads the heap head, takes sequence numbers
     # and sets the lend inline.
 
     def ff_begin(self) -> bool:
@@ -323,23 +242,10 @@ class Engine:
     def ff_dispatch_one(self) -> None:
         """Fire exactly one queued event, exactly as :meth:`run` would.
 
-        The caller has already decided from the queue heads that this
+        The caller has already decided from the heap head that this
         event precedes its next virtual event and has checked the until
-        bound.  The clock advances off the heap just like in the main
-        loop.
+        bound.
         """
-        queue = self._queue
-        ready = self._ready
-        if ready:
-            if queue:
-                head = queue[0]
-                if head[0] <= self.now and head[1] < ready[0][0]:
-                    heapq.heappop(queue)
-                    head[2](*head[3])
-                    return
-            item = ready.popleft()
-            item[1](*item[2])
-            return
-        head = heapq.heappop(queue)
+        head = heapq.heappop(self._queue)
         self.now = head[0]
         head[2](*head[3])

@@ -557,7 +557,7 @@ class Multicore:
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        self.engine.finish(delivery, on_done)
+        self.engine.schedule(delivery, on_done, self.engine.now + delivery)
 
     # ------------------------------------------------------------------
     # Request state machine
@@ -585,9 +585,7 @@ class Multicore:
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        # Inline when this completion is the very next event anyway
-        # (Engine.finish; it always schedules in reference mode).
-        self.engine.finish(latency, req.on_done)
+        self.engine.schedule(latency, req.on_done, self.engine.now + latency)
 
     # -- loads -----------------------------------------------------------
     def _try_load(self, req: _Request) -> None:

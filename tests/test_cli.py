@@ -119,8 +119,8 @@ def test_figures_budget_flag_forwarded(tmp_path, capsys):
                "--cache-dir", cache_dir, "--budget", "0"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "18 to run" in out and "rerun the same command" in out
-    assert "Contended" not in out
+    assert "18 to run" in out and "0 executed, 18 remaining" in out
+    assert "rerun the same command" in out and "Contended" not in out
     assert len(ResultCache(cache_dir)) == 0
 
 
@@ -160,6 +160,45 @@ def test_figures_length_flags_reach_an_uncached_build(monkeypatch, capsys):
     assert rc == 0
     assert "Figure 12" in capsys.readouterr().out
     assert ran and {spec.transactions for spec in ran} == {3}
+
+
+_BSP_FIGURES = ["figures", "fig13", "fig14", "writethrough", "--scale",
+                "tiny", "--mem-ops", "200", "--jobs", "1"]
+
+
+def _tables(out):
+    """A figure build's output from its first table on: a cached build
+    prints its plan above."""
+    return out[out.index("Figure 13"):]
+
+
+def test_an_uncached_build_runs_each_distinct_spec_once(monkeypatch, capsys):
+    # fig13, fig14 and writethrough each plan the nine NP baselines, and
+    # fig14's LB run per app is fig13's largest-epoch run: 99 planned
+    # runs, 72 distinct specs.
+    from repro.harness import executor
+
+    executed = []
+    execute = executor.execute
+
+    def counted(spec):
+        executed.append(spec)
+        return execute(spec)
+
+    monkeypatch.setattr(executor, "execute", counted)
+    assert main(_BSP_FIGURES + ["--no-cache"]) == 0
+    assert len(executed) == len(set(executed)) == 72
+    uncached = _tables(capsys.readouterr().out)
+    assert "write-through" in uncached
+
+
+def test_cached_and_uncached_builds_print_the_same_tables(tmp_path, capsys):
+    assert main(_BSP_FIGURES + ["--no-cache"]) == 0
+    uncached = _tables(capsys.readouterr().out)
+    for _ in range(2):   # cold, then warm
+        assert main(_BSP_FIGURES + ["--cache-dir",
+                                    str(tmp_path / "cache")]) == 0
+        assert _tables(capsys.readouterr().out) == uncached
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "soon"])

@@ -1,13 +1,18 @@
-"""Fast engine paths vs the pure-heap reference engine.
+"""Fast mode vs the reference mode.
 
-The two-tier ready queue and the inline-completion fast path claim to be
-*observationally identical* to the reference engine selected by
-``REPRO_SLOW_ENGINE=1``.  These tests run one small workload per
-persistency model both ways and assert:
+A core's clock claims and drain sessions, and the machine's fused
+request paths, claim to be *observationally identical* to the reference
+mode selected by ``REPRO_SLOW_ENGINE=1``.  These tests run one small
+workload per persistency model both ways and assert:
 
 * identical determinism digests (stats, cycles, NVRAM image, persist
   order -- see :mod:`repro.sim.digest`);
 * identical recovery-checker verdicts on a mid-run crash.
+
+They also run the contended multicore matrix, the perfbench workloads
+cut at cycle bounds and a faulted 16-core run both ways, and check that
+no epoch completion reaches a clock claim while nothing holds the
+clock.
 """
 
 from dataclasses import replace
@@ -174,6 +179,61 @@ def test_cut_runs_match_reference_engine(name):
         fast = _cut_run(workload, bound, slow=False)
         assert fast == _cut_run(workload, bound, slow=True), bound
         assert fast[1:] == (bound, False), bound
+
+
+# ----------------------------------------------------------------------
+# Clock holds.  Only a core claims the clock: its op loop reads
+# Engine.horizon and its drain session opens with Engine.ff_begin.  An
+# epoch's completion (EpochManager._complete) takes no hold, so its
+# hooks -- the proactive flush and the persist check -- must reach
+# neither unheld; a persist they trigger holds the clock across its own
+# waiters (EpochManager.mark_persisted).
+# ----------------------------------------------------------------------
+_HOLD_CASES = sorted(_CUT_TXNS) + ["EP", "BEP", "BSP"]
+
+
+def _unheld_claims_in_completions(case: str):
+    """Run ``case`` (a shortened perfbench workload, or the queue run of
+    an epoch model) on a fast engine; returns (epoch completions, the
+    claim entry points reached inside one with no clock hold)."""
+    with reference_mode(False):
+        if case in _CUT_TXNS:
+            workload = replace(PERFBENCH_WORKLOADS[case],
+                               transactions=_CUT_TXNS[case])
+            config = workload.config()
+            programs = workload.programs(1, config.line_size)
+        else:
+            config = _config(PersistencyModel(case))
+            programs = _programs(config)
+        machine = Multicore(config)
+    engine = machine.engine
+    inside = [0]
+    completions = [0]
+    unheld = []
+    for name in ("horizon", "ff_begin"):
+        def watched(*args, _method=getattr(engine, name), _name=name):
+            if inside[0] and not engine.advance_holds:
+                unheld.append(_name)
+            return _method(*args)
+        setattr(engine, name, watched)
+    for mgr in machine.managers:
+        def complete(epoch, _complete=mgr._complete):
+            inside[0] += 1
+            completions[0] += 1
+            try:
+                _complete(epoch)
+            finally:
+                inside[0] -= 1
+        mgr._complete = complete
+    assert machine.run(programs).finished
+    return completions[0], unheld
+
+
+@pytest.mark.parametrize("case", _HOLD_CASES)
+def test_epoch_completions_claim_nothing_unheld(case):
+    completions, unheld = _unheld_claims_in_completions(case)
+    assert completions > 0
+    assert unheld == []
 
 
 def conflict_counters(stats):

@@ -73,10 +73,10 @@ FF_COUNTS = {
 
 # Seed-1 engine._seq on a fast engine (perfbench's engine.events).
 ENGINE_EVENTS = {
-    "hotset": 47960,
-    "serving": 69707,
-    "pingpong4": 69945,
-    "bsp_stream": 205864,
+    "hotset": 47968,
+    "serving": 86973,
+    "pingpong4": 69973,
+    "bsp_stream": 205881,
 }
 
 OP_STREAMS = {

@@ -140,13 +140,13 @@ def test_load_hits_run_in_one_loop():
 
 
 def _counted_run(slow, programs, num_cores=1):
-    """Run ``programs`` on a machine whose ``load``, ``Engine.finish``
-    and ``Engine.horizon`` count their calls; ``load`` also records who
+    """Run ``programs`` on a machine whose ``load`` and
+    ``Engine.horizon`` count their calls; ``load`` also records who
     asked for which line.  Returns (machine, result, counts, loads)."""
     with reference_mode(slow):
         m = Multicore(machine(num_cores=num_cores).config, track_values=True,
                       track_persist_order=True)
-    counts = {"finish": 0, "horizon": 0}
+    counts = {"horizon": 0}
     loads = []
 
     def counted(obj, name):
@@ -165,7 +165,6 @@ def _counted_run(slow, programs, num_cores=1):
         return load(core_id, line, on_done)
 
     m.load = recorded_load
-    counted(m.engine, "finish")
     counted(m.engine, "horizon")
     return m, m.run(programs), counts, loads
 
@@ -179,15 +178,15 @@ def _latency_samples(result, core):
 def test_l1_load_hits_stay_in_the_core():
     # 10,000 loads over four lines: four cold misses, then hits the
     # core serves from its own L1 without calling the machine or
-    # Engine.finish; the hit count and latency samples it hands over at
-    # run end are the ones the reference classifier records per load.
+    # queueing an event; the hit count and latency samples it hands over
+    # at run end are the ones the reference classifier records per load.
     lines = [0x1000 + i * 64 for i in range(4)]
     p = Program()
     for i in range(10_000):
         p.load(lines[i % 4])
     fast, fast_result, counts, loads = _counted_run(False, [p])
     assert sorted(loads) == [(0, line) for line in lines]
-    assert counts["finish"] <= 5 and counts["horizon"] <= 10
+    assert fast.engine._seq <= 20 and counts["horizon"] <= 10
     ref, ref_result, _, ref_loads = _counted_run(True, [p])
     assert len(ref_loads) == 10_000
     hits = fast_result.stats.domain("l1.0").get("hits")
@@ -251,18 +250,13 @@ def _bsp_stream(slow, transactions=200):
                       track_values=True, track_persist_order=True)
     engine = m.engine
     queued = [0]
-    schedule, call_soon = engine.schedule, engine.call_soon
+    schedule = engine.schedule
 
     def counted_schedule(*args):
         queued[0] += 1
         schedule(*args)
 
-    def counted_call_soon(*args):
-        queued[0] += 1
-        call_soon(*args)
-
     engine.schedule = counted_schedule
-    engine.call_soon = counted_call_soon
     p = Program()
     for txn in range(transactions):
         p.load(0x1000)
