@@ -65,8 +65,9 @@ examples:
 # reference-engine rerun, the LB campaign, both reorder self-tests, the
 # pingpong crash sweep, the serving crash sweep (the one sweep over a
 # miss-heavy stream, which runs the fused load, fill and full-miss
-# paths), and the crash bench family, whose record in BENCH_sweep.json
-# must not drift.  About 3 minutes on a 2-CPU Linux container.
+# paths and, at 400 transactions, the cache replacement path), and the
+# crash bench family, whose record in BENCH_sweep.json must not drift.
+# About 3 minutes on a 2-CPU Linux container.
 faults:
 	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
 		--transactions 4 --mc-stride 4 --random-rounds 3 --check-digests
@@ -75,7 +76,7 @@ faults:
 	$(PYTHON) -m repro campaign --workload pingpong --cores 4 \
 		--reorder-window 6 --expect-violation
 	$(PYTHON) -m repro crashsweep --workload pingpong --transactions 10
-	$(PYTHON) -m repro crashsweep --workload serving --transactions 60
+	$(PYTHON) -m repro crashsweep --workload serving --transactions 400
 	$(PYTHON) -m repro crashsweep --workload queue \
 		--reorder-window 6 --expect-violation
 	$(PYTHON) -m repro bench --only crash --output BENCH_sweep.json

@@ -55,7 +55,7 @@ _EPOCH_MODELS = (
 
 # Why a fast-mode drain step opened no fast-forward session, the first
 # that applies in _drain's order: an injector is configured; ff_begin
-# would refuse (a clock hold, or outside run()); the BSP store quota is
+# would raise (a clock hold, or outside run()); the BSP store quota is
 # spent; the epoch-ID window is full; or Multicore.try_clean_store
 # refused the store, which the machine then issues as a full miss or
 # through the general classifier.
@@ -253,13 +253,20 @@ class Core:
                     lat = 1
                 else:
                     l1 = self._l1
-                    # Cache.lookup, inlined: the simulator's most
-                    # frequent probe.
-                    entry = None if l1 is None else l1._sets[
-                        (line >> l1._offset_bits) & l1._set_mask].get(line)
+                    if l1 is None:
+                        entry = None
+                    else:
+                        # Cache.lookup, inlined: the simulator's most
+                        # frequent probe.
+                        index = (line >> l1._offset_bits) & l1._set_mask
+                        entry = l1._sets[index].get(line)
                     if entry is not None:
-                        l1._tick = tick = l1._tick + 1
-                        entry._lru = tick
+                        if l1._mru[index] != line:
+                            # Cache.touch, inlined.
+                            l1_set = l1._sets[index]
+                            del l1_set[line]
+                            l1_set[line] = entry
+                            l1._mru[index] = line
                         self._n_l1_hits += 1
                         lat = self._l1_lat
                     else:
@@ -409,8 +416,10 @@ class Core:
             # goes to the general classifier.
             l1_sets = _NO_SETS
             l1_shift = l1_mask = 0
+            l1_mru = None
         else:
             l1_sets = l1._sets
+            l1_mru = l1._mru
             l1_shift = l1._offset_bits
             l1_mask = l1._set_mask
             if self._machine.faults is not None:
@@ -418,7 +427,7 @@ class Core:
                 # per-event attempt counts.
                 why = "faults"
             elif not eng._in_run or eng.advance_holds:
-                why = "held"   # Engine.ff_begin would refuse
+                why = "held"   # Engine.ff_begin would raise
         session = False
         while True:
             if time is not None:
@@ -518,15 +527,20 @@ class Core:
             # The store belongs to the epoch current as it completes.
             addr = op.addr
             line = addr & mask
-            entry = l1_sets[(line >> l1_shift) & l1_mask].get(line)
+            index = (line >> l1_shift) & l1_mask
+            entry = l1_sets[index].get(line)
             if entry is not None and entry.dirty and entry.epoch is cur:
                 # A store to a line this epoch already dirtied raises no
                 # conflict, logs nothing and leaves the directory alone
                 # (a dirty L1 line's core owns it), so the core serves
                 # it: LRU, values, and a latency sample it hands over at
                 # run end.
-                l1._tick = tick = l1._tick + 1
-                entry._lru = tick
+                if l1_mru[index] != line:
+                    # Cache.touch, inlined.
+                    l1_set = l1_sets[index]
+                    del l1_set[line]
+                    l1_set[line] = entry
+                    l1_mru[index] = line
                 if track:
                     if entry.values is None:
                         entry.values = {}

@@ -8,15 +8,24 @@ the line -- exactly the information the (CoreID, EpochID) pair encodes in
 hardware, without the 3-bit wraparound bookkeeping (the wraparound limit
 is enforced separately by the per-core in-flight-epoch cap).
 
-The arrays use true LRU replacement.  Insertion is split into
-``victim_for`` / ``insert`` so the caller (the machine) can resolve
-persist-ordering conflicts raised by evicting a dirty, not-yet-persisted
-victim *before* mutating the array.
+The arrays use true LRU replacement, held as each set's dict key order,
+least recently used first: a fill appends its line, a touch moves the
+line's key to the end, and a victim is the set's first clean key, else
+its first key.  A per-set hint (``_mru``) names the line last appended;
+every append writes it, so while that line is in its set it is the last
+key, and a touch of it -- a run of hits on one line -- moves nothing.
+The hottest touches (a core's own L1 hits in ``Core._next`` and
+``Core._drain``, the machine's fused LLC touch and clean store) repeat
+:meth:`SetAssociativeCache.touch` inline under the same rule;
+:meth:`SetAssociativeCache.audit` checks the hint.
+
+Insertion is split into ``victim_for`` / ``insert`` so the caller (the
+machine) can resolve persist-ordering conflicts raised by evicting a
+dirty, not-yet-persisted victim *before* mutating the array.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.sim.stats import StatDomain
@@ -28,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CacheEntry:
     """One cache line's worth of state."""
 
-    __slots__ = ("line", "dirty", "epoch", "values", "_lru")
+    __slots__ = ("line", "dirty", "epoch", "values")
 
     def __init__(self, line: int) -> None:
         self.line = line
@@ -39,7 +48,6 @@ class CacheEntry:
         self.epoch: Optional["Epoch"] = None
         # Offset -> value token, populated only when value tracking is on.
         self.values: Optional[Dict[int, object]] = None
-        self._lru = 0
 
     @property
     def unpersisted(self) -> bool:
@@ -49,10 +57,6 @@ class CacheEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" epoch={self.epoch}" if self.epoch else ""
         return f"<line 0x{self.line:x}{' dirty' if self.dirty else ''}{tag}>"
-
-
-# The replacement order: an entry's LRU tick (unique within one cache).
-_BY_LRU = attrgetter("_lru")
 
 
 class SetAssociativeCache:
@@ -83,9 +87,11 @@ class SetAssociativeCache:
         # A power-of-two set count turns the per-access modulo into a
         # mask.
         self._set_mask = num_sets - 1
+        # line -> entry per set, least recently used first.
         self._sets: list[Dict[int, CacheEntry]] = [{} for _ in range(num_sets)]
+        # Per set, the line last appended (-1: none yet).
+        self._mru = [-1] * num_sets
         self._stats = stats
-        self._tick = 0
         # Fill count held as an attribute, merged into the stat domain
         # by flush_hot_stats at run end.
         self._n_fills = 0
@@ -116,9 +122,15 @@ class SetAssociativeCache:
         return out
 
     def touch(self, entry: CacheEntry) -> None:
-        """Mark ``entry`` most-recently-used."""
-        self._tick = tick = self._tick + 1
-        entry._lru = tick
+        """Mark ``entry`` most-recently-used: move its key to the end of
+        its set, unless the set's hint names it (it is last already)."""
+        line = entry.line
+        index = (line >> self._offset_bits) & self._set_mask
+        if self._mru[index] != line:
+            cache_set = self._sets[index]
+            del cache_set[line]
+            cache_set[line] = entry
+            self._mru[index] = line
 
     def victim_for(self, line: int) -> Optional[CacheEntry]:
         """Entry that must be evicted before ``line`` can be inserted.
@@ -126,28 +138,26 @@ class SetAssociativeCache:
         Returns None when the set has a free way or already holds ``line``.
         Prefers clean victims over dirty ones (a standard writeback-cache
         replacement bias, and important here because evicting a dirty
-        unpersisted line drags persist ordering into the critical path).
+        unpersisted line drags persist ordering into the critical path):
+        the first clean key in LRU order, else the first key.
         """
         cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
         if line in cache_set or len(cache_set) < self.assoc:
             return None
-        # The least-recently-used entry, when clean, is also the
-        # least-recently-used clean entry (LRU ticks are unique), so the
-        # clean scan runs only when it is dirty.
-        victim = min(cache_set.values(), key=_BY_LRU)
-        if victim.dirty:
-            victim = min((e for e in cache_set.values() if not e.dirty),
-                         key=_BY_LRU, default=victim)
-        return victim
+        for victim in cache_set.values():
+            if not victim.dirty:
+                return victim
+        return next(iter(cache_set.values()))
 
     def insert(self, line: int) -> CacheEntry:
-        """Insert (or return the existing) entry for ``line``.
+        """Insert (or touch and return the existing) entry for ``line``.
 
         The caller must have removed any victim first; inserting into a
         full set raises, because silently dropping a possibly-dirty line
         would corrupt epoch bookkeeping.
         """
-        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
+        index = (line >> self._offset_bits) & self._set_mask
+        cache_set = self._sets[index]
         entry = cache_set.get(line)
         if entry is None:
             if len(cache_set) >= self.assoc:
@@ -156,61 +166,42 @@ class SetAssociativeCache:
                     "evict the victim first"
                 )
             entry = CacheEntry(line)
-            cache_set[line] = entry
             self._n_fills += 1
-        self.touch(entry)
-        return entry
-
-    def swap_in(self, line: int,
-                victim: Optional[CacheEntry] = None) -> CacheEntry:
-        """Replace ``victim`` (clean, same set, from ``victim_for``) with
-        a fresh entry for ``line`` -- remove + insert with a single set
-        resolution.  ``victim=None`` degenerates to a plain insert."""
-        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
-        if victim is not None:
-            cache_set.pop(victim.line, None)
-        entry = cache_set.get(line)
-        if entry is None:
-            if len(cache_set) >= self.assoc:
-                raise RuntimeError(
-                    f"{self.name}: inserting 0x{line:x} into a full set; "
-                    "evict the victim first"
-                )
-            entry = CacheEntry(line)
-            cache_set[line] = entry
-            self._n_fills += 1
-        self._tick = tick = self._tick + 1
-        entry._lru = tick
+        elif self._mru[index] == line:
+            return entry
+        else:
+            del cache_set[line]
+        cache_set[line] = entry
+        self._mru[index] = line
         return entry
 
     def clean_fill(self, line: int):
-        """Single-pass fill for the fused request paths: pick the victim
-        and insert ``line`` with one set resolution.
+        """Pick a clean victim and insert ``line`` with one set
+        resolution: the fused request paths' fill, and the general L1
+        fill's once any dirty victim is written back.
 
         Returns ``(entry, victim_line)`` -- ``victim_line`` is -1 when a
         free way absorbed the fill -- or None, without mutating anything,
-        when the only viable victim is dirty (the caller falls back to
-        the general path, whose ``victim_for`` picks that same victim).
-        The clean-victim choice matches ``victim_for``: least-recently-
-        used clean entry.  The caller guarantees ``line`` misses.
+        when every way is dirty (the caller writes back or falls back to
+        the general path, whose ``victim_for`` picks the LRU dirty line).
+        The victim is ``victim_for``'s pick when that is clean: the
+        first clean key in LRU order.  The caller guarantees ``line``
+        misses.
         """
-        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
+        index = (line >> self._offset_bits) & self._set_mask
+        cache_set = self._sets[index]
         victim_line = -1
         if len(cache_set) >= self.assoc:
-            # victim_for's pick, limited to clean entries.
-            best = min(cache_set.values(), key=_BY_LRU)
-            if best.dirty:
-                best = min((e for e in cache_set.values() if not e.dirty),
-                           key=_BY_LRU, default=None)
-                if best is None:
-                    return None
-            victim_line = best.line
+            for victim_line, victim in cache_set.items():
+                if not victim.dirty:
+                    break
+            else:
+                return None
             del cache_set[victim_line]
         entry = CacheEntry(line)
         cache_set[line] = entry
+        self._mru[index] = line
         self._n_fills += 1
-        self._tick = tick = self._tick + 1
-        entry._lru = tick
         return entry, victim_line
 
     def remove(self, line: int) -> Optional[CacheEntry]:
@@ -236,3 +227,13 @@ class SetAssociativeCache:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
+
+    def audit(self) -> None:
+        """Check the recency hint: a set holding its hinted line holds it
+        as its last key.  Raises AssertionError."""
+        for cache_set, hinted in zip(self._sets, self._mru):
+            if hinted in cache_set and next(reversed(cache_set)) != hinted:
+                raise AssertionError(
+                    f"{self.name}: stale recency hint 0x{hinted:x} is not "
+                    "its set's most recently used line"
+                )

@@ -393,9 +393,25 @@ class MemoryController:
     def read(self, line: int, callback: Callable[..., None],
              *cb_args: object) -> None:
         """Schedule a line read; ``callback(*cb_args, completion_time)``
-        fires when the data is available at the controller."""
-        start = self._service_start(self._config.mc_read_occupancy)
-        done = start + self._config.nvram_read_latency
+        fires when the data is available at the controller.
+
+        Without faults the FIFO reservation of :meth:`_service_start`
+        is inlined: a read is every full miss's one controller visit."""
+        config = self._config
+        if self._faults is None:
+            now = self._engine.now
+            start = self._busy_until
+            if start < now:
+                start = now
+            self._busy_until = start + config.mc_read_occupancy
+            wait = start - now
+            self._qw_sum += wait
+            self._qw_count += 1
+            if wait > self._qw_max:
+                self._qw_max = wait
+        else:
+            start = self._service_start(config.mc_read_occupancy)
+        done = start + config.nvram_read_latency
         self._n_reads += 1
         self._engine.schedule(
             done - self._engine.now, callback, *cb_args, done

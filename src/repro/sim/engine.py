@@ -220,18 +220,20 @@ class Engine:
     # (``Core._drain``), reads the heap head, takes sequence numbers
     # and sets the lend inline.
 
-    def ff_begin(self) -> bool:
+    def ff_begin(self) -> None:
         """Open a fast-forward session.
 
-        Refuses (returning False) outside a fast-mode :meth:`run` or
-        while any component holds the clock -- which includes another
-        session, so sessions never nest.  ``Core._drain`` reads both
-        conditions itself first, so its call always opens.
+        Raises RuntimeError outside a fast-mode :meth:`run` or while any
+        component holds the clock -- which includes another session, so
+        sessions never nest.  The caller (``Core._drain``) checks both
+        conditions first and falls back when either holds.
         """
         if not self._in_run or self.advance_holds:
-            return False
+            raise RuntimeError(
+                "a fast-forward session opens only inside a fast-mode "
+                "run() with the clock unheld"
+            )
         self.advance_holds += 1
-        return True
 
     def ff_end(self) -> None:
         """Close the session opened by the matching :meth:`ff_begin`,

@@ -260,6 +260,10 @@ class Multicore:
         # modulo instead of an AddressMap method call per access.
         self._bank_shift = config.offset_bits
         self._n_banks = config.llc_banks
+        self._n_mcs = config.num_memory_controllers
+        # The directory's line -> entry map, probed inline by the fused
+        # paths (the directory never replaces it).
+        self._dir_entries = self.directory._entries
         n = config.num_cores
         self._l1_hit_counts = [0] * n
         self._lat_sums = [0] * n
@@ -311,10 +315,14 @@ class Multicore:
             # any) is clean.  Anything else falls through to the general
             # classifier.
             bank = (line >> self._bank_shift) % self._n_banks
-            owner = self.directory.owner_of(line)
+            ent = self._dir_entries.get(line)
+            owner = None if ent is None else ent.owner
             if owner is None or owner == core_id:
                 bank_cache = self.llc_banks[bank]
-                llc_entry = bank_cache.lookup(line)
+                index = (line >> bank_cache._offset_bits) \
+                    & bank_cache._set_mask
+                bank_set = bank_cache._sets[index]
+                llc_entry = bank_set.get(line)
                 if llc_entry is not None and not (
                     llc_entry.dirty
                     and llc_entry.epoch is not None
@@ -326,8 +334,11 @@ class Multicore:
                         # Same end state as the general path: LLC
                         # touched, victim out, fill in, sharer added.
                         entry, victim_line = filled
-                        bank_cache._tick = btick = bank_cache._tick + 1
-                        llc_entry._lru = btick
+                        if bank_cache._mru[index] != line:
+                            # Cache.touch, inlined.
+                            del bank_set[line]
+                            bank_set[line] = llc_entry
+                            bank_cache._mru[index] = line
                         if self.track_values:
                             entry.values = self._fill_values(line,
                                                              llc_entry)
@@ -438,6 +449,14 @@ class Multicore:
                 entry.values = self._fill_values(line, llc_entry)
             if victim_line >= 0:
                 directory.drop_core(victim_line, core_id)
+        else:
+            # Cache.touch, inlined (a fill is most recent already).
+            index = (line >> l1._offset_bits) & l1._set_mask
+            if l1._mru[index] != line:
+                l1_set = l1._sets[index]
+                del l1_set[line]
+                l1_set[line] = entry
+                l1._mru[index] = line
         directory.set_owner(line, core_id)
         lat = self._base_lat[core_id][bank]
         entry.dirty = True
@@ -448,8 +467,6 @@ class Multicore:
             if entry.values is None:
                 entry.values = {}
             entry.values.update(values)
-        l1._tick = tick = l1._tick + 1
-        entry._lru = tick
         self._lat_sums[core_id] += lat
         self._lat_counts[core_id] += 1
         if lat > self._lat_maxes[core_id]:
@@ -468,7 +485,7 @@ class Multicore:
         fill-time hazards (races, dirty victims) are re-checked at
         completion by :meth:`_fused_miss_done`, which falls back to the
         request machinery there."""
-        mc_id = self.amap.mc_of(line)
+        mc_id = (line >> self._bank_shift) % self._n_mcs
         bank_mc = self.mesh.b2mc[bank][mc_id]
         eng = self.engine
         # The read reaches the controller after the L1->bank->MC legs;
@@ -490,29 +507,35 @@ class Multicore:
 
         Mirrors :meth:`_mem_fill_done` plus the simple-victim tails of
         ``_make_room_llc`` / ``_fill_l1`` / ``_finish_store`` /
-        ``_complete``.  Any fill-time hazard -- a race with another
-        core, a dirty L1 victim, an LLC set whose every way is dirty --
-        builds the request object the scheduled path would have carried
-        and delegates to :meth:`_mem_fill_done`, which re-derives
-        everything from live state (``retries = 1`` matches the one
-        classifier pass the scheduled path took at issue).  Only the
-        last check, the LLC's ``clean_fill``, changes anything, and only
-        when it passes."""
+        ``_complete``, probing the directory, the LLC set and the L1 set
+        inline.  Any fill-time hazard -- a race with another core, an L1
+        set whose every way is dirty, an LLC set whose every way is
+        dirty -- builds the request object the scheduled path would have
+        carried and delegates to :meth:`_mem_fill_done`, which
+        re-derives everything from live state (``retries = 1`` matches
+        the one classifier pass the scheduled path took at issue).  The
+        LLC's ``clean_fill`` is the last check and the first change;
+        the L1's ``clean_fill`` follows it and cannot fail, because the
+        LLC fill leaves every L1 alone."""
         bank_cache = self.llc_banks[bank]
-        raced = bank_cache.lookup(line)
+        raced = bank_cache._sets[
+            (line >> bank_cache._offset_bits) & bank_cache._set_mask
+        ].get(line)
+        ent = self._dir_entries.get(line)
         l1 = self.l1s[core_id]
-        l1_entry = None
-        l1_victim = None
+        l1_set = l1._sets[(line >> l1._offset_bits) & l1._set_mask]
+        l1_entry = l1_set.get(line)
         simple = (
-            self.directory.owner_of(line) is None
+            (ent is None or ent.owner is None)
             and (raced is None or not raced.unpersisted)
         )
-        if simple:
-            l1_entry = l1.lookup(line)
-            if l1_entry is None:
-                l1_victim = l1.victim_for(line)
-                if l1_victim is not None and l1_victim.dirty:
-                    simple = False
+        if simple and l1_entry is None and len(l1_set) >= l1.assoc:
+            # The L1 fill needs a free or clean way.
+            for victim in l1_set.values():
+                if not victim.dirty:
+                    break
+            else:
+                simple = False
         llc_entry = raced
         if simple and raced is None:
             filled = bank_cache.clean_fill(line)
@@ -530,13 +553,15 @@ class Multicore:
             self._mem_fill_done(req, bank, delivery, time)
             return
         if l1_entry is None:
-            if l1_victim is not None:
-                l1_entry = l1.swap_in(line, l1_victim)
-                self.directory.drop_core(l1_victim.line, core_id)
-            else:
-                l1_entry = l1.swap_in(line)
+            l1_entry, victim_line = l1.clean_fill(line)
+            if victim_line >= 0:
+                self.directory.drop_core(victim_line, core_id)
             if self.track_values:
                 l1_entry.values = self._fill_values(line, llc_entry)
+        elif epoch is not None:
+            # A store touches a line an earlier request filled while
+            # this one was out; a fresh fill is most recent already.
+            l1.touch(l1_entry)
         if epoch is not None:
             self._grant_m(line, core_id)
             # A split while the fill was out made the remainder current.
@@ -549,7 +574,6 @@ class Multicore:
                 if l1_entry.values is None:
                     l1_entry.values = {}
                 l1_entry.values.update(values)
-            l1.touch(l1_entry)
         else:
             self.directory.add_sharer(line, core_id)
         sample = self.engine.now + delivery - issue_time
@@ -983,17 +1007,17 @@ class Multicore:
         l1 = self.l1s[core_id]
         if l1.lookup(line) is not None:
             return True
-        victim = l1.victim_for(line)
-        if victim is not None and victim.dirty:
-            if not self._writeback_to_llc(core_id, victim, req,
+        filled = l1.clean_fill(line)
+        if filled is None:
+            # Every way is dirty: write the LRU line back (which removes
+            # it) before the fill takes its way.
+            if not self._writeback_to_llc(core_id, l1.victim_for(line), req,
                                           invalidate=True):
                 return False
-            victim = None  # the writeback already removed it
-        if victim is not None:
-            entry = l1.swap_in(line, victim)
-            self.directory.drop_core(victim.line, core_id)
-        else:
-            entry = l1.swap_in(line)
+            filled = l1.clean_fill(line)
+        entry, victim_line = filled
+        if victim_line >= 0:
+            self.directory.drop_core(victim_line, core_id)
         if self.track_values:
             entry.values = self._fill_values(line, source)
         return True
@@ -1382,6 +1406,8 @@ class Multicore:
                             f"LLC dirty 0x{entry.line:x} missing from "
                             f"{entry.epoch}"
                         )
+        for cache in self.l1s + self.llc_banks:
+            cache.audit()
         # The directory records every L1 copy (a stale sharer record,
         # left by an invalidation, is harmless), and a dirty L1 line's
         # core owns it.

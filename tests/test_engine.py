@@ -197,7 +197,7 @@ def test_claim_under_a_session_lend():
     probe = _claim_probe(engine, verdicts)
 
     def session():
-        assert engine.ff_begin()
+        engine.ff_begin()
         try:
             probe("nothing lent", 1)
             engine._lent = 20
@@ -253,7 +253,7 @@ def test_horizon_is_the_first_cycle_a_claim_cannot_reach():
 
     def at_twenty_five():
         note("nothing queued, until 40")
-        assert engine.ff_begin()
+        engine.ff_begin()
         try:
             note("session, nothing lent")
             engine._lent = 30
@@ -284,3 +284,47 @@ def test_horizon_is_the_first_cycle_a_claim_cannot_reach():
     engine.schedule(1, lambda: note("unbounded"))
     engine.run()
     assert seen[-1][1] > 1 << 60
+
+
+def test_ff_begin_raises_outside_run_and_under_a_hold():
+    # Core._drain checks both conditions itself (fallback reason
+    # "held"), so a session that cannot open is a caller bug: it raises
+    # and takes no hold.
+    engine = _fast_engine()
+    with pytest.raises(RuntimeError, match="fast-mode run"):
+        engine.ff_begin()
+    outcomes = []
+
+    def attempt(label):
+        try:
+            engine.ff_begin()
+        except RuntimeError:
+            outcomes.append((label, engine.advance_holds))
+
+    def inside_run():
+        engine.advance_holds += 1
+        attempt("held")
+        engine.advance_holds -= 1
+        engine.ff_begin()
+        attempt("nested")
+        engine.ff_end()
+        outcomes.append(("closed", engine.advance_holds))
+
+    engine.schedule(1, inside_run)
+    engine.run()
+    assert outcomes == [("held", 1), ("nested", 1), ("closed", 0)]
+    assert engine.advance_holds == 0
+
+    # A reference-mode run() never admits a session.
+    slow = Engine()
+    slow.fast = False
+    raised = []
+
+    def inside_slow_run():
+        with pytest.raises(RuntimeError):
+            slow.ff_begin()
+        raised.append(slow.advance_holds)
+
+    slow.schedule(1, inside_slow_run)
+    slow.run()
+    assert raised == [0]

@@ -186,8 +186,12 @@ def _line_state(machine, line):
     """Everything ``try_clean_store`` could change about ``line``."""
     def cached(cache):
         entry = cache.lookup(line)
-        return None if entry is None else (entry.dirty, entry.epoch,
-                                           entry._lru)
+        if entry is None:
+            return None
+        # The recency of the line's set is its key order.
+        cache_set = cache._sets[(line >> cache._offset_bits)
+                                & cache._set_mask]
+        return (entry.dirty, entry.epoch, list(cache_set))
     ent = machine.directory.peek(line)
     return (
         [cached(cache) for cache in machine.l1s + machine.llc_banks],

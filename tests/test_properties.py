@@ -8,6 +8,7 @@ happens-before order at every crash point.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,34 +122,167 @@ def test_random_bsp_runs_keep_epoch_order(seed, epoch_stores):
     check_epoch_order(outcome)
 
 
-@settings(max_examples=30, deadline=None)
+class _TickLRU:
+    """The reference replacement model: the tick LRU the arrays used
+    before set key order held recency.  Every fill and every touch
+    stamps its entry with a fresh tick, unique within the cache; the
+    victim of a full set is its least-ticked clean entry, else its
+    least-ticked entry."""
+
+    def __init__(self, num_sets, assoc):
+        self.assoc = assoc
+        self.sets = [{} for _ in range(num_sets)]  # line -> [tick, dirty]
+        self.tick = 0
+
+    def stamp(self, set_index, line):
+        self.tick += 1
+        self.sets[set_index].setdefault(line, [0, False])[0] = self.tick
+
+    def order(self, set_index):
+        ways = self.sets[set_index]
+        return sorted(ways, key=lambda line: ways[line][0])
+
+    def victim(self, set_index):
+        ways = self.sets[set_index]
+        if len(ways) < self.assoc:
+            return None
+        clean = [line for line in ways if not ways[line][1]]
+        return min(clean or ways, key=lambda line: ways[line][0])
+
+
+_REPLACEMENT_SETS = 2
+_REPLACEMENT_ASSOC = 4
+_REPLACEMENT_OPS = ("touch", "touch_mru", "insert", "clean_fill",
+                    "victim_for", "remove", "dirty", "clean")
+
+
+def _check_replacement(cache, trace):
+    """Drive ``cache`` and the tick model through ``trace`` -- (op, line
+    index) pairs over :data:`_REPLACEMENT_OPS` -- asserting after every
+    step that each set holds the same lines in the same LRU order,
+    picks the same victim, and keeps its recency hint."""
+    ref = _TickLRU(_REPLACEMENT_SETS, _REPLACEMENT_ASSOC)
+    for op, index in trace:
+        line = index * 64
+        set_index = index % _REPLACEMENT_SETS
+        ways = ref.sets[set_index]
+        if op == "touch_mru" and ways:
+            # A hit on the set's most recent line: the hinted line, once
+            # a fill or a move has written the hint.
+            line = ref.order(set_index)[-1]
+        entry = cache.lookup(line)
+        assert (entry is not None) == (line in ways)
+        if op in ("touch", "touch_mru"):
+            if entry is not None:
+                cache.touch(entry)
+                ref.stamp(set_index, line)
+        elif op == "insert":
+            if entry is None and len(ways) == _REPLACEMENT_ASSOC:
+                victim = cache.victim_for(line)
+                assert victim.line == ref.victim(set_index)
+                cache.remove(victim.line)
+                del ways[victim.line]
+            cache.insert(line)
+            ref.stamp(set_index, line)
+        elif op == "clean_fill":
+            if entry is None:
+                filled = cache.clean_fill(line)
+                clean = [way for way in ways if not ways[way][1]]
+                if len(ways) == _REPLACEMENT_ASSOC and not clean:
+                    assert filled is None
+                else:
+                    expected = -1
+                    if len(ways) == _REPLACEMENT_ASSOC:
+                        expected = ref.victim(set_index)
+                        del ways[expected]
+                    assert filled[1] == expected
+                    ref.stamp(set_index, line)
+        elif op == "victim_for":
+            victim = cache.victim_for(line)
+            expected = None if entry is not None else ref.victim(set_index)
+            assert (None if victim is None else victim.line) == expected
+        elif op == "remove":
+            cache.remove(line)
+            ways.pop(line, None)
+        elif entry is not None:   # "dirty" or "clean"
+            entry.dirty = ways[line][1] = op == "dirty"
+        for s in range(_REPLACEMENT_SETS):
+            assert list(cache._sets[s]) == ref.order(s)
+            # A line no trace names, mapping to set s, misses.
+            absent = (64 + s) * 64
+            victim = cache.victim_for(absent)
+            assert (None if victim is None else victim.line) == ref.victim(s)
+        cache.audit()
+
+
+def _replacement_cache(cls=SetAssociativeCache):
+    return cls("ref", _REPLACEMENT_SETS, _REPLACEMENT_ASSOC, 64,
+               StatDomain("c"))
+
+
+# Both sets full before a drawn trace starts, so every step picks a
+# victim and every touch of an older line moves it.
+_FILL_BOTH_SETS = [("insert", index) for index in range(8)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(
-    st.tuples(st.integers(0, 63), st.booleans()),  # (line index, touch?)
-    min_size=1, max_size=200,
+    st.tuples(st.sampled_from(_REPLACEMENT_OPS), st.integers(0, 11)),
+    min_size=10, max_size=200,
 ))
 def test_cache_lru_matches_reference_model(trace):
-    """The set-associative array behaves like a reference LRU dict."""
-    cache = SetAssociativeCache("ref", 4, 4, 64, StatDomain("c"))
-    reference = {s: [] for s in range(4)}  # set -> lines, LRU first
-    for index, touch in trace:
-        line = index * 64
-        set_index = index % 4
-        entry = cache.lookup(line)
-        if entry is not None and touch:
-            cache.touch(entry)
-            reference[set_index].remove(line)
-            reference[set_index].append(line)
-        elif entry is None:
-            victim = cache.victim_for(line)
-            if victim is not None:
-                cache.remove(victim.line)
-                reference[set_index].remove(victim.line)
-            cache.insert(line)
-            reference[set_index].append(line)
-    for set_index, lines in reference.items():
-        for line in lines:
-            assert cache.lookup(line) is not None
-    assert len(cache) == sum(len(v) for v in reference.values())
+    """Set key order is the tick LRU: same lines, same order, same
+    victims after every fill, touch, eviction and dirty mark."""
+    _check_replacement(_replacement_cache(), _FILL_BOTH_SETS + trace)
+
+
+# Every op on one set (lines 0, 2, ..., 10 all map to set 0): fills
+# past capacity, a touch of a line the hint does not name, repeat hits
+# on the hinted line, a dirty LRU line, an all-dirty set, removal.
+_EVERY_OP_TRACE = [
+    ("insert", 0), ("insert", 2), ("clean_fill", 4), ("insert", 6),
+    ("touch", 0), ("touch", 0), ("touch_mru", 0), ("victim_for", 8),
+    ("dirty", 2), ("clean_fill", 8), ("touch", 6), ("dirty", 6),
+    ("dirty", 0), ("dirty", 8), ("clean_fill", 10), ("victim_for", 10),
+    ("insert", 10), ("clean", 0), ("remove", 8), ("clean_fill", 4),
+    ("touch_mru", 0), ("touch", 10), ("insert", 2),
+]
+
+
+def test_every_replacement_op_matches_the_tick_model():
+    _check_replacement(_replacement_cache(), _EVERY_OP_TRACE)
+
+
+class _MRUVictimCache(SetAssociativeCache):
+    """Planted fault: a full set gives up its most recent line."""
+
+    def victim_for(self, line):
+        cache_set = self._sets[(line >> self._offset_bits) & self._set_mask]
+        if line in cache_set or len(cache_set) < self.assoc:
+            return None
+        return next(reversed(cache_set.values()))
+
+
+class _HintBlindTouchCache(SetAssociativeCache):
+    """Planted fault: a touch skips the move whenever its set has a
+    hint, whichever line the hint names."""
+
+    def touch(self, entry):
+        if self._mru[(entry.line >> self._offset_bits)
+                     & self._set_mask] < 0:
+            super().touch(entry)
+
+
+def test_replacement_check_catches_an_mru_victim():
+    with pytest.raises(AssertionError):
+        _check_replacement(_replacement_cache(_MRUVictimCache),
+                           _EVERY_OP_TRACE)
+
+
+def test_replacement_check_catches_a_touch_the_hint_does_not_name():
+    with pytest.raises(AssertionError):
+        _check_replacement(_replacement_cache(_HintBlindTouchCache),
+                           _EVERY_OP_TRACE)
 
 
 @settings(max_examples=20, deadline=None)

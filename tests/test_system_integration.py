@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.epoch import EpochStatus
+from repro.mem.cache import CacheEntry
 from repro.sim.config import BarrierDesign, FlushMode, MachineConfig, PersistencyModel
 from repro.system import Multicore
 from repro.workloads.base import Program
@@ -230,6 +231,20 @@ def _drop_dirty_line_owner(m):
     m.directory.clear_owner(0x1000)
 
 
+def _append_past_the_recency_hint(m):
+    # A fill that skipped the hint write: a fresh line lands behind the
+    # hinted one in 0x1000's LLC set, so a hit on the hinted line would
+    # wrongly skip its move.
+    bank = m.llc_banks[m.amap.bank_of(0x1000)]
+    index = (0x1000 >> bank._offset_bits) & bank._set_mask
+    cache_set = bank._sets[index]
+    assert bank._mru[index] in cache_set
+    line = 0x1000
+    while line in cache_set:
+        line += m.config.line_size * len(m.llc_banks) * bank.num_sets
+    cache_set[line] = CacheEntry(line)
+
+
 @pytest.mark.parametrize("plant, message", [
     (_swap_window_head, "window out of order"),
     (_reopen_oldest_epoch, "is not the current window tail"),
@@ -241,10 +256,12 @@ def _drop_dirty_line_owner(m):
     (_empty_directory_entry, "empty directory entry"),
     (_forget_l1_copy, "does not record it as a sharer"),
     (_drop_dirty_line_owner, "dirty but the directory's owner is None"),
+    (_append_past_the_recency_hint, "stale recency hint"),
 ], ids=["window_order", "ongoing_not_tail", "ongoing_not_current",
         "stale_current_slot", "line_in_no_cache", "tracked_not_written",
         "owner_not_sole_sharer", "empty_directory_entry",
-        "l1_copy_not_a_sharer", "dirty_line_not_owned"])
+        "l1_copy_not_a_sharer", "dirty_line_not_owned",
+        "stale_recency_hint"])
 def test_audit_flags_planted_corruption(plant, message):
     m = _unpersisted_machine()
     m.audit()
